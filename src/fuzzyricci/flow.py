@@ -7,7 +7,9 @@ flat-space kernel is orthogonal to every commutator, the flow preserves
 scalar matrix ``(tr(c0)/n) I``.
 
 Integration uses an embedded Dormand-Prince 4(5) pair with proportional
-step control on the Hilbert-Schmidt error norm. Two domain guards are
+step control on the Hilbert-Schmidt error norm; its last stage, evaluated at
+the candidate state, is reused as the next step's first stage (FSAL), so a
+trial step costs six eigendecompositions. Two domain guards are
 specific to this flow: every Runge-Kutta stage and every accepted state
 must stay Hermitian positive definite (the vector field needs ``log c``),
 and a trial step whose stages leave the positive cone is rejected and
@@ -19,7 +21,7 @@ tolerances that are too loose, reported as ``PositivityLost``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,18 +37,18 @@ from .linalg import (
 )
 from .torus import FuzzyTorus
 
-# Dormand-Prince 4(5) tableau. B5 is the fifth-order propagating weight
-# vector, B4 the embedded fourth-order one; their difference estimates the
-# local error. The last B5 entry is zero (FSAL structure, unused here).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 4(5) tableau: A rows of stages 2-6, then the weights. B5 is
+# the fifth-order propagating weight vector, B4 the embedded fourth-order one;
+# their difference estimates the local error. The seventh stage sits at the
+# fifth-order solution itself (its A row equals B5, whose last entry is zero),
+# so it is evaluated there and doubles as the first stage of the next step
+# ("first same as last", FSAL).
 _DP_A = [
-    [],
     [1 / 5],
     [3 / 40, 9 / 40],
     [44 / 45, -56 / 15, 32 / 9],
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
@@ -187,33 +189,40 @@ def _field_or_reject(torus: FuzzyTorus, c: np.ndarray, floor: float) -> np.ndarr
 
 
 def _trial_step(
-    torus: FuzzyTorus, c: np.ndarray, h: float, config: FlowConfig
-) -> tuple[np.ndarray, float, float] | None:
-    """One embedded RK trial step of size ``h``.
+    torus: FuzzyTorus, c: np.ndarray, k1: np.ndarray, h: float, config: FlowConfig
+) -> tuple[np.ndarray, np.ndarray, float, float] | None:
+    """One embedded RK trial step of size ``h`` from ``c``, whose field is ``k1``.
 
-    Returns ``(c_next, error_estimate, tolerance)`` for an evaluable step, or
-    ``None`` when a stage leaves the positive cone and the step must be
-    retried smaller. ``c_next`` is symmetrized; acceptance is the caller's
-    decision (``error_estimate <= tolerance``).
+    Returns ``(c_next, k_next, error_estimate, tolerance)`` for an evaluable
+    step, or ``None`` when a stage leaves the positive cone and the step must
+    be retried smaller. ``c_next`` is symmetrized, and the last stage is
+    evaluated at it: its cone check is the positivity check of the candidate
+    state, and ``k_next`` is the field there, the next step's first stage.
+    Acceptance is the caller's decision (``error_estimate <= tolerance``).
     """
-    stages: list[np.ndarray] = []
-    for i in range(7):
+    floor = config.positivity_floor
+    stages = [k1]
+    for row in _DP_A:
         ci = c
-        for a_ij, k in zip(_DP_A[i], stages):
+        for a_ij, k in zip(row, stages):
             if a_ij != 0.0:
                 ci = ci + h * a_ij * k
-        k_i = _field_or_reject(torus, ci, config.positivity_floor)
+        k_i = _field_or_reject(torus, ci, floor)
         if k_i is None:
             return None
         stages.append(k_i)
 
     c5 = c + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0)
-    c4 = c + h * sum(b * k for b, k in zip(_DP_B4, stages) if b != 0.0)
     c5 = (c5 + c5.conj().T) / 2
+    k_next = _field_or_reject(torus, c5, floor)
+    if k_next is None:
+        return None
+    stages.append(k_next)
+    c4 = c + h * sum(b * k for b, k in zip(_DP_B4, stages) if b != 0.0)
     c4 = (c4 + c4.conj().T) / 2
     err = hs_norm(c5 - c4)
     tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(c5))
-    return c5, err, tol
+    return c5, k_next, err, tol
 
 
 def flow_step(
@@ -222,23 +231,19 @@ def flow_step(
     """One accepted adaptive step from ``(t, c)``, starting at trial size ``h``.
 
     The trial step is rejected and halved while its Hilbert-Schmidt error
-    estimate exceeds tolerance or a stage leaves the positive cone; the first
+    estimate exceeds tolerance or a stage leaves the positive cone (which
+    includes a candidate state that is not positive definite); the first
     accepted state is returned as ``(c_next, h_used, error_estimate)``.
-    Raises ``StepUnderflow`` if no acceptable step exists above ``min_step``
-    and ``PositivityLost`` if an accepted state is not positive definite.
+    Raises ``MetricDegenerate`` if ``c`` itself is not positive definite and
+    ``StepUnderflow`` if no acceptable step exists above ``min_step``.
     """
     h = min(max(h, config.min_step), config.max_step)
+    k1 = flow_field(torus, c, config.positivity_floor)
     while True:
-        trial = _trial_step(torus, c, h, config)
+        trial = _trial_step(torus, c, k1, h, config)
         if trial is not None:
-            c_next, err, tol = trial
+            c_next, _, err, tol = trial
             if err <= tol:
-                w_min = float(hermitian_eig(c_next).eigenvalues[0])
-                if w_min <= config.positivity_floor:
-                    raise PositivityLost(
-                        f"accepted step lost positivity (min eigenvalue {w_min:.3e})",
-                        time=t + h,
-                    )
                 return c_next, h, err
         h = h / 2
         if h < config.min_step:
@@ -250,16 +255,20 @@ def flow_step(
 def _advance(
     torus: FuzzyTorus,
     c: np.ndarray,
+    k1: np.ndarray,
     t: float,
     t_target: float,
     h: float,
     config: FlowConfig,
     counters: FlowResult,
-) -> tuple[np.ndarray, float]:
-    """Integrate from ``t`` to ``t_target`` exactly, adapting the step size."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Integrate from ``t`` to ``t_target`` exactly, adapting the step size.
+
+    ``k1`` is the field at ``c``; the returned ``k1`` is the one at the end.
+    """
     while t < t_target:
         h = min(h, config.max_step, t_target - t)
-        trial = _trial_step(torus, c, h, config)
+        trial = _trial_step(torus, c, k1, h, config)
         if trial is None:
             counters.rejected_steps += 1
             h = h / 2
@@ -270,18 +279,11 @@ def _advance(
                     time=t,
                 )
             continue
-        c_next, err, tol = trial
+        c_next, k_next, err, tol = trial
         if err <= tol:
-            w_min = float(hermitian_eig(c_next).eigenvalues[0])
-            if w_min <= config.positivity_floor:
-                raise PositivityLost(
-                    f"accepted state lost positivity (min eigenvalue {w_min:.3e}); "
-                    "the exact flow preserves it, so tighten the tolerances",
-                    time=t + h,
-                )
             counters.accepted_steps += 1
             t = t + h
-            c = c_next
+            c, k1 = c_next, k_next
             factor = _SAFETY * (tol / err) ** _ORDER_EXP if err > 0 else _MAX_GROWTH
             h = h * min(_MAX_GROWTH, max(_MIN_SHRINK, factor))
         else:
@@ -292,7 +294,7 @@ def _advance(
             raise StepUnderflow(
                 f"step size fell below min_step={config.min_step:g}", time=t
             )
-    return c, h
+    return c, k1, h
 
 
 def sample_times(config: FlowConfig) -> np.ndarray:
@@ -347,8 +349,9 @@ def run_flow(
 
     h = min(config.max_step, config.sample_stride)
     t = float(ts[0])
+    k1 = _field_or_reject(torus, c, config.positivity_floor)  # c is in the cone
     for t_next in ts[1:]:
-        c, h = _advance(torus, c, t, float(t_next), h, config, result)
+        c, k1, h = _advance(torus, c, k1, t, float(t_next), h, config, result)
         t = float(t_next)
         sample = _make_sample(t, c, target_trace)
         result.samples.append(sample)
@@ -453,34 +456,3 @@ def metric_from_spec(spec: str | dict, n: int, seed_default: int = 0) -> np.ndar
         return random_metric(n, seed, scale)
     raise InvalidInput(f"unrecognized initial metric spec {spec!r}")
 
-
-def flow_states(
-    torus: FuzzyTorus,
-    c0: np.ndarray,
-    times: Sequence[float],
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield ``(t, c(t))`` at an arbitrary increasing sequence of times.
-
-    Used by the eigenvalue tracker, which needs a dense custom cadence
-    rather than the trajectory-file stride.
-    """
-    times = [float(t) for t in times]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise InvalidParams("times must be strictly increasing")
-    config = FlowConfig(
-        t0=times[0],
-        t1=times[-1] if times[-1] > times[0] else times[0] + 1.0,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
-    c = check_metric(c0, n=torus.n, floor=config.positivity_floor)
-    counters = FlowResult(torus=torus)
-    t = times[0]
-    yield t, c
-    h = min(config.max_step, 1e-2)
-    for t_next in times[1:]:
-        c, h = _advance(torus, c, t, t_next, h, config, counters)
-        t = t_next
-        yield t, c

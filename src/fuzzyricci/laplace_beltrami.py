@@ -79,6 +79,11 @@ class WeightedSpace:
 
         return cls(c=c, c_sqrt=power(0.5), c_invsqrt=power(-0.5), c_inv=power(-1.0))
 
+    @classmethod
+    def coerce(cls, c) -> "WeightedSpace":
+        """``c`` itself if it already is a ``WeightedSpace``, else ``from_metric(c)``."""
+        return c if isinstance(c, cls) else cls.from_metric(c)
+
     @property
     def n(self) -> int:
         return self.c.shape[0]
@@ -118,7 +123,7 @@ def inner_product_c(c, a, b) -> complex:
 
 def lb_apply(torus: FuzzyTorus, c, a) -> np.ndarray:
     """Curved Laplacian (La) c^{-1}, the operator the weighted space carries."""
-    space = c if isinstance(c, WeightedSpace) else WeightedSpace.from_metric(c)
+    space = WeightedSpace.coerce(c)
     a = as_square_matrix(a)
     if a.shape[0] != torus.n:
         raise InvalidInput(f"expected {torus.n}x{torus.n} input, got {a.shape}")
@@ -134,10 +139,17 @@ def lb_conjugated_superop(torus: FuzzyTorus, c) -> Superoperator:
     """Dense matrix of the conjugated curved Laplacian.
 
     Hermitian positive semidefinite under the flattening convention; its
-    spectrum equals that of the weighted-space operator.
+    spectrum equals that of the weighted-space operator. Built in closed
+    form from the flat Laplacian ``L`` as ``(I x S^T) L (I x S^T)`` with
+    ``S = c^{-1/2}``: right multiplication by ``S`` acts on the row-major
+    flattening as the block-diagonal ``I x S^T``, applied here by reshaping.
     """
-    space = c if isinstance(c, WeightedSpace) else WeightedSpace.from_metric(c)
-    return superop_from_map(torus.n, lambda a: lb_conjugated_apply(torus, space, a))
+    space = WeightedSpace.coerce(c)
+    n, dim = torus.n, torus.n**2
+    s_t = space.c_invsqrt.T
+    m = (torus.laplacian.matrix.reshape(dim, n, n) @ s_t).reshape(dim, dim)
+    m = (s_t @ m.reshape(n, n, dim)).reshape(dim, dim)
+    return Superoperator(n=n, matrix=m)
 
 
 def rejected_operator_superop(torus: FuzzyTorus, c) -> Superoperator:
@@ -148,7 +160,7 @@ def rejected_operator_superop(torus: FuzzyTorus, c) -> Superoperator:
     the alternative in the weighted inner product. Generic metrics break it;
     see ``COUNTEREXAMPLE_SEED``.
     """
-    space = c if isinstance(c, WeightedSpace) else WeightedSpace.from_metric(c)
+    space = WeightedSpace.coerce(c)
 
     def alt(a_flat: np.ndarray) -> np.ndarray:
         return space.c_inv @ torus.laplacian_apply(a_flat @ space.c_invsqrt) @ space.c_sqrt
@@ -213,7 +225,7 @@ def lb_spectrum(torus: FuzzyTorus, c, gap_tol_rel: float = GAP_TOL_REL) -> Spect
     eigenvectors. Exactly one eigenvalue sits below the kernel threshold;
     its weighted eigenvector is proportional to the identity.
     """
-    space = c if isinstance(c, WeightedSpace) else WeightedSpace.from_metric(c)
+    space = WeightedSpace.coerce(c)
     op = lb_conjugated_superop(torus, space)
     eig = hermitian_eig(op.matrix)
     n = torus.n

@@ -52,8 +52,8 @@ class FuzzyTorus:
     """Fuzzy torus of size ``n`` with twist ``m`` coprime to ``n``.
 
     Exposes the generating unitaries ``u``, ``v``, the Hermitian log
-    generators ``x``, ``y``, the derivations as superoperators, and the flat
-    Laplacian. All matrix-valued members are cached per instance.
+    generators ``x``, ``y``, the derivations, and the flat Laplacian. All
+    matrix-valued members are cached per instance.
     """
 
     n: int
@@ -110,18 +110,22 @@ class FuzzyTorus:
         """Second derivation -[x, a]."""
         return -commutator(self.x, a)
 
+    @cached_property
+    def _x_weights(self) -> np.ndarray:
+        """Weights W_jk = m^2 (j - k)^2, so that [x, [x, a]] = W o a entrywise."""
+        d = self.m * np.arange(self.n, dtype=float)
+        return (d[:, None] - d[None, :]) ** 2
+
     def laplacian_apply(self, a: np.ndarray) -> np.ndarray:
-        """Flat Laplacian [y, [y, a]] + [x, [x, a]]."""
-        y, x = self.y, self.x
-        return commutator(y, commutator(y, a)) + commutator(x, commutator(x, a))
+        """Flat Laplacian [y, [y, a]] + [x, [x, a]], applied as [y, [y, a]] + W o a.
 
-    @cached_property
-    def d1_superop(self) -> Superoperator:
-        return superop_from_map(self.n, self.d1)
-
-    @cached_property
-    def d2_superop(self) -> Superoperator:
-        return superop_from_map(self.n, self.d2)
+        The y-part stays a literal double commutator so that scalars map to
+        exactly zero.
+        """
+        a = np.asarray(a)
+        y = self.y
+        b = y @ a - a @ y
+        return (y @ b - b @ y) + self._x_weights * a
 
     @cached_property
     def laplacian(self) -> Superoperator:

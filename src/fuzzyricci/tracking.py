@@ -203,39 +203,50 @@ def _kernel_slot(curves: list[SpectralCurve]) -> int:
     return 0
 
 
-def variation_rhs(torus: FuzzyTorus, c, value: float, a) -> float:
+def _laplacian_of_log(torus: FuzzyTorus, space: WeightedSpace) -> np.ndarray:
+    """``L log c``, the metric-state factor shared by every variation-law term."""
+    return torus.laplacian_apply(matrix_log(space.c))
+
+
+def _real_rhs(val: complex) -> float:
+    if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
+        raise FuzzyRicciError(
+            f"variation right-hand side has non-real value {val!r}"
+        )
+    return float(val.real)
+
+
+def variation_rhs(
+    torus: FuzzyTorus, c, value: float, a, lap_log: np.ndarray | None = None
+) -> float:
     """Variation law right-hand side lambda * tr(a* a (L log c)).
 
     ``a`` must be normalized in the weighted inner product. The trace is real
     up to roundoff (product of two Hermitian factors); a relative imaginary
-    part above 1e-10 indicates a broken input and raises.
+    part above 1e-10 indicates a broken input and raises. ``lap_log``, if
+    given, is ``L log c`` already computed for this metric.
     """
-    space = c if isinstance(c, WeightedSpace) else WeightedSpace.from_metric(c)
+    space = WeightedSpace.coerce(c)
+    if lap_log is None:
+        lap_log = _laplacian_of_log(torus, space)
     a = np.asarray(a, dtype=complex)
-    lap_log = torus.laplacian_apply(matrix_log(space.c))
-    val = complex(np.trace(a.conj().T @ a @ lap_log)) * value
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
-        raise FuzzyRicciError(
-            f"variation right-hand side has non-real value {val!r}"
-        )
-    return float(val.real)
+    return _real_rhs(complex(np.trace(a.conj().T @ a @ lap_log)) * value)
 
 
-def variation_rhs_state_form(torus: FuzzyTorus, c, value: float, a) -> float:
+def variation_rhs_state_form(
+    torus: FuzzyTorus, c, value: float, a, lap_log: np.ndarray | None = None
+) -> float:
     """Equivalent form lambda * phi(a* a (L log c) c^{-1}), phi(b) = tr(c b).
 
     Algebraically identical to :func:`variation_rhs` by trace cyclicity;
     computed literally as written to serve as an independent cross-check.
+    ``lap_log`` is as in :func:`variation_rhs`.
     """
-    space = c if isinstance(c, WeightedSpace) else WeightedSpace.from_metric(c)
+    space = WeightedSpace.coerce(c)
+    if lap_log is None:
+        lap_log = _laplacian_of_log(torus, space)
     a = np.asarray(a, dtype=complex)
-    lap_log = torus.laplacian_apply(matrix_log(space.c))
-    val = complex(space.state(a.conj().T @ a @ lap_log @ space.c_inv)) * value
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
-        raise FuzzyRicciError(
-            f"variation right-hand side has non-real value {val!r}"
-        )
-    return float(val.real)
+    return _real_rhs(complex(space.state(a.conj().T @ a @ lap_log @ space.c_inv)) * value)
 
 
 def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -311,9 +322,9 @@ def first_variation_report(
 
     The derivative oracle is the finite-difference stencil of
     :func:`fd_derivative`; the formula side is evaluated at every sample from
-    the tracked eigenpair and the sampled metric. Degenerate samples
-    contribute rows but are excluded from the aggregates. Relative residuals
-    are ``|fd - rhs| / (1 + |fd|)``.
+    the tracked eigenpair and the sampled metric, with ``L log c`` computed
+    once per sample. Degenerate samples contribute rows but are excluded from
+    the aggregates. Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
     """
     config = config or TrackingConfig()
     if len(trajectory.samples) < 3:
@@ -322,6 +333,7 @@ def first_variation_report(
         )
     times = trajectory.times
     spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
+    lap_logs = [_laplacian_of_log(torus, space) for space in spaces]
 
     out: list[CurveVariation] = []
     max_rel = 0.0
@@ -341,9 +353,9 @@ def first_variation_report(
         rhs = np.empty_like(values)
         rhs_alt = np.empty_like(values)
         for k, s in enumerate(curve.samples):
-            rhs[k] = variation_rhs(torus, spaces[k], s.value, s.vector_weighted)
+            rhs[k] = variation_rhs(torus, spaces[k], s.value, s.vector_weighted, lap_logs[k])
             rhs_alt[k] = variation_rhs_state_form(
-                torus, spaces[k], s.value, s.vector_weighted
+                torus, spaces[k], s.value, s.vector_weighted, lap_logs[k]
             )
         abs_res = np.abs(fd - rhs)
         rel_res = abs_res / (1.0 + np.abs(fd))

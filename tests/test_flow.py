@@ -16,6 +16,7 @@ from fuzzyricci import (
     random_metric,
     run_flow,
 )
+from fuzzyricci import flow, linalg
 from fuzzyricci.flow import sample_times, trajectory_csv_rows, trajectory_to_json
 
 
@@ -210,6 +211,26 @@ class TestRunFlow:
         )
         assert result.rejected_steps > 0
         assert min(s.min_eig for s in result.samples) > 0
+
+    def test_eigendecomposition_budget(self, torus3, monkeypatch):
+        # Six per trial (stages 2-7; stage 7 at the candidate state is also
+        # its positivity check and the next step's stage 1), one per sample,
+        # two at start-up. Both bindings are counted so that a route through
+        # matrix_log cannot hide a decomposition.
+        c0 = random_metric(3, 0, scale=2.0)
+        calls = []
+        real_eig = linalg.hermitian_eig
+
+        def counting_eig(a):
+            calls.append(1)
+            return real_eig(a)
+
+        monkeypatch.setattr(flow, "hermitian_eig", counting_eig)
+        monkeypatch.setattr(linalg, "hermitian_eig", counting_eig)
+        result = run_flow(torus3, c0, FlowConfig(t1=5.0))
+        trials = result.accepted_steps + result.rejected_steps
+        assert result.rejected_steps > 0
+        assert len(calls) <= 6 * trials + len(result.samples) + 2
 
     def test_callback_sees_every_sample(self, torus2):
         seen = []

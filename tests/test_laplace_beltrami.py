@@ -3,6 +3,7 @@ import pytest
 
 from fuzzyricci import (
     COUNTEREXAMPLE_SEED,
+    FuzzyTorus,
     MetricDegenerate,
     WeightedSpace,
     hs_inner,
@@ -14,8 +15,10 @@ from fuzzyricci import (
     random_metric,
     rayleigh_quotient,
     rejected_operator_superop,
+    superop_from_map,
 )
-from fuzzyricci.laplace_beltrami import spectrum_to_json
+from fuzzyricci.laplace_beltrami import lb_conjugated_apply, spectrum_to_json
+from fuzzyricci.verify import coprime_pairs
 from conftest import random_complex
 
 
@@ -107,6 +110,15 @@ class TestCurvedLaplacian:
         assert op.hermiticity_defect() <= 1e-11
         w = np.linalg.eigvalsh((op.matrix + op.matrix.conj().T) / 2)
         assert w[0] >= -1e-10 * max(abs(w[-1]), 1.0)
+
+    @pytest.mark.parametrize("n,m", list(coprime_pairs(8)))
+    def test_closed_form_matches_probed_map(self, n, m):
+        torus = FuzzyTorus(n, m)
+        for seed in range(3):
+            space = WeightedSpace.from_metric(random_metric(n, seed))
+            closed = lb_conjugated_superop(torus, space).matrix
+            probed = superop_from_map(n, lambda a: lb_conjugated_apply(torus, space, a))
+            assert hs_norm(closed - probed.matrix) <= 1e-13 * hs_norm(closed)
 
 
 class TestSpectrum:

@@ -116,6 +116,19 @@ class TestFlatLaplacian:
         rhs = torus3.laplacian_apply(a.conj().T)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * hs_norm(a))
 
+    @pytest.mark.parametrize("n,m", ALL_PAIRS)
+    def test_matches_literal_double_commutators(self, n, m, rng):
+        t = FuzzyTorus(n, m)
+        lam_max = float(np.linalg.norm(t.laplacian.matrix, 2))
+
+        def comm(p, a):
+            return p @ a - a @ p
+
+        for _ in range(5):
+            a = random_complex(rng, n)
+            literal = comm(t.y, comm(t.y, a)) + comm(t.x, comm(t.x, a))
+            assert hs_norm(t.laplacian_apply(a) - literal) <= 1e-13 * hs_norm(a) * lam_max
+
     def test_n2_spectrum(self, torus2):
         w, _ = hermitian_eig(torus2.laplacian.matrix)
         np.testing.assert_allclose(w, [0.0, 1.0, 1.0, 2.0], atol=1e-12)

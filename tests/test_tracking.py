@@ -20,6 +20,7 @@ from fuzzyricci import (
     variation_rhs,
     variation_rhs_state_form,
 )
+from fuzzyricci import tracking
 from fuzzyricci.tracking import curves_csv_rows, report_to_json
 
 
@@ -242,3 +243,36 @@ class TestVariationReport:
         assert doc["max_rel_residual"] <= doc["rel_budget"]
         kernel_docs = [c for c in doc["curves"] if c["is_kernel"]]
         assert len(kernel_docs) == 1
+
+    def test_entries_match_from_scratch_calls(self, torus3):
+        trajectory = run_flow(
+            torus3, random_metric(3, 2), FlowConfig(t1=0.01, sample_stride=1e-3)
+        )
+        curves = track_spectrum(torus3, trajectory)
+        report = first_variation_report(torus3, curves, trajectory)
+        for curve, cv in zip(curves, report.curves):
+            for k, s in enumerate(curve.samples):
+                c = trajectory.samples[k].c
+                direct = variation_rhs(torus3, c, s.value, s.vector_weighted)
+                state = variation_rhs_state_form(torus3, c, s.value, s.vector_weighted)
+                assert abs(cv.rhs[k] - direct) <= 1e-13 * abs(direct)
+                assert abs(cv.rhs_state_form[k] - state) <= 1e-13 * abs(state)
+
+    def test_one_log_per_sample(self, torus3, monkeypatch):
+        # L log c depends only on the metric state: one log per sample, not
+        # one per curve, sample and form.
+        logs = []
+        real_log = tracking.matrix_log
+
+        def counting_log(a):
+            logs.append(1)
+            return real_log(a)
+
+        monkeypatch.setattr(tracking, "matrix_log", counting_log)
+        trajectory = run_flow(
+            torus3, random_metric(3, 1), FlowConfig(t1=0.2, sample_stride=1e-3)
+        )
+        curves = track_spectrum(torus3, trajectory)
+        first_variation_report(torus3, curves, trajectory)
+        assert len(trajectory.samples) == 201
+        assert len(logs) <= len(trajectory.samples)
