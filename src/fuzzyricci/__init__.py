@@ -21,10 +21,8 @@ from .flow import (
     FlowConfig,
     FlowResult,
     FlowSample,
-    dist_to_flat,
     flat_metric,
     flow_field,
-    flow_step,
     metric_from_spec,
     random_metric,
     run_flow,
@@ -94,12 +92,10 @@ __all__ = [
     "clock_matrix",
     "commutant_dimension",
     "commutator",
-    "dist_to_flat",
     "fd_derivative",
     "first_variation_report",
     "flat_metric",
     "flow_field",
-    "flow_step",
     "fourier_matrix",
     "hermitian_eig",
     "hs_inner",

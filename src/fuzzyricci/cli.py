@@ -35,6 +35,7 @@ from .errors import (
 )
 from .flow import (
     FlowConfig,
+    flow_invariants,
     metric_from_spec,
     run_flow,
     trajectory_csv_rows,
@@ -58,6 +59,7 @@ EXIT_ACCEPTANCE = 4
 
 RESIDUAL_BUDGET = 1e-4
 FORMS_BUDGET = 1e-10
+DET_SLACK = 1e-12
 
 # Keys of the run configuration; flags mirror these one-to-one.
 _CONFIG_KEYS = ("n", "m", "initial", "t0", "t1", "rel_tol", "abs_tol", "stride", "seed", "out", "format")
@@ -171,13 +173,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if "json" in formats:
         _write_json(out / "trajectory.json", trajectory_to_json(result, flow_config))
 
-    trace0 = result.samples[0].trace
-    drift = max(abs(s.trace - trace0) for s in result.samples) / abs(trace0)
-    dets = [s.det for s in result.samples]
-    slack = 1e-12
-    nondecreasing = all(
-        b >= a - slack * abs(a) for a, b in zip(dets, dets[1:])
-    )
+    drift, det_drop = flow_invariants(result)
+    nondecreasing = det_drop <= DET_SLACK
     summary = {
         "samples": len(result.samples),
         "accepted_steps": result.accepted_steps,
@@ -200,18 +197,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     config = resolve_config(args, "spectrum")
     torus, c0 = _prepare_run(config)
     t = config["t1"]
-    if t > config["t0"]:
-        flow_config = FlowConfig(
-            t0=config["t0"],
-            t1=t,
-            rel_tol=config["rel_tol"],
-            abs_tol=config["abs_tol"],
-            sample_stride=t - config["t0"],
-        )
-        c = run_flow(torus, c0, flow_config).final.c
-    else:
-        c = c0
-    data = lb_spectrum(torus, c)
+    # One sample interval spanning the window, validated before any file is
+    # written; t1 == t0 leaves the initial metric as the only sample.
+    span = t - config["t0"]
+    flow_config = _flow_config({**config, "stride": span if span > 0 else 1.0})
+    data = lb_spectrum(torus, run_flow(torus, c0, flow_config).final.space)
 
     out = _out_dir(config)
     _write_json(out / "config.json", config)

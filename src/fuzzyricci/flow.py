@@ -9,7 +9,9 @@ scalar matrix ``(tr(c0)/n) I``.
 Integration uses an embedded Dormand-Prince 4(5) pair with proportional
 step control on the Hilbert-Schmidt error norm; its last stage, evaluated at
 the candidate state, is reused as the next step's first stage (FSAL), so a
-trial step costs six eigendecompositions. Two domain guards are
+trial step costs six eigendecompositions. Each one builds a metric state
+(``WeightedSpace``) that the accepted sample keeps, so spectra and the
+variation law reuse the integrator's decomposition. Two domain guards are
 specific to this flow: every Runge-Kutta stage and every accepted state
 must stay Hermitian positive definite (the vector field needs ``log c``),
 and a trial step whose stages leave the positive cone is rejected and
@@ -26,15 +28,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import InvalidInput, InvalidParams, MetricDegenerate, PositivityLost, StepUnderflow
-from .linalg import (
-    as_square_matrix,
-    hermitian_eig,
-    hs_norm,
-    matrix_exp,
-    matrix_from_json,
-    matrix_log,
-    matrix_to_json,
-)
+from .laplace_beltrami import WeightedSpace
+from .linalg import as_square_matrix, hs_norm, matrix_exp, matrix_from_json, matrix_to_json
 from .torus import FuzzyTorus
 
 # Dormand-Prince 4(5) tableau: A rows of stages 2-6, then the weights. B5 is
@@ -88,14 +83,18 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowSample:
-    """State of the flow at one sample time."""
+    """State of the flow at one sample time; ``space`` is its metric state."""
 
     t: float
-    c: np.ndarray
+    space: WeightedSpace
     trace: float
     det: float
     min_eig: float
     dist_to_flat: float
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.space.c
 
 
 @dataclass
@@ -114,24 +113,6 @@ class FlowResult:
     @property
     def final(self) -> FlowSample:
         return self.samples[-1]
-
-
-def check_metric(c, n: int | None = None, floor: float = 0.0) -> np.ndarray:
-    """Validate a metric: square, Hermitian, all eigenvalues above ``floor``.
-
-    Returns the symmetrized matrix. Raises ``MetricDegenerate`` if positive
-    definiteness fails.
-    """
-    c = as_square_matrix(c, "metric")
-    if n is not None and c.shape[0] != n:
-        raise InvalidInput(f"metric must be {n}x{n}, got {c.shape}")
-    eig = hermitian_eig(c)  # symmetrizes; rejects gross non-Hermiticity
-    lo = float(eig.eigenvalues[0])
-    if lo <= floor:
-        raise MetricDegenerate(
-            f"metric is not positive definite: min eigenvalue {lo:.6e} <= {floor:g}"
-        )
-    return (c + c.conj().T) / 2
 
 
 def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -156,11 +137,12 @@ def flat_metric(n: int, trace: float | None = None) -> np.ndarray:
     return (tr / n) * np.eye(n, dtype=complex)
 
 
-def dist_to_flat(c) -> float:
-    """Hilbert-Schmidt distance from ``c`` to the scalar matrix with equal trace."""
+def _metric_state(torus: FuzzyTorus, c, floor: float) -> WeightedSpace:
+    """Validate a metric for ``torus`` (size, then positivity) and decompose it."""
     c = as_square_matrix(c, "metric")
-    n = c.shape[0]
-    return hs_norm(c - (np.trace(c) / n) * np.eye(n))
+    if c.shape[0] != torus.n:
+        raise InvalidInput(f"metric must be {torus.n}x{torus.n}, got {c.shape}")
+    return WeightedSpace.from_metric(c, floor)
 
 
 def flow_field(torus: FuzzyTorus, c: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -171,34 +153,32 @@ def flow_field(torus: FuzzyTorus, c: np.ndarray, floor: float = 1e-12) -> np.nda
     when ``c`` is a positive scalar matrix. Raises ``MetricDegenerate`` when
     ``c`` has an eigenvalue at or below ``floor``.
     """
-    c = check_metric(c, n=torus.n, floor=floor)
-    return -torus.laplacian_apply(matrix_log(c))
+    return -torus.laplacian_apply(_metric_state(torus, c, floor).log)
 
 
-def _field_or_reject(torus: FuzzyTorus, c: np.ndarray, floor: float) -> np.ndarray | None:
-    """Evaluate the vector field at a trial stage; ``None`` marks a domain exit."""
-    c = (c + c.conj().T) / 2
+def _field_or_reject(
+    torus: FuzzyTorus, c: np.ndarray, floor: float
+) -> tuple[WeightedSpace, np.ndarray] | None:
+    """Metric state at a trial stage and the field there; ``None`` marks a domain exit."""
     try:
-        w, v = hermitian_eig(c)
-    except InvalidInput:
+        space = WeightedSpace.from_metric(c, floor)
+    except (InvalidInput, MetricDegenerate):
         return None
-    if w[0] <= floor:
-        return None
-    log_c = (v * np.log(w)) @ v.conj().T
-    return -torus.laplacian_apply(log_c)
+    return space, -torus.laplacian_apply(space.log)
 
 
 def _trial_step(
     torus: FuzzyTorus, c: np.ndarray, k1: np.ndarray, h: float, config: FlowConfig
-) -> tuple[np.ndarray, np.ndarray, float, float] | None:
+) -> tuple[WeightedSpace, np.ndarray, float, float] | None:
     """One embedded RK trial step of size ``h`` from ``c``, whose field is ``k1``.
 
-    Returns ``(c_next, k_next, error_estimate, tolerance)`` for an evaluable
-    step, or ``None`` when a stage leaves the positive cone and the step must
-    be retried smaller. ``c_next`` is symmetrized, and the last stage is
-    evaluated at it: its cone check is the positivity check of the candidate
-    state, and ``k_next`` is the field there, the next step's first stage.
-    Acceptance is the caller's decision (``error_estimate <= tolerance``).
+    Returns ``(space_next, k_next, error_estimate, tolerance)`` for an
+    evaluable step, or ``None`` when a stage leaves the positive cone and the
+    step must be retried smaller. ``space_next`` is the metric state of the
+    symmetrized candidate, where the last stage is evaluated: its cone check
+    is the positivity check of the candidate state, and ``k_next`` is the
+    field there, the next step's first stage. Acceptance is the caller's
+    decision (``error_estimate <= tolerance``).
     """
     floor = config.positivity_floor
     stages = [k1]
@@ -207,68 +187,43 @@ def _trial_step(
         for a_ij, k in zip(row, stages):
             if a_ij != 0.0:
                 ci = ci + h * a_ij * k
-        k_i = _field_or_reject(torus, ci, floor)
-        if k_i is None:
+        stage = _field_or_reject(torus, ci, floor)
+        if stage is None:
             return None
-        stages.append(k_i)
+        stages.append(stage[1])
 
     c5 = c + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0)
-    c5 = (c5 + c5.conj().T) / 2
-    k_next = _field_or_reject(torus, c5, floor)
-    if k_next is None:
+    stage = _field_or_reject(torus, c5, floor)
+    if stage is None:
         return None
+    space_next, k_next = stage
+    c5 = space_next.c  # symmetrized
     stages.append(k_next)
     c4 = c + h * sum(b * k for b, k in zip(_DP_B4, stages) if b != 0.0)
     c4 = (c4 + c4.conj().T) / 2
     err = hs_norm(c5 - c4)
     tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(c5))
-    return c5, k_next, err, tol
-
-
-def flow_step(
-    torus: FuzzyTorus, c: np.ndarray, t: float, h: float, config: FlowConfig
-) -> tuple[np.ndarray, float, float]:
-    """One accepted adaptive step from ``(t, c)``, starting at trial size ``h``.
-
-    The trial step is rejected and halved while its Hilbert-Schmidt error
-    estimate exceeds tolerance or a stage leaves the positive cone (which
-    includes a candidate state that is not positive definite); the first
-    accepted state is returned as ``(c_next, h_used, error_estimate)``.
-    Raises ``MetricDegenerate`` if ``c`` itself is not positive definite and
-    ``StepUnderflow`` if no acceptable step exists above ``min_step``.
-    """
-    h = min(max(h, config.min_step), config.max_step)
-    k1 = flow_field(torus, c, config.positivity_floor)
-    while True:
-        trial = _trial_step(torus, c, k1, h, config)
-        if trial is not None:
-            c_next, _, err, tol = trial
-            if err <= tol:
-                return c_next, h, err
-        h = h / 2
-        if h < config.min_step:
-            raise StepUnderflow(
-                f"no acceptable step above min_step={config.min_step:g}", time=t
-            )
+    return space_next, k_next, err, tol
 
 
 def _advance(
     torus: FuzzyTorus,
-    c: np.ndarray,
+    space: WeightedSpace,
     k1: np.ndarray,
     t: float,
     t_target: float,
     h: float,
     config: FlowConfig,
     counters: FlowResult,
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[WeightedSpace, np.ndarray, float]:
     """Integrate from ``t`` to ``t_target`` exactly, adapting the step size.
 
-    ``k1`` is the field at ``c``; the returned ``k1`` is the one at the end.
+    ``k1`` is the field at the metric state ``space``; the returned state and
+    field are the ones at the end.
     """
     while t < t_target:
         h = min(h, config.max_step, t_target - t)
-        trial = _trial_step(torus, c, k1, h, config)
+        trial = _trial_step(torus, space.c, k1, h, config)
         if trial is None:
             counters.rejected_steps += 1
             h = h / 2
@@ -279,11 +234,11 @@ def _advance(
                     time=t,
                 )
             continue
-        c_next, k_next, err, tol = trial
+        space_next, k_next, err, tol = trial
         if err <= tol:
             counters.accepted_steps += 1
             t = t + h
-            c, k1 = c_next, k_next
+            space, k1 = space_next, k_next
             factor = _SAFETY * (tol / err) ** _ORDER_EXP if err > 0 else _MAX_GROWTH
             h = h * min(_MAX_GROWTH, max(_MIN_SHRINK, factor))
         else:
@@ -294,7 +249,7 @@ def _advance(
             raise StepUnderflow(
                 f"step size fell below min_step={config.min_step:g}", time=t
             )
-    return c, k1, h
+    return space, k1, h
 
 
 def sample_times(config: FlowConfig) -> np.ndarray:
@@ -310,16 +265,15 @@ def sample_times(config: FlowConfig) -> np.ndarray:
     return ts
 
 
-def _make_sample(t: float, c: np.ndarray, target_trace: float) -> FlowSample:
-    eig = hermitian_eig(c)
-    n = c.shape[0]
+def _make_sample(t: float, space: WeightedSpace, target_trace: float) -> FlowSample:
+    n = space.n
     return FlowSample(
         t=float(t),
-        c=c,
-        trace=float(np.trace(c).real),
-        det=float(np.prod(eig.eigenvalues)),
-        min_eig=float(eig.eigenvalues[0]),
-        dist_to_flat=hs_norm(c - (target_trace / n) * np.eye(n)),
+        space=space,
+        trace=space.trace,
+        det=float(np.prod(space.eigenvalues)),
+        min_eig=float(space.eigenvalues[0]),
+        dist_to_flat=hs_norm(space.c - (target_trace / n) * np.eye(n)),
     )
 
 
@@ -337,27 +291,42 @@ def run_flow(
     produced.
     """
     config = config or FlowConfig()
-    c = check_metric(c0, n=torus.n, floor=config.positivity_floor)
+    space = _metric_state(torus, c0, config.positivity_floor)
     result = FlowResult(torus=torus)
     ts = sample_times(config)
-    target_trace = float(np.trace(c).real)  # conserved; fixes the flat limit
+    target_trace = space.trace  # conserved; fixes the flat limit
 
-    sample = _make_sample(ts[0], c, target_trace)
+    sample = _make_sample(ts[0], space, target_trace)
     result.samples.append(sample)
     if callback is not None:
         callback(sample)
 
     h = min(config.max_step, config.sample_stride)
     t = float(ts[0])
-    k1 = _field_or_reject(torus, c, config.positivity_floor)  # c is in the cone
+    k1 = -torus.laplacian_apply(space.log)
     for t_next in ts[1:]:
-        c, k1, h = _advance(torus, c, k1, t, float(t_next), h, config, result)
+        space, k1, h = _advance(torus, space, k1, t, float(t_next), h, config, result)
         t = float(t_next)
-        sample = _make_sample(t, c, target_trace)
+        sample = _make_sample(t, space, target_trace)
         result.samples.append(sample)
         if callback is not None:
             callback(sample)
     return result
+
+
+def flow_invariants(result: FlowResult) -> tuple[float, float]:
+    """``(trace_drift_rel, max_rel_det_drop)`` over the sampled trajectory.
+
+    The drift is the largest ``|tr c - tr c0|`` relative to ``|tr c0|``; the
+    drop is the largest decrease of ``det c`` between consecutive samples,
+    relative to the earlier one (0 when ``det`` never decreases or there is
+    only one sample). The exact flow keeps both at 0.
+    """
+    trace0 = result.samples[0].trace
+    drift = max(abs(s.trace - trace0) for s in result.samples) / abs(trace0)
+    dets = np.array([s.det for s in result.samples])
+    drops = np.maximum(dets[:-1] - dets[1:], 0.0) / np.abs(dets[:-1])
+    return drift, float(np.max(drops, initial=0.0))
 
 
 def trajectory_csv_rows(result: FlowResult) -> Iterator[list[str]]:

@@ -50,34 +50,59 @@ COUNTEREXAMPLE_SEED = 3
 
 @dataclass(frozen=True)
 class WeightedSpace:
-    """Metric ``c`` with cached inverse/square-root powers.
+    """One metric state: ``c`` with its spectral decomposition.
 
-    Provides the weighted inner product ``<a,b>_c = tr(c a* b)``, the state
+    ``from_metric`` validates ``c`` and decomposes it once; every function of
+    ``c`` the package needs (its powers and ``log c``) is built lazily from
+    that decomposition, so each consumer of a state (the flow field, the
+    sample, the spectrum, the variation law) reuses it. Also provides the
+    weighted inner product ``<a,b>_c = tr(c a* b)``, the state
     ``phi(a) = tr(c a)``, and the unitary (and its inverse) between the
     weighted space and the plain Hilbert-Schmidt space.
     """
 
     c: np.ndarray
-    c_sqrt: np.ndarray = field(repr=False)
-    c_invsqrt: np.ndarray = field(repr=False)
-    c_inv: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
 
     @classmethod
     def from_metric(cls, c, floor: float = 1e-12) -> "WeightedSpace":
-        """Validate ``c`` and precompute its functional-calculus powers."""
+        """Validate ``c`` (square, Hermitian, all eigenvalues above ``floor``).
+
+        Raises ``InvalidInput`` for a non-square or grossly non-Hermitian
+        ``c`` and ``MetricDegenerate`` when positive definiteness fails.
+        """
         c = as_square_matrix(c, "metric")
-        w, v = hermitian_eig(c)
-        if float(w[0]) <= floor:
+        w, v = hermitian_eig(c)  # symmetrizes; rejects gross non-Hermiticity
+        lo = float(w[0])
+        if lo <= floor:
             raise MetricDegenerate(
-                f"metric is not positive definite: min eigenvalue {float(w[0]):.6e}"
+                f"metric is not positive definite: min eigenvalue {lo:.6e} <= {floor:g}"
             )
-        c = (c + c.conj().T) / 2
+        return cls(c=(c + c.conj().T) / 2, eigenvalues=w, eigenvectors=v)
 
-        def power(p: float) -> np.ndarray:
-            m = (v * w**p) @ v.conj().T
-            return (m + m.conj().T) / 2
+    def _power(self, p: float) -> np.ndarray:
+        v = self.eigenvectors
+        m = (v * self.eigenvalues**p) @ v.conj().T
+        return (m + m.conj().T) / 2
 
-        return cls(c=c, c_sqrt=power(0.5), c_invsqrt=power(-0.5), c_inv=power(-1.0))
+    @cached_property
+    def c_sqrt(self) -> np.ndarray:
+        return self._power(0.5)
+
+    @cached_property
+    def c_invsqrt(self) -> np.ndarray:
+        return self._power(-0.5)
+
+    @cached_property
+    def c_inv(self) -> np.ndarray:
+        return self._power(-1.0)
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """``log c``, Hermitian up to roundoff (not symmetrized)."""
+        v = self.eigenvectors
+        return (v * np.log(self.eigenvalues)) @ v.conj().T
 
     @classmethod
     def coerce(cls, c) -> "WeightedSpace":

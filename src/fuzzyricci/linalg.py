@@ -140,10 +140,6 @@ class Superoperator:
     n: int
     matrix: np.ndarray  # (n^2, n^2)
 
-    @property
-    def dim(self) -> int:
-        return self.n * self.n
-
     def apply(self, a) -> np.ndarray:
         """Apply the superoperator to an n x n matrix."""
         a = as_square_matrix(a)

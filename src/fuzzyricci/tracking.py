@@ -34,7 +34,6 @@ from .laplace_beltrami import (
     WeightedSpace,
     lb_spectrum,
 )
-from .linalg import matrix_log
 from .torus import FuzzyTorus
 
 PHASE_CONVENTION = "first-sample-largest-component-real-positive"
@@ -155,7 +154,7 @@ def track_spectrum(
 
     prev_flat: list[np.ndarray] | None = None
     for sample in trajectory.samples:
-        sd = lb_spectrum(torus, sample.c, gap_tol_rel=config.gap_tol_rel)
+        sd = lb_spectrum(torus, sample.space, gap_tol_rel=config.gap_tol_rel)
         threshold = config.gap_tol_rel * max(sd.operator_norm, 1.0)
         if prev_flat is None:
             order = np.arange(n2)
@@ -205,7 +204,7 @@ def _kernel_slot(curves: list[SpectralCurve]) -> int:
 
 def _laplacian_of_log(torus: FuzzyTorus, space: WeightedSpace) -> np.ndarray:
     """``L log c``, the metric-state factor shared by every variation-law term."""
-    return torus.laplacian_apply(matrix_log(space.c))
+    return torus.laplacian_apply(space.log)
 
 
 def _real_rhs(val: complex) -> float:
@@ -322,9 +321,10 @@ def first_variation_report(
 
     The derivative oracle is the finite-difference stencil of
     :func:`fd_derivative`; the formula side is evaluated at every sample from
-    the tracked eigenpair and the sampled metric, with ``L log c`` computed
-    once per sample. Degenerate samples contribute rows but are excluded from
-    the aggregates. Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
+    the tracked eigenpair and the sample's metric state, whose ``log c`` the
+    integrator already computed, with ``L log c`` applied once per sample.
+    Degenerate samples contribute rows but are excluded from the aggregates.
+    Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
     """
     config = config or TrackingConfig()
     if len(trajectory.samples) < 3:
@@ -332,7 +332,7 @@ def first_variation_report(
             f"need at least 3 trajectory samples, got {len(trajectory.samples)}"
         )
     times = trajectory.times
-    spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
+    spaces = [s.space for s in trajectory.samples]
     lap_logs = [_laplacian_of_log(torus, space) for space in spaces]
 
     out: list[CurveVariation] = []

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidInput, InvalidParams
-from .flow import FlowConfig, random_metric, run_flow
+from .flow import FlowConfig, flow_invariants, random_metric, run_flow
 from .laplace_beltrami import (
     COUNTEREXAMPLE_SEED,
     WeightedSpace,
@@ -217,12 +217,8 @@ def flow_checks(
         params = f"n={n},m={m},seed={seed}"
         c0 = random_metric(n, seed)
         result = run_flow(torus, c0, config)
-        trace0 = result.samples[0].trace
-        drift = max(abs(s.trace - trace0) for s in result.samples) / abs(trace0)
+        drift, drop = flow_invariants(result)
         checks.append(_leq("flow_trace_drift", params, drift, TOL_TRACE_DRIFT))
-
-        dets = np.array([s.det for s in result.samples])
-        drop = float(np.max(np.maximum(dets[:-1] - dets[1:], 0.0) / np.abs(dets[:-1])))
         checks.append(_leq("flow_det_nondecreasing", params, drop, TOL_DET_SLACK))
 
         min_eig = min(s.min_eig for s in result.samples)
@@ -319,7 +315,7 @@ def tracking_checks(
         ),
     ]
 
-    spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
+    spaces = [s.space for s in trajectory.samples]
     worst_norm = 0.0
     worst_state = 0.0
     kernel_ok = True

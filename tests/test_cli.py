@@ -120,6 +120,28 @@ class TestSpectrum:
         # By t=50 the flow has reached the flat fixed point.
         np.testing.assert_allclose(doc["eigenvalues"], [0, 1, 1, 2], atol=1e-5)
 
+    def test_bad_time_window_exit_2_and_no_files(self, tmp_path, capsys):
+        # A window ending before it starts, or at NaN, is rejected exactly as
+        # simulate rejects it, before the output directory is created.
+        for name, t1 in (("backward", "0"), ("nan", "nan")):
+            out = tmp_path / name
+            code = run_cli(["spectrum", "--n", 2, "--t0", 1, "--t1", t1, "--out", out])
+            assert code == 2
+            assert not out.exists()
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "InvalidParams"
+
+    def test_wrong_size_initial_exit_2_and_no_files(self, tmp_path, capsys):
+        from fuzzyricci import matrix_to_json
+
+        path = tmp_path / "c0.json"
+        path.write_text(json.dumps(matrix_to_json(np.diag([1.0, 2.0]))))
+        out = tmp_path / "run"
+        code = run_cli(["spectrum", "--n", 3, "--initial", path, "--out", out])
+        assert code == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+
 
 class TestTrack:
     def test_passes_and_writes(self, tmp_path):

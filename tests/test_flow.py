@@ -7,17 +7,22 @@ from fuzzyricci import (
     InvalidParams,
     MetricDegenerate,
     StepUnderflow,
+    WeightedSpace,
     flat_metric,
     flow_field,
-    flow_step,
     hs_norm,
     matrix_from_json,
     metric_from_spec,
     random_metric,
     run_flow,
 )
-from fuzzyricci import flow, linalg
-from fuzzyricci.flow import sample_times, trajectory_csv_rows, trajectory_to_json
+from fuzzyricci import cli, flow, laplace_beltrami, linalg, tracking, verify
+from fuzzyricci.flow import (
+    flow_invariants,
+    sample_times,
+    trajectory_csv_rows,
+    trajectory_to_json,
+)
 
 
 class TestRandomMetric:
@@ -117,36 +122,43 @@ class TestFlowField:
 
 
 class TestFlowStep:
+    """The adaptive step routine, driven through ``run_flow``."""
+
     def test_scalar_fixed_point_exact(self, torus2):
         c = 2.0 * np.eye(2, dtype=complex)
-        c_next, h_used, err = flow_step(torus2, c, 0.0, 0.5, FlowConfig())
-        np.testing.assert_array_equal(c_next, c)
-        assert h_used == 0.5 and err == 0.0
+        result = run_flow(torus2, c, FlowConfig(t1=0.5, sample_stride=0.5))
+        for s in result.samples:
+            np.testing.assert_array_equal(s.c, c)
+        # One trial of the full 0.5 stride, accepted with a zero error estimate.
+        assert result.accepted_steps == 1 and result.rejected_steps == 0
 
     def test_trace_conserved_per_step(self, torus3):
-        config = FlowConfig()
         c = random_metric(3, 6)
-        c_next, _, _ = flow_step(torus3, c, 0.0, 0.1, config)
-        assert abs(np.trace(c_next).real - np.trace(c).real) <= 1e-12 * np.trace(c).real
+        result = run_flow(torus3, c, FlowConfig(t1=0.1, sample_stride=0.1))
+        tr0 = np.trace(c).real
+        for s in result.samples:
+            assert abs(s.trace - tr0) <= 1e-12 * tr0
 
     def test_output_hermitian(self, torus3):
-        c_next, _, _ = flow_step(torus3, random_metric(3, 6), 0.0, 0.1, FlowConfig())
-        np.testing.assert_array_equal(c_next, (c_next + c_next.conj().T) / 2)
+        result = run_flow(torus3, random_metric(3, 6), FlowConfig(t1=0.1, sample_stride=0.1))
+        for s in result.samples:
+            np.testing.assert_array_equal(s.c, (s.c + s.c.conj().T) / 2)
 
     def test_oversized_step_gets_halved(self, torus2):
         # A strong log gradient throws wide stages out of the positive cone;
         # the step must come back smaller instead of failing.
         c = np.diag([1e-6, 2.0]).astype(complex)
-        c_next, h_used, _ = flow_step(torus2, c, 0.0, 1.0, FlowConfig())
-        assert h_used < 1.0
-        assert np.linalg.eigvalsh(c_next).min() > 0
+        result = run_flow(torus2, c, FlowConfig(t1=1.0, sample_stride=1.0))
+        assert result.rejected_steps > 0
+        assert min(s.min_eig for s in result.samples) > 0
+        assert min(np.linalg.eigvalsh(s.c).min() for s in result.samples) > 0
 
     def test_step_underflow(self, torus2):
         config = FlowConfig(
-            rel_tol=1e-14, abs_tol=1e-16, min_step=0.4, max_step=1.0
+            t1=1.0, sample_stride=1.0, rel_tol=1e-14, abs_tol=1e-16, min_step=0.4, max_step=1.0
         )
         with pytest.raises(StepUnderflow):
-            flow_step(torus2, random_metric(2, 0), 0.0, 1.0, config)
+            run_flow(torus2, random_metric(2, 0), config)
 
 
 class TestFlowConfig:
@@ -214,9 +226,9 @@ class TestRunFlow:
 
     def test_eigendecomposition_budget(self, torus3, monkeypatch):
         # Six per trial (stages 2-7; stage 7 at the candidate state is also
-        # its positivity check and the next step's stage 1), one per sample,
-        # two at start-up. Both bindings are counted so that a route through
-        # matrix_log cannot hide a decomposition.
+        # its positivity check, its sample and the next step's stage 1) and
+        # one at start-up; samples reuse the integrator's states. Every module
+        # binding hermitian_eig is patched, so no route can hide a call.
         c0 = random_metric(3, 0, scale=2.0)
         calls = []
         real_eig = linalg.hermitian_eig
@@ -225,12 +237,55 @@ class TestRunFlow:
             calls.append(1)
             return real_eig(a)
 
-        monkeypatch.setattr(flow, "hermitian_eig", counting_eig)
-        monkeypatch.setattr(linalg, "hermitian_eig", counting_eig)
+        modules = [cli, flow, laplace_beltrami, linalg, tracking, verify]
+        patched = [m for m in modules if vars(m).get("hermitian_eig") is real_eig]
+        assert laplace_beltrami in patched and linalg in patched
+        for module in patched:
+            monkeypatch.setattr(module, "hermitian_eig", counting_eig)
+
+        # A trial that a stage outside the cone ends early costs fewer than
+        # six, so the bound alone leaves room for per-sample calls; count
+        # each trial's calls and require exactly one outside all trials.
+        per_trial = []
+        real_trial = flow._trial_step
+
+        def counting_trial(*args):
+            before = len(calls)
+            trial = real_trial(*args)
+            per_trial.append((len(calls) - before, trial is None))
+            return trial
+
+        monkeypatch.setattr(flow, "_trial_step", counting_trial)
         result = run_flow(torus3, c0, FlowConfig(t1=5.0))
         trials = result.accepted_steps + result.rejected_steps
         assert result.rejected_steps > 0
-        assert len(calls) <= 6 * trials + len(result.samples) + 2
+        assert len(per_trial) == trials
+        assert all(k == 6 or (left_cone and k >= 1) for k, left_cone in per_trial)
+        assert len(calls) - sum(k for k, _ in per_trial) == 1
+        assert trials + 1 <= len(calls) <= 6 * trials + 1
+
+    def test_sample_space_matches_fresh_decomposition(self, torus3):
+        result = run_flow(torus3, random_metric(3, 4), FlowConfig(t1=2.0, sample_stride=0.25))
+        for s in result.samples:
+            fresh = WeightedSpace.from_metric(s.c)
+            np.testing.assert_array_equal(s.space.eigenvalues, fresh.eigenvalues)
+            np.testing.assert_array_equal(s.space.c_invsqrt, fresh.c_invsqrt)
+            np.testing.assert_array_equal(s.space.log, fresh.log)
+
+    def test_flow_invariants(self, torus3):
+        result = run_flow(torus3, random_metric(3, 8), FlowConfig(t1=5.0))
+        drift, drop = flow_invariants(result)
+        trace0 = result.samples[0].trace
+        assert drift == max(abs(s.trace - trace0) for s in result.samples) / trace0
+        assert drift <= 1e-9
+        dets = [s.det for s in result.samples]
+        assert drop == max(max(a - b, 0.0) / a for a, b in zip(dets, dets[1:]))
+        assert drop <= 1e-12
+
+    def test_flow_invariants_single_sample(self, torus2):
+        result = run_flow(torus2, random_metric(2, 1), FlowConfig(t0=1.0, t1=1.0))
+        assert len(result.samples) == 1
+        assert flow_invariants(result) == (0.0, 0.0)
 
     def test_callback_sees_every_sample(self, torus2):
         seen = []

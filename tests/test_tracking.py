@@ -20,7 +20,7 @@ from fuzzyricci import (
     variation_rhs,
     variation_rhs_state_form,
 )
-from fuzzyricci import tracking
+from fuzzyricci import laplace_beltrami, linalg, tracking
 from fuzzyricci.tracking import curves_csv_rows, report_to_json
 
 
@@ -258,21 +258,23 @@ class TestVariationReport:
                 assert abs(cv.rhs[k] - direct) <= 1e-13 * abs(direct)
                 assert abs(cv.rhs_state_form[k] - state) <= 1e-13 * abs(state)
 
-    def test_one_log_per_sample(self, torus3, monkeypatch):
-        # L log c depends only on the metric state: one log per sample, not
-        # one per curve, sample and form.
-        logs = []
-        real_log = tracking.matrix_log
-
-        def counting_log(a):
-            logs.append(1)
-            return real_log(a)
-
-        monkeypatch.setattr(tracking, "matrix_log", counting_log)
+    def test_one_operator_eig_per_sample(self, torus3, monkeypatch):
+        # Tracking and the variation law reuse the flow's metric states: the
+        # only decomposition left per sample is the n^2 x n^2 operator's.
         trajectory = run_flow(
             torus3, random_metric(3, 1), FlowConfig(t1=0.2, sample_stride=1e-3)
         )
+        shapes = []
+        real_eig = linalg.hermitian_eig
+
+        def counting_eig(a):
+            shapes.append(np.shape(a))
+            return real_eig(a)
+
+        for module in (laplace_beltrami, linalg, tracking):
+            if vars(module).get("hermitian_eig") is real_eig:
+                monkeypatch.setattr(module, "hermitian_eig", counting_eig)
         curves = track_spectrum(torus3, trajectory)
         first_variation_report(torus3, curves, trajectory)
         assert len(trajectory.samples) == 201
-        assert len(logs) <= len(trajectory.samples)
+        assert shapes == [(9, 9)] * len(trajectory.samples)
