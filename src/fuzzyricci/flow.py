@@ -10,8 +10,8 @@ Integration uses an embedded Dormand-Prince 4(5) pair with proportional
 step control on the Hilbert-Schmidt error norm; its last stage, evaluated at
 the candidate state, is reused as the next step's first stage (FSAL), so a
 trial step costs six eigendecompositions. Each one builds a metric state
-(``WeightedSpace``) that the accepted sample keeps, so spectra and the
-variation law reuse the integrator's decomposition. Two domain guards are
+(``WeightedSpace``); a sample keeps the state the integrator reached, so
+spectra and the variation law reuse its decomposition. Two domain guards are
 specific to this flow: every Runge-Kutta stage and every accepted state
 must stay Hermitian positive definite (the vector field needs ``log c``),
 and a trial step whose stages leave the positive cone is rejected and
