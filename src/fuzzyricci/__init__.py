@@ -55,7 +55,7 @@ from .linalg import (
 )
 from .torus import FuzzyTorus, clock_matrix, commutant_dimension, fourier_matrix, shift_matrix
 from .tracking import (
-    SpectralCurve,
+    SpectralCurves,
     TrackingConfig,
     VariationReport,
     fd_derivative,
@@ -81,7 +81,7 @@ __all__ = [
     "InvalidParams",
     "MetricDegenerate",
     "PositivityLost",
-    "SpectralCurve",
+    "SpectralCurves",
     "SpectralData",
     "SpectrumOutOfDomain",
     "StepUnderflow",

@@ -43,13 +43,7 @@ from .flow import (
 )
 from .laplace_beltrami import lb_spectrum, spectrum_to_json
 from .torus import FuzzyTorus
-from .tracking import (
-    TrackingConfig,
-    curves_csv_rows,
-    first_variation_report,
-    report_to_json,
-    track_spectrum,
-)
+from .tracking import curves_csv_rows, first_variation_report, report_to_json, track_spectrum
 from .verify import geometry_file_checks, run_suite
 
 EXIT_OK = 0
@@ -63,6 +57,8 @@ DET_SLACK = 1e-12
 
 # Keys of the run configuration; flags mirror these one-to-one.
 _CONFIG_KEYS = ("n", "m", "initial", "t0", "t1", "rel_tol", "abs_tol", "stride", "seed", "out", "format")
+
+_FORMATS = {"csv", "json"}
 
 _DEFAULTS = {
     "n": 2,
@@ -128,7 +124,12 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
     for key in ("t0", "t1", "rel_tol", "abs_tol", "stride"):
         if config.get(key) is not None:
             config[key] = float(config[key])
-    config["format"] = ",".join(sorted(set(str(config["format"]).split(","))))
+    formats = set(str(config["format"]).split(","))
+    if not formats <= _FORMATS:
+        raise InvalidParams(
+            f"format must be a comma set of {sorted(_FORMATS)}, got {config['format']!r}"
+        )
+    config["format"] = ",".join(sorted(formats))
     return {k: config[k] for k in _CONFIG_KEYS}
 
 
@@ -147,7 +148,10 @@ def _prepare_run(config: dict):
     torus = FuzzyTorus(config["n"], config["m"])
     initial = config["initial"]
     if isinstance(initial, str) and initial.endswith(".json") and Path(initial).exists():
-        initial = json.loads(Path(initial).read_text())
+        try:
+            initial = json.loads(Path(initial).read_text())
+        except (OSError, ValueError) as exc:
+            raise InvalidInput(f"cannot read initial metric {initial}: {exc}") from exc
     c0 = metric_from_spec(initial, config["n"], seed_default=config["seed"])
     return torus, c0
 
@@ -219,9 +223,8 @@ def cmd_track(args: argparse.Namespace) -> int:
     config = resolve_config(args, "track")
     torus, c0 = _prepare_run(config)
     result = run_flow(torus, c0, _flow_config(config))
-    tracking = TrackingConfig()
-    curves = track_spectrum(torus, result, tracking)
-    report = first_variation_report(torus, curves, result, tracking)
+    curves = track_spectrum(torus, result)
+    report = first_variation_report(torus, curves, result)
 
     formats = set(config["format"].split(","))
     out = _out_dir(config)
@@ -233,7 +236,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
     passed = report.passed(RESIDUAL_BUDGET) and report.max_form_discrepancy <= FORMS_BUDGET
     print(
-        f"track: {len(curves)} curves x {len(result.samples)} samples, "
+        f"track: {curves.values.shape[1]} curves x {len(result.samples)} samples, "
         f"max relative residual {report.max_rel_residual:.3e} "
         f"(budget {RESIDUAL_BUDGET:g}), forms agree to {report.max_form_discrepancy:.3e}, "
         f"{report.flagged_samples} flagged -> {'pass' if passed else 'FAIL'}"

@@ -392,6 +392,8 @@ def metric_from_spec(spec: str | dict, n: int, seed_default: int = 0) -> np.ndar
     """
     if isinstance(spec, dict):
         return matrix_from_json(spec)
+    if not isinstance(spec, str):
+        raise InvalidInput(f"initial metric must be a spec string or a matrix document: {spec!r}")
     spec = spec.strip()
     if spec == "flat":
         return flat_metric(n)

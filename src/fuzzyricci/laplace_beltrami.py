@@ -117,20 +117,20 @@ class WeightedSpace:
     def trace(self) -> float:
         return float(np.trace(self.c).real)
 
-    def inner(self, a, b) -> complex:
-        """Weighted inner product tr(c a* b)."""
+    def inner(self, a, b) -> complex | np.ndarray:
+        """Weighted inner product tr(c a* b), entrywise over stacks ``(..., n, n)``."""
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
-        if a.shape != b.shape or a.shape != self.c.shape:
+        if a.shape != b.shape or a.shape[-2:] != self.c.shape:
             raise InvalidInput(f"shape mismatch: {a.shape} vs {b.shape}")
-        return complex(np.trace(self.c @ a.conj().T @ b))
+        return np.trace(self.c @ a.conj().swapaxes(-1, -2) @ b, axis1=-2, axis2=-1)
 
-    def norm(self, a) -> float:
-        return float(np.sqrt(self.inner(a, a).real))
+    def norm(self, a) -> float | np.ndarray:
+        return np.sqrt(self.inner(a, a).real)
 
-    def state(self, a) -> complex:
-        """The positive linear functional phi(a) = tr(c a)."""
-        return complex(np.trace(self.c @ np.asarray(a, dtype=complex)))
+    def state(self, a) -> complex | np.ndarray:
+        """The positive linear functional phi(a) = tr(c a), entrywise over stacks."""
+        return np.trace(self.c @ np.asarray(a, dtype=complex), axis1=-2, axis2=-1)
 
     def to_flat(self, a) -> np.ndarray:
         """Unitary into the plain Hilbert-Schmidt space: a -> a c^{1/2}."""
@@ -197,19 +197,21 @@ def rejected_operator_superop(torus: FuzzyTorus, c) -> Superoperator:
 class SpectralData:
     """Full eigendecomposition of the curved Laplacian at one metric.
 
-    ``vectors_flat[i]`` are orthonormal in the plain Hilbert-Schmidt inner
-    product (eigenvectors of the conjugated operator); ``vectors_weighted[i]``
-    are the same eigenvectors mapped back by ``c^{-1/2}`` and normalized in
-    the weighted inner product. Global phases are left free; the tracking
-    layer owns the phase convention. ``degeneracy_groups`` lists index runs
-    whose consecutive gaps fall below ``GAP_TOL_REL`` times the operator
-    norm; ``kernel_index`` locates the single zero mode.
+    ``vectors_flat`` and ``vectors_weighted`` are ``(n^2, n, n)`` stacks
+    indexed like ``eigenvalues``. ``vectors_flat[i]`` are orthonormal in the
+    plain Hilbert-Schmidt inner product (eigenvectors of the conjugated
+    operator); ``vectors_weighted[i]`` are the same eigenvectors mapped back
+    by ``c^{-1/2}`` and normalized in the weighted inner product. Global
+    phases are left free; the tracking layer owns the phase convention.
+    ``degeneracy_groups`` lists index runs whose consecutive gaps fall below
+    ``GAP_TOL_REL`` times the operator norm; ``kernel_index`` locates the
+    single zero mode.
     """
 
     space: WeightedSpace
     eigenvalues: np.ndarray
-    vectors_flat: list[np.ndarray]
-    vectors_weighted: list[np.ndarray]
+    vectors_flat: np.ndarray
+    vectors_weighted: np.ndarray
     degeneracy_groups: list[list[int]]
     kernel_index: int
 
@@ -221,15 +223,11 @@ class SpectralData:
     def operator_norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
-    def min_gap(self, i: int) -> float:
-        """Distance from eigenvalue ``i`` to its nearest spectral neighbor."""
-        w = self.eigenvalues
-        gaps = []
-        if i > 0:
-            gaps.append(abs(w[i] - w[i - 1]))
-        if i < len(w) - 1:
-            gaps.append(abs(w[i + 1] - w[i]))
-        return float(min(gaps))
+    @property
+    def min_gaps(self) -> np.ndarray:
+        """Distance from each eigenvalue to its nearest spectral neighbor."""
+        gaps = np.abs(np.diff(self.eigenvalues))
+        return np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
 
 
 def _group_degenerate(eigenvalues: np.ndarray, threshold: float) -> list[list[int]]:
@@ -258,14 +256,10 @@ def lb_spectrum(torus: FuzzyTorus, c, gap_tol_rel: float = GAP_TOL_REL) -> Spect
     op_norm = float(np.max(np.abs(w))) if len(w) else 0.0
     threshold = gap_tol_rel * max(op_norm, 1.0)
 
-    vectors_flat: list[np.ndarray] = []
-    vectors_weighted: list[np.ndarray] = []
-    for i in range(n * n):
-        a_flat = eig.eigenvectors[:, i].reshape(n, n)
-        a = space.from_flat(a_flat)
-        a = a / space.norm(a)
-        vectors_flat.append(a_flat)
-        vectors_weighted.append(a)
+    # Column i of the eigenvector matrix is the row-major flattening of vector i.
+    vectors_flat = eig.eigenvectors.T.reshape(n * n, n, n)
+    vectors = space.from_flat(vectors_flat)
+    vectors = vectors / space.norm(vectors)[:, None, None]
 
     kernel = np.flatnonzero(np.abs(w) < threshold)
     if len(kernel) != 1:
@@ -277,7 +271,7 @@ def lb_spectrum(torus: FuzzyTorus, c, gap_tol_rel: float = GAP_TOL_REL) -> Spect
         space=space,
         eigenvalues=w,
         vectors_flat=vectors_flat,
-        vectors_weighted=vectors_weighted,
+        vectors_weighted=vectors,
         degeneracy_groups=_group_degenerate(w, threshold),
         kernel_index=int(kernel[0]),
     )

@@ -196,15 +196,22 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:
-    """Decode a matrix from the JSON form produced by :func:`matrix_to_json`."""
+    """Decode a matrix from the JSON form produced by :func:`matrix_to_json`.
+
+    Raises ``InvalidInput`` unless ``doc`` holds ``n`` and ``n*n`` numeric
+    ``[re, im]`` pairs.
+    """
     try:
         n = int(doc["n"])
-        entries = doc["entries"]
-    except (KeyError, TypeError) as exc:
+        entries = list(doc["entries"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed matrix document: {exc}") from exc
     if n < 1 or len(entries) != n * n:
         raise InvalidInput(
             f"matrix document has {len(entries)} entries, expected {n * n}"
         )
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    try:
+        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"matrix entries must be numeric [re, im] pairs: {exc}") from exc
     return flat.reshape(n, n)

@@ -21,22 +21,14 @@ at the ends). The law has an equivalent form through the state
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import FuzzyRicciError, InsufficientData, InvalidInput, InvalidParams
 from .flow import FlowResult
-from .laplace_beltrami import (
-    GAP_TOL_REL,
-    SpectralData,
-    WeightedSpace,
-    lb_spectrum,
-)
+from .laplace_beltrami import GAP_TOL_REL, WeightedSpace, lb_spectrum
 from .torus import FuzzyTorus
-
-PHASE_CONVENTION = "first-sample-largest-component-real-positive"
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class TrackingConfig:
 class MatchResult:
     """Assignment of previous eigenvectors to current ones.
 
-    ``permutation[i]`` is the current-spectrum index matched to previous
+    ``permutation[i]`` is the current-stack index matched to previous
     vector ``i``; ``phases[i]`` is the unit complex number to multiply the
     matched current vector by so its overlap with the previous one is real
     positive; ``overlaps[i]`` is that overlap magnitude; ``degenerate[i]``
@@ -66,13 +58,17 @@ class MatchResult:
     degenerate: np.ndarray
 
 
-def _match_flat(
-    prev: list[np.ndarray], cur: list[np.ndarray], overlap_min: float
+def match_eigenpairs(
+    prev: np.ndarray, cur: np.ndarray, overlap_min: float = 0.9
 ) -> MatchResult:
-    if len(prev) != len(cur):
-        raise InvalidInput(f"dimension mismatch: {len(prev)} vs {len(cur)} vectors")
-    p = np.stack([v.reshape(-1) for v in prev])
-    q = np.stack([v.reshape(-1) for v in cur])
+    """Match two stacks of flat eigenvectors by maximum total squared overlap."""
+    # scipy.optimize is most of the package's import time; only matching needs it.
+    from scipy.optimize import linear_sum_assignment
+
+    if prev.shape != cur.shape:
+        raise InvalidInput(f"dimension mismatch: {prev.shape} vs {cur.shape} vector stacks")
+    p = prev.reshape(len(prev), -1)
+    q = cur.reshape(len(cur), -1)
     overlap = p.conj() @ q.T  # overlap[i, j] = <prev_i, cur_j>
     _, perm = linear_sum_assignment(-np.abs(overlap) ** 2)
     z = overlap[np.arange(len(prev)), perm]
@@ -86,13 +82,6 @@ def _match_flat(
     )
 
 
-def match_eigenpairs(
-    prev: SpectralData, cur: SpectralData, overlap_min: float = 0.9
-) -> MatchResult:
-    """Match two adjacent spectra by maximum total squared overlap."""
-    return _match_flat(prev.vectors_flat, cur.vectors_flat, overlap_min)
-
-
 def _fix_first_phase(a_flat: np.ndarray) -> complex:
     """Phase making the largest-magnitude component real positive."""
     flat = a_flat.reshape(-1)
@@ -102,44 +91,30 @@ def _fix_first_phase(a_flat: np.ndarray) -> complex:
 
 
 @dataclass(frozen=True)
-class CurveSample:
-    """One tracked eigenpair at one time."""
+class SpectralCurves:
+    """The n^2 eigenvalue curves of a trajectory, indexed ``[sample, curve]``.
 
-    t: float
-    value: float
-    vector_weighted: np.ndarray
-    vector_flat: np.ndarray
-    min_gap: float
-    degenerate: bool
+    ``vectors[k, i]`` is curve ``i``'s eigenvector at ``times[k]``,
+    normalized in the weighted inner product of that sample's metric, with
+    its phase fixed along the curve (first sample: largest-magnitude
+    component of the flat vector real positive; later samples: real positive
+    overlap with the previous sample). ``degenerate`` flags samples with a
+    collapsed gap or a weak overlap; ``kernel`` is the zero-mode curve.
+    """
 
-
-@dataclass
-class SpectralCurve:
-    """One eigenvalue path through the whole trajectory."""
-
-    curve_id: int
-    samples: list[CurveSample] = field(default_factory=list)
-    phase_convention: str = PHASE_CONVENTION
-    is_kernel: bool = False
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([s.value for s in self.samples])
-
-    @property
-    def degenerate_flags(self) -> np.ndarray:
-        return np.array([s.degenerate for s in self.samples], dtype=bool)
+    times: np.ndarray
+    values: np.ndarray
+    min_gap: np.ndarray
+    degenerate: np.ndarray
+    vectors: np.ndarray
+    kernel: int
 
 
 def track_spectrum(
     torus: FuzzyTorus,
     trajectory: FlowResult,
     config: TrackingConfig | None = None,
-) -> list[SpectralCurve]:
+) -> SpectralCurves:
     """Stitch per-sample spectra into n^2 continuous eigenvalue curves.
 
     Curve ``i`` starts at the i-th ascending eigenvalue of the first sample;
@@ -149,103 +124,84 @@ def track_spectrum(
     config = config or TrackingConfig()
     if not trajectory.samples:
         raise InsufficientData("trajectory has no samples")
-    n2 = torus.n * torus.n
-    curves = [SpectralCurve(curve_id=i) for i in range(n2)]
+    n, n2, samples = torus.n, torus.n * torus.n, len(trajectory.samples)
+    values = np.empty((samples, n2))
+    min_gap = np.empty((samples, n2))
+    degenerate = np.empty((samples, n2), dtype=bool)
+    vectors = np.empty((samples, n2, n, n), dtype=complex)
 
-    prev_flat: list[np.ndarray] | None = None
-    for sample in trajectory.samples:
+    for k, sample in enumerate(trajectory.samples):
         sd = lb_spectrum(torus, sample.space, gap_tol_rel=config.gap_tol_rel)
         threshold = config.gap_tol_rel * max(sd.operator_norm, 1.0)
-        if prev_flat is None:
-            order = np.arange(n2)
-            phases = np.array([_fix_first_phase(sd.vectors_flat[i]) for i in order])
-            overlaps_bad = np.zeros(n2, dtype=bool)
+        if k == 0:
+            kernel, order, bad = sd.kernel_index, np.arange(n2), np.zeros(n2, dtype=bool)
+            # Scalar abs() per vector: array np.abs rounds differently in the last bit.
+            phases = np.array([_fix_first_phase(v) for v in sd.vectors_flat])
         else:
-            match = _match_flat(prev_flat, sd.vectors_flat, config.overlap_min)
-            order = match.permutation
-            phases = match.phases
-            overlaps_bad = match.degenerate
-            if int(order[_kernel_slot(curves)]) != sd.kernel_index:
-                # The kernel is exactly known; never let the assignment drift it.
-                overlaps_bad = overlaps_bad.copy()
-                overlaps_bad[_kernel_slot(curves)] = True
-
-        new_flat: list[np.ndarray] = []
-        for slot in range(n2):
-            j = int(order[slot])
-            phase = complex(phases[slot])
-            a_flat = phase * sd.vectors_flat[j]
-            a = phase * sd.vectors_weighted[j]
-            gap = sd.min_gap(j)
-            curves[slot].samples.append(
-                CurveSample(
-                    t=sample.t,
-                    value=float(sd.eigenvalues[j]),
-                    vector_weighted=a,
-                    vector_flat=a_flat,
-                    min_gap=gap,
-                    degenerate=bool(overlaps_bad[slot]) or gap < threshold,
-                )
-            )
-            new_flat.append(a_flat)
-        if prev_flat is None:
-            for slot in range(n2):
-                curves[slot].is_kernel = slot == sd.kernel_index
-        prev_flat = new_flat
-    return curves
+            match = match_eigenpairs(prev_flat, sd.vectors_flat, config.overlap_min)
+            order, phases, bad = match.permutation, match.phases, match.degenerate
+            # The kernel is exactly known; never let the assignment drift it.
+            bad[kernel] |= order[kernel] != sd.kernel_index
+        phases = phases[:, None, None]
+        prev_flat = phases * sd.vectors_flat[order]
+        vectors[k] = phases * sd.vectors_weighted[order]
+        values[k] = sd.eigenvalues[order]
+        min_gap[k] = sd.min_gaps[order]
+        degenerate[k] = bad | (min_gap[k] < threshold)
+    return SpectralCurves(
+        times=trajectory.times,
+        values=values,
+        min_gap=min_gap,
+        degenerate=degenerate,
+        vectors=vectors,
+        kernel=kernel,
+    )
 
 
-def _kernel_slot(curves: list[SpectralCurve]) -> int:
-    for curve in curves:
-        if curve.is_kernel:
-            return curve.curve_id
-    return 0
-
-
-def _laplacian_of_log(torus: FuzzyTorus, space: WeightedSpace) -> np.ndarray:
-    """``L log c``, the metric-state factor shared by every variation-law term."""
-    return torus.laplacian_apply(space.log)
-
-
-def _real_rhs(val: complex) -> float:
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
+def _real_rhs(val) -> float | np.ndarray:
+    val = np.asarray(val)
+    bad = np.abs(val.imag) > 1e-10 * (1.0 + np.abs(val.real))
+    if np.any(bad):
         raise FuzzyRicciError(
-            f"variation right-hand side has non-real value {val!r}"
+            f"variation right-hand side has non-real value {complex(val[bad][0])!r}"
         )
-    return float(val.real)
+    return val.real if val.ndim else float(val.real)
 
 
 def variation_rhs(
-    torus: FuzzyTorus, c, value: float, a, lap_log: np.ndarray | None = None
-) -> float:
+    torus: FuzzyTorus, c, value, a, lap_log: np.ndarray | None = None
+) -> float | np.ndarray:
     """Variation law right-hand side lambda * tr(a* a (L log c)).
 
-    ``a`` must be normalized in the weighted inner product. The trace is real
-    up to roundoff (product of two Hermitian factors); a relative imaginary
-    part above 1e-10 indicates a broken input and raises. ``lap_log``, if
+    ``a`` must be normalized in the weighted inner product; it may be one
+    matrix or a stack ``(..., n, n)`` with ``value`` of shape ``(...)``, and
+    the result has the shape of ``value``. The trace is real up to roundoff
+    (product of two Hermitian factors); a relative imaginary part above
+    1e-10 in any entry indicates a broken input and raises. ``lap_log``, if
     given, is ``L log c`` already computed for this metric.
     """
     space = WeightedSpace.coerce(c)
     if lap_log is None:
-        lap_log = _laplacian_of_log(torus, space)
+        lap_log = torus.laplacian_apply(space.log)
     a = np.asarray(a, dtype=complex)
-    return _real_rhs(complex(np.trace(a.conj().T @ a @ lap_log)) * value)
+    trace = np.trace(a.conj().swapaxes(-1, -2) @ a @ lap_log, axis1=-2, axis2=-1)
+    return _real_rhs(trace * value)
 
 
 def variation_rhs_state_form(
-    torus: FuzzyTorus, c, value: float, a, lap_log: np.ndarray | None = None
-) -> float:
+    torus: FuzzyTorus, c, value, a, lap_log: np.ndarray | None = None
+) -> float | np.ndarray:
     """Equivalent form lambda * phi(a* a (L log c) c^{-1}), phi(b) = tr(c b).
 
     Algebraically identical to :func:`variation_rhs` by trace cyclicity;
     computed literally as written to serve as an independent cross-check.
-    ``lap_log`` is as in :func:`variation_rhs`.
+    ``value``, ``a`` and ``lap_log`` are as in :func:`variation_rhs`.
     """
     space = WeightedSpace.coerce(c)
     if lap_log is None:
-        lap_log = _laplacian_of_log(torus, space)
+        lap_log = torus.laplacian_apply(space.log)
     a = np.asarray(a, dtype=complex)
-    return _real_rhs(complex(space.state(a.conj().T @ a @ lap_log @ space.c_inv)) * value)
+    return _real_rhs(space.state(a.conj().swapaxes(-1, -2) @ a @ lap_log @ space.c_inv) * value)
 
 
 def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -271,133 +227,100 @@ def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return d
 
 
-@dataclass
-class CurveVariation:
-    """Variation-law check for one curve: derivative oracle vs formula."""
+@dataclass(frozen=True)
+class VariationReport:
+    """First-variation residuals of every tracked curve, indexed ``[sample, curve]``.
 
-    curve_id: int
-    is_kernel: bool
-    times: np.ndarray
-    values: np.ndarray
+    ``fd`` is the derivative oracle, ``rhs`` and ``rhs_state_form`` the two
+    forms of the law. The headline aggregates cover interior, non-degenerate
+    samples: the endpoint stencils are one-sided (the flow only exists
+    forward from the start) and carry roughly twice the truncation constant,
+    so they are reported separately and never gate a verdict.
+    """
+
+    curves: SpectralCurves
     fd: np.ndarray
     rhs: np.ndarray
     rhs_state_form: np.ndarray
-    abs_residual: np.ndarray
-    rel_residual: np.ndarray
-    min_gap: np.ndarray
-    degenerate: np.ndarray
 
+    @property
+    def h(self) -> float:
+        return float(self.curves.times[1] - self.curves.times[0])
 
-@dataclass
-class VariationReport:
-    """Aggregated first-variation residuals over all tracked curves.
+    @property
+    def abs_residual(self) -> np.ndarray:
+        return np.abs(self.fd - self.rhs)
 
-    The headline aggregates cover interior, non-degenerate samples: the
-    endpoint stencils are one-sided (the flow only exists forward from the
-    start) and carry roughly twice the truncation constant, so they are
-    reported separately and never gate a verdict.
-    """
+    @property
+    def rel_residual(self) -> np.ndarray:
+        return self.abs_residual / (1.0 + np.abs(self.fd))
 
-    h: float
-    curves: list[CurveVariation]
-    max_rel_residual: float
-    max_abs_residual: float
-    max_rel_residual_endpoints: float
-    max_form_discrepancy: float
-    flagged_samples: int
-    evaluated_samples: int
+    @property
+    def interior(self) -> np.ndarray:
+        """Non-degenerate samples away from the one-sided end stencils."""
+        mask = ~self.curves.degenerate
+        mask[[0, -1]] = False
+        return mask
+
+    @property
+    def max_rel_residual(self) -> float:
+        return float(np.max(self.rel_residual[self.interior], initial=0.0))
+
+    @property
+    def max_abs_residual(self) -> float:
+        return float(np.max(self.abs_residual[self.interior], initial=0.0))
+
+    @property
+    def max_rel_residual_endpoints(self) -> float:
+        ends = ~self.curves.degenerate & ~self.interior
+        return float(np.max(self.rel_residual[ends], initial=0.0))
+
+    @property
+    def max_form_discrepancy(self) -> float:
+        ok = ~self.curves.degenerate
+        return float(np.max(np.abs(self.rhs - self.rhs_state_form)[ok], initial=0.0))
+
+    @property
+    def flagged_samples(self) -> int:
+        return int(self.curves.degenerate.sum())
+
+    @property
+    def evaluated_samples(self) -> int:
+        return int((~self.curves.degenerate).sum())
 
     def passed(self, rel_budget: float = 1e-4) -> bool:
         return self.max_rel_residual <= rel_budget
 
 
 def first_variation_report(
-    torus: FuzzyTorus,
-    curves: list[SpectralCurve],
-    trajectory: FlowResult,
-    config: TrackingConfig | None = None,
+    torus: FuzzyTorus, curves: SpectralCurves, trajectory: FlowResult
 ) -> VariationReport:
     """Check d(lambda)/dt against the variation formula along every curve.
 
     The derivative oracle is the finite-difference stencil of
-    :func:`fd_derivative`; the formula side is evaluated at every sample from
-    the tracked eigenpair and the sample's metric state, whose ``log c`` the
-    integrator already computed, with ``L log c`` applied once per sample.
-    Degenerate samples contribute rows but are excluded from the aggregates.
-    Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
+    :func:`fd_derivative`; the formula side is evaluated once per sample for
+    all tracked eigenpairs together, from the sample's metric state, whose
+    ``log c`` the integrator already computed, with ``L log c`` applied once
+    per sample. Degenerate samples contribute rows but are excluded from the
+    aggregates. Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
     """
-    config = config or TrackingConfig()
-    if len(trajectory.samples) < 3:
-        raise InsufficientData(
-            f"need at least 3 trajectory samples, got {len(trajectory.samples)}"
+    samples = trajectory.samples
+    if len(samples) < 3:
+        raise InsufficientData(f"need at least 3 trajectory samples, got {len(samples)}")
+    if len(curves.times) != len(samples):
+        raise InvalidInput(
+            f"curves have {len(curves.times)} samples, trajectory has {len(samples)}"
         )
     times = trajectory.times
-    spaces = [s.space for s in trajectory.samples]
-    lap_logs = [_laplacian_of_log(torus, space) for space in spaces]
-
-    out: list[CurveVariation] = []
-    max_rel = 0.0
-    max_abs = 0.0
-    max_rel_end = 0.0
-    max_form = 0.0
-    flagged = 0
-    evaluated = 0
-    for curve in curves:
-        if len(curve.samples) != len(times):
-            raise InvalidInput(
-                f"curve {curve.curve_id} has {len(curve.samples)} samples, "
-                f"trajectory has {len(times)}"
-            )
-        values = curve.values
-        fd = fd_derivative(times, values)
-        rhs = np.empty_like(values)
-        rhs_alt = np.empty_like(values)
-        for k, s in enumerate(curve.samples):
-            rhs[k] = variation_rhs(torus, spaces[k], s.value, s.vector_weighted, lap_logs[k])
-            rhs_alt[k] = variation_rhs_state_form(
-                torus, spaces[k], s.value, s.vector_weighted, lap_logs[k]
-            )
-        abs_res = np.abs(fd - rhs)
-        rel_res = abs_res / (1.0 + np.abs(fd))
-        flags = curve.degenerate_flags
-        ok = ~flags
-        interior = ok.copy()
-        interior[0] = interior[-1] = False
-        ends = ok & ~interior
-        flagged += int(flags.sum())
-        evaluated += int(ok.sum())
-        if np.any(interior):
-            max_rel = max(max_rel, float(rel_res[interior].max()))
-            max_abs = max(max_abs, float(abs_res[interior].max()))
-        if np.any(ends):
-            max_rel_end = max(max_rel_end, float(rel_res[ends].max()))
-        if np.any(ok):
-            max_form = max(max_form, float(np.abs(rhs - rhs_alt)[ok].max()))
-        out.append(
-            CurveVariation(
-                curve_id=curve.curve_id,
-                is_kernel=curve.is_kernel,
-                times=times,
-                values=values,
-                fd=fd,
-                rhs=rhs,
-                rhs_state_form=rhs_alt,
-                abs_residual=abs_res,
-                rel_residual=rel_res,
-                min_gap=np.array([s.min_gap for s in curve.samples]),
-                degenerate=flags,
-            )
-        )
-    h = float(times[1] - times[0])
+    rhs = np.empty_like(curves.values)
+    rhs_alt = np.empty_like(curves.values)
+    for k, sample in enumerate(samples):
+        lap_log = torus.laplacian_apply(sample.space.log)
+        value, a = curves.values[k], curves.vectors[k]
+        rhs[k] = variation_rhs(torus, sample.space, value, a, lap_log)
+        rhs_alt[k] = variation_rhs_state_form(torus, sample.space, value, a, lap_log)
     return VariationReport(
-        h=h,
-        curves=out,
-        max_rel_residual=max_rel,
-        max_abs_residual=max_abs,
-        max_rel_residual_endpoints=max_rel_end,
-        max_form_discrepancy=max_form,
-        flagged_samples=flagged,
-        evaluated_samples=evaluated,
+        curves=curves, fd=fd_derivative(times, curves.values), rhs=rhs, rhs_state_form=rhs_alt
     )
 
 
@@ -418,38 +341,43 @@ def curves_csv_rows(report: VariationReport):
         "min_gap",
         "degenerate_flag",
     ]
-    for cv in report.curves:
-        for k in range(len(cv.times)):
+    curves = report.curves
+    abs_residual = report.abs_residual
+    for i in range(curves.values.shape[1]):
+        for k, t in enumerate(curves.times):
             yield [
-                repr(float(cv.times[k])),
-                str(cv.curve_id),
-                repr(float(cv.values[k])),
-                repr(float(cv.fd[k])),
-                repr(float(cv.rhs[k])),
-                repr(float(cv.abs_residual[k])),
-                repr(float(cv.min_gap[k])),
-                str(int(cv.degenerate[k])),
+                repr(float(t)),
+                str(i),
+                repr(float(curves.values[k, i])),
+                repr(float(report.fd[k, i])),
+                repr(float(report.rhs[k, i])),
+                repr(float(abs_residual[k, i])),
+                repr(float(curves.min_gap[k, i])),
+                str(int(curves.degenerate[k, i])),
             ]
 
 
 def report_to_json(report: VariationReport, rel_budget: float = 1e-4) -> dict:
     """Aggregate variation-law verdicts as JSON."""
-    def curve_doc(cv: CurveVariation) -> dict:
-        ok = ~cv.degenerate
-        ok[0] = ok[-1] = False
+    curves = report.curves
+    interior = report.interior
+    abs_residual, rel_residual = report.abs_residual, report.rel_residual
+
+    def curve_doc(i: int) -> dict:
+        ok = interior[:, i]
         return {
-            "curve_id": cv.curve_id,
-            "is_kernel": cv.is_kernel,
-            "samples": len(cv.times),
-            "flagged": int(cv.degenerate.sum()),
-            "max_rel_residual": float(cv.rel_residual[ok].max()) if ok.any() else None,
-            "max_abs_residual": float(cv.abs_residual[ok].max()) if ok.any() else None,
-            "min_gap": float(cv.min_gap.min()),
+            "curve_id": i,
+            "is_kernel": i == curves.kernel,
+            "samples": len(curves.times),
+            "flagged": int(curves.degenerate[:, i].sum()),
+            "max_rel_residual": float(rel_residual[ok, i].max()) if ok.any() else None,
+            "max_abs_residual": float(abs_residual[ok, i].max()) if ok.any() else None,
+            "min_gap": float(curves.min_gap[:, i].min()),
         }
 
     return {
         "h": report.h,
-        "curves": [curve_doc(cv) for cv in report.curves],
+        "curves": [curve_doc(i) for i in range(curves.values.shape[1])],
         "max_rel_residual": report.max_rel_residual,
         "max_abs_residual": report.max_abs_residual,
         "max_rel_residual_endpoints": report.max_rel_residual_endpoints,

@@ -32,12 +32,7 @@ from .linalg import (
     superop_from_map,
 )
 from .torus import FuzzyTorus, commutant_dimension
-from .tracking import (
-    TrackingConfig,
-    first_variation_report,
-    track_spectrum,
-    variation_rhs,
-)
+from .tracking import first_variation_report, track_spectrum, variation_rhs
 
 # Tolerances from the acceptance contract.
 TOL_RELATION = 1e-12
@@ -302,9 +297,8 @@ def tracking_checks(
     torus = FuzzyTorus(n, m)
     config = FlowConfig(t0=0.0, t1=t1, rel_tol=1e-10, abs_tol=1e-12, sample_stride=stride)
     trajectory = run_flow(torus, random_metric(n, seed), config)
-    tracking = TrackingConfig()
-    curves = track_spectrum(torus, trajectory, tracking)
-    report = first_variation_report(torus, curves, trajectory, tracking)
+    curves = track_spectrum(torus, trajectory)
+    report = first_variation_report(torus, curves, trajectory)
     params = f"n={n},m={m},seed={seed},h={stride:g}"
 
     checks = [
@@ -315,34 +309,33 @@ def tracking_checks(
         ),
     ]
 
-    spaces = [s.space for s in trajectory.samples]
+    off_kernel = np.arange(n * n) != curves.kernel
     worst_norm = 0.0
     worst_state = 0.0
     kernel_ok = True
-    for curve in curves:
-        for k, s in enumerate(curve.samples):
-            worst_norm = max(worst_norm, abs(spaces[k].norm(s.vector_weighted) - 1.0))
-            if not curve.is_kernel:
-                worst_state = max(worst_state, abs(spaces[k].state(s.vector_weighted)))
-            else:
-                target = np.eye(n) / np.sqrt(spaces[k].trace)
-                kernel_ok = kernel_ok and hs_norm(s.vector_weighted - target) <= 1e-8
+    for sample, vectors in zip(trajectory.samples, curves.vectors):
+        space = sample.space
+        worst_norm = max(worst_norm, float(np.max(np.abs(space.norm(vectors) - 1.0))))
+        state = space.state(vectors[off_kernel])
+        worst_state = max(worst_state, float(np.max(np.abs(state))))
+        target = np.eye(n) / np.sqrt(space.trace)
+        kernel_ok = kernel_ok and hs_norm(vectors[curves.kernel] - target) <= 1e-8
     checks.append(_leq("curve_normalization", params, worst_norm, 1e-10))
     checks.append(_leq("curve_state_vanishes", params, worst_state, 1e-9))
     checks.append(_check("kernel_curve_is_identity", params, None, None, kernel_ok))
 
     # Phase invariance of the formula: rotating an eigenvector must not move it.
     rng = np.random.default_rng(5)
-    sample = curves[-1].samples[0]
-    space = spaces[0]
-    base = variation_rhs(torus, space, sample.value, sample.vector_weighted)
+    value, vector = curves.values[0, -1], curves.vectors[0, -1]
+    space = trajectory.samples[0].space
+    base = variation_rhs(torus, space, value, vector)
     worst_phase = 0.0
     for _ in range(5):
         theta = rng.uniform(0, 2 * np.pi)
-        rotated = np.exp(1j * theta) * sample.vector_weighted
+        rotated = np.exp(1j * theta) * vector
         worst_phase = max(
             worst_phase,
-            abs(variation_rhs(torus, space, sample.value, rotated) - base),
+            abs(variation_rhs(torus, space, value, rotated) - base),
         )
     checks.append(_leq("variation_phase_invariance", params, worst_phase, 1e-10))
     return checks

@@ -1,11 +1,49 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+
+import fuzzyricci
 from fuzzyricci import PositivityLost, cli
 
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only eigencurve matching needs scipy.optimize, which dominates import time.
+    src = str(Path(fuzzyricci.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, fuzzyricci.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["simulate", "track"])
+@pytest.mark.parametrize("fmt", ["xml", ""])
+def test_unknown_format_exit_2_and_no_files(tmp_path, capsys, command, fmt):
+    out = tmp_path / "run"
+    code = run_cli([command, "--n", 2, "--t1", 0.01, "--format", fmt, "--out", out])
+    assert code == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
+
+
+def test_unknown_format_in_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--config", cfg, "--t1", 0.01, "--out", out]) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
 
 
 class TestSimulate:
@@ -84,6 +122,25 @@ class TestSimulate:
         rows = (out / "trajectory.csv").read_text().splitlines()
         first = rows[1].split(",")
         assert float(first[1]) == 1.0 and float(first[7]) == 3.0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{bad",
+            "[1,2]",
+            json.dumps({"n": 2, "entries": [[1, 0], [0, 0], [0, 0], [1]]}),
+            json.dumps({"n": 2, "entries": [["x", 0], [0, 0], [0, 0], [1, 0]]}),
+        ],
+        ids=["not-json", "not-a-document", "short-entry", "non-numeric-entry"],
+    )
+    def test_malformed_initial_file_exit_2_and_no_files(self, tmp_path, capsys, text):
+        path = tmp_path / "c0.json"
+        path.write_text(text)
+        out = tmp_path / "run"
+        code = run_cli(["simulate", "--n", 2, "--initial", path, "--out", out])
+        assert code == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
 
     def test_numerical_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
@@ -208,6 +265,17 @@ class TestVerify:
         path = tmp_path / "geom.json"
         path.write_text(json.dumps({"n": 2}))
         assert run_cli(["verify", "--geometry", path]) == 2
+
+    def test_geometry_file_short_entry_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "geom"
+        assert run_cli(["simulate", "--n", 3, "--t1", 0, "--out", out]) == 0
+        path = out / "geometry.json"
+        doc = json.loads(path.read_text())
+        doc["u"]["entries"][0] = [1.0]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["verify", "--geometry", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run_cli(["verify", "--geometry", tmp_path / "nope.json"]) == 2

@@ -173,6 +173,19 @@ class TestSpectrum:
         overlap = abs(space.inner(target, kernel)) / space.norm(target)
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n,m,seed", [(2, 1, 0), (3, 1, 2), (4, 1, 1), (5, 2, 3)])
+    def test_batched_vectors_match_per_vector_normalization(self, n, m, seed):
+        torus = FuzzyTorus(n, m)
+        data = lb_spectrum(torus, random_metric(n, seed))
+        space = data.space
+        assert data.vectors_flat.shape == data.vectors_weighted.shape == (n * n, n, n)
+        for i, v in enumerate(data.vectors_flat):
+            a = space.from_flat(v)
+            np.testing.assert_array_equal(data.vectors_weighted[i], a / space.norm(a))
+            w = data.eigenvalues
+            neighbors = [abs(w[j] - w[i]) for j in (i - 1, i + 1) if 0 <= j < len(w)]
+            assert data.min_gaps[i] == min(neighbors)
+
     def test_spectrum_invariant_under_conjugation(self, torus3):
         # The weighted-operator eigenvalues recovered through the Rayleigh
         # identity on mapped eigenvectors must coincide with the conjugated

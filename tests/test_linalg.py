@@ -200,6 +200,10 @@ class TestJsonRoundTrip:
             matrix_from_json({"n": 2, "entries": [[1.0, 0.0]]})
         with pytest.raises(InvalidInput):
             matrix_from_json({"entries": []})
+        with pytest.raises(InvalidInput):
+            matrix_from_json({"n": 1, "entries": [[1]]})
+        with pytest.raises(InvalidInput):
+            matrix_from_json({"n": 1, "entries": [["x", 0]]})
 
 
 _ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

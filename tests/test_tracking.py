@@ -5,6 +5,7 @@ import pytest
 
 from fuzzyricci import (
     FlowConfig,
+    FuzzyRicciError,
     InsufficientData,
     InvalidInput,
     TrackingConfig,
@@ -35,37 +36,34 @@ def short_run(torus2):
 
 class TestMatching:
     def test_identical_spectra(self, torus2):
-        data = lb_spectrum(torus2, random_metric(2, 1))
-        match = match_eigenpairs(data, data)
+        vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
+        match = match_eigenpairs(vectors, vectors)
         np.testing.assert_array_equal(match.permutation, np.arange(4))
         np.testing.assert_allclose(match.phases, np.ones(4), atol=1e-12)
         np.testing.assert_allclose(match.overlaps, np.ones(4), atol=1e-12)
         assert not match.degenerate.any()
 
     def test_swapped_vectors_recovered(self, torus2):
-        data = lb_spectrum(torus2, random_metric(2, 1))
-        swapped_vectors = list(data.vectors_flat)
-        swapped_vectors[1], swapped_vectors[3] = swapped_vectors[3], swapped_vectors[1]
-        swapped = dataclasses.replace(data, vectors_flat=swapped_vectors)
-        match = match_eigenpairs(data, swapped)
+        vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
+        swapped = vectors[[0, 3, 2, 1]]
+        match = match_eigenpairs(vectors, swapped)
         np.testing.assert_array_equal(match.permutation, [0, 3, 2, 1])
 
     def test_phase_rotation_recovered(self, torus2):
-        data = lb_spectrum(torus2, random_metric(2, 1))
+        vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
         theta = 0.83
-        rotated_vectors = [np.exp(1j * theta) * v for v in data.vectors_flat]
-        rotated = dataclasses.replace(data, vectors_flat=rotated_vectors)
-        match = match_eigenpairs(data, rotated)
+        rotated = np.exp(1j * theta) * vectors
+        match = match_eigenpairs(vectors, rotated)
         np.testing.assert_allclose(match.phases, np.exp(-1j * theta) * np.ones(4), atol=1e-12)
         # Applying the phases makes the overlap real positive again.
         for i in range(4):
-            fixed = match.phases[i] * rotated_vectors[i]
-            overlap = np.vdot(data.vectors_flat[i].reshape(-1), fixed.reshape(-1))
+            fixed = match.phases[i] * rotated[i]
+            overlap = np.vdot(vectors[i].reshape(-1), fixed.reshape(-1))
             assert overlap.real > 0.99 and abs(overlap.imag) < 1e-12
 
     def test_dimension_mismatch(self, torus2, torus3):
-        a = lb_spectrum(torus2, np.eye(2))
-        b = lb_spectrum(torus3, np.eye(3))
+        a = lb_spectrum(torus2, np.eye(2)).vectors_flat
+        b = lb_spectrum(torus3, np.eye(3)).vectors_flat
         with pytest.raises(InvalidInput):
             match_eigenpairs(a, b)
 
@@ -126,6 +124,25 @@ class TestVariationRhs:
             via_state = variation_rhs_state_form(torus3, data.space, float(lam), a)
             assert direct == pytest.approx(via_state, rel=1e-12, abs=1e-10)
 
+    @pytest.mark.parametrize("form", [variation_rhs, variation_rhs_state_form])
+    def test_stacked_call_matches_per_vector_calls(self, torus3, form):
+        data = lb_spectrum(torus3, random_metric(3, 6))
+        lap_log = torus3.laplacian_apply(data.space.log)
+        stacked = form(torus3, data.space, data.eigenvalues, data.vectors_weighted, lap_log)
+        assert stacked.shape == (9,)
+        for i, a in enumerate(data.vectors_weighted):
+            lam = data.eigenvalues[i]
+            assert stacked[i] == form(torus3, data.space, lam, a, lap_log)
+
+    @pytest.mark.parametrize("form", [variation_rhs, variation_rhs_state_form])
+    def test_stacked_call_rejects_one_non_real_entry(self, torus3, form):
+        data = lb_spectrum(torus3, random_metric(3, 6))
+        values = np.zeros(9)
+        values[4] = 1.0
+        # An anti-Hermitian factor makes tr(a* a X) imaginary; only entry 4 is nonzero.
+        with pytest.raises(FuzzyRicciError):
+            form(torus3, data.space, values, data.vectors_weighted, 1j * np.eye(3))
+
 
 class TestTrackSpectrum:
     def test_flat_trajectory_constant_curves(self, torus2):
@@ -136,34 +153,32 @@ class TestTrackSpectrum:
         curves = track_spectrum(torus2, trajectory)
         # Scaling the metric by alpha divides every eigenvalue by alpha.
         expected = np.array([0.0, 1.0, 1.0, 2.0]) / alpha
-        for curve, lam in zip(curves, expected):
-            np.testing.assert_allclose(curve.values, lam, atol=1e-12)
+        for values, lam in zip(curves.values.T, expected):
+            np.testing.assert_allclose(values, lam, atol=1e-12)
 
     def test_kernel_curve(self, torus2, short_run):
         trajectory, curves = short_run
-        kernel_curves = [c for c in curves if c.is_kernel]
-        assert len(kernel_curves) == 1
-        kernel = kernel_curves[0]
-        np.testing.assert_allclose(kernel.values, 0.0, atol=1e-12)
-        for sample, flow_sample in zip(kernel.samples, trajectory.samples):
+        assert curves.values.shape == (len(trajectory.samples), 4)
+        assert curves.vectors.shape == (len(trajectory.samples), 4, 2, 2)
+        np.testing.assert_allclose(curves.values[:, curves.kernel], 0.0, atol=1e-12)
+        for vector, flow_sample in zip(curves.vectors[:, curves.kernel], trajectory.samples):
             target = np.eye(2) / np.sqrt(np.trace(flow_sample.c).real)
-            assert hs_norm(sample.vector_weighted - target) <= 1e-8
+            assert hs_norm(vector - target) <= 1e-8
 
     def test_normalization_along_curves(self, short_run):
         trajectory, curves = short_run
         spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
-        for curve in curves:
-            for k, sample in enumerate(curve.samples):
-                assert abs(spaces[k].norm(sample.vector_weighted) - 1.0) <= 1e-10
+        for k, vectors in enumerate(curves.vectors):
+            for vector in vectors:
+                assert abs(spaces[k].norm(vector) - 1.0) <= 1e-10
 
     def test_mean_zero_off_kernel(self, short_run):
         trajectory, curves = short_run
         spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
-        for curve in curves:
-            if curve.is_kernel:
-                continue
-            for k, sample in enumerate(curve.samples):
-                assert abs(spaces[k].state(sample.vector_weighted)) <= 1e-9
+        for k, vectors in enumerate(curves.vectors):
+            for i, vector in enumerate(vectors):
+                if i != curves.kernel:
+                    assert abs(spaces[k].state(vector)) <= 1e-9
 
     def test_dense_sampling_keeps_high_overlap(self, torus2):
         c0 = random_metric(2, 7)
@@ -171,15 +186,14 @@ class TestTrackSpectrum:
         trajectory = run_flow(torus2, c0, config)
         # With overlap_min this close to 1, any overlap <= 0.99 would flag.
         curves = track_spectrum(torus2, trajectory, TrackingConfig(overlap_min=0.99))
-        for curve in curves:
-            assert not curve.degenerate_flags.any()
+        assert not curves.degenerate.any()
 
     def test_curves_converge_to_flat_spectrum(self, torus2):
         trajectory = run_flow(
             torus2, random_metric(2, 5), FlowConfig(t1=50.0, sample_stride=10.0)
         )
         curves = track_spectrum(torus2, trajectory)
-        final = sorted(curve.values[-1] for curve in curves)
+        final = sorted(curves.values[-1])
         np.testing.assert_allclose(final, [0.0, 1.0, 1.0, 2.0], atol=1e-6)
 
     def test_empty_trajectory_rejected(self, torus2):
@@ -196,9 +210,8 @@ class TestVariationReport:
         )
         curves = track_spectrum(torus2, trajectory)
         report = first_variation_report(torus2, curves, trajectory)
-        for cv in report.curves:
-            np.testing.assert_allclose(cv.abs_residual, 0.0, atol=1e-12)
-            np.testing.assert_allclose(cv.rhs, 0.0, atol=1e-15)
+        np.testing.assert_allclose(report.abs_residual, 0.0, atol=1e-12)
+        np.testing.assert_allclose(report.rhs, 0.0, atol=1e-15)
 
     def test_seeded_run_within_budget(self, torus2, short_run):
         trajectory, curves = short_run
@@ -217,7 +230,8 @@ class TestVariationReport:
 
     def test_mismatched_curves_rejected(self, torus2, short_run):
         trajectory, curves = short_run
-        truncated = [dataclasses.replace(curves[0], samples=curves[0].samples[:-1])]
+        fields = ("times", "values", "min_gap", "degenerate", "vectors")
+        truncated = dataclasses.replace(curves, **{f: getattr(curves, f)[:-1] for f in fields})
         with pytest.raises(InvalidInput):
             first_variation_report(torus2, truncated, trajectory)
 
@@ -250,13 +264,31 @@ class TestVariationReport:
         )
         curves = track_spectrum(torus3, trajectory)
         report = first_variation_report(torus3, curves, trajectory)
-        for curve, cv in zip(curves, report.curves):
-            for k, s in enumerate(curve.samples):
-                c = trajectory.samples[k].c
-                direct = variation_rhs(torus3, c, s.value, s.vector_weighted)
-                state = variation_rhs_state_form(torus3, c, s.value, s.vector_weighted)
-                assert abs(cv.rhs[k] - direct) <= 1e-13 * abs(direct)
-                assert abs(cv.rhs_state_form[k] - state) <= 1e-13 * abs(state)
+        for k, sample in enumerate(trajectory.samples):
+            for i in range(9):
+                value, a = curves.values[k, i], curves.vectors[k, i]
+                direct = variation_rhs(torus3, sample.c, value, a)
+                state = variation_rhs_state_form(torus3, sample.c, value, a)
+                assert abs(report.rhs[k, i] - direct) <= 1e-13 * abs(direct)
+                assert abs(report.rhs_state_form[k, i] - state) <= 1e-13 * abs(state)
+
+    def test_one_batched_call_per_sample(self, torus2, monkeypatch):
+        trajectory = run_flow(
+            torus2, random_metric(2, 1), FlowConfig(t1=0.2, sample_stride=1e-3)
+        )
+        curves = track_spectrum(torus2, trajectory)
+        calls = {"variation_rhs": 0, "variation_rhs_state_form": 0}
+        for name in calls:
+            real = getattr(tracking, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(tracking, name, counting)
+        first_variation_report(torus2, curves, trajectory)
+        assert len(trajectory.samples) == 201
+        assert calls == {"variation_rhs": 201, "variation_rhs_state_form": 201}
 
     def test_one_operator_eig_per_sample(self, torus3, monkeypatch):
         # Tracking and the variation law reuse the flow's metric states: the
