@@ -56,7 +56,6 @@ from .linalg import (
 from .torus import FuzzyTorus, clock_matrix, commutant_dimension, fourier_matrix, shift_matrix
 from .tracking import (
     SpectralCurves,
-    TrackingConfig,
     VariationReport,
     fd_derivative,
     first_variation_report,
@@ -86,7 +85,6 @@ __all__ = [
     "SpectrumOutOfDomain",
     "StepUnderflow",
     "Superoperator",
-    "TrackingConfig",
     "VariationReport",
     "WeightedSpace",
     "clock_matrix",

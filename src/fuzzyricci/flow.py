@@ -10,25 +10,26 @@ Integration uses an embedded Dormand-Prince 4(5) pair with proportional
 step control on the Hilbert-Schmidt error norm; its last stage, evaluated at
 the candidate state, is reused as the next step's first stage (FSAL), so a
 trial step costs six eigendecompositions. Each one builds a metric state
-(``WeightedSpace``); a sample keeps the state the integrator reached, so
-spectra and the variation law reuse its decomposition. Two domain guards are
-specific to this flow: every Runge-Kutta stage and every accepted state
-must stay Hermitian positive definite (the vector field needs ``log c``),
-and a trial step whose stages leave the positive cone is rejected and
-retried at half the step size rather than reported as an error. The exact
-flow cannot leave the cone, so a persistent violation signals integrator
-tolerances that are too loose, reported as ``PositivityLost``.
+(``WeightedSpace``); a sample keeps the state the integrator reached and the
+field there, so spectra and the variation law reuse its decomposition and its
+``L log c``. Two domain guards are specific to this flow: every Runge-Kutta
+stage and every accepted state must stay Hermitian positive definite (the
+vector field needs ``log c``), and a trial step whose stages leave the
+positive cone is rejected and retried at half the step size rather than
+reported as an error. The exact flow cannot leave the cone, so a persistent
+violation signals integrator tolerances that are too loose, reported as
+``PositivityLost``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidInput, InvalidParams, MetricDegenerate, PositivityLost, StepUnderflow
-from .laplace_beltrami import WeightedSpace
+from .laplace_beltrami import POSITIVITY_FLOOR, WeightedSpace
 from .linalg import as_square_matrix, hs_norm, matrix_exp, matrix_from_json, matrix_to_json
 from .torus import FuzzyTorus
 
@@ -54,6 +55,11 @@ _SAFETY = 0.9
 _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 _ORDER_EXP = 1 / 5
+_MAX_STEP = 1.0
+
+# Largest relative decrease of det c between samples that still counts as
+# nondecreasing: the exact flow never decreases it, so this is roundoff room.
+DET_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,10 +70,8 @@ class FlowConfig:
     t1: float = 50.0
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = 1.0
     min_step: float = 1e-12
     sample_stride: float = 0.5
-    positivity_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.t0) or not np.isfinite(self.t1) or self.t1 < self.t0:
@@ -75,18 +79,19 @@ class FlowConfig:
             raise InvalidParams(f"bad time window [{self.t0}, {self.t1}]")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise InvalidParams("tolerances must be positive")
-        if self.min_step <= 0 or self.max_step <= self.min_step:
-            raise InvalidParams("need 0 < min_step < max_step")
+        if not 0 < self.min_step < _MAX_STEP:
+            raise InvalidParams(f"need 0 < min_step < {_MAX_STEP:g}")
         if self.sample_stride <= 0:
             raise InvalidParams("sample_stride must be positive")
 
 
 @dataclass(frozen=True)
 class FlowSample:
-    """State of the flow at one sample time; ``space`` is its metric state."""
+    """The flow at one sample time: metric state ``space``, integrator field ``-L log c``."""
 
     t: float
     space: WeightedSpace
+    field: np.ndarray
     trace: float
     det: float
     min_eig: float
@@ -137,31 +142,29 @@ def flat_metric(n: int, trace: float | None = None) -> np.ndarray:
     return (tr / n) * np.eye(n, dtype=complex)
 
 
-def _metric_state(torus: FuzzyTorus, c, floor: float) -> WeightedSpace:
+def _metric_state(torus: FuzzyTorus, c) -> WeightedSpace:
     """Validate a metric for ``torus`` (size, then positivity) and decompose it."""
     c = as_square_matrix(c, "metric")
     if c.shape[0] != torus.n:
         raise InvalidInput(f"metric must be {torus.n}x{torus.n}, got {c.shape}")
-    return WeightedSpace.from_metric(c, floor)
+    return WeightedSpace.from_metric(c)
 
 
-def flow_field(torus: FuzzyTorus, c: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def flow_field(torus: FuzzyTorus, c: np.ndarray) -> np.ndarray:
     """Right-hand side -L log c.
 
     Traceless by construction (the Laplacian is a sum of commutators), which
     is what makes the flow conserve ``tr(c)`` to roundoff. Vanishes exactly
     when ``c`` is a positive scalar matrix. Raises ``MetricDegenerate`` when
-    ``c`` has an eigenvalue at or below ``floor``.
+    ``c`` has an eigenvalue at or below ``POSITIVITY_FLOOR``.
     """
-    return -torus.laplacian_apply(_metric_state(torus, c, floor).log)
+    return -torus.laplacian_apply(_metric_state(torus, c).log)
 
 
-def _field_or_reject(
-    torus: FuzzyTorus, c: np.ndarray, floor: float
-) -> tuple[WeightedSpace, np.ndarray] | None:
+def _field_or_reject(torus: FuzzyTorus, c: np.ndarray) -> tuple[WeightedSpace, np.ndarray] | None:
     """Metric state at a trial stage and the field there; ``None`` marks a domain exit."""
     try:
-        space = WeightedSpace.from_metric(c, floor)
+        space = WeightedSpace.from_metric(c)
     except (InvalidInput, MetricDegenerate):
         return None
     return space, -torus.laplacian_apply(space.log)
@@ -180,20 +183,19 @@ def _trial_step(
     field there, the next step's first stage. Acceptance is the caller's
     decision (``error_estimate <= tolerance``).
     """
-    floor = config.positivity_floor
     stages = [k1]
     for row in _DP_A:
         ci = c
         for a_ij, k in zip(row, stages):
             if a_ij != 0.0:
                 ci = ci + h * a_ij * k
-        stage = _field_or_reject(torus, ci, floor)
+        stage = _field_or_reject(torus, ci)
         if stage is None:
             return None
         stages.append(stage[1])
 
     c5 = c + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0)
-    stage = _field_or_reject(torus, c5, floor)
+    stage = _field_or_reject(torus, c5)
     if stage is None:
         return None
     space_next, k_next = stage
@@ -222,7 +224,7 @@ def _advance(
     field are the ones at the end.
     """
     while t < t_target:
-        h = min(h, config.max_step, t_target - t)
+        h = min(h, _MAX_STEP, t_target - t)
         trial = _trial_step(torus, space.c, k1, h, config)
         if trial is None:
             counters.rejected_steps += 1
@@ -265,52 +267,40 @@ def sample_times(config: FlowConfig) -> np.ndarray:
     return ts
 
 
-def _make_sample(t: float, space: WeightedSpace, target_trace: float) -> FlowSample:
+def _make_sample(t: float, space: WeightedSpace, field: np.ndarray, trace0: float) -> FlowSample:
     n = space.n
     return FlowSample(
         t=float(t),
         space=space,
+        field=field,
         trace=space.trace,
         det=float(np.prod(space.eigenvalues)),
         min_eig=float(space.eigenvalues[0]),
-        dist_to_flat=hs_norm(space.c - (target_trace / n) * np.eye(n)),
+        dist_to_flat=hs_norm(space.c - (trace0 / n) * np.eye(n)),
     )
 
 
-def run_flow(
-    torus: FuzzyTorus,
-    c0: np.ndarray,
-    config: FlowConfig | None = None,
-    callback: Callable[[FlowSample], None] | None = None,
-) -> FlowResult:
+def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None) -> FlowResult:
     """Integrate the metric flow and sample it on the configured cadence.
 
     The trajectory lands exactly on each sample time (the adaptive step is
     clipped at sample boundaries), so sampled states are integration states,
-    not interpolants. ``callback``, if given, sees each sample as it is
-    produced.
+    not interpolants, and each sample's field is the integrator's own.
     """
     config = config or FlowConfig()
-    space = _metric_state(torus, c0, config.positivity_floor)
+    space = _metric_state(torus, c0)
     result = FlowResult(torus=torus)
     ts = sample_times(config)
     target_trace = space.trace  # conserved; fixes the flat limit
 
-    sample = _make_sample(ts[0], space, target_trace)
-    result.samples.append(sample)
-    if callback is not None:
-        callback(sample)
-
-    h = min(config.max_step, config.sample_stride)
-    t = float(ts[0])
     k1 = -torus.laplacian_apply(space.log)
+    result.samples.append(_make_sample(ts[0], space, k1, target_trace))
+    h = min(_MAX_STEP, config.sample_stride)
+    t = float(ts[0])
     for t_next in ts[1:]:
         space, k1, h = _advance(torus, space, k1, t, float(t_next), h, config, result)
         t = float(t_next)
-        sample = _make_sample(t, space, target_trace)
-        result.samples.append(sample)
-        if callback is not None:
-            callback(sample)
+        result.samples.append(_make_sample(t, space, k1, target_trace))
     return result
 
 
@@ -361,10 +351,10 @@ def trajectory_to_json(result: FlowResult, config: FlowConfig) -> dict:
             "t1": config.t1,
             "rel_tol": config.rel_tol,
             "abs_tol": config.abs_tol,
-            "max_step": config.max_step,
+            "max_step": _MAX_STEP,
             "min_step": config.min_step,
             "sample_stride": config.sample_stride,
-            "positivity_floor": config.positivity_floor,
+            "positivity_floor": POSITIVITY_FLOOR,
         },
         "samples": [
             {

@@ -43,6 +43,9 @@ from .torus import FuzzyTorus
 # degenerate, and below which an eigenvalue counts as kernel.
 GAP_TOL_REL = 1e-8
 
+# A metric is positive definite when its smallest eigenvalue exceeds this.
+POSITIVITY_FLOOR = 1e-12
+
 # Seed for random_metric(2, seed) producing a metric for which the rejected
 # operator's Hermiticity defect is macroscopic (order 1, vs the 1e-6 bar).
 COUNTEREXAMPLE_SEED = 3
@@ -66,8 +69,8 @@ class WeightedSpace:
     eigenvectors: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_metric(cls, c, floor: float = 1e-12) -> "WeightedSpace":
-        """Validate ``c`` (square, Hermitian, all eigenvalues above ``floor``).
+    def from_metric(cls, c) -> "WeightedSpace":
+        """Validate ``c`` (square, Hermitian, eigenvalues above ``POSITIVITY_FLOOR``).
 
         Raises ``InvalidInput`` for a non-square or grossly non-Hermitian
         ``c`` and ``MetricDegenerate`` when positive definiteness fails.
@@ -75,9 +78,9 @@ class WeightedSpace:
         c = as_square_matrix(c, "metric")
         w, v = hermitian_eig(c)  # symmetrizes; rejects gross non-Hermiticity
         lo = float(w[0])
-        if lo <= floor:
+        if lo <= POSITIVITY_FLOOR:
             raise MetricDegenerate(
-                f"metric is not positive definite: min eigenvalue {lo:.6e} <= {floor:g}"
+                f"metric is not positive definite: min eigenvalue {lo:.6e} <= {POSITIVITY_FLOOR:g}"
             )
         return cls(c=(c + c.conj().T) / 2, eigenvalues=w, eigenvectors=v)
 
@@ -203,15 +206,16 @@ class SpectralData:
     operator); ``vectors_weighted[i]`` are the same eigenvectors mapped back
     by ``c^{-1/2}`` and normalized in the weighted inner product. Global
     phases are left free; the tracking layer owns the phase convention.
-    ``degeneracy_groups`` lists index runs whose consecutive gaps fall below
-    ``GAP_TOL_REL`` times the operator norm; ``kernel_index`` locates the
-    single zero mode.
+    ``gap_threshold`` is ``GAP_TOL_REL`` times the operator norm (at least
+    1); ``degeneracy_groups`` lists index runs whose consecutive gaps fall
+    below it, and ``kernel_index`` locates the single eigenvalue below it.
     """
 
     space: WeightedSpace
     eigenvalues: np.ndarray
     vectors_flat: np.ndarray
     vectors_weighted: np.ndarray
+    gap_threshold: float
     degeneracy_groups: list[list[int]]
     kernel_index: int
 
@@ -240,7 +244,7 @@ def _group_degenerate(eigenvalues: np.ndarray, threshold: float) -> list[list[in
     return groups
 
 
-def lb_spectrum(torus: FuzzyTorus, c, gap_tol_rel: float = GAP_TOL_REL) -> SpectralData:
+def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
     """Eigenvalues and eigenvectors of the curved Laplacian for metric ``c``.
 
     Diagonalizes the conjugated (Hermitian) form, so the eigenvalues are real
@@ -253,8 +257,7 @@ def lb_spectrum(torus: FuzzyTorus, c, gap_tol_rel: float = GAP_TOL_REL) -> Spect
     eig = hermitian_eig(op.matrix)
     n = torus.n
     w = eig.eigenvalues
-    op_norm = float(np.max(np.abs(w))) if len(w) else 0.0
-    threshold = gap_tol_rel * max(op_norm, 1.0)
+    threshold = GAP_TOL_REL * max(float(np.max(np.abs(w), initial=0.0)), 1.0)
 
     # Column i of the eigenvector matrix is the row-major flattening of vector i.
     vectors_flat = eig.eigenvectors.T.reshape(n * n, n, n)
@@ -272,6 +275,7 @@ def lb_spectrum(torus: FuzzyTorus, c, gap_tol_rel: float = GAP_TOL_REL) -> Spect
         eigenvalues=w,
         vectors_flat=vectors_flat,
         vectors_weighted=vectors,
+        gap_threshold=threshold,
         degeneracy_groups=_group_degenerate(w, threshold),
         kernel_index=int(kernel[0]),
     )

@@ -26,9 +26,6 @@ from .errors import InvalidInput, SpectrumOutOfDomain
 # anything larger is an error, not roundoff.
 HERM_TOL_SCALE = 1e-10
 
-# Scale factor for eigendecomposition reconstruction tolerances.
-EIG_TOL_SCALE = 1e-12
-
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex ndarray or raise ``InvalidInput``."""
@@ -73,12 +70,17 @@ def hermitian_eig(a) -> HermitianEig:
 
     The input may drift off Hermitian by up to ``HERM_TOL_SCALE * ||a||``
     (integrator roundoff); it is symmetrized before decomposition. A larger
-    defect raises ``InvalidInput``. Output is deterministic for identical
-    input: eigenvalues ascending, eigenvectors in the corresponding columns.
+    defect, or a non-finite norm (a NaN or inf entry), raises
+    ``InvalidInput``. Output is deterministic for identical input:
+    eigenvalues ascending, eigenvectors in the corresponding columns.
     """
     a = as_square_matrix(a)
+    norm = np.linalg.norm(a)
+    # Against a NaN or inf norm the defect test below would pass.
+    if not np.isfinite(norm):
+        raise InvalidInput(f"matrix norm is not finite: ||a|| = {norm}")
     defect = np.linalg.norm(a - a.conj().T)
-    if defect > HERM_TOL_SCALE * np.linalg.norm(a):
+    if defect > HERM_TOL_SCALE * norm:
         raise InvalidInput(
             f"matrix is not Hermitian: ||a - a*|| = {defect:.3e} "
             f"exceeds {HERM_TOL_SCALE:g} * ||a||"

@@ -149,11 +149,11 @@ class FuzzyTorus:
         }
 
 
-def commutant_dimension(u: np.ndarray, v: np.ndarray, rel_tol: float = 1e-8) -> int:
+def commutant_dimension(u: np.ndarray, v: np.ndarray) -> int:
     """Dimension of {a : [u, a] = [v, a] = 0} for a pair of n x n matrices.
 
     Computed as the numerical nullspace dimension of the stacked commutator
-    superoperators (singular values below ``rel_tol`` times the largest).
+    superoperators (singular values at most 1e-8 times the largest).
     For generating pairs like the clock and shift this is 1: only scalars
     commute with both.
     """
@@ -162,4 +162,4 @@ def commutant_dimension(u: np.ndarray, v: np.ndarray, rel_tol: float = 1e-8) -> 
     mv = superop_from_map(n, lambda a: commutator(v, a))
     stacked = np.vstack([mu.matrix, mv.matrix])
     s = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(s <= rel_tol * max(float(s[0]), 1.0)))
+    return int(np.sum(s <= 1e-8 * max(float(s[0]), 1.0)))

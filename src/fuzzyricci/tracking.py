@@ -6,7 +6,7 @@ an assignment problem on squared eigenvector overlaps, with global phases
 fixed so that consecutive overlaps are real positive (first sample: largest
 magnitude component made real positive). Crossings are not resolved: samples
 where the spectral gap collapses or the best overlap drops below
-``overlap_min`` are flagged and excluded from quantitative aggregates.
+``OVERLAP_MIN`` are flagged and excluded from quantitative aggregates.
 
 The tracked curves satisfy a first variation law along the flow,
 
@@ -25,20 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FuzzyRicciError, InsufficientData, InvalidInput, InvalidParams
+from .errors import FuzzyRicciError, InsufficientData, InvalidInput
 from .flow import FlowResult
-from .laplace_beltrami import GAP_TOL_REL, WeightedSpace, lb_spectrum
+from .laplace_beltrami import WeightedSpace, lb_spectrum
 from .torus import FuzzyTorus
 
-
-@dataclass(frozen=True)
-class TrackingConfig:
-    overlap_min: float = 0.9
-    gap_tol_rel: float = GAP_TOL_REL
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.overlap_min <= 1.0:
-            raise InvalidParams(f"overlap_min must be in (0, 1], got {self.overlap_min}")
+OVERLAP_MIN = 0.9  # a weaker eigenvector match is flagged degenerate
+# A report passes with its relative residual and its forms' discrepancy within these.
+RESIDUAL_BUDGET = 1e-4
+FORMS_BUDGET = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,7 @@ class MatchResult:
     vector ``i``; ``phases[i]`` is the unit complex number to multiply the
     matched current vector by so its overlap with the previous one is real
     positive; ``overlaps[i]`` is that overlap magnitude; ``degenerate[i]``
-    marks matches below ``overlap_min``.
+    marks matches below ``OVERLAP_MIN``.
     """
 
     permutation: np.ndarray
@@ -58,9 +53,7 @@ class MatchResult:
     degenerate: np.ndarray
 
 
-def match_eigenpairs(
-    prev: np.ndarray, cur: np.ndarray, overlap_min: float = 0.9
-) -> MatchResult:
+def match_eigenpairs(prev: np.ndarray, cur: np.ndarray) -> MatchResult:
     """Match two stacks of flat eigenvectors by maximum total squared overlap."""
     # scipy.optimize is most of the package's import time; only matching needs it.
     from scipy.optimize import linear_sum_assignment
@@ -78,7 +71,7 @@ def match_eigenpairs(
         permutation=perm,
         phases=phases.astype(complex),
         overlaps=mag,
-        degenerate=mag < overlap_min,
+        degenerate=mag < OVERLAP_MIN,
     )
 
 
@@ -110,18 +103,15 @@ class SpectralCurves:
     kernel: int
 
 
-def track_spectrum(
-    torus: FuzzyTorus,
-    trajectory: FlowResult,
-    config: TrackingConfig | None = None,
-) -> SpectralCurves:
+def track_spectrum(torus: FuzzyTorus, trajectory: FlowResult) -> SpectralCurves:
     """Stitch per-sample spectra into n^2 continuous eigenvalue curves.
 
     Curve ``i`` starts at the i-th ascending eigenvalue of the first sample;
     later samples follow by overlap assignment. Matching failures are
     recorded as per-sample degeneracy flags, never raised.
     """
-    config = config or TrackingConfig()
+    if torus != trajectory.torus:
+        raise InvalidInput(f"{torus} does not match the trajectory's {trajectory.torus}")
     if not trajectory.samples:
         raise InsufficientData("trajectory has no samples")
     n, n2, samples = torus.n, torus.n * torus.n, len(trajectory.samples)
@@ -131,14 +121,13 @@ def track_spectrum(
     vectors = np.empty((samples, n2, n, n), dtype=complex)
 
     for k, sample in enumerate(trajectory.samples):
-        sd = lb_spectrum(torus, sample.space, gap_tol_rel=config.gap_tol_rel)
-        threshold = config.gap_tol_rel * max(sd.operator_norm, 1.0)
+        sd = lb_spectrum(torus, sample.space)
         if k == 0:
             kernel, order, bad = sd.kernel_index, np.arange(n2), np.zeros(n2, dtype=bool)
             # Scalar abs() per vector: array np.abs rounds differently in the last bit.
             phases = np.array([_fix_first_phase(v) for v in sd.vectors_flat])
         else:
-            match = match_eigenpairs(prev_flat, sd.vectors_flat, config.overlap_min)
+            match = match_eigenpairs(prev_flat, sd.vectors_flat)
             order, phases, bad = match.permutation, match.phases, match.degenerate
             # The kernel is exactly known; never let the assignment drift it.
             bad[kernel] |= order[kernel] != sd.kernel_index
@@ -147,7 +136,7 @@ def track_spectrum(
         vectors[k] = phases * sd.vectors_weighted[order]
         values[k] = sd.eigenvalues[order]
         min_gap[k] = sd.min_gaps[order]
-        degenerate[k] = bad | (min_gap[k] < threshold)
+        degenerate[k] = bad | (min_gap[k] < sd.gap_threshold)
     return SpectralCurves(
         times=trajectory.times,
         values=values,
@@ -288,8 +277,9 @@ class VariationReport:
     def evaluated_samples(self) -> int:
         return int((~self.curves.degenerate).sum())
 
-    def passed(self, rel_budget: float = 1e-4) -> bool:
-        return self.max_rel_residual <= rel_budget
+    def passed(self) -> bool:
+        """The verdict: residual within ``RESIDUAL_BUDGET``, forms within ``FORMS_BUDGET``."""
+        return self.max_rel_residual <= RESIDUAL_BUDGET and self.max_form_discrepancy <= FORMS_BUDGET
 
 
 def first_variation_report(
@@ -299,11 +289,13 @@ def first_variation_report(
 
     The derivative oracle is the finite-difference stencil of
     :func:`fd_derivative`; the formula side is evaluated once per sample for
-    all tracked eigenpairs together, from the sample's metric state, whose
-    ``log c`` the integrator already computed, with ``L log c`` applied once
-    per sample. Degenerate samples contribute rows but are excluded from the
-    aggregates. Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
+    all tracked eigenpairs together, from the sample's metric state, with
+    ``L log c`` read off the sample's field ``-L log c``, so ``L`` is not
+    applied again. Degenerate samples contribute rows but are excluded from
+    the aggregates. Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
     """
+    if torus != trajectory.torus:
+        raise InvalidInput(f"{torus} does not match the trajectory's {trajectory.torus}")
     samples = trajectory.samples
     if len(samples) < 3:
         raise InsufficientData(f"need at least 3 trajectory samples, got {len(samples)}")
@@ -315,7 +307,7 @@ def first_variation_report(
     rhs = np.empty_like(curves.values)
     rhs_alt = np.empty_like(curves.values)
     for k, sample in enumerate(samples):
-        lap_log = torus.laplacian_apply(sample.space.log)
+        lap_log = -sample.field
         value, a = curves.values[k], curves.vectors[k]
         rhs[k] = variation_rhs(torus, sample.space, value, a, lap_log)
         rhs_alt[k] = variation_rhs_state_form(torus, sample.space, value, a, lap_log)
@@ -357,7 +349,7 @@ def curves_csv_rows(report: VariationReport):
             ]
 
 
-def report_to_json(report: VariationReport, rel_budget: float = 1e-4) -> dict:
+def report_to_json(report: VariationReport) -> dict:
     """Aggregate variation-law verdicts as JSON."""
     curves = report.curves
     interior = report.interior
@@ -384,6 +376,6 @@ def report_to_json(report: VariationReport, rel_budget: float = 1e-4) -> dict:
         "max_form_discrepancy": report.max_form_discrepancy,
         "flagged_samples": report.flagged_samples,
         "evaluated_samples": report.evaluated_samples,
-        "rel_budget": rel_budget,
-        "passed": report.passed(rel_budget),
+        "rel_budget": RESIDUAL_BUDGET,
+        "passed": report.passed(),
     }

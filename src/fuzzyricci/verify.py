@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidInput, InvalidParams
-from .flow import FlowConfig, flow_invariants, random_metric, run_flow
+from .flow import DET_SLACK, FlowConfig, flow_invariants, random_metric, run_flow
 from .laplace_beltrami import (
     COUNTEREXAMPLE_SEED,
     WeightedSpace,
@@ -32,7 +32,13 @@ from .linalg import (
     superop_from_map,
 )
 from .torus import FuzzyTorus, commutant_dimension
-from .tracking import first_variation_report, track_spectrum, variation_rhs
+from .tracking import (
+    FORMS_BUDGET,
+    RESIDUAL_BUDGET,
+    first_variation_report,
+    track_spectrum,
+    variation_rhs,
+)
 
 # Tolerances from the acceptance contract.
 TOL_RELATION = 1e-12
@@ -45,15 +51,12 @@ KERNEL_THRESHOLD = 1e-8
 MIN_SPECTRAL_GAP = 1e-6
 TOL_TRACE_DRIFT = 1e-9
 TOL_FLAT_LIMIT = 1e-6
-TOL_DET_SLACK = 1e-12
 TOL_LB_HERM = 1e-11
 TOL_LB_PSD = 1e-10
 TOL_UC = 1e-11
 TOL_RAYLEIGH = 1e-9
 TOL_STATE_ZERO = 1e-10
 TOL_COUNTEREXAMPLE = 1e-6
-TOL_FORMS = 1e-10
-TOL_RESIDUAL_REL = 1e-4
 
 
 def _check(name: str, params: str, tolerance, measured, passed: bool) -> dict:
@@ -202,11 +205,9 @@ def linalg_checks(n: int = 4, n_random: int = 100) -> list[dict]:
     return checks
 
 
-def flow_checks(
-    n: int, m: int, seeds: Iterable[int], t1: float = 50.0, rel_tol: float = 1e-10
-) -> list[dict]:
+def flow_checks(n: int, m: int, seeds: Iterable[int], t1: float = 50.0) -> list[dict]:
     torus = FuzzyTorus(n, m)
-    config = FlowConfig(t0=0.0, t1=t1, rel_tol=rel_tol, abs_tol=1e-12, sample_stride=1.0)
+    config = FlowConfig(t1=t1, sample_stride=1.0)
     checks = []
     for seed in seeds:
         params = f"n={n},m={m},seed={seed}"
@@ -214,7 +215,7 @@ def flow_checks(
         result = run_flow(torus, c0, config)
         drift, drop = flow_invariants(result)
         checks.append(_leq("flow_trace_drift", params, drift, TOL_TRACE_DRIFT))
-        checks.append(_leq("flow_det_nondecreasing", params, drop, TOL_DET_SLACK))
+        checks.append(_leq("flow_det_nondecreasing", params, drop, DET_SLACK))
 
         min_eig = min(s.min_eig for s in result.samples)
         checks.append(_check("flow_positivity", params, 0.0, min_eig, min_eig > 0.0))
@@ -295,15 +296,15 @@ def tracking_checks(
     stride: float = 2e-3,
 ) -> list[dict]:
     torus = FuzzyTorus(n, m)
-    config = FlowConfig(t0=0.0, t1=t1, rel_tol=1e-10, abs_tol=1e-12, sample_stride=stride)
+    config = FlowConfig(t1=t1, sample_stride=stride)
     trajectory = run_flow(torus, random_metric(n, seed), config)
     curves = track_spectrum(torus, trajectory)
     report = first_variation_report(torus, curves, trajectory)
     params = f"n={n},m={m},seed={seed},h={stride:g}"
 
     checks = [
-        _leq("variation_residual_rel", params, report.max_rel_residual, TOL_RESIDUAL_REL),
-        _leq("variation_forms_agree", params, report.max_form_discrepancy, TOL_FORMS),
+        _leq("variation_residual_rel", params, report.max_rel_residual, RESIDUAL_BUDGET),
+        _leq("variation_forms_agree", params, report.max_form_discrepancy, FORMS_BUDGET),
         _check(
             "tracking_no_flags", params, 0.0, report.flagged_samples, report.flagged_samples == 0
         ),

@@ -46,6 +46,37 @@ def test_unknown_format_in_config_exit_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": "x"}, {"m": "x"}, {"seed": "x"}, {"t1": "x"}, {"stride": "x"},
+        {"rel_tol": "x"}, {"n": None}, {"n": [2]}, {"t1": None}, {"out": None},
+    ],
+)
+def test_unconvertible_config_value_exit_2_and_no_files(tmp_path, monkeypatch, capsys, doc):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInput"
+    assert repr(next(iter(doc))) in err["message"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "track", "spectrum"])
+@pytest.mark.parametrize("initial", ["diag:nan,1", "diag:inf,1", "nan.json"])
+def test_non_finite_initial_metric_exit_2_and_no_files(tmp_path, capsys, command, initial):
+    if initial == "nan.json":
+        initial = tmp_path / initial
+        entries = [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        initial.write_text(json.dumps({"n": 2, "entries": entries}))
+    out = tmp_path / "run"
+    assert run_cli([command, "--n", 2, "--initial", initial, "--out", out]) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+
+
 class TestSimulate:
     def test_writes_artifacts(self, tmp_path):
         out = tmp_path / "run"
@@ -224,6 +255,13 @@ class TestTrack:
         assert (outs[0] / "variation.json").read_bytes() == (
             outs[1] / "variation.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("n, seed, code", [(2, 7, 0), (4, 0, 4)])
+    def test_json_verdict_is_the_exit_verdict(self, tmp_path, n, seed, code):
+        out = tmp_path / "run"
+        assert run_cli(["track", "--n", n, "--seed", seed, "--out", out]) == code
+        doc = json.loads((out / "variation.json").read_text())
+        assert doc["passed"] is (code == 0)
 
     def test_too_coarse_stride_exit_2(self, tmp_path):
         code = run_cli(

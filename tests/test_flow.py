@@ -155,7 +155,7 @@ class TestFlowStep:
 
     def test_step_underflow(self, torus2):
         config = FlowConfig(
-            t1=1.0, sample_stride=1.0, rel_tol=1e-14, abs_tol=1e-16, min_step=0.4, max_step=1.0
+            t1=1.0, sample_stride=1.0, rel_tol=1e-14, abs_tol=1e-16, min_step=0.4
         )
         with pytest.raises(StepUnderflow):
             run_flow(torus2, random_metric(2, 0), config)
@@ -272,6 +272,13 @@ class TestRunFlow:
             np.testing.assert_array_equal(s.space.c_invsqrt, fresh.c_invsqrt)
             np.testing.assert_array_equal(s.space.log, fresh.log)
 
+    @pytest.mark.parametrize("t1, samples", [(2.0, 9), (0.0, 1)])
+    def test_sample_field_is_the_field_at_its_state(self, torus3, t1, samples):
+        result = run_flow(torus3, random_metric(3, 4), FlowConfig(t1=t1, sample_stride=0.25))
+        assert len(result.samples) == samples
+        for s in result.samples:
+            np.testing.assert_array_equal(s.field, -torus3.laplacian_apply(s.space.log))
+
     def test_flow_invariants(self, torus3):
         result = run_flow(torus3, random_metric(3, 8), FlowConfig(t1=5.0))
         drift, drop = flow_invariants(result)
@@ -286,16 +293,6 @@ class TestRunFlow:
         result = run_flow(torus2, random_metric(2, 1), FlowConfig(t0=1.0, t1=1.0))
         assert len(result.samples) == 1
         assert flow_invariants(result) == (0.0, 0.0)
-
-    def test_callback_sees_every_sample(self, torus2):
-        seen = []
-        run_flow(
-            torus2,
-            random_metric(2, 2),
-            FlowConfig(t1=1.0, sample_stride=0.25),
-            callback=lambda s: seen.append(s.t),
-        )
-        np.testing.assert_allclose(seen, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_wrong_size_metric_rejected(self, torus2):
         with pytest.raises(InvalidInput):

@@ -54,6 +54,14 @@ class TestHermitianEig:
         with pytest.raises(InvalidInput):
             hermitian_eig(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("index, value", [((0, 0), np.nan), ((0, 1), np.inf)])
+    def test_rejects_non_finite_entry(self, index, value):
+        # A NaN or inf norm would let the Hermiticity test pass.
+        a = np.eye(2, dtype=complex)
+        a[index] = value
+        with pytest.raises(InvalidInput):
+            hermitian_eig(a)
+
     def test_symmetrizes_small_drift(self, rng):
         a = random_hermitian(rng, 3)
         drifted = a + 1e-14 * random_complex(rng, 3)

@@ -6,9 +6,9 @@ import pytest
 from fuzzyricci import (
     FlowConfig,
     FuzzyRicciError,
+    FuzzyTorus,
     InsufficientData,
     InvalidInput,
-    TrackingConfig,
     WeightedSpace,
     fd_derivative,
     first_variation_report,
@@ -184,9 +184,11 @@ class TestTrackSpectrum:
         c0 = random_metric(2, 7)
         config = FlowConfig(t1=0.05, rel_tol=1e-10, abs_tol=1e-12, sample_stride=1e-3)
         trajectory = run_flow(torus2, c0, config)
-        # With overlap_min this close to 1, any overlap <= 0.99 would flag.
-        curves = track_spectrum(torus2, trajectory, TrackingConfig(overlap_min=0.99))
+        curves = track_spectrum(torus2, trajectory)
         assert not curves.degenerate.any()
+        stacks = [lb_spectrum(torus2, s.space).vectors_flat for s in trajectory.samples]
+        for prev, cur in zip(stacks, stacks[1:]):
+            assert match_eigenpairs(prev, cur).overlaps.min() > 0.99
 
     def test_curves_converge_to_flat_spectrum(self, torus2):
         trajectory = run_flow(
@@ -195,6 +197,13 @@ class TestTrackSpectrum:
         curves = track_spectrum(torus2, trajectory)
         final = sorted(curves.values[-1])
         np.testing.assert_allclose(final, [0.0, 1.0, 1.0, 2.0], atol=1e-6)
+
+    def test_mismatched_torus_rejected(self, torus3):
+        trajectory = run_flow(
+            torus3, random_metric(3, 2), FlowConfig(t1=0.01, sample_stride=1e-3)
+        )
+        with pytest.raises(InvalidInput):
+            track_spectrum(FuzzyTorus(3, 2), trajectory)
 
     def test_empty_trajectory_rejected(self, torus2):
         from fuzzyricci import FlowResult
@@ -234,6 +243,22 @@ class TestVariationReport:
         truncated = dataclasses.replace(curves, **{f: getattr(curves, f)[:-1] for f in fields})
         with pytest.raises(InvalidInput):
             first_variation_report(torus2, truncated, trajectory)
+
+    def test_mismatched_torus_rejected(self, torus3):
+        trajectory = run_flow(
+            torus3, random_metric(3, 2), FlowConfig(t1=0.01, sample_stride=1e-3)
+        )
+        curves = track_spectrum(torus3, trajectory)
+        with pytest.raises(InvalidInput):
+            first_variation_report(FuzzyTorus(3, 2), curves, trajectory)
+
+    def test_forms_disagreement_fails_the_verdict(self, torus2, short_run):
+        trajectory, curves = short_run
+        report = first_variation_report(torus2, curves, trajectory)
+        assert report.passed()
+        off = dataclasses.replace(report, rhs_state_form=report.rhs_state_form + 1e-6)
+        assert not off.passed()
+        assert report_to_json(off)["passed"] is False
 
     def test_csv_rows_shape(self, torus2, short_run):
         trajectory, curves = short_run
@@ -289,6 +314,26 @@ class TestVariationReport:
         first_variation_report(torus2, curves, trajectory)
         assert len(trajectory.samples) == 201
         assert calls == {"variation_rhs": 201, "variation_rhs_state_form": 201}
+
+    def test_no_laplacian_apply_after_the_flow(self, torus2, monkeypatch):
+        # Each sample keeps the integrator's field -L log c, and the curved
+        # operator is built from the per-torus flat L.
+        trajectory = run_flow(
+            torus2, random_metric(2, 1), FlowConfig(t1=0.2, sample_stride=1e-3)
+        )
+        torus2.laplacian
+        calls = []
+        real = FuzzyTorus.laplacian_apply
+
+        def counting(self, a):
+            calls.append(np.shape(a))
+            return real(self, a)
+
+        monkeypatch.setattr(FuzzyTorus, "laplacian_apply", counting)
+        curves = track_spectrum(torus2, trajectory)
+        first_variation_report(torus2, curves, trajectory)
+        assert len(trajectory.samples) == 201
+        assert calls == []
 
     def test_one_operator_eig_per_sample(self, torus3, monkeypatch):
         # Tracking and the variation law reuse the flow's metric states: the
