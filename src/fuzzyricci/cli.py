@@ -43,6 +43,7 @@ from .flow import (
     trajectory_to_json,
 )
 from .laplace_beltrami import lb_spectrum, spectrum_to_json
+from .linalg import as_int
 from .torus import FuzzyTorus
 from .tracking import (
     RESIDUAL_BUDGET,
@@ -65,23 +66,29 @@ def _text(value) -> str:
     return value
 
 
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 # Keys of the run configuration, each with the type its value converts to
 # (None: kept as given) and the help of its flag. Flags mirror the keys
 # one-to-one, and document values convert exactly as flag values do.
 _CONFIG_KEYS = {
-    "n": (int, "matrix size (default 2)"),
-    "m": (int, "twist, coprime to n (default 1)"),
+    "n": (as_int, "matrix size (default 2)"),
+    "m": (as_int, "twist, coprime to n (default 1)"),
     "initial": (
         None,
         "initial metric: matrix JSON file, 'flat', 'diag:v1,v2,...', "
         "or 'random:seed=S,scale=X'",
     ),
-    "t0": (float, "start time (default 0)"),
-    "t1": (float, "end time (simulate: 50, track: 0.2)"),
-    "rel_tol": (float, "integrator relative tolerance"),
-    "abs_tol": (float, "integrator absolute tolerance"),
-    "stride": (float, "sample cadence (simulate: 0.5, track: 1e-3)"),
-    "seed": (int, "seed for 'random' initial metrics"),
+    "t0": (_real, "start time (default 0)"),
+    "t1": (_real, "end time (simulate: 50, track: 0.2)"),
+    "rel_tol": (_real, "integrator relative tolerance"),
+    "abs_tol": (_real, "integrator absolute tolerance"),
+    "stride": (_real, "sample cadence (simulate: 0.5, track: 1e-3)"),
+    "seed": (as_int, "seed for 'random' initial metrics"),
     "out": (_text, "output directory (default ./out)"),
     "format": (_text, "comma set of output formats: csv,json"),
 }

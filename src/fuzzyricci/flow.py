@@ -150,15 +150,14 @@ def _metric_state(torus: FuzzyTorus, c) -> WeightedSpace:
     return WeightedSpace.from_metric(c)
 
 
-def flow_field(torus: FuzzyTorus, c: np.ndarray) -> np.ndarray:
-    """Right-hand side -L log c.
+def _field(torus: FuzzyTorus, space: WeightedSpace) -> np.ndarray:
+    """The flow's right-hand side -L log c at a metric state.
 
     Traceless by construction (the Laplacian is a sum of commutators), which
-    is what makes the flow conserve ``tr(c)`` to roundoff. Vanishes exactly
-    when ``c`` is a positive scalar matrix. Raises ``MetricDegenerate`` when
-    ``c`` has an eigenvalue at or below ``POSITIVITY_FLOOR``.
+    is what makes the flow conserve ``tr(c)`` to roundoff; zero at a scalar
+    metric.
     """
-    return -torus.laplacian_apply(_metric_state(torus, c).log)
+    return -torus.laplacian_apply(space.log)
 
 
 def _field_or_reject(torus: FuzzyTorus, c: np.ndarray) -> tuple[WeightedSpace, np.ndarray] | None:
@@ -167,7 +166,7 @@ def _field_or_reject(torus: FuzzyTorus, c: np.ndarray) -> tuple[WeightedSpace, n
         space = WeightedSpace.from_metric(c)
     except (InvalidInput, MetricDegenerate):
         return None
-    return space, -torus.laplacian_apply(space.log)
+    return space, _field(torus, space)
 
 
 def _trial_step(
@@ -293,7 +292,7 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     ts = sample_times(config)
     target_trace = space.trace  # conserved; fixes the flat limit
 
-    k1 = -torus.laplacian_apply(space.log)
+    k1 = _field(torus, space)
     result.samples.append(_make_sample(ts[0], space, k1, target_trace))
     h = min(_MAX_STEP, config.sample_stride)
     t = float(ts[0])

@@ -19,6 +19,11 @@ multiplication by the inverse metric) is *not* self-adjoint in the weighted
 inner product; ``rejected_operator_superop`` assembles it in the same
 conjugated frame so the defect is measurable, and ``COUNTEREXAMPLE_SEED``
 records a random metric exhibiting it at n = 2.
+
+Both matrices are built in closed form from the flat Laplacian's matrix:
+left and right multiplication by ``p`` act on the row-major flattening as
+``p (x) I`` and ``I (x) p^T``, applied by reshaping, so no map is probed
+column by column.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .linalg import (
     hermitian_eig,
     hs_inner,
     matrix_to_json,
-    superop_from_map,
 )
 from .torus import FuzzyTorus
 
@@ -144,40 +148,31 @@ class WeightedSpace:
         return np.asarray(a_flat, dtype=complex) @ self.c_invsqrt
 
 
-def inner_product_c(c, a, b) -> complex:
-    """Weighted inner product tr(c a* b) for a one-off metric."""
-    return WeightedSpace.from_metric(c).inner(a, b)
+def _sandwiched_laplacian(
+    torus: FuzzyTorus, pre: np.ndarray, post: np.ndarray, left: np.ndarray | None = None
+) -> Superoperator:
+    """Matrix of ``a -> left (L(a pre)) post`` (``left`` defaults to the identity).
 
-
-def lb_apply(torus: FuzzyTorus, c, a) -> np.ndarray:
-    """Curved Laplacian (La) c^{-1}, the operator the weighted space carries."""
-    space = WeightedSpace.coerce(c)
-    a = as_square_matrix(a)
-    if a.shape[0] != torus.n:
-        raise InvalidInput(f"expected {torus.n}x{torus.n} input, got {a.shape}")
-    return torus.laplacian_apply(a) @ space.c_inv
-
-
-def lb_conjugated_apply(torus: FuzzyTorus, space: WeightedSpace, a_flat) -> np.ndarray:
-    """Conjugated curved Laplacian (L(a c^{-1/2})) c^{-1/2} on flat vectors."""
-    return torus.laplacian_apply(np.asarray(a_flat, dtype=complex) @ space.c_invsqrt) @ space.c_invsqrt
+    That is ``(left x post^T) L (I x pre^T)``; each factor is applied to the
+    flat Laplacian's matrix by reshaping, never formed.
+    """
+    n, dim = torus.n, torus.n**2
+    m = (torus.laplacian.matrix.reshape(dim, n, n) @ pre.T).reshape(dim, dim)
+    m = post.T @ m.reshape(n, n, dim)
+    if left is not None:
+        m = left @ m.reshape(n, n * dim)
+    return Superoperator(n=n, matrix=m.reshape(dim, dim))
 
 
 def lb_conjugated_superop(torus: FuzzyTorus, c) -> Superoperator:
-    """Dense matrix of the conjugated curved Laplacian.
+    """Dense matrix of the conjugated curved Laplacian (L(a c^{-1/2})) c^{-1/2}.
 
     Hermitian positive semidefinite under the flattening convention; its
-    spectrum equals that of the weighted-space operator. Built in closed
-    form from the flat Laplacian ``L`` as ``(I x S^T) L (I x S^T)`` with
-    ``S = c^{-1/2}``: right multiplication by ``S`` acts on the row-major
-    flattening as the block-diagonal ``I x S^T``, applied here by reshaping.
+    spectrum equals that of the weighted-space operator. In closed form it
+    is ``(I x S^T) L (I x S^T)`` with ``S = c^{-1/2}``.
     """
     space = WeightedSpace.coerce(c)
-    n, dim = torus.n, torus.n**2
-    s_t = space.c_invsqrt.T
-    m = (torus.laplacian.matrix.reshape(dim, n, n) @ s_t).reshape(dim, dim)
-    m = (s_t @ m.reshape(n, n, dim)).reshape(dim, dim)
-    return Superoperator(n=n, matrix=m)
+    return _sandwiched_laplacian(torus, space.c_invsqrt, space.c_invsqrt)
 
 
 def rejected_operator_superop(torus: FuzzyTorus, c) -> Superoperator:
@@ -189,11 +184,7 @@ def rejected_operator_superop(torus: FuzzyTorus, c) -> Superoperator:
     see ``COUNTEREXAMPLE_SEED``.
     """
     space = WeightedSpace.coerce(c)
-
-    def alt(a_flat: np.ndarray) -> np.ndarray:
-        return space.c_inv @ torus.laplacian_apply(a_flat @ space.c_invsqrt) @ space.c_sqrt
-
-    return superop_from_map(torus.n, alt)
+    return _sandwiched_laplacian(torus, space.c_invsqrt, space.c_sqrt, left=space.c_inv)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Matrices are plain complex ``numpy`` arrays. The module provides the
 Hilbert-Schmidt structure ``<a,b> = tr(a* b)``, Hermitian eigendecomposition
 with a fixed symmetrization policy, functional calculus ``f(a) = V f(L) V*``,
 and the vectorization of linear matrix maps into dense superoperator
-matrices.
+matrices by probing matrix units (``superop_from_map``), the reference that
+the closed-form operators are checked against.
 
 Flattening convention: an ``n x n`` matrix is flattened row-major (C order),
 so the matrix unit ``E[j,k]`` maps to basis index ``j*n + k``. Under this
@@ -35,6 +36,19 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_int(value) -> int:
+    """An integer read from outside input: an int, an integral float, or a numeral string.
+
+    Raises ``TypeError`` for a bool (JSON ``true`` is not 1) and ``ValueError``
+    for a non-integral value, instead of truncating it as ``int`` does.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product tr(a* b), conjugate-linear in ``a``."""
     a = np.asarray(a, dtype=complex)
@@ -47,15 +61,6 @@ def hs_inner(a, b) -> complex:
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm sqrt(tr(a* a))."""
     return float(np.linalg.norm(np.asarray(a)))
-
-
-def commutator(p, a) -> np.ndarray:
-    """Commutator ``p a - a p``; its trace vanishes identically."""
-    p = as_square_matrix(p, "p")
-    a = as_square_matrix(a, "a")
-    if p.shape != a.shape:
-        raise InvalidInput(f"shape mismatch: {p.shape} vs {a.shape}")
-    return p @ a - a @ p
 
 
 class HermitianEig(NamedTuple):
@@ -116,19 +121,9 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return (v * fw) @ v.conj().T
 
 
-def matrix_log(a) -> np.ndarray:
-    """Real logarithm of a Hermitian positive-definite matrix."""
-    return matrix_function(a, np.log)
-
-
 def matrix_exp(a) -> np.ndarray:
     """Exponential of a Hermitian matrix."""
     return matrix_function(a, np.exp)
-
-
-def matrix_sqrt(a) -> np.ndarray:
-    """Principal square root of a Hermitian positive-semidefinite matrix."""
-    return matrix_function(a, np.sqrt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +153,11 @@ class Superoperator:
 def superop_from_map(n: int, map_fn: Callable[[np.ndarray], np.ndarray]) -> Superoperator:
     """Vectorize a linear matrix map into its dense superoperator matrix.
 
-    Linearity is checked probabilistically on a fixed pair of seeded random
-    inputs before the columns are assembled; a nonlinear map or one returning
-    the wrong shape raises ``InvalidInput``.
+    Probes the map on each of the n^2 matrix units. The package builds its
+    operators in closed form; this is the independent reference they are
+    checked against. Linearity is checked probabilistically on a fixed pair
+    of seeded random inputs before the columns are assembled; a nonlinear
+    map or one returning the wrong shape raises ``InvalidInput``.
     """
     if n < 1:
         raise InvalidInput(f"dimension must be positive, got {n}")
@@ -204,7 +201,7 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     ``[re, im]`` pairs.
     """
     try:
-        n = int(doc["n"])
+        n = as_int(doc["n"])
         entries = list(doc["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed matrix document: {exc}") from exc

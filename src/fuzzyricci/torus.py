@@ -8,10 +8,12 @@ shift ``v``, with ``q = exp(2 pi i m / n)`` and the exchange relation
 Both unitaries are exponentials of canonical Hermitian generators:
 ``u = exp((2 pi i / n) x)`` with ``x = m diag(0, ..., n-1)``, and
 ``v = exp((2 pi i / n) y)`` with ``y`` the Fourier conjugate of
-``diag(0, ..., n-1)``. The derivations are the commutators
-``d1 = [y, .]`` and ``d2 = -[x, .]``; the flat Laplacian is
+``diag(0, ..., n-1)``. The flat Laplacian is
 ``L a = [y, [y, a]] + [x, [x, a]]``, a positive-semidefinite superoperator
-whose kernel is exactly the scalar matrices.
+whose kernel is exactly the scalar matrices. Its dense matrix, and the
+commutators behind ``commutant_dimension``, are built in closed form from
+Kronecker products: under the row-major flattening ``a -> [p, a]`` has the
+matrix ``p (x) I - I (x) p^T``.
 """
 
 from __future__ import annotations
@@ -23,28 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import Superoperator, commutator, matrix_to_json, superop_from_map
-
-
-def clock_matrix(n: int, m: int = 1) -> np.ndarray:
-    """Clock matrix diag(1, q, ..., q^(n-1)) with q = exp(2 pi i m / n)."""
-    q = np.exp(2j * np.pi * m / n)
-    return np.diag(q ** np.arange(n)).astype(complex)
-
-
-def shift_matrix(n: int) -> np.ndarray:
-    """Cyclic shift: ones on the superdiagonal and in the bottom-left corner."""
-    v = np.zeros((n, n), dtype=complex)
-    for j in range(n - 1):
-        v[j, j + 1] = 1.0
-    v[n - 1, 0] = 1.0
-    return v
-
-
-def fourier_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix F[j, k] = exp(2 pi i j k / n) / sqrt(n)."""
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.exp(2j * np.pi * jk / n) / np.sqrt(n)
+from .linalg import Superoperator, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -52,8 +33,8 @@ class FuzzyTorus:
     """Fuzzy torus of size ``n`` with twist ``m`` coprime to ``n``.
 
     Exposes the generating unitaries ``u``, ``v``, the Hermitian log
-    generators ``x``, ``y``, the derivations, and the flat Laplacian. All
-    matrix-valued members are cached per instance.
+    generators ``x``, ``y``, and the flat Laplacian. All matrix-valued
+    members are cached per instance.
     """
 
     n: int
@@ -78,11 +59,13 @@ class FuzzyTorus:
 
     @cached_property
     def u(self) -> np.ndarray:
-        return clock_matrix(self.n, self.m)
+        """Clock matrix diag(1, q, ..., q^(n-1))."""
+        return np.diag(self.q ** np.arange(self.n))
 
     @cached_property
     def v(self) -> np.ndarray:
-        return shift_matrix(self.n)
+        """Cyclic shift: ones on the superdiagonal and in the bottom-left corner."""
+        return np.roll(np.eye(self.n, dtype=complex), 1, axis=1)
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -97,18 +80,11 @@ class FuzzyTorus:
         with entries exp(-2 pi i k / n), conjugating diag(0, ..., n-1) by F
         reproduces v under the exponential map.
         """
-        f = fourier_matrix(self.n)
+        jk = np.outer(np.arange(self.n), np.arange(self.n))
+        f = np.exp(2j * np.pi * jk / self.n) / np.sqrt(self.n)  # unitary DFT
         d = np.diag(np.arange(self.n)).astype(complex)
         y = f @ d @ f.conj().T
         return (y + y.conj().T) / 2
-
-    def d1(self, a: np.ndarray) -> np.ndarray:
-        """First derivation [y, a]."""
-        return commutator(self.y, a)
-
-    def d2(self, a: np.ndarray) -> np.ndarray:
-        """Second derivation -[x, a]."""
-        return -commutator(self.x, a)
 
     @cached_property
     def _x_weights(self) -> np.ndarray:
@@ -129,12 +105,25 @@ class FuzzyTorus:
 
     @cached_property
     def laplacian(self) -> Superoperator:
-        """Flat Laplacian as a dense superoperator.
+        """Flat Laplacian as a dense superoperator, built in closed form.
 
-        Hermitian and positive semidefinite in the Hilbert-Schmidt inner
-        product, with one-dimensional kernel spanned by the identity.
+        ``[y, [y, .]]`` has the matrix ``y^2 (x) I - 2 y (x) y^T + I (x) (y^2)^T``
+        and ``[x, [x, .]]`` the diagonal ``diag(vec W)``; the terms are
+        accumulated into one array. Hermitian and positive semidefinite in
+        the Hilbert-Schmidt inner product, with one-dimensional kernel
+        spanned by the identity.
         """
-        return superop_from_map(self.n, self.laplacian_apply)
+        n, y = self.n, self.y
+        y2 = y @ y
+        # m[j, k, l, p] is the entry at row j*n + k, column l*n + p.
+        m = np.empty((n, n, n, n), dtype=complex)
+        np.multiply(y[:, None, :, None], -2 * y.T[None, :, None, :], out=m)
+        i = np.arange(n)
+        m[:, i, :, i] += y2  # y^2 (x) I
+        m[i, :, i, :] += y2.T  # I (x) (y^2)^T
+        m = m.reshape(n * n, n * n)
+        m[np.arange(n * n), np.arange(n * n)] += self._x_weights.reshape(-1)
+        return Superoperator(n=n, matrix=m)
 
     def to_json(self) -> dict:
         """Dump the generators for cross-checking against other builds."""
@@ -149,6 +138,12 @@ class FuzzyTorus:
         }
 
 
+def _ad(p: np.ndarray) -> np.ndarray:
+    """Matrix of ``a -> [p, a]`` under the row-major flattening: p (x) I - I (x) p^T."""
+    eye = np.eye(p.shape[0])
+    return np.kron(p, eye) - np.kron(eye, p.T)
+
+
 def commutant_dimension(u: np.ndarray, v: np.ndarray) -> int:
     """Dimension of {a : [u, a] = [v, a] = 0} for a pair of n x n matrices.
 
@@ -157,9 +152,6 @@ def commutant_dimension(u: np.ndarray, v: np.ndarray) -> int:
     For generating pairs like the clock and shift this is 1: only scalars
     commute with both.
     """
-    n = u.shape[0]
-    mu = superop_from_map(n, lambda a: commutator(u, a))
-    mv = superop_from_map(n, lambda a: commutator(v, a))
-    stacked = np.vstack([mu.matrix, mv.matrix])
+    stacked = np.vstack([_ad(u), _ad(v)])
     s = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(s <= 1e-8 * max(float(s[0]), 1.0)))

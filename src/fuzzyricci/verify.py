@@ -24,6 +24,7 @@ from .laplace_beltrami import (
     rejected_operator_superop,
 )
 from .linalg import (
+    as_int,
     hermitian_eig,
     hs_inner,
     hs_norm,
@@ -57,6 +58,17 @@ TOL_UC = 1e-11
 TOL_RAYLEIGH = 1e-9
 TOL_STATE_ZERO = 1e-10
 TOL_COUNTEREXAMPLE = 1e-6
+
+# Sizes, seeds and sample counts of the suite; each row's params record the
+# ones it ran with.
+LINALG_N = 4
+LINALG_SAMPLES = 100
+LAPLACIAN_SAMPLES = 20
+FLOW_T1 = 50.0
+FLOW_SEEDS = (0, 1, 2)
+LB_SEEDS = range(5)
+TRACK_N, TRACK_M, TRACK_SEED = 2, 1, 7
+TRACK_T1, TRACK_STRIDE = 0.1, 2e-3
 
 
 def _check(name: str, params: str, tolerance, measured, passed: bool) -> dict:
@@ -121,19 +133,19 @@ def geometry_checks(torus: FuzzyTorus) -> list[dict]:
 def geometry_file_checks(doc: dict) -> list[dict]:
     """Run the geometry battery on a JSON dump (the negative-control path)."""
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
+        n = as_int(doc["n"])
+        m = as_int(doc["m"])
         q = complex(doc["q"][0], doc["q"][1])
         u = matrix_from_json(doc["u"])
         v = matrix_from_json(doc["v"])
         x = matrix_from_json(doc["x"])
         y = matrix_from_json(doc["y"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InvalidInput(f"malformed geometry document: {exc}") from exc
     return geometry_checks_raw(n, m, q, u, v, x, y, params=f"file:n={n},m={m}")
 
 
-def laplacian_checks(torus: FuzzyTorus, n_random: int = 100) -> list[dict]:
+def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     params = f"n={torus.n},m={torus.m}"
     op = torus.laplacian
     mat = op.matrix
@@ -167,7 +179,7 @@ def laplacian_checks(torus: FuzzyTorus, n_random: int = 100) -> list[dict]:
     rng = np.random.default_rng(2024)
     worst_trace = 0.0
     worst_herm = 0.0
-    for _ in range(n_random):
+    for _ in range(LAPLACIAN_SAMPLES):
         a = rng.standard_normal((torus.n, torus.n)) + 1j * rng.standard_normal(
             (torus.n, torus.n)
         )
@@ -182,7 +194,8 @@ def laplacian_checks(torus: FuzzyTorus, n_random: int = 100) -> list[dict]:
     return checks
 
 
-def linalg_checks(n: int = 4, n_random: int = 100) -> list[dict]:
+def linalg_checks() -> list[dict]:
+    n = LINALG_N
     params = f"n={n}"
     rng = np.random.default_rng(7)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -193,7 +206,7 @@ def linalg_checks(n: int = 4, n_random: int = 100) -> list[dict]:
     op = superop_from_map(n, lambda a: h @ a - a @ h)
     worst_apply = 0.0
     worst_pos = np.inf
-    for _ in range(n_random):
+    for _ in range(LINALG_SAMPLES):
         b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         direct = h @ b - b @ h
         worst_apply = max(worst_apply, hs_norm(op.apply(b) - direct) / hs_norm(b))
@@ -205,12 +218,12 @@ def linalg_checks(n: int = 4, n_random: int = 100) -> list[dict]:
     return checks
 
 
-def flow_checks(n: int, m: int, seeds: Iterable[int], t1: float = 50.0) -> list[dict]:
-    torus = FuzzyTorus(n, m)
-    config = FlowConfig(t1=t1, sample_stride=1.0)
+def flow_checks(n: int) -> list[dict]:
+    torus = FuzzyTorus(n)
+    config = FlowConfig(t1=FLOW_T1, sample_stride=1.0)
     checks = []
-    for seed in seeds:
-        params = f"n={n},m={m},seed={seed}"
+    for seed in FLOW_SEEDS:
+        params = f"n={n},m=1,seed={seed}"
         c0 = random_metric(n, seed)
         result = run_flow(torus, c0, config)
         drift, drop = flow_invariants(result)
@@ -225,10 +238,10 @@ def flow_checks(n: int, m: int, seeds: Iterable[int], t1: float = 50.0) -> list[
     return checks
 
 
-def lb_checks(torus: FuzzyTorus, seeds: Iterable[int]) -> list[dict]:
+def lb_checks(torus: FuzzyTorus) -> list[dict]:
     checks = []
     rng = np.random.default_rng(11)
-    for seed in seeds:
+    for seed in LB_SEEDS:
         params = f"n={torus.n},m={torus.m},seed={seed}"
         c = random_metric(torus.n, seed)
         space = WeightedSpace.from_metric(c)
@@ -274,33 +287,27 @@ def lb_checks(torus: FuzzyTorus, seeds: Iterable[int]) -> list[dict]:
     return checks
 
 
-def counterexample_check(n: int = 2, seed: int = COUNTEREXAMPLE_SEED) -> dict:
-    """The rejected-operator negative control: Hermiticity must fail."""
-    torus = FuzzyTorus(n, 1)
-    c = random_metric(n, seed)
-    defect = rejected_operator_superop(torus, c).hermiticity_defect()
+def counterexample_check() -> dict:
+    """The rejected-operator negative control at n = 2: Hermiticity must fail."""
+    c = random_metric(2, COUNTEREXAMPLE_SEED)
+    defect = rejected_operator_superop(FuzzyTorus(2), c).hermiticity_defect()
     return _check(
         "rejected_operator_not_hermitian",
-        f"n={n},seed={seed}",
+        f"n=2,seed={COUNTEREXAMPLE_SEED}",
         TOL_COUNTEREXAMPLE,
         defect,
         defect > TOL_COUNTEREXAMPLE,
     )
 
 
-def tracking_checks(
-    n: int = 2,
-    m: int = 1,
-    seed: int = 7,
-    t1: float = 0.1,
-    stride: float = 2e-3,
-) -> list[dict]:
-    torus = FuzzyTorus(n, m)
-    config = FlowConfig(t1=t1, sample_stride=stride)
-    trajectory = run_flow(torus, random_metric(n, seed), config)
+def tracking_checks() -> list[dict]:
+    n = TRACK_N
+    torus = FuzzyTorus(n, TRACK_M)
+    config = FlowConfig(t1=TRACK_T1, sample_stride=TRACK_STRIDE)
+    trajectory = run_flow(torus, random_metric(n, TRACK_SEED), config)
     curves = track_spectrum(torus, trajectory)
     report = first_variation_report(torus, curves, trajectory)
-    params = f"n={n},m={m},seed={seed},h={stride:g}"
+    params = f"n={n},m={TRACK_M},seed={TRACK_SEED},h={TRACK_STRIDE:g}"
 
     checks = [
         _leq("variation_residual_rel", params, report.max_rel_residual, RESIDUAL_BUDGET),
@@ -351,13 +358,13 @@ def run_suite(n_max: int = 8) -> dict:
     for n, m in coprime_pairs(n_max):
         torus = FuzzyTorus(n, m)
         checks += geometry_checks(torus)
-        checks += laplacian_checks(torus, n_random=20)
+        checks += laplacian_checks(torus)
     for n in (2, 3, 4):
         if n <= n_max:
-            checks += flow_checks(n, 1, seeds=(0, 1, 2))
+            checks += flow_checks(n)
     for n in (2, 3):
         if n <= n_max:
-            checks += lb_checks(FuzzyTorus(n, 1), seeds=range(5))
+            checks += lb_checks(FuzzyTorus(n))
     checks.append(counterexample_check())
     checks += tracking_checks()
 

@@ -12,21 +12,23 @@ import pytest
 from scipy.linalg import expm
 
 from fuzzyricci import (
-    COUNTEREXAMPLE_SEED,
     FlowConfig,
     FuzzyTorus,
-    WeightedSpace,
     cli,
     first_variation_report,
-    hs_norm,
-    lb_conjugated_superop,
     lb_spectrum,
     random_metric,
-    rayleigh_quotient,
-    rejected_operator_superop,
     run_flow,
     track_spectrum,
 )
+from fuzzyricci.laplace_beltrami import (
+    COUNTEREXAMPLE_SEED,
+    WeightedSpace,
+    lb_conjugated_superop,
+    rayleigh_quotient,
+    rejected_operator_superop,
+)
+from fuzzyricci.linalg import hs_norm
 
 COPRIME_PAIRS = [
     (n, m)

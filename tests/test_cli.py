@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import fuzzyricci
-from fuzzyricci import PositivityLost, cli
+from fuzzyricci import PositivityLost, cli, linalg
 
 
 def run_cli(args):
@@ -51,6 +53,9 @@ def test_unknown_format_in_config_exit_2(tmp_path, capsys):
     [
         {"n": "x"}, {"m": "x"}, {"seed": "x"}, {"t1": "x"}, {"stride": "x"},
         {"rel_tol": "x"}, {"n": None}, {"n": [2]}, {"t1": None}, {"out": None},
+        # Non-integral and bool values are rejected, not truncated to n=2, seed=1.
+        {"n": 2.9, "seed": True}, {"seed": True}, {"m": 1.5}, {"seed": 0.5},
+        {"t1": True}, {"stride": False},
     ],
 )
 def test_unconvertible_config_value_exit_2_and_no_files(tmp_path, monkeypatch, capsys, doc):
@@ -75,6 +80,35 @@ def test_non_finite_initial_metric_exit_2_and_no_files(tmp_path, capsys, command
     assert run_cli([command, "--n", 2, "--initial", initial, "--out", out]) == 2
     assert not out.exists()
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+
+
+def test_no_command_probes_an_operator(tmp_path, monkeypatch):
+    # Every operator is built in closed form; superop_from_map is only the
+    # tests' reference. Every module binding it is patched, so no route can
+    # hide a call.
+    calls = []
+    real_probe = linalg.superop_from_map
+
+    def counting_probe(*args, **kwargs):
+        calls.append(args[0])
+        return real_probe(*args, **kwargs)
+
+    modules = [fuzzyricci] + [
+        importlib.import_module(f"fuzzyricci.{info.name}")
+        for info in pkgutil.iter_modules(fuzzyricci.__path__)
+    ]
+    patched = [m for m in modules if vars(m).get("superop_from_map") is real_probe]
+    assert linalg in patched
+    for module in patched:
+        monkeypatch.setattr(module, "superop_from_map", counting_probe)
+
+    for argv in (
+        ["spectrum", "--n", 3, "--t1", 0.1],
+        ["track", "--n", 2, "--t1", 0.01],
+        ["simulate", "--n", 3, "--t1", 1],
+    ):
+        assert run_cli(argv + ["--out", tmp_path / argv[0]]) == 0, argv
+    assert calls == []
 
 
 class TestSimulate:
@@ -140,7 +174,7 @@ class TestSimulate:
         ).read_bytes()
 
     def test_initial_from_file(self, tmp_path):
-        from fuzzyricci import matrix_to_json
+        from fuzzyricci.linalg import matrix_to_json
 
         c0 = np.diag([1.0, 3.0]).astype(complex)
         path = tmp_path / "c0.json"
@@ -220,7 +254,7 @@ class TestSpectrum:
             assert err["error"] == "InvalidParams"
 
     def test_wrong_size_initial_exit_2_and_no_files(self, tmp_path, capsys):
-        from fuzzyricci import matrix_to_json
+        from fuzzyricci.linalg import matrix_to_json
 
         path = tmp_path / "c0.json"
         path.write_text(json.dumps(matrix_to_json(np.diag([1.0, 2.0]))))
@@ -299,10 +333,22 @@ class TestVerify:
         assert code == 4
         assert "FAIL" in capsys.readouterr().out
 
-    def test_geometry_file_malformed(self, tmp_path):
+    def test_geometry_file_malformed(self, tmp_path, capsys):
         path = tmp_path / "geom.json"
         path.write_text(json.dumps({"n": 2}))
         assert run_cli(["verify", "--geometry", path]) == 2
+
+        # Sizes that are not integers are malformed, not truncated to a valid
+        # dump that then passes every check.
+        assert run_cli(["simulate", "--n", 2, "--t1", 0, "--out", tmp_path / "sim"]) == 0
+        clean = json.loads((tmp_path / "sim" / "geometry.json").read_text())
+        for key, value in [("n", 2.9), ("m", True), ("u", {**clean["u"], "n": 2.5})]:
+            path.write_text(json.dumps({**clean, key: value}))
+            out = tmp_path / "verify"
+            capsys.readouterr()
+            assert run_cli(["verify", "--geometry", path, "--out", out]) == 2, key
+            assert not out.exists()
+            assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
 
     def test_geometry_file_short_entry_exit_2(self, tmp_path, capsys):
         out = tmp_path / "geom"

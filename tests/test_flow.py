@@ -7,22 +7,20 @@ from fuzzyricci import (
     InvalidParams,
     MetricDegenerate,
     StepUnderflow,
-    WeightedSpace,
-    flat_metric,
-    flow_field,
-    hs_norm,
-    matrix_from_json,
-    metric_from_spec,
     random_metric,
     run_flow,
 )
 from fuzzyricci import cli, flow, laplace_beltrami, linalg, tracking, verify
 from fuzzyricci.flow import (
+    flat_metric,
     flow_invariants,
+    metric_from_spec,
     sample_times,
     trajectory_csv_rows,
     trajectory_to_json,
 )
+from fuzzyricci.laplace_beltrami import WeightedSpace
+from fuzzyricci.linalg import hs_norm, matrix_from_json
 
 
 class TestRandomMetric:
@@ -78,6 +76,11 @@ class TestMetricSpec:
             metric_from_spec("random:seed=x", 2)
         with pytest.raises(InvalidInput):
             metric_from_spec("random:sigma=1", 2)
+
+
+def flow_field(torus, c):
+    # The field -L log c that the flow keeps on a one-sample run's only sample.
+    return run_flow(torus, c, FlowConfig(t1=0.0)).samples[0].field
 
 
 class TestFlowField:

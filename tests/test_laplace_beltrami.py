@@ -1,25 +1,23 @@
 import numpy as np
 import pytest
 
-from fuzzyricci import (
+from fuzzyricci import FuzzyTorus, MetricDegenerate, lb_spectrum, random_metric
+from fuzzyricci.laplace_beltrami import (
     COUNTEREXAMPLE_SEED,
-    FuzzyTorus,
-    MetricDegenerate,
     WeightedSpace,
-    hs_inner,
-    hs_norm,
-    inner_product_c,
-    lb_apply,
     lb_conjugated_superop,
-    lb_spectrum,
-    random_metric,
     rayleigh_quotient,
     rejected_operator_superop,
-    superop_from_map,
+    spectrum_to_json,
 )
-from fuzzyricci.laplace_beltrami import lb_conjugated_apply, spectrum_to_json
+from fuzzyricci.linalg import hs_inner, hs_norm, superop_from_map
 from fuzzyricci.verify import coprime_pairs
 from conftest import random_complex
+
+
+def lb_apply(torus, space, a):
+    # The curved Laplacian (La) c^{-1} that the weighted space carries.
+    return torus.laplacian_apply(a) @ space.c_inv
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +73,8 @@ class TestWeightedSpace:
         np.testing.assert_allclose(space.to_flat(a), a, atol=1e-14)
 
     def test_one_off_inner_product(self):
-        c = np.diag([2.0, 1.0])
-        assert inner_product_c(c, np.eye(2), np.eye(2)).real == pytest.approx(3.0)
+        space = WeightedSpace.from_metric(np.diag([2.0, 1.0]))
+        assert space.inner(np.eye(2), np.eye(2)).real == pytest.approx(3.0)
 
 
 class TestCurvedLaplacian:
@@ -87,8 +85,9 @@ class TestCurvedLaplacian:
 
     def test_flat_metric_reduces_to_flat_laplacian(self, torus3, rng):
         a = random_complex(rng, 3)
+        flat = WeightedSpace.from_metric(np.eye(3))
         np.testing.assert_allclose(
-            lb_apply(torus3, np.eye(3), a), torus3.laplacian_apply(a), atol=1e-12
+            lb_apply(torus3, flat, a), torus3.laplacian_apply(a), atol=1e-12
         )
 
     def test_weighted_energy_equals_flat_energy(self, torus3, space3, rng):
@@ -117,7 +116,8 @@ class TestCurvedLaplacian:
         for seed in range(3):
             space = WeightedSpace.from_metric(random_metric(n, seed))
             closed = lb_conjugated_superop(torus, space).matrix
-            probed = superop_from_map(n, lambda a: lb_conjugated_apply(torus, space, a))
+            s = space.c_invsqrt
+            probed = superop_from_map(n, lambda a: torus.laplacian_apply(a @ s) @ s)
             assert hs_norm(closed - probed.matrix) <= 1e-13 * hs_norm(closed)
 
 
@@ -218,3 +218,19 @@ class TestRejectedOperator:
         c = random_metric(2, COUNTEREXAMPLE_SEED)
         defect = rejected_operator_superop(torus2, c).hermiticity_defect()
         assert defect > 1e-6
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (5, 2)])
+    def test_closed_form_matches_probed_map(self, n, m):
+        # The reference: the literal map a -> c^{-1} L(a c^{-1/2}) c^{1/2},
+        # applied to each matrix unit.
+        torus = FuzzyTorus(n, m)
+        for seed in (COUNTEREXAMPLE_SEED, 0):
+            space = WeightedSpace.from_metric(random_metric(n, seed))
+            closed = rejected_operator_superop(torus, space).matrix
+            probed = superop_from_map(
+                n,
+                lambda a: space.c_inv
+                @ torus.laplacian_apply(a @ space.c_invsqrt)
+                @ space.c_sqrt,
+            ).matrix
+            assert hs_norm(closed - probed) <= 1e-13 * hs_norm(closed)

@@ -4,22 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fuzzyricci import (
-    InvalidInput,
-    SpectrumOutOfDomain,
-    commutator,
+from fuzzyricci import InvalidInput, SpectrumOutOfDomain
+from fuzzyricci.linalg import (
+    as_int,
     hermitian_eig,
     hs_inner,
     hs_norm,
     matrix_exp,
     matrix_from_json,
     matrix_function,
-    matrix_log,
-    matrix_sqrt,
     matrix_to_json,
     superop_from_map,
 )
+from fuzzyricci.torus import _ad
 from conftest import random_complex, random_hermitian
+
+
+def matrix_log(a):
+    return matrix_function(a, np.log)
+
+
+def comm(p, a):
+    return p @ a - a @ p
 
 
 class TestHermitianEig:
@@ -86,7 +92,7 @@ class TestMatrixFunction:
 
     def test_sqrt_squares_back(self, rng):
         c = matrix_exp(random_hermitian(rng, 3))
-        root = matrix_sqrt(c)
+        root = matrix_function(c, np.sqrt)
         np.testing.assert_allclose(root @ root, c, atol=1e-12 * hs_norm(c))
 
     def test_identity_function(self, rng):
@@ -139,17 +145,14 @@ class TestHsInner:
 
 
 class TestCommutator:
-    def test_identity_commutes(self, rng):
-        a = random_complex(rng, 3)
-        np.testing.assert_allclose(commutator(np.eye(3), a), np.zeros((3, 3)))
+    """The closed-form commutator matrix p x I - I x p^T that the torus builds."""
+
+    def test_identity_commutes(self):
+        np.testing.assert_array_equal(_ad(np.eye(3)), np.zeros((9, 9)))
 
     def test_self_commutator_vanishes(self):
         x = np.diag([0.0, 1.0, 2.0])
-        np.testing.assert_allclose(commutator(x, x), np.zeros((3, 3)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidInput):
-            commutator(np.eye(2), np.eye(3))
+        np.testing.assert_allclose(_ad(x) @ x.reshape(-1), np.zeros(9))
 
 
 class TestSuperoperator:
@@ -161,7 +164,7 @@ class TestSuperoperator:
         # a -> [x, a] with diagonal x has a diagonal matrix with entries
         # x_jj - x_kk at basis slot j*n + k.
         x = np.diag([0.0, 1.0, 2.0])
-        op = superop_from_map(3, lambda a: commutator(x, a))
+        op = superop_from_map(3, lambda a: comm(x, a))
         expected = np.diag([x[j, j] - x[k, k] for j in range(3) for k in range(3)])
         np.testing.assert_allclose(op.matrix, expected, atol=1e-14)
 
@@ -206,12 +209,28 @@ class TestJsonRoundTrip:
     def test_malformed_document(self):
         with pytest.raises(InvalidInput):
             matrix_from_json({"n": 2, "entries": [[1.0, 0.0]]})
+        # A non-integral or bool size is rejected, not truncated to a valid one.
+        with pytest.raises(InvalidInput):
+            matrix_from_json({"n": 1.5, "entries": [[1.0, 0.0]]})
+        with pytest.raises(InvalidInput):
+            matrix_from_json({"n": True, "entries": [[1.0, 0.0]]})
         with pytest.raises(InvalidInput):
             matrix_from_json({"entries": []})
         with pytest.raises(InvalidInput):
             matrix_from_json({"n": 1, "entries": [[1]]})
         with pytest.raises(InvalidInput):
             matrix_from_json({"n": 1, "entries": [["x", 0]]})
+
+
+class TestAsInt:
+    @pytest.mark.parametrize("value", [3, 3.0, "3", np.int64(3)])
+    def test_accepts_integers(self, value):
+        assert as_int(value) == 3 and type(as_int(value)) is int
+
+    @pytest.mark.parametrize("value", [2.9, "2.9", True, False, None, [2], float("nan")])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises((TypeError, ValueError)):
+            as_int(value)
 
 
 _ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -235,7 +254,8 @@ def test_hs_inner_hermitian_symmetry(a, b):
 @given(p=_complex_matrices(3), a=_complex_matrices(3))
 def test_commutator_is_traceless(p, a):
     scale = max(hs_norm(p) * hs_norm(a), 1.0)
-    assert abs(np.trace(commutator(p, a))) <= 1e-12 * scale
+    image = (_ad(p) @ a.reshape(-1)).reshape(3, 3)
+    assert abs(np.trace(image)) <= 1e-12 * scale
 
 
 @settings(deadline=None, max_examples=30)

@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyricci import (
-    FuzzyTorus,
-    InvalidParams,
-    commutant_dimension,
-    hermitian_eig,
-    hs_norm,
-    matrix_function,
-    superop_from_map,
-)
+from fuzzyricci import FuzzyTorus, InvalidParams
+from fuzzyricci.linalg import hermitian_eig, hs_norm, matrix_function, superop_from_map
+from fuzzyricci.torus import _ad, commutant_dimension
 from conftest import random_complex
 
 ALL_PAIRS = [
     (n, m) for n in range(2, 9) for m in range(1, n) if math.gcd(m, n) == 1
 ]
+
+
+def comm(p, a):
+    return p @ a - a @ p
 
 
 def test_n2_generators_explicit():
@@ -77,18 +75,41 @@ def test_commutant_of_commuting_pair_is_larger():
     assert commutant_dimension(d1, d2) == 2
 
 
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (5, 2), (8, 3)])
+def test_commutant_matrix_matches_probed_commutators(n, m, rng):
+    # The stacked closed-form matrices commutant_dimension takes the SVD of,
+    # against a probe of the two commutator maps; also for a generic pair.
+    t = FuzzyTorus(n, m)
+    for u, v in [(t.u, t.v), (random_complex(rng, n), random_complex(rng, n))]:
+        closed = np.vstack([_ad(u), _ad(v)])
+        probed = np.vstack(
+            [superop_from_map(n, lambda a: comm(u, a)).matrix,
+             superop_from_map(n, lambda a: comm(v, a)).matrix]
+        )
+        assert hs_norm(closed - probed) <= 1e-14 * hs_norm(probed)
+
+
+def _derivation(torus, which):
+    # The torus derivations d1 = [y, .] and d2 = -[x, .].
+    if which == "d1":
+        return lambda a: comm(torus.y, a)
+    return lambda a: -comm(torus.x, a)
+
+
 class TestDerivations:
     def test_annihilate_identity(self, torus3):
-        np.testing.assert_allclose(torus3.d1(np.eye(3)), np.zeros((3, 3)))
-        np.testing.assert_allclose(torus3.d2(np.eye(3)), np.zeros((3, 3)))
+        for which in ("d1", "d2"):
+            delta = _derivation(torus3, which)
+            np.testing.assert_allclose(delta(np.eye(3)), np.zeros((3, 3)))
 
     def test_d2_kills_clock(self, torus3):
         # x and u are both diagonal, so -[x, u] = 0.
-        np.testing.assert_allclose(torus3.d2(torus3.u), np.zeros((3, 3)), atol=1e-15)
+        d2 = _derivation(torus3, "d2")
+        np.testing.assert_allclose(d2(torus3.u), np.zeros((3, 3)), atol=1e-15)
 
     @pytest.mark.parametrize("which", ["d1", "d2"])
     def test_leibniz_rule(self, torus3, rng, which):
-        delta = getattr(torus3, which)
+        delta = _derivation(torus3, which)
         a, b = random_complex(rng, 3), random_complex(rng, 3)
         lhs = delta(a @ b)
         rhs = delta(a) @ b + a @ delta(b)
@@ -120,10 +141,6 @@ class TestFlatLaplacian:
     def test_matches_literal_double_commutators(self, n, m, rng):
         t = FuzzyTorus(n, m)
         lam_max = float(np.linalg.norm(t.laplacian.matrix, 2))
-
-        def comm(p, a):
-            return p @ a - a @ p
-
         for _ in range(5):
             a = random_complex(rng, n)
             literal = comm(t.y, comm(t.y, a)) + comm(t.x, comm(t.x, a))
@@ -155,8 +172,8 @@ class TestFlatLaplacian:
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 1)])
     def test_superop_matches_kron_construction(self, n, m):
-        # Independent route: double commutators through Kronecker products,
-        # never touching the column-by-column assembly.
+        # Independent route: products of the Kronecker commutator matrices,
+        # not the accumulated closed form.
         t = FuzzyTorus(n, m)
         eye = np.eye(n)
 
@@ -166,10 +183,19 @@ class TestFlatLaplacian:
         expected = ad(t.y) @ ad(t.y) + ad(t.x) @ ad(t.x)
         np.testing.assert_allclose(t.laplacian.matrix, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("n,m", ALL_PAIRS + [(16, 1)])
+    def test_closed_form_matches_probe(self, n, m):
+        # The reference: the literal map applied to each matrix unit.
+        t = FuzzyTorus(n, m)
+        closed = t.laplacian.matrix
+        probed = superop_from_map(n, t.laplacian_apply).matrix
+        lam_max = float(np.linalg.norm(probed, 2))
+        assert np.max(np.abs(closed - probed)) <= 1e-15 * lam_max
+
 
 def test_superop_of_derivation_diagonal(torus3):
     # -[x, .] with diagonal x acts diagonally on matrix units.
-    op = superop_from_map(3, torus3.d2)
+    op = superop_from_map(3, _derivation(torus3, "d2"))
     x = np.diag(torus3.x)
     expected = np.diag([(x[k] - x[j]) for j in range(3) for k in range(3)])
     np.testing.assert_allclose(op.matrix, expected, atol=1e-14)

@@ -9,20 +9,23 @@ from fuzzyricci import (
     FuzzyTorus,
     InsufficientData,
     InvalidInput,
-    WeightedSpace,
-    fd_derivative,
     first_variation_report,
-    hs_norm,
     lb_spectrum,
-    match_eigenpairs,
     random_metric,
     run_flow,
     track_spectrum,
+)
+from fuzzyricci import laplace_beltrami, linalg, tracking
+from fuzzyricci.laplace_beltrami import WeightedSpace
+from fuzzyricci.linalg import hs_norm
+from fuzzyricci.tracking import (
+    curves_csv_rows,
+    fd_derivative,
+    match_eigenpairs,
+    report_to_json,
     variation_rhs,
     variation_rhs_state_form,
 )
-from fuzzyricci import laplace_beltrami, linalg, tracking
-from fuzzyricci.tracking import curves_csv_rows, report_to_json
 
 
 @pytest.fixture(scope="module")
