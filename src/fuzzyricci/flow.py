@@ -9,7 +9,24 @@ scalar matrix ``(tr(c0)/n) I``.
 Integration uses an embedded Dormand-Prince 4(5) pair with proportional
 step control on the Hilbert-Schmidt error norm; its last stage, evaluated at
 the candidate state, is reused as the next step's first stage (FSAL), so a
-trial step costs six eigendecompositions. Each one builds a metric state
+trial step costs six eigendecompositions.
+
+The flow is stiff in two different ways. Early on the stiffness comes from
+``log`` at small eigenvalues of ``c``: the Jacobian is ``-L Dlog_c``, and
+``Dlog_c`` is large where ``c`` is nearly singular. Near the flat limit
+``kappa I`` (``kappa = tr(c0)/n``) it comes from ``L`` alone: there the flow
+is the heat flow ``dc/dt ~ -L c/kappa``, whose stiffness is
+``lambda_max(L)/kappa``, and an explicit step is held far below what the
+accuracy needs. So once every eigenvalue of an accepted state lies within
+``_LAWSON_SPREAD = 0.05`` times ``kappa`` of ``kappa``, the run switches, for
+good, to Lawson's integrating factor: the same tableau, error norm, FSAL,
+cone rejection and step controller, applied to ``e^{sL/kappa} c``, with
+``e^{-sL/kappa}`` applied exactly in the eigenbasis of the flat ``L``. That
+decomposition is built once per torus, and only by a run that switches. From
+the start, the factor would not help: ``L/kappa`` does not capture the
+stiffness of ``log``.
+
+Each eigendecomposition of a stage builds a metric state
 (``WeightedSpace``); a sample keeps the state the integrator reached and the
 field there, so spectra and the variation law reuse its decomposition and its
 ``L log c``. Two domain guards are specific to this flow: every Runge-Kutta
@@ -50,12 +67,19 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+# Nodes: stage i is evaluated at t + c_i h. They never decrease, so every
+# exponent of the integrating factor between two stages is a decay.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 
 _SAFETY = 0.9
 _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 _ORDER_EXP = 1 / 5
 _MAX_STEP = 1.0
+
+# The run switches to the integrating factor once every eigenvalue of c is
+# within this fraction of the flat value kappa = tr(c0)/n, and keeps it.
+_LAWSON_SPREAD = 0.05
 
 # Largest relative decrease of det c between samples that still counts as
 # nondecreasing: the exact flow never decreases it, so this is roundoff room.
@@ -104,12 +128,24 @@ class FlowSample:
 
 @dataclass
 class FlowResult:
-    """Sampled trajectory plus step-control counters."""
+    """Sampled trajectory plus step-control counters.
+
+    A trial step is rejected either because its error estimate exceeds the
+    tolerance (``rejected_error``) or because a stage left the positive cone
+    (``rejected_cone``). ``switch_time`` is when the run switched to the
+    integrating factor, ``None`` if it never did.
+    """
 
     torus: FuzzyTorus
     samples: list[FlowSample] = field(default_factory=list)
     accepted_steps: int = 0
-    rejected_steps: int = 0
+    rejected_error: int = 0
+    rejected_cone: int = 0
+    switch_time: float | None = None
+
+    @property
+    def rejected_steps(self) -> int:
+        return self.rejected_error + self.rejected_cone
 
     @property
     def times(self) -> np.ndarray:
@@ -169,8 +205,87 @@ def _field_or_reject(torus: FuzzyTorus, c: np.ndarray) -> tuple[WeightedSpace, n
     return space, _field(torus, space)
 
 
+@dataclass(frozen=True)
+class _IntegratingFactor:
+    """``e^{-sL/kappa}``, the exact flow of the linearization at ``kappa I``.
+
+    Near the flat limit ``log c ~ log(kappa) I + (c - kappa I)/kappa``, so the
+    flow is the heat flow ``dc/dt ~ -L c/kappa``. It is diagonal in the
+    eigenbasis ``Q`` of the flat ``L``: there it decays at the rates
+    ``mu = max(eig L, 0)/kappa``.
+    """
+
+    kappa: float
+    rates: np.ndarray
+    basis: np.ndarray
+
+    @classmethod
+    def build(cls, torus: FuzzyTorus, kappa: float) -> "_IntegratingFactor":
+        w, q = torus.laplacian_eig
+        return cls(kappa=kappa, rates=np.maximum(w, 0.0) / kappa, basis=q)
+
+    def to_eigen(self, a: np.ndarray) -> np.ndarray:
+        """``Q* vec(a)``, without forming ``Q*``."""
+        return (a.reshape(-1).conj() @ self.basis).conj()
+
+
+class _LawsonStages:
+    """The stage states of one Lawson trial step, in ``L``'s eigen-coordinates.
+
+    With ``F = -L log c`` split as ``-L c/kappa + N(c)``, stage ``i`` is
+    ``C_i = c + unvec(Q d_i)``, where
+
+        d_i = (e^{-c_i h mu} - 1)/mu * g + h sum_j a_ij e^{-(c_i - c_j) h mu} * N_j,
+
+    ``g = Q* vec(L c)/kappa``, and ``N_j = Q* vec(F_j + L C_j/kappa)``, which
+    is ``Q* vec(F_j) + g + mu * d_j``, so no stage applies ``L``. Since
+    ``L`` annihilates scalars exactly, a scalar ``c`` has ``g = N_j = 0`` and
+    stays bit-exact.
+    """
+
+    def __init__(self, factor: _IntegratingFactor, torus: FuzzyTorus, c: np.ndarray, h: float):
+        self.factor, self.c, self.h = factor, c, h
+        self.hmu = h * factor.rates
+        self.g = factor.to_eigen(torus.laplacian_apply(c)) / factor.kappa
+        self.offsets = [np.zeros_like(self.g)]  # d_j of the stages so far
+        self.nonlinear: list[np.ndarray] = []  # N_j of the stages so far
+
+    def _propagated(self, weights, node: float, fields: list[np.ndarray]) -> np.ndarray:
+        """``h sum_j w_j e^{-(node - c_j) h mu} * N_j`` over the given stage fields."""
+        f = self.factor
+        for j in range(len(self.nonlinear), len(fields)):
+            self.nonlinear.append(f.to_eigen(fields[j]) + self.g + f.rates * self.offsets[j])
+        total = sum(
+            w * np.exp((_DP_C[j] - node) * self.hmu) * nj
+            for j, (w, nj) in enumerate(zip(weights, self.nonlinear))
+            if w != 0.0
+        )
+        return self.h * total
+
+    def state(self, weights, node: float, fields: list[np.ndarray]) -> np.ndarray:
+        """The stage state at ``t + node h`` from the weights of its tableau row."""
+        rates = self.factor.rates
+        # (e^{-node h mu} - 1)/mu, whose limit at mu = 0 is -node h.
+        decay = np.divide(
+            np.expm1(-node * self.hmu), rates,
+            out=np.full_like(rates, -node * self.h), where=rates > 0,
+        )
+        d = decay * self.g + self._propagated(weights, node, fields)
+        self.offsets.append(d)
+        return self.c + (self.factor.basis @ d).reshape(self.c.shape)
+
+    def error(self, fields: list[np.ndarray]) -> float:
+        """Hilbert-Schmidt norm of the fifth- minus the fourth-order state."""
+        return float(np.linalg.norm(self._propagated(_DP_B5 - _DP_B4, 1.0, fields)))
+
+
 def _trial_step(
-    torus: FuzzyTorus, c: np.ndarray, k1: np.ndarray, h: float, config: FlowConfig
+    torus: FuzzyTorus,
+    c: np.ndarray,
+    k1: np.ndarray,
+    h: float,
+    config: FlowConfig,
+    factor: _IntegratingFactor | None = None,
 ) -> tuple[WeightedSpace, np.ndarray, float, float] | None:
     """One embedded RK trial step of size ``h`` from ``c``, whose field is ``k1``.
 
@@ -181,28 +296,41 @@ def _trial_step(
     is the positivity check of the candidate state, and ``k_next`` is the
     field there, the next step's first stage. Acceptance is the caller's
     decision (``error_estimate <= tolerance``).
+
+    With an integrating ``factor`` the step is Lawson's: the same tableau,
+    applied to ``e^{sL/kappa} c`` (see ``_LawsonStages``).
     """
+    lawson = None if factor is None else _LawsonStages(factor, torus, c, h)
     stages = [k1]
-    for row in _DP_A:
-        ci = c
-        for a_ij, k in zip(row, stages):
-            if a_ij != 0.0:
-                ci = ci + h * a_ij * k
+    for row, node in zip(_DP_A, _DP_C[1:]):
+        if lawson is None:
+            ci = c
+            for a_ij, k in zip(row, stages):
+                if a_ij != 0.0:
+                    ci = ci + h * a_ij * k
+        else:
+            ci = lawson.state(row, node, stages)
         stage = _field_or_reject(torus, ci)
         if stage is None:
             return None
         stages.append(stage[1])
 
-    c5 = c + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0)
+    if lawson is None:
+        c5 = c + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0)
+    else:
+        c5 = lawson.state(_DP_B5, 1.0, stages)
     stage = _field_or_reject(torus, c5)
     if stage is None:
         return None
     space_next, k_next = stage
     c5 = space_next.c  # symmetrized
     stages.append(k_next)
-    c4 = c + h * sum(b * k for b, k in zip(_DP_B4, stages) if b != 0.0)
-    c4 = (c4 + c4.conj().T) / 2
-    err = hs_norm(c5 - c4)
+    if lawson is None:
+        c4 = c + h * sum(b * k for b, k in zip(_DP_B4, stages) if b != 0.0)
+        c4 = (c4 + c4.conj().T) / 2
+        err = hs_norm(c5 - c4)
+    else:
+        err = lawson.error(stages)
     tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(c5))
     return space_next, k_next, err, tol
 
@@ -216,17 +344,25 @@ def _advance(
     h: float,
     config: FlowConfig,
     counters: FlowResult,
-) -> tuple[WeightedSpace, np.ndarray, float]:
+    kappa: float,
+    factor: _IntegratingFactor | None,
+) -> tuple[WeightedSpace, np.ndarray, float, _IntegratingFactor | None]:
     """Integrate from ``t`` to ``t_target`` exactly, adapting the step size.
 
     ``k1`` is the field at the metric state ``space``; the returned state and
-    field are the ones at the end.
+    field are the ones at the end. ``factor`` is the run's integrating factor
+    once it has switched, ``None`` before; the run switches at the first state
+    whose eigenvalues all lie within ``_LAWSON_SPREAD * kappa`` of the flat
+    value ``kappa``, and the returned factor carries the switch on.
     """
     while t < t_target:
+        if factor is None and np.max(np.abs(space.eigenvalues - kappa)) <= _LAWSON_SPREAD * kappa:
+            factor = _IntegratingFactor.build(torus, kappa)
+            counters.switch_time = t
         h = min(h, _MAX_STEP, t_target - t)
-        trial = _trial_step(torus, space.c, k1, h, config)
+        trial = _trial_step(torus, space.c, k1, h, config, factor)
         if trial is None:
-            counters.rejected_steps += 1
+            counters.rejected_cone += 1
             h = h / 2
             if h < config.min_step:
                 raise PositivityLost(
@@ -240,17 +376,17 @@ def _advance(
             counters.accepted_steps += 1
             t = t + h
             space, k1 = space_next, k_next
-            factor = _SAFETY * (tol / err) ** _ORDER_EXP if err > 0 else _MAX_GROWTH
-            h = h * min(_MAX_GROWTH, max(_MIN_SHRINK, factor))
+            growth = _SAFETY * (tol / err) ** _ORDER_EXP if err > 0 else _MAX_GROWTH
+            h = h * min(_MAX_GROWTH, max(_MIN_SHRINK, growth))
         else:
-            counters.rejected_steps += 1
-            factor = _SAFETY * (tol / err) ** _ORDER_EXP
-            h = h * min(1.0, max(_MIN_SHRINK, factor))
+            counters.rejected_error += 1
+            shrink = _SAFETY * (tol / err) ** _ORDER_EXP
+            h = h * min(1.0, max(_MIN_SHRINK, shrink))
         if h < config.min_step:
             raise StepUnderflow(
                 f"step size fell below min_step={config.min_step:g}", time=t
             )
-    return space, k1, h
+    return space, k1, h, factor
 
 
 def sample_times(config: FlowConfig) -> np.ndarray:
@@ -291,13 +427,17 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     result = FlowResult(torus=torus)
     ts = sample_times(config)
     target_trace = space.trace  # conserved; fixes the flat limit
+    kappa = target_trace / torus.n
 
     k1 = _field(torus, space)
     result.samples.append(_make_sample(ts[0], space, k1, target_trace))
     h = min(_MAX_STEP, config.sample_stride)
     t = float(ts[0])
+    factor = None
     for t_next in ts[1:]:
-        space, k1, h = _advance(torus, space, k1, t, float(t_next), h, config, result)
+        space, k1, h, factor = _advance(
+            torus, space, k1, t, float(t_next), h, config, result, kappa, factor
+        )
         t = float(t_next)
         result.samples.append(_make_sample(t, space, k1, target_trace))
     return result
@@ -368,6 +508,9 @@ def trajectory_to_json(result: FlowResult, config: FlowConfig) -> dict:
         ],
         "accepted_steps": result.accepted_steps,
         "rejected_steps": result.rejected_steps,
+        "rejected_error": result.rejected_error,
+        "rejected_cone": result.rejected_cone,
+        "switch_time": result.switch_time,
     }
 
 

@@ -49,6 +49,17 @@ def as_int(value) -> int:
     return int(value)
 
 
+def as_complex(re, im) -> complex:
+    """A complex number read from an outside ``[re, im]`` pair of numbers.
+
+    Raises ``TypeError`` for a bool part (JSON ``true`` is not 1), as
+    ``as_int`` does.
+    """
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError(f"expected numbers, got [{re!r}, {im!r}]")
+    return complex(re, im)
+
+
 def hs_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product tr(a* b), conjugate-linear in ``a``."""
     a = np.asarray(a, dtype=complex)
@@ -210,7 +221,7 @@ def matrix_from_json(doc: dict) -> np.ndarray:
             f"matrix document has {len(entries)} entries, expected {n * n}"
         )
     try:
-        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+        flat = np.array([as_complex(re, im) for re, im in entries], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"matrix entries must be numeric [re, im] pairs: {exc}") from exc
     return flat.reshape(n, n)

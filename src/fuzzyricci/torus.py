@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import Superoperator, matrix_to_json
+from .linalg import HermitianEig, Superoperator, hermitian_eig, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,26 @@ class FuzzyTorus:
     def laplacian(self) -> Superoperator:
         """Flat Laplacian as a dense superoperator, built in closed form.
 
+        Hermitian and positive semidefinite in the Hilbert-Schmidt inner
+        product, with one-dimensional kernel spanned by the identity.
+        """
+        return Superoperator(n=self.n, matrix=self._laplacian_matrix())
+
+    @cached_property
+    def laplacian_eig(self) -> HermitianEig:
+        """Eigendecomposition of the flat Laplacian's dense matrix.
+
+        Built only for the flow's integrating factor; the dense matrix it
+        decomposes is not kept.
+        """
+        return hermitian_eig(self._laplacian_matrix())
+
+    def _laplacian_matrix(self) -> np.ndarray:
+        """The flat Laplacian's dense ``n^2 x n^2`` matrix, in closed form.
+
         ``[y, [y, .]]`` has the matrix ``y^2 (x) I - 2 y (x) y^T + I (x) (y^2)^T``
         and ``[x, [x, .]]`` the diagonal ``diag(vec W)``; the terms are
-        accumulated into one array. Hermitian and positive semidefinite in
-        the Hilbert-Schmidt inner product, with one-dimensional kernel
-        spanned by the identity.
+        accumulated into one array.
         """
         n, y = self.n, self.y
         y2 = y @ y
@@ -123,7 +138,7 @@ class FuzzyTorus:
         m[i, :, i, :] += y2.T  # I (x) (y^2)^T
         m = m.reshape(n * n, n * n)
         m[np.arange(n * n), np.arange(n * n)] += self._x_weights.reshape(-1)
-        return Superoperator(n=n, matrix=m)
+        return m
 
     def to_json(self) -> dict:
         """Dump the generators for cross-checking against other builds."""

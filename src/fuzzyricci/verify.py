@@ -24,6 +24,7 @@ from .laplace_beltrami import (
     rejected_operator_superop,
 )
 from .linalg import (
+    as_complex,
     as_int,
     hermitian_eig,
     hs_inner,
@@ -135,7 +136,7 @@ def geometry_file_checks(doc: dict) -> list[dict]:
     try:
         n = as_int(doc["n"])
         m = as_int(doc["m"])
-        q = complex(doc["q"][0], doc["q"][1])
+        q = as_complex(doc["q"][0], doc["q"][1])
         u = matrix_from_json(doc["u"])
         v = matrix_from_json(doc["v"])
         x = matrix_from_json(doc["x"])

@@ -112,7 +112,7 @@ def test_no_command_probes_an_operator(tmp_path, monkeypatch):
 
 
 class TestSimulate:
-    def test_writes_artifacts(self, tmp_path):
+    def test_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = run_cli(
             ["simulate", "--n", 2, "--initial", "diag:1,3", "--t1", 5, "--out", out]
@@ -126,6 +126,15 @@ class TestSimulate:
         assert summary["det_nondecreasing"] is True
         assert summary["min_eig_final"] > 0
         assert summary["samples"] == 11
+        # The step telemetry: rejections by cause, and when the run switched
+        # to the integrating factor.
+        assert summary["rejected_error"] + summary["rejected_cone"] == summary["rejected_steps"]
+        assert 0 < summary["switch_time"] < 5
+        trajectory = json.loads((out / "trajectory.json").read_text())
+        for key in ("accepted_steps", "rejected_steps", "rejected_error", "rejected_cone",
+                    "switch_time"):
+            assert trajectory[key] == summary[key], key
+        assert f"integrating factor at t={summary['switch_time']:.6g}" in capsys.readouterr().out
 
     def test_csv_only_format(self, tmp_path):
         out = tmp_path / "run"
@@ -195,8 +204,9 @@ class TestSimulate:
             "[1,2]",
             json.dumps({"n": 2, "entries": [[1, 0], [0, 0], [0, 0], [1]]}),
             json.dumps({"n": 2, "entries": [["x", 0], [0, 0], [0, 0], [1, 0]]}),
+            json.dumps({"n": 2, "entries": [[True, 0], [0, 0], [0, 0], [2, False]]}),
         ],
-        ids=["not-json", "not-a-document", "short-entry", "non-numeric-entry"],
+        ids=["not-json", "not-a-document", "short-entry", "non-numeric-entry", "boolean-entry"],
     )
     def test_malformed_initial_file_exit_2_and_no_files(self, tmp_path, capsys, text):
         path = tmp_path / "c0.json"
@@ -338,11 +348,18 @@ class TestVerify:
         path.write_text(json.dumps({"n": 2}))
         assert run_cli(["verify", "--geometry", path]) == 2
 
-        # Sizes that are not integers are malformed, not truncated to a valid
-        # dump that then passes every check.
+        # Sizes that are not integers, and booleans where numbers belong, are
+        # malformed, not converted to a valid dump that then passes every check.
         assert run_cli(["simulate", "--n", 2, "--t1", 0, "--out", tmp_path / "sim"]) == 0
         clean = json.loads((tmp_path / "sim" / "geometry.json").read_text())
-        for key, value in [("n", 2.9), ("m", True), ("u", {**clean["u"], "n": 2.5})]:
+        bool_entry = [[True, False]] + clean["u"]["entries"][1:]
+        for key, value in [
+            ("n", 2.9),
+            ("m", True),
+            ("u", {**clean["u"], "n": 2.5}),
+            ("q", [clean["q"][0], False]),
+            ("u", {**clean["u"], "entries": bool_entry}),
+        ]:
             path.write_text(json.dumps({**clean, key: value}))
             out = tmp_path / "verify"
             capsys.readouterr()

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fuzzyricci import (
     FlowConfig,
+    FuzzyTorus,
     InvalidInput,
     InvalidParams,
     MetricDegenerate,
@@ -10,7 +12,7 @@ from fuzzyricci import (
     random_metric,
     run_flow,
 )
-from fuzzyricci import cli, flow, laplace_beltrami, linalg, tracking, verify
+from fuzzyricci import cli, flow, laplace_beltrami, linalg, torus, tracking, verify
 from fuzzyricci.flow import (
     flat_metric,
     flow_invariants,
@@ -227,7 +229,7 @@ class TestRunFlow:
         assert result.rejected_steps > 0
         assert min(s.min_eig for s in result.samples) > 0
 
-    def test_eigendecomposition_budget(self, torus3, monkeypatch):
+    def test_eigendecomposition_budget(self, monkeypatch):
         # Six per trial (stages 2-7; stage 7 at the candidate state is also
         # its positivity check, its sample and the next step's stage 1) and
         # one at start-up; samples reuse the integrator's states. Every module
@@ -237,18 +239,20 @@ class TestRunFlow:
         real_eig = linalg.hermitian_eig
 
         def counting_eig(a):
-            calls.append(1)
+            calls.append(np.shape(a)[0])
             return real_eig(a)
 
-        modules = [cli, flow, laplace_beltrami, linalg, tracking, verify]
+        modules = [cli, flow, laplace_beltrami, linalg, torus, tracking, verify]
         patched = [m for m in modules if vars(m).get("hermitian_eig") is real_eig]
-        assert laplace_beltrami in patched and linalg in patched
+        assert laplace_beltrami in patched and linalg in patched and torus in patched
         for module in patched:
             monkeypatch.setattr(module, "hermitian_eig", counting_eig)
 
         # A trial that a stage outside the cone ends early costs fewer than
         # six, so the bound alone leaves room for per-sample calls; count
-        # each trial's calls and require exactly one outside all trials.
+        # each trial's calls and require, outside all trials, exactly one
+        # metric state (start-up) and one decomposition of the 9 x 9 flat L
+        # (the switch to the integrating factor).
         per_trial = []
         real_trial = flow._trial_step
 
@@ -259,13 +263,39 @@ class TestRunFlow:
             return trial
 
         monkeypatch.setattr(flow, "_trial_step", counting_trial)
-        result = run_flow(torus3, c0, FlowConfig(t1=5.0))
+        # A torus of its own: the shared fixture may hold a cached decomposition of L.
+        result = run_flow(FuzzyTorus(3, 1), c0, FlowConfig(t1=5.0))
         trials = result.accepted_steps + result.rejected_steps
         assert result.rejected_steps > 0
+        assert result.switch_time is not None and 0 < result.switch_time < 5.0
         assert len(per_trial) == trials
         assert all(k == 6 or (left_cone and k >= 1) for k, left_cone in per_trial)
-        assert len(calls) - sum(k for k, _ in per_trial) == 1
-        assert trials + 1 <= len(calls) <= 6 * trials + 1
+        assert len(calls) - sum(k for k, _ in per_trial) == 2
+        assert sorted(calls)[-1] == 9 and calls.count(9) == 1
+        assert trials + 2 <= len(calls) <= 6 * trials + 2
+
+    def test_trials_are_accepted_or_rejected_by_one_cause(self, torus3, monkeypatch):
+        # Every trial step ends in exactly one of: accepted, rejected on its
+        # error estimate, rejected because a stage left the cone.
+        outcomes = []
+        real_trial = flow._trial_step
+
+        def counting_trial(*args):
+            trial = real_trial(*args)
+            outcomes.append("cone" if trial is None else ("ok" if trial[2] <= trial[3] else "error"))
+            return trial
+
+        monkeypatch.setattr(flow, "_trial_step", counting_trial)
+        result = run_flow(torus3, random_metric(3, 0, scale=2.0), FlowConfig(t1=5.0))
+        assert result.rejected_error > 0 and result.rejected_cone > 0
+        assert result.rejected_steps == result.rejected_error + result.rejected_cone
+        assert (
+            result.accepted_steps + result.rejected_error + result.rejected_cone
+            == len(outcomes)
+        )
+        assert outcomes.count("ok") == result.accepted_steps
+        assert outcomes.count("error") == result.rejected_error
+        assert outcomes.count("cone") == result.rejected_cone
 
     def test_sample_space_matches_fresh_decomposition(self, torus3):
         result = run_flow(torus3, random_metric(3, 4), FlowConfig(t1=2.0, sample_stride=0.25))
@@ -308,6 +338,50 @@ class TestRunFlow:
     def test_dist_to_flat_uses_initial_trace(self, torus2):
         result = run_flow(torus2, np.diag([1.0, 3.0]), FlowConfig(t1=50.0))
         assert result.final.dist_to_flat == hs_norm(result.final.c - 2.0 * np.eye(2))
+
+
+class TestIntegratingFactor:
+    """The near-flat tail, integrated with the Lawson factor e^{-sL/kappa}."""
+
+    @pytest.mark.parametrize("n, m", [(4, 1), (5, 2)])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_near_flat_start_follows_the_heat_flow(self, n, m, eps):
+        # From kappa I + eps B the flow is the heat flow exp(-tL/kappa) up to
+        # O(eps^2); the factor integrates that part exactly, so unit steps
+        # are all accepted.
+        torus = FuzzyTorus(n, m)
+        kappa = 1.3
+        rng = np.random.default_rng(n + 10 * m)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = (g + g.conj().T) / 2
+        b -= (np.trace(b).real / n) * np.eye(n)
+        b /= hs_norm(b)
+        c0 = kappa * np.eye(n) + eps * b
+        # A wrong factor shows as rejected steps; min_step makes it fail fast.
+        config = FlowConfig(t1=10.0, sample_stride=1.0, min_step=0.1)
+        result = run_flow(torus, c0, config)
+        assert result.switch_time == 0.0
+        assert result.accepted_steps == 10 and result.rejected_steps == 0
+        lap = torus.laplacian.matrix
+        for s in result.samples:
+            heat = (expm(-s.t * lap / kappa) @ (eps * b).reshape(-1)).reshape(n, n)
+            assert hs_norm(s.c - (kappa * np.eye(n) + heat)) <= eps**2
+
+    def test_agrees_with_the_explicit_run(self, monkeypatch):
+        torus = FuzzyTorus(8, 3)
+        c0 = random_metric(8, 2)
+        config = FlowConfig(t1=50.0)
+        lawson = run_flow(torus, c0, config)
+        monkeypatch.setattr(flow, "_LAWSON_SPREAD", -1.0)  # never switches
+        explicit = run_flow(torus, c0, config)
+        assert explicit.switch_time is None
+        assert lawson.switch_time is not None
+        assert lawson.accepted_steps <= 1000 < explicit.accepted_steps
+        for a, b in zip(lawson.samples, explicit.samples):
+            assert a.t == b.t
+            assert hs_norm(a.c - b.c) <= 1e-9 * hs_norm(b.c)
+            if a.t <= lawson.switch_time:
+                np.testing.assert_array_equal(a.c, b.c)
 
 
 @pytest.fixture(scope="module")
