@@ -95,6 +95,14 @@ _CONFIG_KEYS = {
 
 _FORMATS = {"csv", "json"}
 
+# The keys each command reads. spectrum writes one file at one time, so it
+# has no sample cadence and no output format.
+_COMMAND_KEYS = {
+    "simulate": tuple(_CONFIG_KEYS),
+    "track": tuple(_CONFIG_KEYS),
+    "spectrum": tuple(k for k in _CONFIG_KEYS if k not in ("stride", "format")),
+}
+
 _DEFAULTS = {
     "n": 2,
     "m": 1,
@@ -113,7 +121,7 @@ _DEFAULTS = {
 _COMMAND_DEFAULTS = {
     "simulate": {"t1": 50.0, "stride": 0.5},
     "track": {"t1": 0.2, "stride": 1e-3},
-    "spectrum": {"t1": None, "stride": 0.5},
+    "spectrum": {"t1": None},
 }
 
 
@@ -133,8 +141,9 @@ def _write_csv(path: Path, rows) -> None:
 
 def resolve_config(args: argparse.Namespace, command: str) -> dict:
     """Merge defaults, the JSON config document, and flag overrides."""
+    keys = _COMMAND_KEYS[command]
     config = dict(_DEFAULTS)
-    config.update({k: v for k, v in _COMMAND_DEFAULTS.get(command, {}).items()})
+    config.update(_COMMAND_DEFAULTS[command])
     if getattr(args, "config", None):
         try:
             doc = json.loads(Path(args.config).read_text())
@@ -142,7 +151,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
             raise InvalidInput(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise InvalidInput("config document must be a JSON object")
-        unknown = set(doc) - set(_CONFIG_KEYS)
+        unknown = set(doc) - set(keys)
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
@@ -151,7 +160,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
                 config[key] = value if convert is None else convert(value)
             except (TypeError, ValueError) as exc:
                 raise InvalidInput(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
-    for key in _CONFIG_KEYS:
+    for key in keys:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
@@ -164,7 +173,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
             f"format must be a comma set of {sorted(_FORMATS)}, got {config['format']!r}"
         )
     config["format"] = ",".join(sorted(formats))
-    return {k: config[k] for k in _CONFIG_KEYS}
+    return {k: config[k] for k in keys}
 
 
 def _flow_config(config: dict) -> FlowConfig:
@@ -262,8 +271,8 @@ def cmd_track(args: argparse.Namespace) -> int:
     config = resolve_config(args, "track")
     torus, c0 = _prepare_run(config)
     result = run_flow(torus, c0, _flow_config(config))
-    curves = track_spectrum(torus, result)
-    report = first_variation_report(torus, curves, result)
+    curves = track_spectrum(result)
+    report = first_variation_report(curves, result)
 
     formats = set(config["format"].split(","))
     out = _out_dir(config)
@@ -325,27 +334,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--config", help="JSON config document; flags override its keys")
-        for key, (convert, help_text) in _CONFIG_KEYS.items():
+        for key in _COMMAND_KEYS[command]:
+            convert, help_text = _CONFIG_KEYS[key]
             flag = "--" + key.replace("_", "-")
             p.add_argument(flag, dest=key, type=convert, help=help_text)
 
     p_sim = sub.add_parser("simulate", help="integrate the metric flow and dump the trajectory")
-    add_common(p_sim)
+    add_common(p_sim, "simulate")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_spec = sub.add_parser(
         "spectrum",
         help="curved-Laplacian spectrum at time t1 (t1 == t0 means the initial metric)",
     )
-    add_common(p_spec)
+    add_common(p_spec, "spectrum")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_track = sub.add_parser(
         "track", help="track eigenvalue curves along the flow and check the variation law"
     )
-    add_common(p_track)
+    add_common(p_track, "track")
     p_track.set_defaults(func=cmd_track)
 
     p_verify = sub.add_parser("verify", help="run the cross-module invariant suite")

@@ -22,9 +22,10 @@ accuracy needs. So once every eigenvalue of an accepted state lies within
 good, to Lawson's integrating factor: the same tableau, error norm, FSAL,
 cone rejection and step controller, applied to ``e^{sL/kappa} c``, with
 ``e^{-sL/kappa}`` applied exactly in the eigenbasis of the flat ``L``. That
-decomposition is built once per torus, and only by a run that switches. From
-the start, the factor would not help: ``L/kappa`` does not capture the
-stiffness of ``log``.
+decomposition, built once per torus and only by a run that switches, also
+gives a Lawson trial its linear part ``L c/kappa``, so the trial applies
+``L`` only for its six fields. From the start, the factor would not help:
+``L/kappa`` does not capture the stiffness of ``log``.
 
 Each eigendecomposition of a stage builds a metric state
 (``WeightedSpace``); a sample keeps the state the integrator reached and the
@@ -76,6 +77,8 @@ _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
 _ORDER_EXP = 1 / 5
 _MAX_STEP = 1.0
+# A trial step below this size ends the run (PositivityLost or StepUnderflow).
+_MIN_STEP = 1e-12
 
 # The run switches to the integrating factor once every eigenvalue of c is
 # within this fraction of the flat value kappa = tr(c0)/n, and keeps it.
@@ -94,7 +97,6 @@ class FlowConfig:
     t1: float = 50.0
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    min_step: float = 1e-12
     sample_stride: float = 0.5
 
     def __post_init__(self) -> None:
@@ -103,8 +105,6 @@ class FlowConfig:
             raise InvalidParams(f"bad time window [{self.t0}, {self.t1}]")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise InvalidParams("tolerances must be positive")
-        if not 0 < self.min_step < _MAX_STEP:
-            raise InvalidParams(f"need 0 < min_step < {_MAX_STEP:g}")
         if self.sample_stride <= 0:
             raise InvalidParams("sample_stride must be positive")
 
@@ -172,10 +172,9 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     return c * (n / np.trace(c).real)
 
 
-def flat_metric(n: int, trace: float | None = None) -> np.ndarray:
-    """Scalar metric (trace/n) I; default trace is n."""
-    tr = float(trace) if trace is not None else float(n)
-    return (tr / n) * np.eye(n, dtype=complex)
+def flat_metric(n: int) -> np.ndarray:
+    """The flat metric, the identity."""
+    return np.eye(n, dtype=complex)
 
 
 def _metric_state(torus: FuzzyTorus, c) -> WeightedSpace:
@@ -205,32 +204,15 @@ def _field_or_reject(torus: FuzzyTorus, c: np.ndarray) -> tuple[WeightedSpace, n
     return space, _field(torus, space)
 
 
-@dataclass(frozen=True)
-class _IntegratingFactor:
-    """``e^{-sL/kappa}``, the exact flow of the linearization at ``kappa I``.
-
-    Near the flat limit ``log c ~ log(kappa) I + (c - kappa I)/kappa``, so the
-    flow is the heat flow ``dc/dt ~ -L c/kappa``. It is diagonal in the
-    eigenbasis ``Q`` of the flat ``L``: there it decays at the rates
-    ``mu = max(eig L, 0)/kappa``.
-    """
-
-    kappa: float
-    rates: np.ndarray
-    basis: np.ndarray
-
-    @classmethod
-    def build(cls, torus: FuzzyTorus, kappa: float) -> "_IntegratingFactor":
-        w, q = torus.laplacian_eig
-        return cls(kappa=kappa, rates=np.maximum(w, 0.0) / kappa, basis=q)
-
-    def to_eigen(self, a: np.ndarray) -> np.ndarray:
-        """``Q* vec(a)``, without forming ``Q*``."""
-        return (a.reshape(-1).conj() @ self.basis).conj()
-
-
 class _LawsonStages:
     """The stage states of one Lawson trial step, in ``L``'s eigen-coordinates.
+
+    The integrating factor ``e^{-sL/kappa}`` is the exact flow of the
+    linearization at ``kappa I``: near the flat limit
+    ``log c ~ log(kappa) I + (c - kappa I)/kappa``, so the flow is the heat
+    flow ``dc/dt ~ -L c/kappa``. It is diagonal in the eigenbasis ``Q``
+    (``basis``) of the flat ``L``: there it decays at the ``rates``
+    ``mu = max(eig L, 0)/kappa``.
 
     With ``F = -L log c`` split as ``-L c/kappa + N(c)``, stage ``i`` is
     ``C_i = c + unvec(Q d_i)``, where
@@ -238,23 +220,27 @@ class _LawsonStages:
         d_i = (e^{-c_i h mu} - 1)/mu * g + h sum_j a_ij e^{-(c_i - c_j) h mu} * N_j,
 
     ``g = Q* vec(L c)/kappa``, and ``N_j = Q* vec(F_j + L C_j/kappa)``, which
-    is ``Q* vec(F_j) + g + mu * d_j``, so no stage applies ``L``. Since
-    ``L`` annihilates scalars exactly, a scalar ``c`` has ``g = N_j = 0`` and
-    stays bit-exact.
+    is ``Q* vec(F_j) + g + mu * d_j``. Since ``L`` annihilates the scalar
+    ``c_00 I``, ``g = mu * Q* vec(c - c_00 I)``, so no stage applies ``L``
+    beyond its field, and a scalar ``c`` has ``g = N_j = 0`` and stays
+    bit-exact.
     """
 
-    def __init__(self, factor: _IntegratingFactor, torus: FuzzyTorus, c: np.ndarray, h: float):
-        self.factor, self.c, self.h = factor, c, h
-        self.hmu = h * factor.rates
-        self.g = factor.to_eigen(torus.laplacian_apply(c)) / factor.kappa
+    def __init__(self, rates: np.ndarray, basis: np.ndarray, c: np.ndarray, h: float):
+        self.rates, self.basis, self.c, self.h = rates, basis, c, h
+        self.hmu = h * rates
+        self.g = rates * self._to_eigen(c - c[0, 0] * np.eye(len(c)))
         self.offsets = [np.zeros_like(self.g)]  # d_j of the stages so far
         self.nonlinear: list[np.ndarray] = []  # N_j of the stages so far
 
+    def _to_eigen(self, a: np.ndarray) -> np.ndarray:
+        """``Q* vec(a)``, without forming ``Q*``."""
+        return (a.reshape(-1).conj() @ self.basis).conj()
+
     def _propagated(self, weights, node: float, fields: list[np.ndarray]) -> np.ndarray:
         """``h sum_j w_j e^{-(node - c_j) h mu} * N_j`` over the given stage fields."""
-        f = self.factor
         for j in range(len(self.nonlinear), len(fields)):
-            self.nonlinear.append(f.to_eigen(fields[j]) + self.g + f.rates * self.offsets[j])
+            self.nonlinear.append(self._to_eigen(fields[j]) + self.g + self.rates * self.offsets[j])
         total = sum(
             w * np.exp((_DP_C[j] - node) * self.hmu) * nj
             for j, (w, nj) in enumerate(zip(weights, self.nonlinear))
@@ -264,7 +250,7 @@ class _LawsonStages:
 
     def state(self, weights, node: float, fields: list[np.ndarray]) -> np.ndarray:
         """The stage state at ``t + node h`` from the weights of its tableau row."""
-        rates = self.factor.rates
+        rates = self.rates
         # (e^{-node h mu} - 1)/mu, whose limit at mu = 0 is -node h.
         decay = np.divide(
             np.expm1(-node * self.hmu), rates,
@@ -272,7 +258,7 @@ class _LawsonStages:
         )
         d = decay * self.g + self._propagated(weights, node, fields)
         self.offsets.append(d)
-        return self.c + (self.factor.basis @ d).reshape(self.c.shape)
+        return self.c + (self.basis @ d).reshape(self.c.shape)
 
     def error(self, fields: list[np.ndarray]) -> float:
         """Hilbert-Schmidt norm of the fifth- minus the fourth-order state."""
@@ -285,7 +271,7 @@ def _trial_step(
     k1: np.ndarray,
     h: float,
     config: FlowConfig,
-    factor: _IntegratingFactor | None = None,
+    factor: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[WeightedSpace, np.ndarray, float, float] | None:
     """One embedded RK trial step of size ``h`` from ``c``, whose field is ``k1``.
 
@@ -297,10 +283,10 @@ def _trial_step(
     field there, the next step's first stage. Acceptance is the caller's
     decision (``error_estimate <= tolerance``).
 
-    With an integrating ``factor`` the step is Lawson's: the same tableau,
-    applied to ``e^{sL/kappa} c`` (see ``_LawsonStages``).
+    With an integrating ``factor``, the ``(rates, basis)`` of ``_LawsonStages``,
+    the step is Lawson's: the same tableau, applied to ``e^{sL/kappa} c``.
     """
-    lawson = None if factor is None else _LawsonStages(factor, torus, c, h)
+    lawson = None if factor is None else _LawsonStages(*factor, c, h)
     stages = [k1]
     for row, node in zip(_DP_A, _DP_C[1:]):
         if lawson is None:
@@ -335,60 +321,6 @@ def _trial_step(
     return space_next, k_next, err, tol
 
 
-def _advance(
-    torus: FuzzyTorus,
-    space: WeightedSpace,
-    k1: np.ndarray,
-    t: float,
-    t_target: float,
-    h: float,
-    config: FlowConfig,
-    counters: FlowResult,
-    kappa: float,
-    factor: _IntegratingFactor | None,
-) -> tuple[WeightedSpace, np.ndarray, float, _IntegratingFactor | None]:
-    """Integrate from ``t`` to ``t_target`` exactly, adapting the step size.
-
-    ``k1`` is the field at the metric state ``space``; the returned state and
-    field are the ones at the end. ``factor`` is the run's integrating factor
-    once it has switched, ``None`` before; the run switches at the first state
-    whose eigenvalues all lie within ``_LAWSON_SPREAD * kappa`` of the flat
-    value ``kappa``, and the returned factor carries the switch on.
-    """
-    while t < t_target:
-        if factor is None and np.max(np.abs(space.eigenvalues - kappa)) <= _LAWSON_SPREAD * kappa:
-            factor = _IntegratingFactor.build(torus, kappa)
-            counters.switch_time = t
-        h = min(h, _MAX_STEP, t_target - t)
-        trial = _trial_step(torus, space.c, k1, h, config, factor)
-        if trial is None:
-            counters.rejected_cone += 1
-            h = h / 2
-            if h < config.min_step:
-                raise PositivityLost(
-                    "a Runge-Kutta stage left the positive cone at the minimum "
-                    "step size; rerun with tighter tolerances",
-                    time=t,
-                )
-            continue
-        space_next, k_next, err, tol = trial
-        if err <= tol:
-            counters.accepted_steps += 1
-            t = t + h
-            space, k1 = space_next, k_next
-            growth = _SAFETY * (tol / err) ** _ORDER_EXP if err > 0 else _MAX_GROWTH
-            h = h * min(_MAX_GROWTH, max(_MIN_SHRINK, growth))
-        else:
-            counters.rejected_error += 1
-            shrink = _SAFETY * (tol / err) ** _ORDER_EXP
-            h = h * min(1.0, max(_MIN_SHRINK, shrink))
-        if h < config.min_step:
-            raise StepUnderflow(
-                f"step size fell below min_step={config.min_step:g}", time=t
-            )
-    return space, k1, h, factor
-
-
 def sample_times(config: FlowConfig) -> np.ndarray:
     """Uniform cadence t0, t0 + stride, ... with t1 always included."""
     if config.t1 == config.t0:
@@ -420,7 +352,10 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
 
     The trajectory lands exactly on each sample time (the adaptive step is
     clipped at sample boundaries), so sampled states are integration states,
-    not interpolants, and each sample's field is the integrator's own.
+    not interpolants, and each sample's field is the integrator's own. The
+    run switches to the integrating factor at the first state whose
+    eigenvalues all lie within ``_LAWSON_SPREAD * kappa`` of the flat value
+    ``kappa``, and keeps it.
     """
     config = config or FlowConfig()
     space = _metric_state(torus, c0)
@@ -429,16 +364,44 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     target_trace = space.trace  # conserved; fixes the flat limit
     kappa = target_trace / torus.n
 
-    k1 = _field(torus, space)
+    k1 = _field(torus, space)  # the field at space, the next trial's first stage
     result.samples.append(_make_sample(ts[0], space, k1, target_trace))
     h = min(_MAX_STEP, config.sample_stride)
     t = float(ts[0])
-    factor = None
+    factor = None  # (rates, basis) of e^{-sL/kappa} once the run has switched
     for t_next in ts[1:]:
-        space, k1, h, factor = _advance(
-            torus, space, k1, t, float(t_next), h, config, result, kappa, factor
-        )
-        t = float(t_next)
+        t_target = float(t_next)
+        while t < t_target:
+            if factor is None and np.max(np.abs(space.eigenvalues - kappa)) <= _LAWSON_SPREAD * kappa:
+                w, q = torus.laplacian_eig
+                factor = (np.maximum(w, 0.0) / kappa, q)
+                result.switch_time = t
+            h = min(h, _MAX_STEP, t_target - t)
+            trial = _trial_step(torus, space.c, k1, h, config, factor)
+            if trial is None:
+                result.rejected_cone += 1
+                h = h / 2
+                if h < _MIN_STEP:
+                    raise PositivityLost(
+                        "a Runge-Kutta stage left the positive cone at the minimum "
+                        "step size; rerun with tighter tolerances",
+                        time=t,
+                    )
+                continue
+            space_next, k_next, err, tol = trial
+            if err <= tol:
+                result.accepted_steps += 1
+                t = t + h
+                space, k1 = space_next, k_next
+                growth = _SAFETY * (tol / err) ** _ORDER_EXP if err > 0 else _MAX_GROWTH
+                h = h * min(_MAX_GROWTH, max(_MIN_SHRINK, growth))
+            else:
+                result.rejected_error += 1
+                shrink = _SAFETY * (tol / err) ** _ORDER_EXP
+                h = h * min(1.0, max(_MIN_SHRINK, shrink))
+            if h < _MIN_STEP:
+                raise StepUnderflow(f"step size fell below min_step={_MIN_STEP:g}", time=t)
+        t = t_target
         result.samples.append(_make_sample(t, space, k1, target_trace))
     return result
 
@@ -491,7 +454,7 @@ def trajectory_to_json(result: FlowResult, config: FlowConfig) -> dict:
             "rel_tol": config.rel_tol,
             "abs_tol": config.abs_tol,
             "max_step": _MAX_STEP,
-            "min_step": config.min_step,
+            "min_step": _MIN_STEP,
             "sample_stride": config.sample_stride,
             "positivity_floor": POSITIVITY_FLOOR,
         },

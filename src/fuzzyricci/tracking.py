@@ -17,6 +17,9 @@ checks it against a finite-difference derivative of the tracked eigenvalues
 (second-order central differences inside the window, second-order one-sided
 at the ends). The law has an equivalent form through the state
 ``phi(b) = tr(c b)``, evaluated separately as a cross-check.
+
+The torus, each sample's metric state and ``L log c`` (its negated field) are
+read off the trajectory, so no function here takes a torus or applies ``L``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FuzzyRicciError, InsufficientData, InvalidInput
-from .flow import FlowResult
-from .laplace_beltrami import WeightedSpace, lb_spectrum
-from .torus import FuzzyTorus
+from .flow import FlowResult, FlowSample
+from .laplace_beltrami import lb_spectrum
 
 OVERLAP_MIN = 0.9  # a weaker eigenvector match is flagged degenerate
 # A report passes with its relative residual and its forms' discrepancy within these.
@@ -103,17 +105,16 @@ class SpectralCurves:
     kernel: int
 
 
-def track_spectrum(torus: FuzzyTorus, trajectory: FlowResult) -> SpectralCurves:
+def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     """Stitch per-sample spectra into n^2 continuous eigenvalue curves.
 
     Curve ``i`` starts at the i-th ascending eigenvalue of the first sample;
     later samples follow by overlap assignment. Matching failures are
     recorded as per-sample degeneracy flags, never raised.
     """
-    if torus != trajectory.torus:
-        raise InvalidInput(f"{torus} does not match the trajectory's {trajectory.torus}")
     if not trajectory.samples:
         raise InsufficientData("trajectory has no samples")
+    torus = trajectory.torus
     n, n2, samples = torus.n, torus.n * torus.n, len(trajectory.samples)
     values = np.empty((samples, n2))
     min_gap = np.empty((samples, n2))
@@ -157,39 +158,32 @@ def _real_rhs(val) -> float | np.ndarray:
     return val.real if val.ndim else float(val.real)
 
 
-def variation_rhs(
-    torus: FuzzyTorus, c, value, a, lap_log: np.ndarray | None = None
-) -> float | np.ndarray:
-    """Variation law right-hand side lambda * tr(a* a (L log c)).
+def variation_rhs(sample: FlowSample, value, a) -> float | np.ndarray:
+    """Variation law right-hand side lambda * tr(a* a (L log c)) at a flow sample.
 
-    ``a`` must be normalized in the weighted inner product; it may be one
-    matrix or a stack ``(..., n, n)`` with ``value`` of shape ``(...)``, and
-    the result has the shape of ``value``. The trace is real up to roundoff
-    (product of two Hermitian factors); a relative imaginary part above
-    1e-10 in any entry indicates a broken input and raises. ``lap_log``, if
-    given, is ``L log c`` already computed for this metric.
+    ``L log c`` is the negated field the sample keeps. ``a`` must be
+    normalized in the weighted inner product of the sample's metric; it may
+    be one matrix or a stack ``(..., n, n)`` with ``value`` of shape
+    ``(...)``, and the result has the shape of ``value``. The trace is real
+    up to roundoff (product of two Hermitian factors); a relative imaginary
+    part above 1e-10 in any entry indicates a broken input and raises.
     """
-    space = WeightedSpace.coerce(c)
-    if lap_log is None:
-        lap_log = torus.laplacian_apply(space.log)
     a = np.asarray(a, dtype=complex)
+    lap_log = -sample.field
     trace = np.trace(a.conj().swapaxes(-1, -2) @ a @ lap_log, axis1=-2, axis2=-1)
     return _real_rhs(trace * value)
 
 
-def variation_rhs_state_form(
-    torus: FuzzyTorus, c, value, a, lap_log: np.ndarray | None = None
-) -> float | np.ndarray:
+def variation_rhs_state_form(sample: FlowSample, value, a) -> float | np.ndarray:
     """Equivalent form lambda * phi(a* a (L log c) c^{-1}), phi(b) = tr(c b).
 
     Algebraically identical to :func:`variation_rhs` by trace cyclicity;
-    computed literally as written to serve as an independent cross-check.
-    ``value``, ``a`` and ``lap_log`` are as in :func:`variation_rhs`.
+    computed literally as written, from the sample's metric state, to serve
+    as an independent cross-check. Arguments are as in :func:`variation_rhs`.
     """
-    space = WeightedSpace.coerce(c)
-    if lap_log is None:
-        lap_log = torus.laplacian_apply(space.log)
+    space = sample.space
     a = np.asarray(a, dtype=complex)
+    lap_log = -sample.field
     return _real_rhs(space.state(a.conj().swapaxes(-1, -2) @ a @ lap_log @ space.c_inv) * value)
 
 
@@ -282,9 +276,7 @@ class VariationReport:
         return self.max_rel_residual <= RESIDUAL_BUDGET and self.max_form_discrepancy <= FORMS_BUDGET
 
 
-def first_variation_report(
-    torus: FuzzyTorus, curves: SpectralCurves, trajectory: FlowResult
-) -> VariationReport:
+def first_variation_report(curves: SpectralCurves, trajectory: FlowResult) -> VariationReport:
     """Check d(lambda)/dt against the variation formula along every curve.
 
     The derivative oracle is the finite-difference stencil of
@@ -294,8 +286,6 @@ def first_variation_report(
     applied again. Degenerate samples contribute rows but are excluded from
     the aggregates. Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
     """
-    if torus != trajectory.torus:
-        raise InvalidInput(f"{torus} does not match the trajectory's {trajectory.torus}")
     samples = trajectory.samples
     if len(samples) < 3:
         raise InsufficientData(f"need at least 3 trajectory samples, got {len(samples)}")
@@ -307,10 +297,9 @@ def first_variation_report(
     rhs = np.empty_like(curves.values)
     rhs_alt = np.empty_like(curves.values)
     for k, sample in enumerate(samples):
-        lap_log = -sample.field
         value, a = curves.values[k], curves.vectors[k]
-        rhs[k] = variation_rhs(torus, sample.space, value, a, lap_log)
-        rhs_alt[k] = variation_rhs_state_form(torus, sample.space, value, a, lap_log)
+        rhs[k] = variation_rhs(sample, value, a)
+        rhs_alt[k] = variation_rhs_state_form(sample, value, a)
     return VariationReport(
         curves=curves, fd=fd_derivative(times, curves.values), rhs=rhs, rhs_state_form=rhs_alt
     )

@@ -93,9 +93,7 @@ def coprime_pairs(n_max: int) -> Iterable[tuple[int, int]]:
                 yield n, m
 
 
-def geometry_checks_raw(
-    n: int, m: int, q: complex, u, v, x, y, params: str
-) -> list[dict]:
+def geometry_checks_raw(n: int, q: complex, u, v, x, y, params: str) -> list[dict]:
     """Relation, unitarity, exponential-consistency, and commutant checks.
 
     Operates on raw matrices so that externally supplied geometry dumps
@@ -126,9 +124,7 @@ def geometry_checks_raw(
 
 def geometry_checks(torus: FuzzyTorus) -> list[dict]:
     params = f"n={torus.n},m={torus.m}"
-    return geometry_checks_raw(
-        torus.n, torus.m, torus.q, torus.u, torus.v, torus.x, torus.y, params
-    )
+    return geometry_checks_raw(torus.n, torus.q, torus.u, torus.v, torus.x, torus.y, params)
 
 
 def geometry_file_checks(doc: dict) -> list[dict]:
@@ -143,7 +139,7 @@ def geometry_file_checks(doc: dict) -> list[dict]:
         y = matrix_from_json(doc["y"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InvalidInput(f"malformed geometry document: {exc}") from exc
-    return geometry_checks_raw(n, m, q, u, v, x, y, params=f"file:n={n},m={m}")
+    return geometry_checks_raw(n, q, u, v, x, y, params=f"file:n={n},m={m}")
 
 
 def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
@@ -306,8 +302,8 @@ def tracking_checks() -> list[dict]:
     torus = FuzzyTorus(n, TRACK_M)
     config = FlowConfig(t1=TRACK_T1, sample_stride=TRACK_STRIDE)
     trajectory = run_flow(torus, random_metric(n, TRACK_SEED), config)
-    curves = track_spectrum(torus, trajectory)
-    report = first_variation_report(torus, curves, trajectory)
+    curves = track_spectrum(trajectory)
+    report = first_variation_report(curves, trajectory)
     params = f"n={n},m={TRACK_M},seed={TRACK_SEED},h={TRACK_STRIDE:g}"
 
     checks = [
@@ -336,15 +332,15 @@ def tracking_checks() -> list[dict]:
     # Phase invariance of the formula: rotating an eigenvector must not move it.
     rng = np.random.default_rng(5)
     value, vector = curves.values[0, -1], curves.vectors[0, -1]
-    space = trajectory.samples[0].space
-    base = variation_rhs(torus, space, value, vector)
+    sample = trajectory.samples[0]
+    base = variation_rhs(sample, value, vector)
     worst_phase = 0.0
     for _ in range(5):
         theta = rng.uniform(0, 2 * np.pi)
         rotated = np.exp(1j * theta) * vector
         worst_phase = max(
             worst_phase,
-            abs(variation_rhs(torus, space, value, rotated) - base),
+            abs(variation_rhs(sample, value, rotated) - base),
         )
     checks.append(_leq("variation_phase_invariance", params, worst_phase, 1e-10))
     return checks

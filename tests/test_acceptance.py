@@ -64,8 +64,8 @@ def variation_runs():
                 t0=0.0, t1=0.2, rel_tol=1e-10, abs_tol=1e-12, sample_stride=h
             )
             trajectory = run_flow(torus, c0, config)
-            curves = track_spectrum(torus, trajectory)
-            out[(n, h)] = first_variation_report(torus, curves, trajectory)
+            curves = track_spectrum(trajectory)
+            out[(n, h)] = first_variation_report(curves, trajectory)
     return out
 
 

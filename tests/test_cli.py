@@ -111,6 +111,33 @@ def test_no_command_probes_an_operator(tmp_path, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", 3, "--seed", 5, "--t1", 1],
+        ["spectrum", "--n", 3, "--seed", 5, "--t1", 1],
+        ["track", "--n", 2, "--seed", 7, "--t1", 0.02],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_config_round_trip(tmp_path, argv):
+    first = tmp_path / "a"
+    assert run_cli(argv + ["--out", first]) == 0
+    second = tmp_path / "b"
+    # Feed the emitted config back; only the output directory differs.
+    assert run_cli([argv[0], "--config", first / "config.json", "--out", second]) == 0
+    a = json.loads((first / "config.json").read_text())
+    b = json.loads((second / "config.json").read_text())
+    assert a.pop("out") == str(first) and b.pop("out") == str(second)
+    assert a == b
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    assert len(names) > 1
+    for name in names:
+        if name != "config.json":
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 class TestSimulate:
     def test_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -164,23 +191,6 @@ class TestSimulate:
         cfg.write_text(json.dumps({"n": 2, "bogus": 1}))
         code = run_cli(["simulate", "--config", cfg, "--out", tmp_path / "x"])
         assert code == 2
-
-    def test_config_round_trip(self, tmp_path):
-        first = tmp_path / "a"
-        run_cli(["simulate", "--n", 3, "--seed", 5, "--t1", 1, "--out", first])
-        second = tmp_path / "b"
-        # Feed the emitted config back; only the output directory differs.
-        code = run_cli(
-            ["simulate", "--config", first / "config.json", "--out", second]
-        )
-        assert code == 0
-        a = json.loads((first / "config.json").read_text())
-        b = json.loads((second / "config.json").read_text())
-        a.pop("out"), b.pop("out")
-        assert a == b
-        assert (first / "trajectory.csv").read_bytes() == (
-            second / "trajectory.csv"
-        ).read_bytes()
 
     def test_initial_from_file(self, tmp_path):
         from fuzzyricci.linalg import matrix_to_json
@@ -262,6 +272,31 @@ class TestSpectrum:
             assert not out.exists()
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "InvalidParams"
+
+    def test_takes_no_cadence_or_format(self, tmp_path, capsys):
+        # spectrum writes one file at one time: a cadence or a format would be
+        # ignored, so neither is a flag, a config key or a config.json entry.
+        for flag, value in (("--stride", 7), ("--format", "csv")):
+            out = tmp_path / flag[2:]
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["spectrum", "--n", 2, "--t1", 0.5, flag, value, "--out", out])
+            assert exc.value.code == 2
+            assert not out.exists()
+        for doc in ({"format": "csv"}, {"stride": 7}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / "config"
+            capsys.readouterr()
+            assert run_cli(["spectrum", "--config", cfg, "--n", 2, "--out", out]) == 2
+            assert not out.exists()
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "InvalidInput"
+            assert "unknown config keys" in err["message"]
+        out = tmp_path / "run"
+        assert run_cli(["spectrum", "--n", 2, "--t1", 0.5, "--out", out]) == 0
+        config = json.loads((out / "config.json").read_text())
+        assert "format" not in config and "stride" not in config
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "spectrum.json"]
 
     def test_wrong_size_initial_exit_2_and_no_files(self, tmp_path, capsys):
         from fuzzyricci.linalg import matrix_to_json

@@ -158,10 +158,9 @@ class TestFlowStep:
         assert min(s.min_eig for s in result.samples) > 0
         assert min(np.linalg.eigvalsh(s.c).min() for s in result.samples) > 0
 
-    def test_step_underflow(self, torus2):
-        config = FlowConfig(
-            t1=1.0, sample_stride=1.0, rel_tol=1e-14, abs_tol=1e-16, min_step=0.4
-        )
+    def test_step_underflow(self, torus2, monkeypatch):
+        monkeypatch.setattr(flow, "_MIN_STEP", 0.4)
+        config = FlowConfig(t1=1.0, sample_stride=1.0, rel_tol=1e-14, abs_tol=1e-16)
         with pytest.raises(StepUnderflow):
             run_flow(torus2, random_metric(2, 0), config)
 
@@ -174,8 +173,6 @@ class TestFlowConfig:
     def test_bad_tolerances_rejected(self):
         with pytest.raises(InvalidParams):
             FlowConfig(rel_tol=0.0)
-        with pytest.raises(InvalidParams):
-            FlowConfig(min_step=0.0)
         with pytest.raises(InvalidParams):
             FlowConfig(sample_stride=-1.0)
 
@@ -248,6 +245,18 @@ class TestRunFlow:
         for module in patched:
             monkeypatch.setattr(module, "hermitian_eig", counting_eig)
 
+        # L is applied once per field, the same six per completed trial with
+        # or without the integrating factor (a Lawson trial reads L c from
+        # L's eigenbasis), and once at start-up.
+        applies = []
+        real_apply = FuzzyTorus.laplacian_apply
+
+        def counting_apply(self, a):
+            applies.append(np.shape(a))
+            return real_apply(self, a)
+
+        monkeypatch.setattr(FuzzyTorus, "laplacian_apply", counting_apply)
+
         # A trial that a stage outside the cone ends early costs fewer than
         # six, so the bound alone leaves room for per-sample calls; count
         # each trial's calls and require, outside all trials, exactly one
@@ -257,9 +266,12 @@ class TestRunFlow:
         real_trial = flow._trial_step
 
         def counting_trial(*args):
-            before = len(calls)
+            eigs_before, applies_before = len(calls), len(applies)
             trial = real_trial(*args)
-            per_trial.append((len(calls) - before, trial is None))
+            lawson = args[5] is not None
+            per_trial.append(
+                (len(calls) - eigs_before, len(applies) - applies_before, trial is None, lawson)
+            )
             return trial
 
         monkeypatch.setattr(flow, "_trial_step", counting_trial)
@@ -269,10 +281,15 @@ class TestRunFlow:
         assert result.rejected_steps > 0
         assert result.switch_time is not None and 0 < result.switch_time < 5.0
         assert len(per_trial) == trials
-        assert all(k == 6 or (left_cone and k >= 1) for k, left_cone in per_trial)
-        assert len(calls) - sum(k for k, _ in per_trial) == 2
+        assert all(k == 6 or (left_cone and k >= 1) for k, _, left_cone, _ in per_trial)
+        assert len(calls) - sum(k for k, _, _, _ in per_trial) == 2
         assert sorted(calls)[-1] == 9 and calls.count(9) == 1
         assert trials + 2 <= len(calls) <= 6 * trials + 2
+
+        completed = [(k, lawson) for _, k, left_cone, lawson in per_trial if not left_cone]
+        assert {lawson for _, lawson in completed} == {False, True}
+        assert all(k == 6 for k, _ in completed)
+        assert len(applies) - sum(k for _, k, _, _ in per_trial) == 1
 
     def test_trials_are_accepted_or_rejected_by_one_cause(self, torus3, monkeypatch):
         # Every trial step ends in exactly one of: accepted, rejected on its
@@ -345,7 +362,7 @@ class TestIntegratingFactor:
 
     @pytest.mark.parametrize("n, m", [(4, 1), (5, 2)])
     @pytest.mark.parametrize("eps", [1e-3, 1e-4])
-    def test_near_flat_start_follows_the_heat_flow(self, n, m, eps):
+    def test_near_flat_start_follows_the_heat_flow(self, n, m, eps, monkeypatch):
         # From kappa I + eps B the flow is the heat flow exp(-tL/kappa) up to
         # O(eps^2); the factor integrates that part exactly, so unit steps
         # are all accepted.
@@ -357,9 +374,9 @@ class TestIntegratingFactor:
         b -= (np.trace(b).real / n) * np.eye(n)
         b /= hs_norm(b)
         c0 = kappa * np.eye(n) + eps * b
-        # A wrong factor shows as rejected steps; min_step makes it fail fast.
-        config = FlowConfig(t1=10.0, sample_stride=1.0, min_step=0.1)
-        result = run_flow(torus, c0, config)
+        # A wrong factor shows as rejected steps; a large minimum step makes it fail fast.
+        monkeypatch.setattr(flow, "_MIN_STEP", 0.1)
+        result = run_flow(torus, c0, FlowConfig(t1=10.0, sample_stride=1.0))
         assert result.switch_time == 0.0
         assert result.accepted_steps == 10 and result.rejected_steps == 0
         lap = torus.laplacian.matrix
@@ -420,5 +437,4 @@ class TestTrajectorySerialization:
 
 
 def test_flat_metric_helper():
-    np.testing.assert_allclose(flat_metric(3), np.eye(3))
-    np.testing.assert_allclose(flat_metric(2, trace=6.0), 3.0 * np.eye(2))
+    np.testing.assert_array_equal(flat_metric(3), np.eye(3))
