@@ -12,8 +12,11 @@ configuration is written next to the outputs as ``config.json`` so a run is
 reproducible from its artifacts alone. All outputs are deterministic:
 identical configuration produces byte-identical files.
 
-Exit codes: 0 success; 2 invalid input or parameters; 3 numerical failure
-(positivity loss or step underflow); 4 acceptance failure in track/verify.
+Exit codes: 0 success; 2 invalid input or parameters, including an
+unreadable ``--config``, ``--initial`` or ``--geometry`` file and an ``--out``
+that cannot be a directory; 3 numerical failure (positivity loss or step
+underflow); 4 acceptance failure in track/verify. Every package error outside
+the numerical pair exits 2.
 """
 
 from __future__ import annotations
@@ -24,15 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    InsufficientData,
-    InvalidInput,
-    InvalidParams,
-    MetricDegenerate,
-    PositivityLost,
-    SpectrumOutOfDomain,
-    StepUnderflow,
-)
+from .errors import FuzzyRicciError, InvalidInput, InvalidParams, PositivityLost, StepUnderflow
 from .flow import (
     DET_SLACK,
     FlowConfig,
@@ -52,7 +47,7 @@ from .tracking import (
     report_to_json,
     track_spectrum,
 )
-from .verify import geometry_file_checks, run_suite
+from .verify import geometry_file_report, run_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -74,7 +69,8 @@ def _real(value) -> float:
 
 # Keys of the run configuration, each with the type its value converts to
 # (None: kept as given) and the help of its flag. Flags mirror the keys
-# one-to-one, and document values convert exactly as flag values do.
+# one-to-one and in this order, and document values convert exactly as flag
+# values do.
 _CONFIG_KEYS = {
     "n": (as_int, "matrix size (default 2)"),
     "m": (as_int, "twist, coprime to n (default 1)"),
@@ -95,15 +91,7 @@ _CONFIG_KEYS = {
 
 _FORMATS = {"csv", "json"}
 
-# The keys each command reads. spectrum writes one file at one time, so it
-# has no sample cadence and no output format.
-_COMMAND_KEYS = {
-    "simulate": tuple(_CONFIG_KEYS),
-    "track": tuple(_CONFIG_KEYS),
-    "spectrum": tuple(k for k in _CONFIG_KEYS if k not in ("stride", "format")),
-}
-
-_DEFAULTS = {
+_SHARED = {
     "n": 2,
     "m": 1,
     "initial": "random",
@@ -112,16 +100,16 @@ _DEFAULTS = {
     "abs_tol": FlowConfig.abs_tol,
     "seed": 0,
     "out": "out",
-    "format": "csv,json",
 }
 
-# Per-command defaults for the time window and output cadence: simulate
-# favors long horizons, track needs a dense grid for the derivative oracle,
-# spectrum defaults to the initial time (no integration).
-_COMMAND_DEFAULTS = {
-    "simulate": {"t1": 50.0, "stride": 0.5},
-    "track": {"t1": 0.2, "stride": 1e-3},
-    "spectrum": {"t1": None},
+# The keys each command reads, with their defaults: simulate favors long
+# horizons, track needs a dense grid for the derivative oracle, and spectrum
+# writes one file at one time, so it has no cadence or format and its t1
+# defaults to t0 (no integration).
+_COMMANDS = {
+    "simulate": {**_SHARED, "t1": 50.0, "stride": 0.5, "format": "csv,json"},
+    "spectrum": {**_SHARED, "t1": None},
+    "track": {**_SHARED, "t1": 0.2, "stride": 1e-3, "format": "csv,json"},
 }
 
 
@@ -139,19 +127,22 @@ def _write_csv(path: Path, rows) -> None:
         writer.writerows(rows)
 
 
+def _read_json(path, what: str):
+    """Parse an outside JSON file; any failure to read it is invalid input."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"cannot read {what} {path}: {exc}") from exc
+
+
 def resolve_config(args: argparse.Namespace, command: str) -> dict:
     """Merge defaults, the JSON config document, and flag overrides."""
-    keys = _COMMAND_KEYS[command]
-    config = dict(_DEFAULTS)
-    config.update(_COMMAND_DEFAULTS[command])
+    config = dict(_COMMANDS[command])
     if getattr(args, "config", None):
-        try:
-            doc = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidInput(f"cannot read config {args.config}: {exc}") from exc
+        doc = _read_json(args.config, "config")
         if not isinstance(doc, dict):
             raise InvalidInput("config document must be a JSON object")
-        unknown = set(doc) - set(keys)
+        unknown = set(doc) - set(config)
         if unknown:
             raise InvalidInput(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
@@ -160,20 +151,21 @@ def resolve_config(args: argparse.Namespace, command: str) -> dict:
                 config[key] = value if convert is None else convert(value)
             except (TypeError, ValueError) as exc:
                 raise InvalidInput(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
-    for key in keys:
+    for key in config:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if command == "spectrum" and config.get("t1") is None:
+    if config["t1"] is None:
         config["t1"] = config["t0"]
 
-    formats = set(config["format"].split(","))
-    if not formats <= _FORMATS:
-        raise InvalidParams(
-            f"format must be a comma set of {sorted(_FORMATS)}, got {config['format']!r}"
-        )
-    config["format"] = ",".join(sorted(formats))
-    return {k: config[k] for k in keys}
+    if "format" in config:
+        formats = set(config["format"].split(","))
+        if not formats <= _FORMATS:
+            raise InvalidParams(
+                f"format must be a comma set of {sorted(_FORMATS)}, got {config['format']!r}"
+            )
+        config["format"] = ",".join(sorted(formats))
+    return config
 
 
 def _flow_config(config: dict) -> FlowConfig:
@@ -191,17 +183,18 @@ def _prepare_run(config: dict):
     torus = FuzzyTorus(config["n"], config["m"])
     initial = config["initial"]
     if isinstance(initial, str) and initial.endswith(".json") and Path(initial).exists():
-        try:
-            initial = json.loads(Path(initial).read_text())
-        except (OSError, ValueError) as exc:
-            raise InvalidInput(f"cannot read initial metric {initial}: {exc}") from exc
+        initial = _read_json(initial, "initial metric")
     c0 = metric_from_spec(initial, config["n"], seed_default=config["seed"])
     return torus, c0
 
 
-def _out_dir(config: dict) -> Path:
-    out = Path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
+def _out_dir(path) -> Path:
+    """Create the output directory; a path that cannot be one is invalid input."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInput(f"cannot make output directory {path}: {exc}") from exc
     return out
 
 
@@ -212,7 +205,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = run_flow(torus, c0, flow_config)
 
     formats = set(config["format"].split(","))
-    out = _out_dir(config)
+    out = _out_dir(config["out"])
     _write_json(out / "config.json", config)
     _write_json(out / "geometry.json", torus.to_json())
     if "csv" in formats:
@@ -255,7 +248,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     flow_config = _flow_config({**config, "stride": span if span > 0 else 1.0})
     data = lb_spectrum(torus, run_flow(torus, c0, flow_config).final.space)
 
-    out = _out_dir(config)
+    out = _out_dir(config["out"])
     _write_json(out / "config.json", config)
     _write_json(out / "spectrum.json", spectrum_to_json(data, t=t))
     lo = float(data.eigenvalues[0])
@@ -275,7 +268,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     report = first_variation_report(curves, result)
 
     formats = set(config["format"].split(","))
-    out = _out_dir(config)
+    out = _out_dir(config["out"])
     _write_json(out / "config.json", config)
     if "csv" in formats:
         _write_csv(out / "curves.csv", curves_csv_rows(report))
@@ -294,26 +287,12 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.geometry:
-        try:
-            doc = json.loads(Path(args.geometry).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidInput(f"cannot read geometry {args.geometry}: {exc}") from exc
-        checks = geometry_file_checks(doc)
-        failures = sum(1 for c in checks if not c["passed"])
-        report = {
-            "geometry": args.geometry,
-            "total": len(checks),
-            "failures": failures,
-            "passed": failures == 0,
-            "checks": checks,
-        }
+        report = geometry_file_report(_read_json(args.geometry, "geometry"), args.geometry)
     else:
         report = run_suite(n_max=args.n_max)
 
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "verify.json", report)
+        _write_json(_out_dir(args.out) / "verify.json", report)
     for check in report["checks"]:
         if not check["passed"]:
             print(
@@ -333,30 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
         "tracking for the finite (fuzzy) torus algebra.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, command: str) -> None:
+    for command, func, help_text in (
+        ("simulate", cmd_simulate, "integrate the metric flow and dump the trajectory"),
+        ("spectrum", cmd_spectrum,
+         "curved-Laplacian spectrum at time t1 (t1 == t0 means the initial metric)"),
+        ("track", cmd_track, "track eigenvalue curves along the flow and check the variation law"),
+    ):
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config document; flags override its keys")
-        for key in _COMMAND_KEYS[command]:
-            convert, help_text = _CONFIG_KEYS[key]
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, dest=key, type=convert, help=help_text)
-
-    p_sim = sub.add_parser("simulate", help="integrate the metric flow and dump the trajectory")
-    add_common(p_sim, "simulate")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_spec = sub.add_parser(
-        "spectrum",
-        help="curved-Laplacian spectrum at time t1 (t1 == t0 means the initial metric)",
-    )
-    add_common(p_spec, "spectrum")
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_track = sub.add_parser(
-        "track", help="track eigenvalue curves along the flow and check the variation law"
-    )
-    add_common(p_track, "track")
-    p_track.set_defaults(func=cmd_track)
+        for key, (convert, key_help) in _CONFIG_KEYS.items():
+            if key in _COMMANDS[command]:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=convert, help=key_help)
+        p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="run the cross-module invariant suite")
     p_verify.add_argument("--n-max", dest="n_max", type=int, default=8, help="largest matrix size (2..8)")
@@ -380,19 +347,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PositivityLost, StepUnderflow) as exc:
+    except (FuzzyRicciError, FileNotFoundError) as exc:
         sys.stderr.write(_json_bytes(_error_doc(exc)))
-        return EXIT_NUMERICAL
-    except (
-        InvalidInput,
-        InvalidParams,
-        MetricDegenerate,
-        SpectrumOutOfDomain,
-        InsufficientData,
-        FileNotFoundError,
-    ) as exc:
-        sys.stderr.write(_json_bytes(_error_doc(exc)))
-        return EXIT_INVALID
+        return EXIT_NUMERICAL if isinstance(exc, (PositivityLost, StepUnderflow)) else EXIT_INVALID
 
 
 def entry() -> None:

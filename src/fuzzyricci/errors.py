@@ -26,10 +26,6 @@ class SpectrumOutOfDomain(FuzzyRicciError):
 class MetricDegenerate(FuzzyRicciError):
     """A metric has an eigenvalue at or below the positivity floor."""
 
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
-
 
 class PositivityLost(FuzzyRicciError):
     """An accepted integrator step produced a non-positive metric.

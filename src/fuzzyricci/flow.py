@@ -323,8 +323,6 @@ def _trial_step(
 
 def sample_times(config: FlowConfig) -> np.ndarray:
     """Uniform cadence t0, t0 + stride, ... with t1 always included."""
-    if config.t1 == config.t0:
-        return np.array([config.t0])
     k = int(np.floor((config.t1 - config.t0) / config.sample_stride + 1e-9))
     ts = config.t0 + config.sample_stride * np.arange(k + 1)
     if config.t1 - ts[-1] > 1e-9 * max(1.0, abs(config.t1)):

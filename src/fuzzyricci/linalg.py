@@ -110,8 +110,8 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
     Computes ``V f(L) V*`` from the eigendecomposition ``a = V L V*``. ``f``
-    is evaluated on the eigenvalue array (any numpy ufunc or vectorizable
-    callable). If ``f`` is undefined at some eigenvalue (non-finite result,
+    is evaluated on the whole eigenvalue array (a numpy ufunc or an array
+    expression). If ``f`` is undefined at some eigenvalue (non-finite result,
     e.g. ``log`` at a value <= 0) the offending eigenvalue is reported via
     ``SpectrumOutOfDomain``. The result is Hermitian whenever ``f`` is
     real-valued.
@@ -120,8 +120,6 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     w = eig.eigenvalues
     with np.errstate(all="ignore"):
         fw = np.asarray(f(w))
-    if fw.shape != w.shape:
-        fw = np.asarray([f(x) for x in w])
     bad = ~np.isfinite(fw)
     if np.any(bad):
         offending = float(w[np.argmax(bad)])

@@ -116,8 +116,8 @@ class FuzzyTorus:
     def laplacian_eig(self) -> HermitianEig:
         """Eigendecomposition of the flat Laplacian's dense matrix.
 
-        Built only for the flow's integrating factor; the dense matrix it
-        decomposes is not kept.
+        Built for the flow's integrating factor and the invariant suite's
+        kernel checks; the dense matrix it decomposes is not kept.
         """
         return hermitian_eig(self._laplacian_matrix())
 

@@ -26,7 +26,6 @@ from .laplace_beltrami import (
 from .linalg import (
     as_complex,
     as_int,
-    hermitian_eig,
     hs_inner,
     hs_norm,
     matrix_from_json,
@@ -86,6 +85,18 @@ def _leq(name: str, params: str, measured: float, tolerance: float) -> dict:
     return _check(name, params, tolerance, measured, measured <= tolerance)
 
 
+def _report(checks: list[dict], **head) -> dict:
+    """The report document: ``head``, the verdict counts, then every row."""
+    failures = sum(1 for c in checks if not c["passed"])
+    return {
+        **head,
+        "total": len(checks),
+        "failures": failures,
+        "passed": failures == 0,
+        "checks": checks,
+    }
+
+
 def coprime_pairs(n_max: int) -> Iterable[tuple[int, int]]:
     for n in range(2, n_max + 1):
         for m in range(1, n):
@@ -127,8 +138,8 @@ def geometry_checks(torus: FuzzyTorus) -> list[dict]:
     return geometry_checks_raw(torus.n, torus.q, torus.u, torus.v, torus.x, torus.y, params)
 
 
-def geometry_file_checks(doc: dict) -> list[dict]:
-    """Run the geometry battery on a JSON dump (the negative-control path)."""
+def geometry_file_report(doc: dict, name: str) -> dict:
+    """Report of the geometry battery on a JSON dump (the negative-control path)."""
     try:
         n = as_int(doc["n"])
         m = as_int(doc["m"])
@@ -139,7 +150,7 @@ def geometry_file_checks(doc: dict) -> list[dict]:
         y = matrix_from_json(doc["y"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InvalidInput(f"malformed geometry document: {exc}") from exc
-    return geometry_checks_raw(n, q, u, v, x, y, params=f"file:n={n},m={m}")
+    return _report(geometry_checks_raw(n, q, u, v, x, y, f"file:n={n},m={m}"), geometry=name)
 
 
 def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
@@ -149,7 +160,7 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     norm = float(np.linalg.norm(mat, 2))
     checks = [_leq("laplacian_hermitian", params, op.hermiticity_defect(), TOL_LAP_HERM)]
 
-    w, vecs = hermitian_eig(mat)
+    w, vecs = torus.laplacian_eig
     checks.append(
         _check(
             "laplacian_psd",
@@ -364,12 +375,4 @@ def run_suite(n_max: int = 8) -> dict:
             checks += lb_checks(FuzzyTorus(n))
     checks.append(counterexample_check())
     checks += tracking_checks()
-
-    failures = sum(1 for c in checks if not c["passed"])
-    return {
-        "n_max": n_max,
-        "total": len(checks),
-        "failures": failures,
-        "passed": failures == 0,
-        "checks": checks,
-    }
+    return _report(checks, n_max=n_max)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fuzzyricci
-from fuzzyricci import PositivityLost, cli, linalg
+from fuzzyricci import FuzzyRicciError, PositivityLost, cli, linalg
 
 
 def run_cli(args):
@@ -80,6 +80,62 @@ def test_non_finite_initial_metric_exit_2_and_no_files(tmp_path, capsys, command
     assert run_cli([command, "--n", 2, "--initial", initial, "--out", out]) == 2
     assert not out.exists()
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["simulate", "--config", "{path}"], "config"),
+        (["verify", "--geometry", "{path}"], "geometry"),
+        (["simulate", "--n", 2, "--initial", "{path}"], "initial metric"),
+    ],
+    ids=["config", "geometry", "initial"],
+)
+def test_unreadable_file_exit_2_and_no_files(tmp_path, capsys, argv, what):
+    # A file that is not UTF-8 is as unreadable as a missing one, whichever
+    # option names it.
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    out = tmp_path / "run"
+    argv = [str(path) if a == "{path}" else a for a in argv]
+    assert run_cli(argv + ["--out", out]) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInput"
+    assert err["message"].startswith(f"cannot read {what} {path}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", 2, "--t1", 0.1],
+        ["spectrum", "--n", 2],
+        ["track", "--n", 2, "--t1", 0.01],
+        ["verify", "--n-max", 2],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_not_a_directory_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert run_cli(argv + ["--out", out]) == 2
+    assert out.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidInput"
+    assert str(out) in err["message"]
+
+
+def test_base_error_exit_2(monkeypatch, capsys):
+    # Any package error outside the numerical pair is invalid input, including
+    # the base class itself.
+    def fail(args):
+        raise FuzzyRicciError("no such case")
+
+    monkeypatch.setattr(cli, "cmd_track", fail)
+    assert run_cli(["track"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "FuzzyRicciError", "message": "no such case"}
 
 
 def test_no_command_probes_an_operator(tmp_path, monkeypatch):
