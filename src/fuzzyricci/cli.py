@@ -13,10 +13,11 @@ reproducible from its artifacts alone. All outputs are deterministic:
 identical configuration produces byte-identical files.
 
 Exit codes: 0 success; 2 invalid input or parameters, including an
-unreadable ``--config``, ``--initial`` or ``--geometry`` file and an ``--out``
-that cannot be a directory; 3 numerical failure (positivity loss or step
-underflow); 4 acceptance failure in track/verify. Every package error outside
-the numerical pair exits 2.
+unreadable ``--config``, ``--initial`` or ``--geometry`` file, a stride or
+tolerance that is not finite and positive, and an ``--out`` that cannot be a
+directory (an existing file is refused before any work); 3 numerical failure
+(positivity loss or step underflow); 4 acceptance failure in track/verify.
+Every package error outside the numerical pair exits 2.
 """
 
 from __future__ import annotations
@@ -179,13 +180,20 @@ def _flow_config(config: dict) -> FlowConfig:
 
 
 def _prepare_run(config: dict):
-    """Validate geometry and initial metric before any file is written."""
+    """Validate the output path, geometry and initial metric before any work."""
+    _check_out(config["out"])
     torus = FuzzyTorus(config["n"], config["m"])
     initial = config["initial"]
     if isinstance(initial, str) and initial.endswith(".json") and Path(initial).exists():
         initial = _read_json(initial, "initial metric")
     c0 = metric_from_spec(initial, config["n"], seed_default=config["seed"])
     return torus, c0
+
+
+def _check_out(path) -> None:
+    """Reject an output path (if any) that exists as something other than a directory."""
+    if path and Path(path).exists() and not Path(path).is_dir():
+        raise InvalidInput(f"cannot make output directory {path}: it exists and is not a directory")
 
 
 def _out_dir(path) -> Path:
@@ -254,7 +262,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     lo = float(data.eigenvalues[0])
     hi = float(data.eigenvalues[-1])
     print(
-        f"spectrum at t={t}: {data.dim} eigenvalues in [{lo:.6g}, {hi:.6g}], "
+        f"spectrum at t={t}: {len(data.eigenvalues)} eigenvalues in [{lo:.6g}, {hi:.6g}], "
         f"kernel index {data.kernel_index}"
     )
     return EXIT_OK
@@ -286,6 +294,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     if args.geometry:
         report = geometry_file_report(_read_json(args.geometry, "geometry"), args.geometry)
     else:

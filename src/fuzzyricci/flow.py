@@ -48,7 +48,14 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidParams, MetricDegenerate, PositivityLost, StepUnderflow
 from .laplace_beltrami import POSITIVITY_FLOOR, WeightedSpace
-from .linalg import as_square_matrix, hs_norm, matrix_exp, matrix_from_json, matrix_to_json
+from .linalg import (
+    as_square_matrix,
+    gaussian_matrices,
+    hs_norm,
+    matrix_exp,
+    matrix_from_json,
+    matrix_to_json,
+)
 from .torus import FuzzyTorus
 
 # Dormand-Prince 4(5) tableau: A rows of stages 2-6, then the weights. B5 is
@@ -103,10 +110,13 @@ class FlowConfig:
         if not np.isfinite(self.t0) or not np.isfinite(self.t1) or self.t1 < self.t0:
             # Forward integration only; t1 == t0 degenerates to a single sample.
             raise InvalidParams(f"bad time window [{self.t0}, {self.t1}]")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise InvalidParams("tolerances must be positive")
-        if self.sample_stride <= 0:
-            raise InvalidParams("sample_stride must be positive")
+        # Each comparison is written so that a NaN fails it.
+        if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
+            raise InvalidParams("tolerances must be positive and finite")
+        if not 0 < self.sample_stride < np.inf:
+            raise InvalidParams("sample_stride must be positive and finite")
+        if (self.t1 - self.t0) / self.sample_stride >= np.iinfo(np.intp).max:
+            raise InvalidParams(f"sample_stride {self.sample_stride:g} gives too many samples")
 
 
 @dataclass(frozen=True)
@@ -166,7 +176,7 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     if n < 1:
         raise InvalidParams(f"matrix size must be positive, got n={n}")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = gaussian_matrices(rng, 1, n)[0]
     h = scale * (g + g.conj().T) / 2
     c = matrix_exp(h)
     return c * (n / np.trace(c).real)

@@ -3,9 +3,10 @@
 Matrices are plain complex ``numpy`` arrays. The module provides the
 Hilbert-Schmidt structure ``<a,b> = tr(a* b)``, Hermitian eigendecomposition
 with a fixed symmetrization policy, functional calculus ``f(a) = V f(L) V*``,
-and the vectorization of linear matrix maps into dense superoperator
-matrices by probing matrix units (``superop_from_map``), the reference that
-the closed-form operators are checked against.
+the vectorization of linear matrix maps into dense superoperator matrices by
+probing matrix units (``superop_from_map``), the reference that the
+closed-form operators are checked against, and ``gaussian_matrices``, the one
+seeded draw of complex Gaussian matrices behind every random input.
 
 Flattening convention: an ``n x n`` matrix is flattened row-major (C order),
 so the matrix unit ``E[j,k]`` maps to basis index ``j*n + k``. Under this
@@ -58,6 +59,12 @@ def as_complex(re, im) -> complex:
     if isinstance(re, bool) or isinstance(im, bool):
         raise TypeError(f"expected numbers, got [{re!r}, {im!r}]")
     return complex(re, im)
+
+
+def gaussian_matrices(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` complex ``n x n`` matrices ``X + iY`` of standard normals, ``X`` drawn first."""
+    z = rng.standard_normal((count, 2, n, n))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def hs_inner(a, b) -> complex:
@@ -172,8 +179,7 @@ def superop_from_map(n: int, map_fn: Callable[[np.ndarray], np.ndarray]) -> Supe
         raise InvalidInput(f"dimension must be positive, got {n}")
     rng = np.random.default_rng(0)
     for _ in range(2):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a, b = gaussian_matrices(rng, 2, n)
         alpha = complex(rng.standard_normal(), rng.standard_normal())
         fa, fb = map_fn(a), map_fn(b)
         fab = map_fn(alpha * a + b)

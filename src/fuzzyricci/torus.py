@@ -13,7 +13,8 @@ Both unitaries are exponentials of canonical Hermitian generators:
 whose kernel is exactly the scalar matrices. Its dense matrix, and the
 commutators behind ``commutant_dimension``, are built in closed form from
 Kronecker products: under the row-major flattening ``a -> [p, a]`` has the
-matrix ``p (x) I - I (x) p^T``.
+matrix ``p (x) I - I (x) p^T``. The dense matrix is cached per torus, and
+``laplacian_eig`` decomposes that cached matrix.
 """
 
 from __future__ import annotations
@@ -105,25 +106,10 @@ class FuzzyTorus:
 
     @cached_property
     def laplacian(self) -> Superoperator:
-        """Flat Laplacian as a dense superoperator, built in closed form.
+        """Flat Laplacian as a dense ``n^2 x n^2`` superoperator, built in closed form.
 
         Hermitian and positive semidefinite in the Hilbert-Schmidt inner
         product, with one-dimensional kernel spanned by the identity.
-        """
-        return Superoperator(n=self.n, matrix=self._laplacian_matrix())
-
-    @cached_property
-    def laplacian_eig(self) -> HermitianEig:
-        """Eigendecomposition of the flat Laplacian's dense matrix.
-
-        Built for the flow's integrating factor and the invariant suite's
-        kernel checks; the dense matrix it decomposes is not kept.
-        """
-        return hermitian_eig(self._laplacian_matrix())
-
-    def _laplacian_matrix(self) -> np.ndarray:
-        """The flat Laplacian's dense ``n^2 x n^2`` matrix, in closed form.
-
         ``[y, [y, .]]`` has the matrix ``y^2 (x) I - 2 y (x) y^T + I (x) (y^2)^T``
         and ``[x, [x, .]]`` the diagonal ``diag(vec W)``; the terms are
         accumulated into one array.
@@ -138,7 +124,16 @@ class FuzzyTorus:
         m[i, :, i, :] += y2.T  # I (x) (y^2)^T
         m = m.reshape(n * n, n * n)
         m[np.arange(n * n), np.arange(n * n)] += self._x_weights.reshape(-1)
-        return m
+        return Superoperator(n=n, matrix=m)
+
+    @cached_property
+    def laplacian_eig(self) -> HermitianEig:
+        """Eigendecomposition of the cached ``laplacian`` matrix.
+
+        Built for the flow's integrating factor and the invariant suite's
+        kernel checks.
+        """
+        return hermitian_eig(self.laplacian.matrix)
 
     def to_json(self) -> dict:
         """Dump the generators for cross-checking against other builds."""

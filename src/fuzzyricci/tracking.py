@@ -13,10 +13,11 @@ The tracked curves satisfy a first variation law along the flow,
     d(lambda)/dt = lambda * tr(a* a (L log c)),
 
 for weighted-normalized eigenvectors ``a``; ``first_variation_report``
-checks it against a finite-difference derivative of the tracked eigenvalues
-(second-order central differences inside the window, second-order one-sided
-at the ends). The law has an equivalent form through the state
-``phi(b) = tr(c b)``, evaluated separately as a cross-check.
+checks it against numpy's second-order finite-difference derivative of the
+tracked eigenvalues (``np.gradient`` with ``edge_order=2``: central
+differences inside the window, one-sided three-point stencils at the ends).
+The law has an equivalent form through the state ``phi(b) = tr(c b)``,
+evaluated separately as a cross-check.
 
 The torus, each sample's metric state and ``L log c`` (its negated field) are
 read off the trajectory, so no function here takes a torus or applies ``L``.
@@ -188,11 +189,11 @@ def variation_rhs_state_form(sample: FlowSample, value, a) -> float | np.ndarray
 
 
 def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Second-order finite-difference derivative on a uniform grid.
+    """Second-order finite-difference derivative on a uniform grid: numpy's ``gradient``.
 
     Central differences at interior points; one-sided three-point stencils
-    at both ends (the flow only exists forward from the initial time, so the
-    start derivative is genuinely one-sided).
+    at both ends (``edge_order=2``; the flow only exists forward from the
+    initial time, so the start derivative is genuinely one-sided).
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -203,11 +204,7 @@ def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     h = times[1] - times[0]
     if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(abs(h), 1.0):
         raise InvalidInput("sample times are not uniformly spaced")
-    d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2 * h)
-    d[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * h)
-    d[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * h)
-    return d
+    return np.gradient(values, h, axis=0, edge_order=2)
 
 
 @dataclass(frozen=True)

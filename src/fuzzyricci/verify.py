@@ -26,6 +26,7 @@ from .laplace_beltrami import (
 from .linalg import (
     as_complex,
     as_int,
+    gaussian_matrices,
     hs_inner,
     hs_norm,
     matrix_from_json,
@@ -85,6 +86,10 @@ def _leq(name: str, params: str, measured: float, tolerance: float) -> dict:
     return _check(name, params, tolerance, measured, measured <= tolerance)
 
 
+def _geq(name: str, params: str, measured: float, tolerance: float) -> dict:
+    return _check(name, params, tolerance, measured, measured >= tolerance)
+
+
 def _report(checks: list[dict], **head) -> dict:
     """The report document: ``head``, the verdict counts, then every row."""
     failures = sum(1 for c in checks if not c["passed"])
@@ -104,7 +109,7 @@ def coprime_pairs(n_max: int) -> Iterable[tuple[int, int]]:
                 yield n, m
 
 
-def geometry_checks_raw(n: int, q: complex, u, v, x, y, params: str) -> list[dict]:
+def geometry_checks(n: int, q: complex, u, v, x, y, params: str) -> list[dict]:
     """Relation, unitarity, exponential-consistency, and commutant checks.
 
     Operates on raw matrices so that externally supplied geometry dumps
@@ -133,11 +138,6 @@ def geometry_checks_raw(n: int, q: complex, u, v, x, y, params: str) -> list[dic
     return checks
 
 
-def geometry_checks(torus: FuzzyTorus) -> list[dict]:
-    params = f"n={torus.n},m={torus.m}"
-    return geometry_checks_raw(torus.n, torus.q, torus.u, torus.v, torus.x, torus.y, params)
-
-
 def geometry_file_report(doc: dict, name: str) -> dict:
     """Report of the geometry battery on a JSON dump (the negative-control path)."""
     try:
@@ -150,7 +150,7 @@ def geometry_file_report(doc: dict, name: str) -> dict:
         y = matrix_from_json(doc["y"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InvalidInput(f"malformed geometry document: {exc}") from exc
-    return _report(geometry_checks_raw(n, q, u, v, x, y, f"file:n={n},m={m}"), geometry=name)
+    return _report(geometry_checks(n, q, u, v, x, y, f"file:n={n},m={m}"), geometry=name)
 
 
 def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
@@ -161,15 +161,7 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     checks = [_leq("laplacian_hermitian", params, op.hermiticity_defect(), TOL_LAP_HERM)]
 
     w, vecs = torus.laplacian_eig
-    checks.append(
-        _check(
-            "laplacian_psd",
-            params,
-            -TOL_LAP_PSD * norm,
-            float(w[0]),
-            float(w[0]) >= -TOL_LAP_PSD * norm,
-        )
-    )
+    checks.append(_geq("laplacian_psd", params, float(w[0]), -TOL_LAP_PSD * norm))
     kernel = np.flatnonzero(np.abs(w) < KERNEL_THRESHOLD * max(norm, 1.0))
     checks.append(_check("laplacian_kernel_dim", params, 1.0, len(kernel), len(kernel) == 1))
     if len(kernel) == 1:
@@ -187,10 +179,7 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     rng = np.random.default_rng(2024)
     worst_trace = 0.0
     worst_herm = 0.0
-    for _ in range(LAPLACIAN_SAMPLES):
-        a = rng.standard_normal((torus.n, torus.n)) + 1j * rng.standard_normal(
-            (torus.n, torus.n)
-        )
+    for a in gaussian_matrices(rng, LAPLACIAN_SAMPLES, torus.n):
         image = torus.laplacian_apply(a)
         worst_trace = max(worst_trace, abs(np.trace(image)) / hs_norm(a))
         worst_herm = max(
@@ -206,7 +195,7 @@ def linalg_checks() -> list[dict]:
     n = LINALG_N
     params = f"n={n}"
     rng = np.random.default_rng(7)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = gaussian_matrices(rng, 1, n)[0]
     h = (g + g.conj().T) / 2
     ident_res = hs_norm(matrix_function(h, lambda w: w) - h)
     checks = [_leq("functional_calculus_identity", params, ident_res, 1e-12 * n * hs_norm(h))]
@@ -214,8 +203,7 @@ def linalg_checks() -> list[dict]:
     op = superop_from_map(n, lambda a: h @ a - a @ h)
     worst_apply = 0.0
     worst_pos = np.inf
-    for _ in range(LINALG_SAMPLES):
-        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for b in gaussian_matrices(rng, LINALG_SAMPLES, n):
         direct = h @ b - b @ h
         worst_apply = max(worst_apply, hs_norm(op.apply(b) - direct) / hs_norm(b))
         worst_pos = min(worst_pos, hs_inner(b, b).real)
@@ -258,22 +246,9 @@ def lb_checks(torus: FuzzyTorus) -> list[dict]:
 
         data = lb_spectrum(torus, space)
         norm = max(data.operator_norm, 1.0)
-        checks.append(
-            _check(
-                "lb_psd",
-                params,
-                -TOL_LB_PSD * norm,
-                float(data.eigenvalues[0]),
-                float(data.eigenvalues[0]) >= -TOL_LB_PSD * norm,
-            )
-        )
+        checks.append(_geq("lb_psd", params, float(data.eigenvalues[0]), -TOL_LB_PSD * norm))
 
-        a = rng.standard_normal((torus.n, torus.n)) + 1j * rng.standard_normal(
-            (torus.n, torus.n)
-        )
-        b = rng.standard_normal((torus.n, torus.n)) + 1j * rng.standard_normal(
-            (torus.n, torus.n)
-        )
+        a, b = gaussian_matrices(rng, 2, torus.n)
         lhs = hs_inner(space.to_flat(a), space.to_flat(b))
         rhs = space.inner(a, b)
         uc_err = abs(lhs - rhs) / max(abs(rhs), 1.0)
@@ -365,7 +340,7 @@ def run_suite(n_max: int = 8) -> dict:
     checks += linalg_checks()
     for n, m in coprime_pairs(n_max):
         torus = FuzzyTorus(n, m)
-        checks += geometry_checks(torus)
+        checks += geometry_checks(n, torus.q, torus.u, torus.v, torus.x, torus.y, f"n={n},m={m}")
         checks += laplacian_checks(torus)
     for n in (2, 3, 4):
         if n <= n_max:

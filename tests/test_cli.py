@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import fuzzyricci
 from fuzzyricci import FuzzyRicciError, PositivityLost, cli, linalg
+from fuzzyricci.laplace_beltrami import WeightedSpace
 
 
 def run_cli(args):
@@ -83,6 +85,29 @@ def test_non_finite_initial_metric_exit_2_and_no_files(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize(
+    "setting",
+    [
+        # An infinite stride would take no step and label the initial metric t1.
+        ["--stride", "inf"],
+        ["--stride", "nan"],
+        ["--rel-tol", "nan"],
+        # An infinite tolerance would accept every trial step.
+        ["--abs-tol", "inf"],
+        ["--rel-tol", "inf"],
+        # Sample counts past the largest array index.
+        ["--stride", "1e-300"],
+        ["--t1", "1e300"],
+    ],
+    ids="=".join,
+)
+def test_unusable_run_setting_exit_2_and_no_files(tmp_path, capsys, setting):
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--n", 2, "--t1", 1] + setting + ["--out", out]) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
+
+
+@pytest.mark.parametrize(
     "argv, what",
     [
         (["simulate", "--config", "{path}"], "config"),
@@ -115,7 +140,13 @@ def test_unreadable_file_exit_2_and_no_files(tmp_path, capsys, argv, what):
     ],
     ids=lambda argv: argv[0],
 )
-def test_out_not_a_directory_exit_2(tmp_path, capsys, argv):
+def test_out_not_a_directory_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # The path is refused before any computation starts.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command computed before checking --out")
+
+    monkeypatch.setattr(cli, "run_flow", no_work)
+    monkeypatch.setattr(cli, "run_suite", no_work)
     out = tmp_path / "taken"
     out.write_text("keep\n")
     assert run_cli(argv + ["--out", out]) == 2
@@ -416,6 +447,48 @@ class TestVerify:
         doc = json.loads((out / "verify.json").read_text())
         assert doc["failures"] == 0
         assert doc["passed"] is True
+
+    def test_full_suite_passes(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(["verify", "--n-max", 8, "--out", out]) == 0
+        assert capsys.readouterr().out == "verify: 391/391 checks passed\n"
+        doc = json.loads((out / "verify.json").read_text())
+        assert (doc["total"], doc["failures"], doc["passed"]) == (391, 0, True)
+        # 21 coprime pairs (n, m) with n <= 8; 5 seeds at n = 2, 3; 3 seeds at n = 2, 3, 4.
+        geometry = [
+            "exchange_relation", "unitarity_u", "unitarity_v", "exp_x_is_u", "exp_y_is_v",
+            "q_primitive_root", "commutant_dimension", "laplacian_hermitian", "laplacian_psd",
+            "laplacian_kernel_dim", "laplacian_spectral_gap", "laplacian_kernel_is_identity",
+            "laplacian_kills_trace", "laplacian_respects_adjoint",
+        ]
+        curved = [
+            "lb_hermitian", "lb_psd", "uc_preserves_inner", "lb_rayleigh_identity",
+            "lb_state_vanishes",
+        ]
+        flows = ["flow_trace_drift", "flow_det_nondecreasing", "flow_positivity", "flow_flat_limit"]
+        single = [
+            "functional_calculus_identity", "superop_matches_map", "hs_inner_positive",
+            "rejected_operator_not_hermitian", "variation_residual_rel", "variation_forms_agree",
+            "tracking_no_flags", "curve_normalization", "curve_state_vanishes",
+            "kernel_curve_is_identity", "variation_phase_invariance",
+        ]
+        expected = {
+            **dict.fromkeys(geometry, 21), **dict.fromkeys(curved, 10),
+            **dict.fromkeys(flows, 9), **dict.fromkeys(single, 1),
+        }
+        assert Counter(c["check"] for c in doc["checks"]) == expected
+
+    def test_failing_row_exit_4(self, tmp_path, monkeypatch, capsys):
+        # A broken unitary onto the flat space must show up as failed rows.
+        monkeypatch.setattr(WeightedSpace, "to_flat", lambda self, a: a @ self.c)
+        out = tmp_path / "run"
+        assert run_cli(["verify", "--n-max", 2, "--out", out]) == 4
+        printed = capsys.readouterr().out
+        assert printed.count("FAIL uc_preserves_inner [n=") == 5
+        doc = json.loads((out / "verify.json").read_text())
+        assert (doc["failures"], doc["passed"]) == (5, False)
+        failed = {c["check"] for c in doc["checks"] if not c["passed"]}
+        assert failed == {"uc_preserves_inner"}
 
     def test_geometry_file_clean(self, tmp_path):
         out = tmp_path / "geom"

@@ -204,7 +204,6 @@ class TestSpectrum:
         assert len(doc["eigenvalues"]) == 4
         assert len(doc["eigenvectors_Hc"]) == 4
         assert doc["eigenvectors_Hc"][0]["n"] == 2
-        assert "t" not in spectrum_to_json(data)
 
 
 class TestRejectedOperator:

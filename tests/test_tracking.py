@@ -79,8 +79,9 @@ class TestMatching:
 class TestFiniteDifferences:
     def test_exact_on_quadratics(self):
         t = np.linspace(0.0, 1.0, 11)
-        values = 2.5 * t**2 - 1.2 * t + 0.3
-        expected = 5.0 * t - 1.2
+        # Curves are columns, as in a report: each is differentiated along time.
+        values = np.stack([2.5 * t**2 - 1.2 * t + 0.3, 4.0 - t**2], axis=1)
+        expected = np.stack([5.0 * t - 1.2, -2.0 * t], axis=1)
         np.testing.assert_allclose(fd_derivative(t, values), expected, atol=1e-12)
 
     def test_second_order_convergence(self):
