@@ -10,13 +10,19 @@ Configuration comes from an optional JSON document (``--config``) with
 command-line flags overriding individual keys one-to-one; the resolved
 configuration is written next to the outputs as ``config.json`` so a run is
 reproducible from its artifacts alone. All outputs are deterministic:
-identical configuration produces byte-identical files.
+identical configuration produces byte-identical files. Every JSON document,
+the error document on stderr included, is the stdlib encoder's text with
+``sort_keys=True, indent=2`` plus a newline. ``_json_text`` writes it, since
+the stdlib formats every value in Python once ``indent`` is set; a list of
+floats, or of equal-length float rows, is one ``str.join`` here.
 
 Exit codes: 0 success; 2 invalid input or parameters, including an
 unreadable ``--config``, ``--initial`` or ``--geometry`` file, a stride or
-tolerance that is not finite and positive, and an ``--out`` that cannot be a
-directory (an existing file is refused before any work); 3 numerical failure
-(positivity loss or step underflow); 4 acceptance failure in track/verify.
+tolerance that is not finite and positive, an ``--out`` that cannot be a
+directory (an existing file is refused before any work), and a ``track``
+sample grid that is not uniform or has fewer than 3 samples (refused before
+the flow); 3 numerical failure (positivity loss or step underflow); 4
+acceptance failure in track/verify.
 Every package error outside the numerical pair exits 2.
 """
 
@@ -24,8 +30,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import FuzzyRicciError, InvalidInput, InvalidParams, PositivityLost, StepUnderflow
@@ -35,6 +43,7 @@ from .flow import (
     flow_invariants,
     metric_from_spec,
     run_flow,
+    sample_times,
     trajectory_csv_rows,
     trajectory_to_json,
 )
@@ -47,6 +56,7 @@ from .tracking import (
     first_variation_report,
     report_to_json,
     track_spectrum,
+    uniform_step,
 )
 from .verify import geometry_file_report, run_suite
 
@@ -115,7 +125,48 @@ _COMMANDS = {
 
 
 def _json_bytes(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text(doc, "\n") + "\n"
+
+
+def _json_text(obj, ind: str) -> str:
+    """The stdlib encoder's text with ``sort_keys=True, indent=2`` at line prefix ``ind``."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    inner = ind + "  "
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + _items_text(obj, inner) + ind + "]" if obj else "[]"
+    if isinstance(obj, dict):  # a key that is not a str fails to sort or encode: TypeError
+        items = sorted(obj.items())
+        pairs = (encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in items)
+        return "{" + inner + ("," + inner).join(pairs) + ind + "}" if obj else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _items_text(items, inner: str) -> str:
+    """A non-empty list's items at line prefix ``inner``; finite floats, bare or
+    in equal-length rows, go through one ``str.join`` over ``float.__repr__``."""
+    sep = "," + inner
+    widths = set(map(len, items)) if set(map(type, items)) <= {list, tuple} else set()
+    try:
+        if len(widths) == 1 and 0 not in widths:
+            deeper = inner + "  "
+            flat = map(float.__repr__, itertools.chain.from_iterable(items))
+            rows = map(("," + deeper).join, zip(*[flat] * widths.pop()))
+            text = "[" + deeper + (inner + "]," + inner + "[" + deeper).join(rows) + inner + "]"
+        else:
+            text = sep.join(map(float.__repr__, items))
+        if "n" not in text:  # a finite float never prints an "n"; nan and inf do
+            return text
+    except TypeError:  # an item that is not a float
+        pass
+    return sep.join(_json_text(item, inner) for item in items)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -271,7 +322,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_track(args: argparse.Namespace) -> int:
     config = resolve_config(args, "track")
     torus, c0 = _prepare_run(config)
-    result = run_flow(torus, c0, _flow_config(config))
+    flow_config = _flow_config(config)
+    uniform_step(sample_times(flow_config))  # the derivative oracle's grid, checked before the run
+    result = run_flow(torus, c0, flow_config)
     curves = track_spectrum(result)
     report = first_variation_report(curves, result)
 

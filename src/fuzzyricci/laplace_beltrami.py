@@ -268,7 +268,7 @@ def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
 def spectrum_to_json(data: SpectralData, t: float) -> dict:
     """Spectrum at time ``t`` as JSON: eigenvalues plus weighted-normalized eigenvectors."""
     return {
-        "eigenvalues": [float(w) for w in data.eigenvalues],
+        "eigenvalues": data.eigenvalues.tolist(),
         "eigenvectors_Hc": [matrix_to_json(a) for a in data.vectors_weighted],
         "kernel_index": data.kernel_index,
         "degeneracy_groups": data.degeneracy_groups,

@@ -205,7 +205,7 @@ def superop_from_map(n: int, map_fn: Callable[[np.ndarray], np.ndarray]) -> Supe
 def matrix_to_json(a) -> dict:
     """Encode a square complex matrix as ``{"n": ..., "entries": [[re, im], ...]}``."""
     a = as_square_matrix(a)
-    entries = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    entries = np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist()
     return {"n": int(a.shape[0]), "entries": entries}
 
 

@@ -16,6 +16,9 @@ for weighted-normalized eigenvectors ``a``; ``first_variation_report``
 checks it against numpy's second-order finite-difference derivative of the
 tracked eigenvalues (``np.gradient`` with ``edge_order=2``: central
 differences inside the window, one-sided three-point stencils at the ends).
+That oracle needs a uniform grid of at least 3 samples; ``uniform_step``
+checks one, and depends only on the sample times, so a run can be refused
+before its flow is integrated.
 The law has an equivalent form through the state ``phi(b) = tr(c b)``,
 evaluated separately as a cross-check.
 
@@ -188,15 +191,14 @@ def variation_rhs_state_form(sample: FlowSample, value, a) -> float | np.ndarray
     return _real_rhs(space.state(a.conj().swapaxes(-1, -2) @ a @ lap_log @ space.c_inv) * value)
 
 
-def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Second-order finite-difference derivative on a uniform grid: numpy's ``gradient``.
+def uniform_step(times) -> float:
+    """The step ``h`` of a sample grid that :func:`fd_derivative` can use.
 
-    Central differences at interior points; one-sided three-point stencils
-    at both ends (``edge_order=2``; the flow only exists forward from the
-    initial time, so the start derivative is genuinely one-sided).
+    Raises ``InsufficientData`` below 3 samples and ``InvalidInput`` unless
+    every spacing is within ``1e-9 * max(|h|, 1)`` of the first. The grid is
+    known from the run settings, so ``track`` checks it before the flow.
     """
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if len(times) < 3:
         raise InsufficientData(
             f"need at least 3 samples for second-order differences, got {len(times)}"
@@ -204,7 +206,18 @@ def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     h = times[1] - times[0]
     if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(abs(h), 1.0):
         raise InvalidInput("sample times are not uniformly spaced")
-    return np.gradient(values, h, axis=0, edge_order=2)
+    return float(h)
+
+
+def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Second-order finite-difference derivative on a uniform grid: numpy's ``gradient``.
+
+    Central differences at interior points; one-sided three-point stencils
+    at both ends (``edge_order=2``; the flow only exists forward from the
+    initial time, so the start derivative is genuinely one-sided).
+    """
+    h = uniform_step(times)
+    return np.gradient(np.asarray(values, dtype=float), h, axis=0, edge_order=2)
 
 
 @dataclass(frozen=True)
@@ -284,8 +297,7 @@ def first_variation_report(curves: SpectralCurves, trajectory: FlowResult) -> Va
     the aggregates. Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
     """
     samples = trajectory.samples
-    if len(samples) < 3:
-        raise InsufficientData(f"need at least 3 trajectory samples, got {len(samples)}")
+    uniform_step(trajectory.times)
     if len(curves.times) != len(samples):
         raise InvalidInput(
             f"curves have {len(curves.times)} samples, trajectory has {len(samples)}"

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuzzyricci
 from fuzzyricci import FuzzyRicciError, PositivityLost, cli, linalg
@@ -436,6 +438,25 @@ class TestTrack:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "grid, error",
+        [
+            (["--t1", 0.2, "--stride", 0.07], "InvalidInput"),  # 0, 0.07, 0.14, 0.2
+            (["--t1", 0.0015], "InvalidInput"),  # 0, 1e-3, 1.5e-3
+            (["--t1", 0.001], "InsufficientData"),  # 0, 1e-3
+        ],
+        ids=["uneven-stride", "uneven-end", "two-samples"],
+    )
+    def test_unusable_grid_exit_2_before_the_flow(self, tmp_path, monkeypatch, capsys, grid, error):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran on a grid the derivative oracle cannot use")
+
+        monkeypatch.setattr(cli, "run_flow", no_flow)
+        out = tmp_path / "run"
+        assert run_cli(["track", "--n", 2, *grid, "--out", out]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
 
 class TestVerify:
     def test_small_suite_passes(self, tmp_path, capsys):
@@ -544,3 +565,104 @@ class TestVerify:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run_cli(["verify", "--geometry", tmp_path / "nope.json"]) == 2
+
+
+def _stdlib_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", 3],
+        ["spectrum", "--n", 3],
+        ["track", "--n", 2],
+        ["verify", "--n-max", 2],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_json_artifact_is_in_the_stdlib_format(tmp_path, argv):
+    # float.__repr__ round-trips, so re-encoding a parsed file reproduces it
+    # exactly when it was written in json.dumps(sort_keys=True, indent=2) form.
+    out = tmp_path / "run"
+    assert run_cli([*argv, "--out", out]) == 0
+    paths = sorted(out.glob("*.json"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        assert text == _stdlib_text(json.loads(text)), path.name
+
+
+def test_error_document_is_in_the_stdlib_format(tmp_path, capsys):
+    assert run_cli(["simulate", "--n", 4, "--m", 2, "--out", tmp_path / "run"]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "InvalidParams"
+    assert err == _stdlib_text(json.loads(err))
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e22, 1e-5]
+_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _FLOATS
+    | _FLOATS.map(np.float64)
+    | st.text(max_size=6)
+)
+
+
+def _float_rows(equal: bool):
+    if not equal:
+        return st.lists(st.lists(_FLOATS, max_size=4), min_size=1, max_size=4)
+    return st.integers(1, 3).flatmap(
+        lambda k: st.lists(st.lists(_FLOATS, min_size=k, max_size=k), min_size=1, max_size=4)
+    )
+
+
+@st.composite
+def _rows_with_one_other_entry(draw):
+    rows = draw(_float_rows(equal=True))
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    rows[i][j] = draw(_LEAVES)
+    return rows
+
+
+_DOCS = st.recursive(
+    _LEAVES
+    | st.lists(_FLOATS, max_size=6)
+    | _float_rows(equal=True)
+    | _float_rows(equal=False)
+    | _float_rows(equal=True).map(lambda rows: [tuple(r) for r in rows])
+    | _rows_with_one_other_entry(),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_DOCS)
+def test_encoder_equals_stdlib_indent_encoder(doc):
+    assert cli._json_bytes(doc) == _stdlib_text(doc)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), 1j, {1.0}], ids=["int64", "complex", "set"])
+def test_encoder_refuses_what_stdlib_refuses(value):
+    for doc in (value, [1.0, value], {"a": [[1.0, 2.0], [value, 3.0]]}):
+        with pytest.raises(TypeError):
+            _stdlib_text(doc)
+        with pytest.raises(TypeError):
+            cli._json_bytes(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [{1: 2.0}, {"a": 1, 2: 3}, {None: 1}, {(1, 2): 3}], ids=["int", "mixed", "none", "tuple"]
+)
+def test_encoder_refuses_a_key_that_is_not_a_string(doc):
+    with pytest.raises(TypeError):
+        cli._json_bytes(doc)
