@@ -21,11 +21,13 @@ accuracy needs. So once every eigenvalue of an accepted state lies within
 ``_LAWSON_SPREAD = 0.05`` times ``kappa`` of ``kappa``, the run switches, for
 good, to Lawson's integrating factor: the same tableau, error norm, FSAL,
 cone rejection and step controller, applied to ``e^{sL/kappa} c``, with
-``e^{-sL/kappa}`` applied exactly in the eigenbasis of the flat ``L``. That
-decomposition, built once per torus and only by a run that switches, also
-gives a Lawson trial its linear part ``L c/kappa``, so the trial applies
-``L`` only for its six fields. From the start, the factor would not help:
-``L/kappa`` does not capture the stiffness of ``log``.
+``e^{-sL/kappa}`` applied exactly in the real eigen-coordinates of the flat
+``L``'s two reflection blocks (``FuzzyTorus.laplacian_split``), where every
+Lawson vector is real and every stage state is written back exactly
+Hermitian. That decomposition, built once per torus and only by a run that
+switches, also gives a Lawson trial its linear part ``L c/kappa``, so the
+trial applies ``L`` only for its six fields. From the start, the factor
+would not help: ``L/kappa`` does not capture the stiffness of ``log``.
 
 Each eigendecomposition of a stage builds a metric state
 (``WeightedSpace``); a sample keeps the state the integrator reached and the
@@ -56,7 +58,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
 )
-from .torus import FuzzyTorus
+from .torus import FuzzyTorus, ReflectionSplit
 
 # Dormand-Prince 4(5) tableau: A rows of stages 2-6, then the weights. B5 is
 # the fifth-order propagating weight vector, B4 the embedded fourth-order one;
@@ -215,60 +217,58 @@ def _field_or_reject(torus: FuzzyTorus, c: np.ndarray) -> tuple[WeightedSpace, n
 
 
 class _LawsonStages:
-    """The stage states of one Lawson trial step, in ``L``'s eigen-coordinates.
+    """The stage states of one Lawson trial step, in ``L``'s real eigen-coordinates.
 
     The integrating factor ``e^{-sL/kappa}`` is the exact flow of the
     linearization at ``kappa I``: near the flat limit
     ``log c ~ log(kappa) I + (c - kappa I)/kappa``, so the flow is the heat
-    flow ``dc/dt ~ -L c/kappa``. It is diagonal in the eigenbasis ``Q``
-    (``basis``) of the flat ``L``: there it decays at the ``rates``
-    ``mu = max(eig L, 0)/kappa``.
+    flow ``dc/dt ~ -L c/kappa``. It is diagonal in the eigen-coordinates of
+    the flat ``L`` (``split``, a ``ReflectionSplit``), real coordinates that
+    hold a Hermitian matrix whole; a field's anti-Hermitian roundoff is not
+    read. There the factor decays at the ``rates`` ``mu = max(eig L, 0)/kappa``.
 
     With ``F = -L log c`` split as ``-L c/kappa + N(c)``, stage ``i`` is
-    ``C_i = c + unvec(Q d_i)``, where
+    ``C_i = c + Q(d_i)``, where ``Q`` is ``split.from_eigen`` (so ``C_i``
+    is exactly Hermitian),
 
         d_i = (e^{-c_i h mu} - 1)/mu * g + h sum_j a_ij e^{-(c_i - c_j) h mu} * N_j,
 
-    ``g = Q* vec(L c)/kappa``, and ``N_j = Q* vec(F_j + L C_j/kappa)``, which
-    is ``Q* vec(F_j) + g + mu * d_j``. Since ``L`` annihilates the scalar
-    ``c_00 I``, ``g = mu * Q* vec(c - c_00 I)``, so no stage applies ``L``
+    ``g = Q*(L c)/kappa``, and ``N_j = Q*(F_j + L C_j/kappa)``, which is
+    ``Q*(F_j) + g + mu * d_j``. Since ``L`` annihilates the scalar
+    ``c_00 I``, ``g = mu * Q*(c - c_00 I)``, so no stage applies ``L``
     beyond its field, and a scalar ``c`` has ``g = N_j = 0`` and stays
     bit-exact.
     """
 
-    def __init__(self, rates: np.ndarray, basis: np.ndarray, c: np.ndarray, h: float):
-        self.rates, self.basis, self.c, self.h = rates, basis, c, h
+    def __init__(self, rates: np.ndarray, split: ReflectionSplit, c: np.ndarray, h: float):
+        self.rates, self.split, self.c, self.h = rates, split, c, h
         self.hmu = h * rates
-        self.g = rates * self._to_eigen(c - c[0, 0] * np.eye(len(c)))
-        self.offsets = [np.zeros_like(self.g)]  # d_j of the stages so far
-        self.nonlinear: list[np.ndarray] = []  # N_j of the stages so far
-
-    def _to_eigen(self, a: np.ndarray) -> np.ndarray:
-        """``Q* vec(a)``, without forming ``Q*``."""
-        return (a.reshape(-1).conj() @ self.basis).conj()
+        self.g = rates * split.to_eigen(c - c[0, 0] * np.eye(len(c)))
+        # d_j and N_j, one row per stage (d_0 = 0); `known` rows of N are filled.
+        self.offsets = np.zeros((len(_DP_C), len(rates)))
+        self.nonlinear = np.empty_like(self.offsets)
+        self.known = 0
 
     def _propagated(self, weights, node: float, fields: list[np.ndarray]) -> np.ndarray:
         """``h sum_j w_j e^{-(node - c_j) h mu} * N_j`` over the given stage fields."""
-        for j in range(len(self.nonlinear), len(fields)):
-            self.nonlinear.append(self._to_eigen(fields[j]) + self.g + self.rates * self.offsets[j])
-        total = sum(
-            w * np.exp((_DP_C[j] - node) * self.hmu) * nj
-            for j, (w, nj) in enumerate(zip(weights, self.nonlinear))
-            if w != 0.0
-        )
-        return self.h * total
+        for j in range(self.known, len(fields)):
+            self.nonlinear[j] = self.split.to_eigen(fields[j]) + self.g + self.rates * self.offsets[j]
+        k = self.known = len(fields)
+        # One row per stage, summed in stage order; a zero weight adds exact zeros.
+        weights = np.asarray(weights)[:k, None]
+        terms = weights * np.exp((_DP_C[:k, None] - node) * self.hmu) * self.nonlinear[:k]
+        return self.h * terms.sum(axis=0)
 
     def state(self, weights, node: float, fields: list[np.ndarray]) -> np.ndarray:
-        """The stage state at ``t + node h`` from the weights of its tableau row."""
+        """The state of stage ``len(fields)``, at ``t + node h``, from its tableau row."""
         rates = self.rates
         # (e^{-node h mu} - 1)/mu, whose limit at mu = 0 is -node h.
         decay = np.divide(
             np.expm1(-node * self.hmu), rates,
             out=np.full_like(rates, -node * self.h), where=rates > 0,
         )
-        d = decay * self.g + self._propagated(weights, node, fields)
-        self.offsets.append(d)
-        return self.c + (self.basis @ d).reshape(self.c.shape)
+        d = self.offsets[len(fields)] = decay * self.g + self._propagated(weights, node, fields)
+        return self.c + self.split.from_eigen(d)
 
     def error(self, fields: list[np.ndarray]) -> float:
         """Hilbert-Schmidt norm of the fifth- minus the fourth-order state."""
@@ -281,7 +281,7 @@ def _trial_step(
     k1: np.ndarray,
     h: float,
     config: FlowConfig,
-    factor: tuple[np.ndarray, np.ndarray] | None = None,
+    factor: tuple[np.ndarray, ReflectionSplit] | None = None,
 ) -> tuple[WeightedSpace, np.ndarray, float, float] | None:
     """One embedded RK trial step of size ``h`` from ``c``, whose field is ``k1``.
 
@@ -293,7 +293,7 @@ def _trial_step(
     field there, the next step's first stage. Acceptance is the caller's
     decision (``error_estimate <= tolerance``).
 
-    With an integrating ``factor``, the ``(rates, basis)`` of ``_LawsonStages``,
+    With an integrating ``factor``, the ``(rates, split)`` of ``_LawsonStages``,
     the step is Lawson's: the same tableau, applied to ``e^{sL/kappa} c``.
     """
     lawson = None if factor is None else _LawsonStages(*factor, c, h)
@@ -376,13 +376,13 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     result.samples.append(_make_sample(ts[0], space, k1, target_trace))
     h = min(_MAX_STEP, config.sample_stride)
     t = float(ts[0])
-    factor = None  # (rates, basis) of e^{-sL/kappa} once the run has switched
+    factor = None  # (rates, split) of e^{-sL/kappa} once the run has switched
     for t_next in ts[1:]:
         t_target = float(t_next)
         while t < t_target:
             if factor is None and np.max(np.abs(space.eigenvalues - kappa)) <= _LAWSON_SPREAD * kappa:
-                w, q = torus.laplacian_eig
-                factor = (np.maximum(w, 0.0) / kappa, q)
+                split = torus.laplacian_split
+                factor = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
                 result.switch_time = t
             h = min(h, _MAX_STEP, t_target - t)
             trial = _trial_step(torus, space.c, k1, h, config, factor)

@@ -79,14 +79,13 @@ class WeightedSpace:
         Raises ``InvalidInput`` for a non-square or grossly non-Hermitian
         ``c`` and ``MetricDegenerate`` when positive definiteness fails.
         """
-        c = as_square_matrix(c, "metric")
-        w, v = hermitian_eig(c)  # symmetrizes; rejects gross non-Hermiticity
-        lo = float(w[0])
+        eig = hermitian_eig(as_square_matrix(c, "metric"))  # rejects gross non-Hermiticity
+        lo = float(eig.eigenvalues[0])
         if lo <= POSITIVITY_FLOOR:
             raise MetricDegenerate(
                 f"metric is not positive definite: min eigenvalue {lo:.6e} <= {POSITIVITY_FLOOR:g}"
             )
-        return cls(c=(c + c.conj().T) / 2, eigenvalues=w, eigenvectors=v)
+        return cls(c=eig.matrix, eigenvalues=eig.eigenvalues, eigenvectors=eig.eigenvectors)
 
     def _power(self, p: float) -> np.ndarray:
         v = self.eigenvectors
@@ -238,13 +237,12 @@ def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
     """
     space = WeightedSpace.coerce(c)
     op = lb_conjugated_superop(torus, space)
-    eig = hermitian_eig(op.matrix)
+    w, v = hermitian_eig(op.matrix)
     n = torus.n
-    w = eig.eigenvalues
     threshold = GAP_TOL_REL * max(float(np.max(np.abs(w), initial=0.0)), 1.0)
 
     # Column i of the eigenvector matrix is the row-major flattening of vector i.
-    vectors_flat = eig.eigenvectors.T.reshape(n * n, n, n)
+    vectors_flat = v.T.reshape(n * n, n, n)
     vectors = space.from_flat(vectors_flat)
     vectors = vectors / space.norm(vectors)[:, None, None]
 

@@ -17,8 +17,9 @@ of a superoperator can be read off its ``n^2 x n^2`` matrix directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -29,9 +30,9 @@ from .errors import InvalidInput, SpectrumOutOfDomain
 HERM_TOL_SCALE = 1e-10
 
 
-def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex ndarray or raise ``InvalidInput``."""
-    a = np.asarray(a, dtype=complex)
+def as_square_matrix(a, name: str = "matrix", dtype=complex) -> np.ndarray:
+    """Coerce to a square ndarray of ``dtype`` (complex by default) or raise ``InvalidInput``."""
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     return a
@@ -81,36 +82,57 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-class HermitianEig(NamedTuple):
-    """Eigendecomposition ``V diag(eigenvalues) V*`` of a Hermitian matrix."""
+@dataclass(eq=False, slots=True)
+class HermitianEig:
+    """Eigendecomposition ``V diag(eigenvalues) V*`` of the Hermitian ``matrix``.
+
+    Unpacks as ``eigenvalues, eigenvectors``.
+    """
 
     eigenvalues: np.ndarray  # real, ascending
     eigenvectors: np.ndarray  # unitary, eigenvectors in columns
+    matrix: np.ndarray  # the symmetrized input that was decomposed
+
+    def __iter__(self):
+        return iter((self.eigenvalues, self.eigenvectors))
 
 
 def hermitian_eig(a) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
     The input may drift off Hermitian by up to ``HERM_TOL_SCALE * ||a||``
-    (integrator roundoff); it is symmetrized before decomposition. A larger
-    defect, or a non-finite norm (a NaN or inf entry), raises
-    ``InvalidInput``. Output is deterministic for identical input:
-    eigenvalues ascending, eigenvectors in the corresponding columns.
+    (integrator roundoff); it is symmetrized before decomposition, and the
+    result keeps that symmetrized matrix. A larger defect, or a non-finite
+    norm (a NaN or inf entry), raises ``InvalidInput``. A real input stays
+    real, with real orthogonal eigenvectors. Output is deterministic for
+    identical input: eigenvalues ascending, eigenvectors in the
+    corresponding columns.
     """
-    a = as_square_matrix(a)
-    norm = np.linalg.norm(a)
+    a = np.asarray(a)
+    a = _symmetrized(as_square_matrix(a, dtype=float if a.dtype == float else complex))
+    w, v = np.linalg.eigh(a)
+    return HermitianEig(w, v, a)
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    """``(a + a*)/2``, once ``a`` is checked finite and Hermitian up to roundoff."""
+    norm = _norm(a)
     # Against a NaN or inf norm the defect test below would pass.
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise InvalidInput(f"matrix norm is not finite: ||a|| = {norm}")
-    defect = np.linalg.norm(a - a.conj().T)
+    adjoint = a.conj().T
+    defect = _norm(a - adjoint)
     if defect > HERM_TOL_SCALE * norm:
         raise InvalidInput(
             f"matrix is not Hermitian: ||a - a*|| = {defect:.3e} "
             f"exceeds {HERM_TOL_SCALE:g} * ||a||"
         )
-    a = (a + a.conj().T) / 2
-    w, v = np.linalg.eigh(a)
-    return HermitianEig(w, v)
+    return (a + adjoint) / 2
+
+
+def _norm(a: np.ndarray) -> float:
+    """Hilbert-Schmidt norm from one BLAS dot product."""
+    return math.sqrt(np.vdot(a, a).real)
 
 
 def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

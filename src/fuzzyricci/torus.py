@@ -13,8 +13,15 @@ Both unitaries are exponentials of canonical Hermitian generators:
 whose kernel is exactly the scalar matrices. Its dense matrix, and the
 commutators behind ``commutant_dimension``, are built in closed form from
 Kronecker products: under the row-major flattening ``a -> [p, a]`` has the
-matrix ``p (x) I - I (x) p^T``. The dense matrix is cached per torus, and
-``laplacian_eig`` decomposes that cached matrix.
+matrix ``p (x) I - I (x) p^T``. The dense matrix is cached per torus.
+
+``L`` maps Hermitian matrices to Hermitian matrices and commutes with the
+reflection ``S(a) = P a^T P`` (``P`` reverses the index), because
+``P x P = m(n-1) I - x`` and ``P y P = y^T``. On the real coordinates of a
+Hermitian matrix it is therefore a real symmetric matrix that splits into an
+S-even and an S-odd block; ``laplacian_split`` decomposes the two blocks
+(a ``ReflectionSplit``), for the flow's integrating factor and the invariant
+suite's kernel checks.
 """
 
 from __future__ import annotations
@@ -99,10 +106,7 @@ class FuzzyTorus:
         The y-part stays a literal double commutator so that scalars map to
         exactly zero.
         """
-        a = np.asarray(a)
-        y = self.y
-        b = y @ a - a @ y
-        return (y @ b - b @ y) + self._x_weights * a
+        return _flat_laplacian(self.y, self._x_weights, np.asarray(a))
 
     @cached_property
     def laplacian(self) -> Superoperator:
@@ -127,13 +131,23 @@ class FuzzyTorus:
         return Superoperator(n=n, matrix=m)
 
     @cached_property
-    def laplacian_eig(self) -> HermitianEig:
-        """Eigendecomposition of the cached ``laplacian`` matrix.
+    def laplacian_split(self) -> ReflectionSplit:
+        """The flat Laplacian's two real blocks and their eigendecompositions.
 
-        Built for the flow's integrating factor and the invariant suite's
-        kernel checks.
+        Each block is assembled from ``L`` applied to its own basis matrices
+        (the formula of ``laplacian_apply``, applied to the stack at once),
+        so neither the dense complex matrix nor its decomposition is needed.
         """
-        return hermitian_eig(self.laplacian.matrix)
+        n = self.n
+        gather_in, gather_out, n_even = _adapted_coordinates(n)
+        blocks = []
+        for lo, hi in ((0, n_even), (n_even, n * n)):
+            units = np.eye(hi - lo, n * n, lo)  # the block's coordinate vectors
+            basis = np.ascontiguousarray(_gather(units, gather_out)).view(complex).reshape(-1, n, n)
+            images = _flat_laplacian(self.y, self._x_weights, basis)
+            coords = _gather(images.reshape(hi - lo, -1).view(float), gather_in)
+            blocks.append(hermitian_eig(coords[:, lo:hi]))
+        return ReflectionSplit(n, *blocks, gather_in, gather_out)
 
     def to_json(self) -> dict:
         """Dump the generators for cross-checking against other builds."""
@@ -146,6 +160,111 @@ class FuzzyTorus:
             "x": matrix_to_json(self.x),
             "y": matrix_to_json(self.y),
         }
+
+
+@dataclass(frozen=True, eq=False)
+class ReflectionSplit:
+    """The flat Laplacian on Hermitian matrices as two real symmetric blocks.
+
+    ``even`` and ``odd`` decompose ``L`` on the S-even and S-odd
+    reflection-adapted coordinates (sizes n(n+1)/2 and n(n-1)/2). Eigen-
+    coordinates are real vectors of length n^2, the even block's first:
+    ``eigenvalues`` lists the blocks' eigenvalues in that order (each block's
+    ascending). Both maps are isometries between Hermitian matrices in the
+    Hilbert-Schmidt norm and eigen-coordinates in the Euclidean norm.
+    """
+
+    n: int
+    even: HermitianEig
+    odd: HermitianEig
+    _gather_in: _Gather
+    _gather_out: _Gather
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.concatenate([self.even.eigenvalues, self.odd.eigenvalues])
+
+    def to_eigen(self, a: np.ndarray) -> np.ndarray:
+        """Eigen-coordinates of a Hermitian ``a``, read from its upper triangle and diagonal."""
+        af = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float)
+        z = _gather(af, self._gather_in)
+        ne = len(self.even.eigenvalues)
+        return np.concatenate([z[:ne] @ self.even.eigenvectors, z[ne:] @ self.odd.eigenvectors])
+
+    def from_eigen(self, d: np.ndarray) -> np.ndarray:
+        """The exactly Hermitian matrix with eigen-coordinates ``d``."""
+        ne = len(self.even.eigenvalues)
+        z = np.concatenate([self.even.eigenvectors @ d[:ne], self.odd.eigenvectors @ d[ne:]])
+        return _gather(z, self._gather_out).view(complex).reshape(self.n, self.n)
+
+
+def _flat_laplacian(y: np.ndarray, weights: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``[y, [y, a]] + weights o a`` over the last two axes of ``a``."""
+    b = y @ a - a @ y
+    return (y @ b - b @ y) + weights * a
+
+
+# A two-term gather (index1, weight1, index2, weight2) along the last axis:
+# out = weight1 * values[..., index1] + weight2 * values[..., index2].
+_Gather = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _gather(values: np.ndarray, gather: _Gather) -> np.ndarray:
+    i1, w1, i2, w2 = gather
+    return w1 * values[..., i1] + w2 * values[..., i2]
+
+
+def _adapted_coordinates(n: int) -> tuple[_Gather, _Gather, int]:
+    """Gathers between an n x n Hermitian matrix and its reflection-adapted coordinates.
+
+    The plain real coordinates, orthonormal in the Hilbert-Schmidt inner
+    product, are the diagonal and sqrt(2) Re of the upper triangle, then
+    sqrt(2) Im of the strict upper triangle. ``S`` maps entry (j, k) to
+    (n-1-k, n-1-j), so it permutes them without signs. An orbit is a fixed
+    coordinate ``r``, with the even coordinate ``r``, or a pair ``{r, S r}``,
+    with the even coordinate ``(r + S r)/sqrt 2`` and the odd one
+    ``(r - S r)/sqrt 2``. The even coordinates come first.
+
+    Returns the gather from a matrix's ``float`` view (its upper triangle)
+    to the adapted coordinates, the gather back to the ``float`` view of the
+    Hermitian matrix (both triangles, so it is exactly Hermitian), and the
+    number of even coordinates. Every weight is the correctly rounded square
+    root of an exact number, so a weight that is 1 in exact arithmetic is 1.
+    """
+    size = n * n
+    r, c = np.triu_indices(n)
+    upper = r < c
+    rows, cols = np.concatenate([r, r[upper]]), np.concatenate([c, c[upper]])
+    part = np.repeat([0, 1], [len(r), np.count_nonzero(upper)])  # Re, then Im
+    src = 2 * (rows * n + cols) + part  # each plain coordinate's index in the float view
+    plain = np.zeros(2 * size, dtype=int)
+    plain[src] = np.arange(size)
+    partner = plain[2 * ((n - 1 - cols) * n + n - 1 - rows) + part]
+    scale2 = np.where(rows == cols, 1.0, 2.0)
+
+    first = np.flatnonzero(np.arange(size) <= partner)
+    pairs = first[partner[first] != first]
+    n_even = len(first)
+    first = np.concatenate([first, pairs])
+    second = partner[first]
+    share = np.where(second != first, 0.5, 1.0)
+    w1 = np.sqrt(share * scale2[first])
+    w2 = np.repeat([1.0, -1.0], [n_even, len(pairs)]) * np.sqrt((1 - share) * scale2[second])
+
+    # The way back is the transpose divided by the squared scale: an entry
+    # reads its orbit's even coordinate (slot 0) and odd one (slot 1), and
+    # the lower triangle mirrors the upper with Im negated.
+    slot = np.repeat([0, 1], [n_even, len(pairs)])
+    index = np.zeros((2, 2 * size), dtype=int)
+    weight = np.zeros((2, 2 * size))
+    for members, w in ((second, w2), (first, w1)):  # a fixed coordinate keeps w1
+        index[slot, src[members]] = np.arange(size)
+        weight[slot, src[members]] = w / scale2[members]
+    mirror = 2 * (cols * n + rows) + part
+    index[:, mirror] = index[:, src]
+    weight[:, mirror] = weight[:, src] * np.where(part == 1, -1.0, 1.0)
+    gather_in = (src[first], w1, src[second], w2)
+    return gather_in, (index[0], weight[0], index[1], weight[1]), n_even
 
 
 def _ad(p: np.ndarray) -> np.ndarray:

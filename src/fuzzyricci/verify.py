@@ -49,6 +49,8 @@ TOL_EXP_LOG = 1e-11
 TOL_LAP_HERM = 1e-12
 TOL_LAP_PSD = 1e-12
 TOL_LAP_TRACE = 1e-12
+# ||L(S a) - S(L a)|| / ||a|| in units of ||L||: about 45 roundoffs.
+TOL_LAP_REFLECTION = 1e-14
 KERNEL_THRESHOLD = 1e-8
 MIN_SPECTRAL_GAP = 1e-6
 TOL_TRACE_DRIFT = 1e-9
@@ -160,7 +162,11 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     norm = float(np.linalg.norm(mat, 2))
     checks = [_leq("laplacian_hermitian", params, op.hermiticity_defect(), TOL_LAP_HERM)]
 
-    w, vecs = torus.laplacian_eig
+    # The spectrum, kernel and gap come from the two real blocks, which the
+    # reflection row below justifies.
+    split = torus.laplacian_split
+    order = np.argsort(split.eigenvalues, kind="stable")
+    w = split.eigenvalues[order]
     checks.append(_geq("laplacian_psd", params, float(w[0]), -TOL_LAP_PSD * norm))
     kernel = np.flatnonzero(np.abs(w) < KERNEL_THRESHOLD * max(norm, 1.0))
     checks.append(_check("laplacian_kernel_dim", params, 1.0, len(kernel), len(kernel) == 1))
@@ -170,8 +176,9 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
         checks.append(
             _check("laplacian_spectral_gap", params, MIN_SPECTRAL_GAP, gap, gap > MIN_SPECTRAL_GAP)
         )
-        identity_flat = np.eye(torus.n, dtype=complex).reshape(-1) / np.sqrt(torus.n)
-        overlap = abs(np.vdot(identity_flat, vecs[:, idx]))
+        # The identity's eigen-coordinates are its overlaps with the eigenvectors.
+        identity = split.to_eigen(np.eye(torus.n) / np.sqrt(torus.n))
+        overlap = abs(identity[order[idx]])
         checks.append(
             _check("laplacian_kernel_is_identity", params, 1e-10, 1 - overlap, 1 - overlap <= 1e-10)
         )
@@ -179,6 +186,7 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     rng = np.random.default_rng(2024)
     worst_trace = 0.0
     worst_herm = 0.0
+    worst_reflection = 0.0
     for a in gaussian_matrices(rng, LAPLACIAN_SAMPLES, torus.n):
         image = torus.laplacian_apply(a)
         worst_trace = max(worst_trace, abs(np.trace(image)) / hs_norm(a))
@@ -186,8 +194,15 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
             worst_herm,
             hs_norm(image.conj().T - torus.laplacian_apply(a.conj().T)) / hs_norm(a),
         )
+        # S(a) = P a^T P, with P the index reversal.
+        worst_reflection = max(
+            worst_reflection,
+            hs_norm(torus.laplacian_apply(a.T[::-1, ::-1]) - image.T[::-1, ::-1]) / hs_norm(a),
+        )
     checks.append(_leq("laplacian_kills_trace", params, worst_trace, TOL_LAP_TRACE))
     checks.append(_leq("laplacian_respects_adjoint", params, worst_herm, TOL_LAP_TRACE))
+    reflection_tol = TOL_LAP_REFLECTION * max(norm, 1.0)
+    checks.append(_leq("laplacian_commutes_with_reflection", params, worst_reflection, reflection_tol))
     return checks
 
 

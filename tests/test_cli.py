@@ -472,15 +472,16 @@ class TestVerify:
     def test_full_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli(["verify", "--n-max", 8, "--out", out]) == 0
-        assert capsys.readouterr().out == "verify: 391/391 checks passed\n"
+        assert capsys.readouterr().out == "verify: 412/412 checks passed\n"
         doc = json.loads((out / "verify.json").read_text())
-        assert (doc["total"], doc["failures"], doc["passed"]) == (391, 0, True)
+        assert (doc["total"], doc["failures"], doc["passed"]) == (412, 0, True)
         # 21 coprime pairs (n, m) with n <= 8; 5 seeds at n = 2, 3; 3 seeds at n = 2, 3, 4.
         geometry = [
             "exchange_relation", "unitarity_u", "unitarity_v", "exp_x_is_u", "exp_y_is_v",
             "q_primitive_root", "commutant_dimension", "laplacian_hermitian", "laplacian_psd",
             "laplacian_kernel_dim", "laplacian_spectral_gap", "laplacian_kernel_is_identity",
             "laplacian_kills_trace", "laplacian_respects_adjoint",
+            "laplacian_commutes_with_reflection",
         ]
         curved = [
             "lb_hermitian", "lb_psd", "uc_preserves_inner", "lb_rayleigh_identity",

@@ -236,7 +236,7 @@ class TestRunFlow:
         real_eig = linalg.hermitian_eig
 
         def counting_eig(a):
-            calls.append(np.shape(a)[0])
+            calls.append((np.shape(a)[0], np.isrealobj(a)))
             return real_eig(a)
 
         modules = [cli, flow, laplace_beltrami, linalg, torus, tracking, verify]
@@ -260,14 +260,16 @@ class TestRunFlow:
         # A trial that a stage outside the cone ends early costs fewer than
         # six, so the bound alone leaves room for per-sample calls; count
         # each trial's calls and require, outside all trials, exactly one
-        # metric state (start-up) and one decomposition of the 9 x 9 flat L
-        # (the switch to the integrating factor).
+        # metric state (start-up) and one decomposition of each real block of
+        # the flat L, 6 x 6 and 3 x 3 (the switch to the integrating factor).
         per_trial = []
+        in_trials = set()
         real_trial = flow._trial_step
 
         def counting_trial(*args):
             eigs_before, applies_before = len(calls), len(applies)
             trial = real_trial(*args)
+            in_trials.update(range(eigs_before, len(calls)))
             lawson = args[5] is not None
             per_trial.append(
                 (len(calls) - eigs_before, len(applies) - applies_before, trial is None, lawson)
@@ -282,9 +284,10 @@ class TestRunFlow:
         assert result.switch_time is not None and 0 < result.switch_time < 5.0
         assert len(per_trial) == trials
         assert all(k == 6 or (left_cone and k >= 1) for k, _, left_cone, _ in per_trial)
-        assert len(calls) - sum(k for k, _, _, _ in per_trial) == 2
-        assert sorted(calls)[-1] == 9 and calls.count(9) == 1
-        assert trials + 2 <= len(calls) <= 6 * trials + 2
+        assert len(calls) - sum(k for k, _, _, _ in per_trial) == 3
+        outside = sorted(call for i, call in enumerate(calls) if i not in in_trials)
+        assert outside == [(3, False), (3, True), (6, True)]
+        assert trials + 3 <= len(calls) <= 6 * trials + 3
 
         completed = [(k, lawson) for _, k, left_cone, lawson in per_trial if not left_cone]
         assert {lawson for _, lawson in completed} == {False, True}
@@ -383,6 +386,32 @@ class TestIntegratingFactor:
         for s in result.samples:
             heat = (expm(-s.t * lap / kappa) @ (eps * b).reshape(-1)).reshape(n, n)
             assert hs_norm(s.c - (kappa * np.eye(n) + heat)) <= eps**2
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(n, m) for n in range(2, 9) for m in range(1, n) if np.gcd(m, n) == 1] + [(12, 7)],
+    )
+    def test_stage_states_are_exactly_hermitian(self, n, m, monkeypatch):
+        torus = FuzzyTorus(n, m)
+        kappa = 1.3
+        g = random_metric(n, n + 10 * m) - np.eye(n)
+        space = WeightedSpace.from_metric(kappa * np.eye(n) + 1e-2 * g / hs_norm(g))
+        split = torus.laplacian_split
+        factor = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
+        states = []
+        real_stage = flow._field_or_reject
+
+        def recording_stage(torus, c):
+            states.append(c)
+            return real_stage(torus, c)
+
+        monkeypatch.setattr(flow, "_field_or_reject", recording_stage)
+        trial = flow._trial_step(
+            torus, space.c, flow._field(torus, space), 0.1, FlowConfig(), factor
+        )
+        assert trial is not None and len(states) == 6
+        for c in states:
+            np.testing.assert_array_equal(c, c.conj().T)
 
     def test_agrees_with_the_explicit_run(self, monkeypatch):
         torus = FuzzyTorus(8, 3)

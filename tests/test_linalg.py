@@ -74,6 +74,21 @@ class TestHermitianEig:
         w, _ = hermitian_eig(drifted)
         np.testing.assert_allclose(w, hermitian_eig(a).eigenvalues, atol=1e-12)
 
+    def test_keeps_the_symmetrized_input(self, rng):
+        a = random_hermitian(rng, 4) + 1e-14 * random_complex(rng, 4)
+        eig = hermitian_eig(a)
+        np.testing.assert_array_equal(eig.matrix, (a + a.conj().T) / 2)
+
+    def test_real_input_stays_real(self, rng):
+        a = rng.standard_normal((5, 5))
+        a = a + a.T
+        w, v = hermitian_eig(a)
+        assert np.isrealobj(hermitian_eig(a).matrix) and np.isrealobj(v)
+        np.testing.assert_allclose(v.T @ v, np.eye(5), atol=1e-14)
+        np.testing.assert_allclose((v * w) @ v.T, a, atol=1e-13 * hs_norm(a))
+        with pytest.raises(InvalidInput):
+            hermitian_eig(rng.standard_normal((3, 3)))
+
     def test_deterministic(self, rng):
         a = random_hermitian(rng, 4)
         w1, v1 = hermitian_eig(a)

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyricci import FuzzyTorus, InvalidParams
+from fuzzyricci import FuzzyTorus, InvalidParams, verify
 from fuzzyricci.linalg import hermitian_eig, hs_norm, matrix_function, superop_from_map
 from fuzzyricci.torus import _ad, commutant_dimension
-from conftest import random_complex
+from conftest import random_complex, random_hermitian
 
 ALL_PAIRS = [
     (n, m) for n in range(2, 9) for m in range(1, n) if math.gcd(m, n) == 1
 ]
+SPLIT_PAIRS = ALL_PAIRS + [(12, 7)]
 
 
 def comm(p, a):
@@ -191,6 +192,53 @@ class TestFlatLaplacian:
         probed = superop_from_map(n, t.laplacian_apply).matrix
         lam_max = float(np.linalg.norm(probed, 2))
         assert np.max(np.abs(closed - probed)) <= 1e-15 * lam_max
+
+
+class TestReflectionSplit:
+    """The flat L's two real blocks against the complex matrix and the literal map."""
+
+    @pytest.mark.parametrize("n,m", SPLIT_PAIRS)
+    def test_blocks_have_the_spectrum_of_l(self, n, m):
+        t = FuzzyTorus(n, m)
+        split = t.laplacian_split
+        assert len(split.even.eigenvalues) == n * (n + 1) // 2
+        assert len(split.odd.eigenvalues) == n * (n - 1) // 2
+        assert np.isrealobj(split.even.eigenvectors) and np.isrealobj(split.odd.eigenvectors)
+        w = hermitian_eig(t.laplacian.matrix).eigenvalues
+        np.testing.assert_allclose(np.sort(split.eigenvalues), w, rtol=0, atol=1e-14 * w[-1])
+
+    @pytest.mark.parametrize("n,m", SPLIT_PAIRS)
+    def test_round_trip_through_eigen_coordinates(self, n, m, rng):
+        split = FuzzyTorus(n, m).laplacian_split
+        for _ in range(3):
+            a = random_hermitian(rng, n)
+            d = split.to_eigen(a)
+            assert np.isrealobj(d) and d.shape == (n * n,)
+            assert abs(np.linalg.norm(d) - hs_norm(a)) <= 1e-14 * hs_norm(a)
+            back = split.from_eigen(d)
+            np.testing.assert_array_equal(back, back.conj().T)
+            assert hs_norm(back - a) <= 1e-14 * hs_norm(a)
+
+    @pytest.mark.parametrize("n,m", SPLIT_PAIRS)
+    def test_blocks_apply_l(self, n, m, rng):
+        t = FuzzyTorus(n, m)
+        split = t.laplacian_split
+        for _ in range(3):
+            a = random_hermitian(rng, n)
+            direct = t.laplacian_apply(a)
+            through = split.from_eigen(split.eigenvalues * split.to_eigen(a))
+            assert hs_norm(through - direct) <= 1e-14 * hs_norm(direct)
+
+
+    def test_verify_row_sees_a_broken_reflection(self):
+        # Weights still symmetric and zero on the diagonal (L stays Hermitian
+        # and traceless) but not invariant under (j, k) -> (n-1-k, n-1-j).
+        t = FuzzyTorus(5, 2)
+        j, k = np.indices((5, 5))
+        t.__dict__["_x_weights"] = t._x_weights + 1e-3 * (j + k) * (j != k)
+        rows = {row["check"]: row["passed"] for row in verify.laplacian_checks(t)}
+        assert rows["laplacian_kills_trace"] and rows["laplacian_respects_adjoint"]
+        assert not rows["laplacian_commutes_with_reflection"]
 
 
 def test_superop_of_derivation_diagonal(torus3):
