@@ -19,10 +19,11 @@ floats, or of equal-length float rows, is one ``str.join`` here.
 Exit codes: 0 success; 2 invalid input or parameters, including an
 unreadable ``--config``, ``--initial`` or ``--geometry`` file, a stride or
 tolerance that is not finite and positive, an ``--out`` that cannot be a
-directory (an existing file is refused before any work), and a ``track``
+directory (an existing file is refused before any work), a ``track``
 sample grid that is not uniform or has fewer than 3 samples (refused before
-the flow); 3 numerical failure (positivity loss or step underflow); 4
-acceptance failure in track/verify.
+the flow), and ``verify --n-max`` given with ``--geometry``; 3 numerical
+failure (positivity loss or step underflow); 4 acceptance failure in
+track/verify.
 Every package error outside the numerical pair exits 2.
 """
 
@@ -347,11 +348,14 @@ def cmd_track(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # --n-max has no parser default, so an explicit one is told from an absent one.
+    if args.geometry and args.n_max is not None:
+        raise InvalidParams("--n-max does not apply to --geometry, which checks the file's own size")
     _check_out(args.out)
     if args.geometry:
         report = geometry_file_report(_read_json(args.geometry, "geometry"), args.geometry)
     else:
-        report = run_suite(n_max=args.n_max)
+        report = run_suite() if args.n_max is None else run_suite(n_max=args.n_max)
 
     if args.out:
         _write_json(_out_dir(args.out) / "verify.json", report)
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="run the cross-module invariant suite")
-    p_verify.add_argument("--n-max", dest="n_max", type=int, default=8, help="largest matrix size (2..8)")
+    p_verify.add_argument("--n-max", dest="n_max", type=int, help="largest matrix size (2..8)")
     p_verify.add_argument("--geometry", help="check a geometry JSON dump instead of the full suite")
     p_verify.add_argument("--out", help="directory for verify.json (default: stdout only)")
     p_verify.set_defaults(func=cmd_verify)

@@ -49,9 +49,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidInput, InvalidParams, MetricDegenerate, PositivityLost, StepUnderflow
-from .laplace_beltrami import POSITIVITY_FLOOR, WeightedSpace
+from .laplace_beltrami import POSITIVITY_FLOOR, WeightedSpace, metric_state
 from .linalg import (
-    as_square_matrix,
     gaussian_matrices,
     hs_norm,
     matrix_exp,
@@ -173,10 +172,13 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
 
     Draws a Hermitian ``h`` with independent seeded Gaussian entries scaled
     by ``scale``, exponentiates, and rescales so ``tr(c) = n``. The flat
-    metric corresponds to ``scale = 0``.
+    metric corresponds to ``scale = 0``. A negative seed raises
+    ``InvalidParams``.
     """
     if n < 1:
         raise InvalidParams(f"matrix size must be positive, got n={n}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be non-negative, got seed={seed}")
     rng = np.random.default_rng(seed)
     g = gaussian_matrices(rng, 1, n)[0]
     h = scale * (g + g.conj().T) / 2
@@ -187,14 +189,6 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
 def flat_metric(n: int) -> np.ndarray:
     """The flat metric, the identity."""
     return np.eye(n, dtype=complex)
-
-
-def _metric_state(torus: FuzzyTorus, c) -> WeightedSpace:
-    """Validate a metric for ``torus`` (size, then positivity) and decompose it."""
-    c = as_square_matrix(c, "metric")
-    if c.shape[0] != torus.n:
-        raise InvalidInput(f"metric must be {torus.n}x{torus.n}, got {c.shape}")
-    return WeightedSpace.from_metric(c)
 
 
 def _field(torus: FuzzyTorus, space: WeightedSpace) -> np.ndarray:
@@ -366,7 +360,7 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     ``kappa``, and keeps it.
     """
     config = config or FlowConfig()
-    space = _metric_state(torus, c0)
+    space = metric_state(torus, c0)
     result = FlowResult(torus=torus)
     ts = sample_times(config)
     target_trace = space.trace  # conserved; fixes the flat limit

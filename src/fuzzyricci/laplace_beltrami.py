@@ -9,7 +9,7 @@ computationally convenient form
 
     a_flat -> (L(a_flat c^{-1/2})) c^{-1/2},
 
-an ordinary Hermitian positive-semidefinite superoperator whose spectrum
+an ordinary Hermitian positive-semidefinite operator whose spectrum
 equals that of the weighted operator. All spectral computations happen on
 this conjugated form; eigenvectors are mapped back by right multiplication
 with ``c^{-1/2}`` and renormalized in the weighted inner product.
@@ -20,10 +20,11 @@ inner product; ``rejected_operator_superop`` assembles it in the same
 conjugated frame so the defect is measurable, and ``COUNTEREXAMPLE_SEED``
 records a random metric exhibiting it at n = 2.
 
-Both matrices are built in closed form from the flat Laplacian's matrix:
-left and right multiplication by ``p`` act on the row-major flattening as
-``p (x) I`` and ``I (x) p^T``, applied by reshaping, so no map is probed
-column by column.
+Every metric enters through the size-checked ``metric_state``. Both
+operators are plain ``(n^2, n^2)`` arrays built in closed form from the
+torus's cached flat Laplacian matrix: left and right multiplication by ``p``
+act on the row-major flattening as ``p (x) I`` and ``I (x) p^T``, applied
+by reshaping, so no map is probed column by column.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, MetricDegenerate
-from .linalg import (
-    Superoperator,
-    as_square_matrix,
-    hermitian_eig,
-    hs_inner,
-    matrix_to_json,
-)
+from .linalg import as_square_matrix, hermitian_eig, hs_inner, matrix_to_json
 from .torus import FuzzyTorus
 
 # Relative spectral-gap threshold below which eigenvalues are grouped as
@@ -110,11 +105,6 @@ class WeightedSpace:
         v = self.eigenvectors
         return (v * np.log(self.eigenvalues)) @ v.conj().T
 
-    @classmethod
-    def coerce(cls, c) -> "WeightedSpace":
-        """``c`` itself if it already is a ``WeightedSpace``, else ``from_metric(c)``."""
-        return c if isinstance(c, cls) else cls.from_metric(c)
-
     @property
     def n(self) -> int:
         return self.c.shape[0]
@@ -147,43 +137,45 @@ class WeightedSpace:
         return np.asarray(a_flat, dtype=complex) @ self.c_invsqrt
 
 
-def _sandwiched_laplacian(
-    torus: FuzzyTorus, pre: np.ndarray, post: np.ndarray, left: np.ndarray | None = None
-) -> Superoperator:
-    """Matrix of ``a -> left (L(a pre)) post`` (``left`` defaults to the identity).
+def metric_state(torus: FuzzyTorus, c) -> WeightedSpace:
+    """The one way from a metric, a matrix or a ``WeightedSpace``, to a state on ``torus``.
 
-    That is ``(left x post^T) L (I x pre^T)``; each factor is applied to the
-    flat Laplacian's matrix by reshaping, never formed.
+    A matrix is checked square, then of the torus's size (``InvalidInput``,
+    before positivity), then decomposed; a state passes the same size check.
     """
-    n, dim = torus.n, torus.n**2
-    m = (torus.laplacian.matrix.reshape(dim, n, n) @ pre.T).reshape(dim, dim)
-    m = post.T @ m.reshape(n, n, dim)
-    if left is not None:
-        m = left @ m.reshape(n, n * dim)
-    return Superoperator(n=n, matrix=m.reshape(dim, dim))
+    space = c if isinstance(c, WeightedSpace) else None
+    c = as_square_matrix(c, "metric") if space is None else space.c
+    if c.shape[0] != torus.n:
+        raise InvalidInput(f"metric must be {torus.n}x{torus.n}, got {c.shape}")
+    return space if space is not None else WeightedSpace.from_metric(c)
 
 
-def lb_conjugated_superop(torus: FuzzyTorus, c) -> Superoperator:
-    """Dense matrix of the conjugated curved Laplacian (L(a c^{-1/2})) c^{-1/2}.
+def lb_conjugated_superop(torus: FuzzyTorus, c) -> np.ndarray:
+    """Dense ``(n^2, n^2)`` matrix of the conjugated curved Laplacian (L(a c^{-1/2})) c^{-1/2}.
 
     Hermitian positive semidefinite under the flattening convention; its
     spectrum equals that of the weighted-space operator. In closed form it
-    is ``(I x S^T) L (I x S^T)`` with ``S = c^{-1/2}``.
+    is ``(I x S^T) L (I x S^T)`` with ``S = c^{-1/2}``, applied by reshaping.
     """
-    space = WeightedSpace.coerce(c)
-    return _sandwiched_laplacian(torus, space.c_invsqrt, space.c_invsqrt)
+    s = metric_state(torus, c).c_invsqrt
+    n, dim = torus.n, torus.n**2
+    m = (torus.laplacian.reshape(dim, n, n) @ s.T).reshape(dim, dim)
+    return (s.T @ m.reshape(n, n, dim)).reshape(dim, dim)
 
 
-def rejected_operator_superop(torus: FuzzyTorus, c) -> Superoperator:
+def rejected_operator_superop(torus: FuzzyTorus, c) -> np.ndarray:
     """The discarded alternative a -> c^{-1}(La), in the conjugated frame.
 
     Assembled as ``a_flat -> c^{-1} (L(a_flat c^{-1/2})) c^{1/2}`` so that
     Hermiticity of the returned matrix is equivalent to self-adjointness of
     the alternative in the weighted inner product. Generic metrics break it;
-    see ``COUNTEREXAMPLE_SEED``.
+    see ``COUNTEREXAMPLE_SEED``. As ``c^{1/2} = c^{-1/2} c``, it is the
+    conjugated matrix ``M`` with ``(c^{-1} x c^T)`` applied by reshaping.
     """
-    space = WeightedSpace.coerce(c)
-    return _sandwiched_laplacian(torus, space.c_invsqrt, space.c_sqrt, left=space.c_inv)
+    space = metric_state(torus, c)
+    n, dim = torus.n, torus.n**2
+    m = space.c.T @ lb_conjugated_superop(torus, space).reshape(n, n, dim)
+    return (space.c_inv @ m.reshape(n, n * dim)).reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -235,9 +227,8 @@ def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
     eigenvectors. Exactly one eigenvalue sits below the kernel threshold;
     its weighted eigenvector is proportional to the identity.
     """
-    space = WeightedSpace.coerce(c)
-    op = lb_conjugated_superop(torus, space)
-    w, v = hermitian_eig(op.matrix)
+    space = metric_state(torus, c)
+    w, v = hermitian_eig(lb_conjugated_superop(torus, space))
     n = torus.n
     threshold = GAP_TOL_REL * max(float(np.max(np.abs(w), initial=0.0)), 1.0)
 

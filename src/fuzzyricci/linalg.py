@@ -1,18 +1,20 @@
 """Dense complex linear algebra kernels.
 
-Matrices are plain complex ``numpy`` arrays. The module provides the
-Hilbert-Schmidt structure ``<a,b> = tr(a* b)``, Hermitian eigendecomposition
-with a fixed symmetrization policy, functional calculus ``f(a) = V f(L) V*``,
-the vectorization of linear matrix maps into dense superoperator matrices by
-probing matrix units (``superop_from_map``), the reference that the
-closed-form operators are checked against, and ``gaussian_matrices``, the one
-seeded draw of complex Gaussian matrices behind every random input.
+Matrices are plain complex ``numpy`` arrays, and so is every dense operator
+on them: an ``(n^2, n^2)`` array acting on flattened matrices. The module
+provides the Hilbert-Schmidt structure ``<a,b> = tr(a* b)``, Hermitian
+eigendecomposition with a fixed symmetrization policy, functional calculus
+``f(a) = V f(L) V*``, an operator's ``hermiticity_defect``, the vectorization
+of linear matrix maps by probing matrix units (``superop_from_map``), the
+reference that the closed-form operators are checked against, and
+``gaussian_matrices``, the one seeded draw of complex Gaussian matrices
+behind every random input.
 
 Flattening convention: an ``n x n`` matrix is flattened row-major (C order),
 so the matrix unit ``E[j,k]`` maps to basis index ``j*n + k``. Under this
 convention the Hilbert-Schmidt inner product of matrices equals the standard
 complex dot product of their flattened vectors, so Hermiticity and positivity
-of a superoperator can be read off its ``n^2 x n^2`` matrix directly.
+of an operator can be read off its ``n^2 x n^2`` matrix directly.
 """
 
 from __future__ import annotations
@@ -164,38 +166,20 @@ def matrix_exp(a) -> np.ndarray:
     return matrix_function(a, np.exp)
 
 
-@dataclass(frozen=True, eq=False)
-class Superoperator:
-    """Dense matrix of a linear map on n x n matrices.
-
-    Column ``j*n + k`` holds the flattened image of the matrix unit
-    ``E[j,k]`` (row-major basis enumeration).
-    """
-
-    n: int
-    matrix: np.ndarray  # (n^2, n^2)
-
-    def apply(self, a) -> np.ndarray:
-        """Apply the superoperator to an n x n matrix."""
-        a = as_square_matrix(a)
-        if a.shape[0] != self.n:
-            raise InvalidInput(f"expected {self.n}x{self.n} input, got {a.shape}")
-        return (self.matrix @ a.reshape(-1)).reshape(self.n, self.n)
-
-    def hermiticity_defect(self) -> float:
-        """||M - M*|| relative to ||M|| (Hilbert-Schmidt norms)."""
-        m = self.matrix
-        return float(np.linalg.norm(m - m.conj().T) / np.linalg.norm(m))
+def hermiticity_defect(m: np.ndarray) -> float:
+    """||M - M*|| relative to ||M|| (Hilbert-Schmidt norms)."""
+    return float(np.linalg.norm(m - m.conj().T) / np.linalg.norm(m))
 
 
-def superop_from_map(n: int, map_fn: Callable[[np.ndarray], np.ndarray]) -> Superoperator:
-    """Vectorize a linear matrix map into its dense superoperator matrix.
+def superop_from_map(n: int, map_fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Vectorize a linear matrix map into its dense ``(n^2, n^2)`` matrix.
 
-    Probes the map on each of the n^2 matrix units. The package builds its
-    operators in closed form; this is the independent reference they are
-    checked against. Linearity is checked probabilistically on a fixed pair
-    of seeded random inputs before the columns are assembled; a nonlinear
-    map or one returning the wrong shape raises ``InvalidInput``.
+    Probes the map on each of the n^2 matrix units: column ``j*n + k`` holds
+    the flattened image of ``E[j,k]``. The package builds its operators in
+    closed form; this is the independent reference they are checked against.
+    Linearity is checked probabilistically on a fixed pair of seeded random
+    inputs before the columns are assembled; a nonlinear map or one
+    returning the wrong shape raises ``InvalidInput``.
     """
     if n < 1:
         raise InvalidInput(f"dimension must be positive, got {n}")
@@ -221,7 +205,7 @@ def superop_from_map(n: int, map_fn: Callable[[np.ndarray], np.ndarray]) -> Supe
                 )
             matrix[:, j * n + k] = image.reshape(-1)
             unit[j, k] = 0.0
-    return Superoperator(n=n, matrix=matrix)
+    return matrix
 
 
 def matrix_to_json(a) -> dict:

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import HermitianEig, Superoperator, hermitian_eig, matrix_to_json
+from .linalg import HermitianEig, hermitian_eig, matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ class FuzzyTorus:
         return _flat_laplacian(self.y, self._x_weights, np.asarray(a))
 
     @cached_property
-    def laplacian(self) -> Superoperator:
-        """Flat Laplacian as a dense ``n^2 x n^2`` superoperator, built in closed form.
+    def laplacian(self) -> np.ndarray:
+        """Flat Laplacian as a dense ``(n^2, n^2)`` array, built in closed form.
 
         Hermitian and positive semidefinite in the Hilbert-Schmidt inner
         product, with one-dimensional kernel spanned by the identity.
@@ -128,7 +128,7 @@ class FuzzyTorus:
         m[i, :, i, :] += y2.T  # I (x) (y^2)^T
         m = m.reshape(n * n, n * n)
         m[np.arange(n * n), np.arange(n * n)] += self._x_weights.reshape(-1)
-        return Superoperator(n=n, matrix=m)
+        return m
 
     @cached_property
     def laplacian_split(self) -> ReflectionSplit:

@@ -17,9 +17,9 @@ from .errors import InvalidInput, InvalidParams
 from .flow import DET_SLACK, FlowConfig, flow_invariants, random_metric, run_flow
 from .laplace_beltrami import (
     COUNTEREXAMPLE_SEED,
-    WeightedSpace,
     lb_conjugated_superop,
     lb_spectrum,
+    metric_state,
     rayleigh_quotient,
     rejected_operator_superop,
 )
@@ -27,6 +27,7 @@ from .linalg import (
     as_complex,
     as_int,
     gaussian_matrices,
+    hermiticity_defect,
     hs_inner,
     hs_norm,
     matrix_from_json,
@@ -157,10 +158,9 @@ def geometry_file_report(doc: dict, name: str) -> dict:
 
 def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     params = f"n={torus.n},m={torus.m}"
-    op = torus.laplacian
-    mat = op.matrix
+    mat = torus.laplacian
     norm = float(np.linalg.norm(mat, 2))
-    checks = [_leq("laplacian_hermitian", params, op.hermiticity_defect(), TOL_LAP_HERM)]
+    checks = [_leq("laplacian_hermitian", params, hermiticity_defect(mat), TOL_LAP_HERM)]
 
     # The spectrum, kernel and gap come from the two real blocks, which the
     # reflection row below justifies.
@@ -220,7 +220,8 @@ def linalg_checks() -> list[dict]:
     worst_pos = np.inf
     for b in gaussian_matrices(rng, LINALG_SAMPLES, n):
         direct = h @ b - b @ h
-        worst_apply = max(worst_apply, hs_norm(op.apply(b) - direct) / hs_norm(b))
+        image = (op @ b.reshape(-1)).reshape(n, n)
+        worst_apply = max(worst_apply, hs_norm(image - direct) / hs_norm(b))
         worst_pos = min(worst_pos, hs_inner(b, b).real)
     checks.append(_leq("superop_matches_map", params, worst_apply, 1e-12))
     checks.append(
@@ -255,9 +256,9 @@ def lb_checks(torus: FuzzyTorus) -> list[dict]:
     for seed in LB_SEEDS:
         params = f"n={torus.n},m={torus.m},seed={seed}"
         c = random_metric(torus.n, seed)
-        space = WeightedSpace.from_metric(c)
+        space = metric_state(torus, c)
         op = lb_conjugated_superop(torus, space)
-        checks.append(_leq("lb_hermitian", params, op.hermiticity_defect(), TOL_LB_HERM))
+        checks.append(_leq("lb_hermitian", params, hermiticity_defect(op), TOL_LB_HERM))
 
         data = lb_spectrum(torus, space)
         norm = max(data.operator_norm, 1.0)
@@ -288,7 +289,7 @@ def lb_checks(torus: FuzzyTorus) -> list[dict]:
 def counterexample_check() -> dict:
     """The rejected-operator negative control at n = 2: Hermiticity must fail."""
     c = random_metric(2, COUNTEREXAMPLE_SEED)
-    defect = rejected_operator_superop(FuzzyTorus(2), c).hermiticity_defect()
+    defect = hermiticity_defect(rejected_operator_superop(FuzzyTorus(2), c))
     return _check(
         "rejected_operator_not_hermitian",
         f"n=2,seed={COUNTEREXAMPLE_SEED}",

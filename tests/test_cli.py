@@ -110,6 +110,26 @@ def test_unusable_run_setting_exit_2_and_no_files(tmp_path, capsys, setting):
 
 
 @pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["--seed", -1], None),
+        (["--initial", "random:seed=-3"], None),
+        ([], {"seed": -1}),
+    ],
+    ids=["flag", "spec", "config"],
+)
+def test_negative_seed_exit_2_and_no_files(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = argv + ["--config", cfg]
+    out = tmp_path / "run"
+    assert run_cli(["simulate", "--n", 2, "--t1", 1, *argv, "--out", out]) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
+
+
+@pytest.mark.parametrize(
     "argv, what",
     [
         (["simulate", "--config", "{path}"], "config"),
@@ -566,6 +586,22 @@ class TestVerify:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run_cli(["verify", "--geometry", tmp_path / "nope.json"]) == 2
+
+    @pytest.mark.parametrize("n_max", [8, 99])
+    def test_geometry_file_refuses_n_max(self, tmp_path, monkeypatch, capsys, n_max):
+        # Any explicit --n-max, the suite's own default included, is refused
+        # before the file is read.
+        out = tmp_path / "geom"
+        assert run_cli(["simulate", "--n", 3, "--t1", 0, "--out", out]) == 0
+        def no_work(*args, **kwargs):
+            raise AssertionError("the file was checked despite --n-max")
+
+        monkeypatch.setattr(cli, "geometry_file_report", no_work)
+        capsys.readouterr()
+        argv = ["verify", "--geometry", out / "geometry.json", "--n-max", n_max]
+        assert run_cli(argv + ["--out", tmp_path / "verify"]) == 2
+        assert not (tmp_path / "verify").exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
 
 
 def _stdlib_text(doc) -> str:

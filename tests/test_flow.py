@@ -382,7 +382,7 @@ class TestIntegratingFactor:
         result = run_flow(torus, c0, FlowConfig(t1=10.0, sample_stride=1.0))
         assert result.switch_time == 0.0
         assert result.accepted_steps == 10 and result.rejected_steps == 0
-        lap = torus.laplacian.matrix
+        lap = torus.laplacian
         for s in result.samples:
             heat = (expm(-s.t * lap / kappa) @ (eps * b).reshape(-1)).reshape(n, n)
             assert hs_norm(s.c - (kappa * np.eye(n) + heat)) <= eps**2

@@ -1,16 +1,25 @@
 import numpy as np
 import pytest
 
-from fuzzyricci import FuzzyTorus, MetricDegenerate, lb_spectrum, random_metric
+from fuzzyricci import (
+    FlowConfig,
+    FuzzyTorus,
+    InvalidInput,
+    MetricDegenerate,
+    lb_spectrum,
+    random_metric,
+    run_flow,
+)
 from fuzzyricci.laplace_beltrami import (
     COUNTEREXAMPLE_SEED,
     WeightedSpace,
     lb_conjugated_superop,
+    metric_state,
     rayleigh_quotient,
     rejected_operator_superop,
     spectrum_to_json,
 )
-from fuzzyricci.linalg import hs_inner, hs_norm, superop_from_map
+from fuzzyricci.linalg import hermiticity_defect, hs_inner, hs_norm, superop_from_map
 from fuzzyricci.verify import coprime_pairs
 from conftest import random_complex
 
@@ -77,6 +86,38 @@ class TestWeightedSpace:
         assert space.inner(np.eye(2), np.eye(2)).real == pytest.approx(3.0)
 
 
+class TestMetricState:
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            lambda torus, c: run_flow(torus, c, FlowConfig(t1=1.0)),
+            lb_spectrum,
+            lb_conjugated_superop,
+            rejected_operator_superop,
+        ],
+        ids=["run_flow", "lb_spectrum", "lb_conjugated_superop", "rejected_operator_superop"],
+    )
+    @pytest.mark.parametrize("as_space", [False, True], ids=["matrix", "space"])
+    def test_wrong_size_metric_rejected(self, torus2, consumer, as_space):
+        c = random_metric(3, 1)
+        with pytest.raises(InvalidInput, match="metric must be 2x2"):
+            consumer(torus2, WeightedSpace.from_metric(c) if as_space else c)
+
+    def test_size_is_checked_before_positivity(self, torus2):
+        with pytest.raises(InvalidInput, match="metric must be 2x2"):
+            metric_state(torus2, np.diag([1.0, 0.0, 0.0]))
+        with pytest.raises(MetricDegenerate):
+            metric_state(torus2, np.diag([1.0, 0.0]))
+
+    def test_non_square_rejected(self, torus2):
+        with pytest.raises(InvalidInput, match="square"):
+            metric_state(torus2, np.ones((2, 3)))
+
+    def test_space_passes_through(self, torus2):
+        space = WeightedSpace.from_metric(random_metric(2, 1))
+        assert metric_state(torus2, space) is space
+
+
 class TestCurvedLaplacian:
     def test_kills_identity(self, torus3, space3):
         np.testing.assert_allclose(
@@ -101,13 +142,13 @@ class TestCurvedLaplacian:
 
     def test_conjugated_superop_flat_case(self, torus2):
         op = lb_conjugated_superop(torus2, np.eye(2))
-        np.testing.assert_allclose(op.matrix, torus2.laplacian.matrix, atol=1e-12)
+        np.testing.assert_allclose(op, torus2.laplacian, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_conjugated_superop_hermitian_psd(self, torus2, seed):
         op = lb_conjugated_superop(torus2, random_metric(2, seed))
-        assert op.hermiticity_defect() <= 1e-11
-        w = np.linalg.eigvalsh((op.matrix + op.matrix.conj().T) / 2)
+        assert hermiticity_defect(op) <= 1e-11
+        w = np.linalg.eigvalsh((op + op.conj().T) / 2)
         assert w[0] >= -1e-10 * max(abs(w[-1]), 1.0)
 
     @pytest.mark.parametrize("n,m", list(coprime_pairs(8)))
@@ -115,10 +156,10 @@ class TestCurvedLaplacian:
         torus = FuzzyTorus(n, m)
         for seed in range(3):
             space = WeightedSpace.from_metric(random_metric(n, seed))
-            closed = lb_conjugated_superop(torus, space).matrix
+            closed = lb_conjugated_superop(torus, space)
             s = space.c_invsqrt
             probed = superop_from_map(n, lambda a: torus.laplacian_apply(a @ s) @ s)
-            assert hs_norm(closed - probed.matrix) <= 1e-13 * hs_norm(closed)
+            assert hs_norm(closed - probed) <= 1e-13 * hs_norm(closed)
 
 
 class TestSpectrum:
@@ -211,11 +252,11 @@ class TestRejectedOperator:
         # With the identity metric the alternative collapses to the flat
         # Laplacian, so nothing is broken yet.
         op = rejected_operator_superop(torus2, np.eye(2))
-        assert op.hermiticity_defect() <= 1e-12
+        assert hermiticity_defect(op) <= 1e-12
 
     def test_counterexample_seed_breaks_hermiticity(self, torus2):
         c = random_metric(2, COUNTEREXAMPLE_SEED)
-        defect = rejected_operator_superop(torus2, c).hermiticity_defect()
+        defect = hermiticity_defect(rejected_operator_superop(torus2, c))
         assert defect > 1e-6
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (5, 2)])
@@ -225,11 +266,11 @@ class TestRejectedOperator:
         torus = FuzzyTorus(n, m)
         for seed in (COUNTEREXAMPLE_SEED, 0):
             space = WeightedSpace.from_metric(random_metric(n, seed))
-            closed = rejected_operator_superop(torus, space).matrix
+            closed = rejected_operator_superop(torus, space)
             probed = superop_from_map(
                 n,
                 lambda a: space.c_inv
                 @ torus.laplacian_apply(a @ space.c_invsqrt)
                 @ space.c_sqrt,
-            ).matrix
+            )
             assert hs_norm(closed - probed) <= 1e-13 * hs_norm(closed)

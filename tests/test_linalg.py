@@ -173,7 +173,7 @@ class TestCommutator:
 class TestSuperoperator:
     def test_identity_map(self):
         op = superop_from_map(2, lambda a: a)
-        np.testing.assert_allclose(op.matrix, np.eye(4))
+        np.testing.assert_allclose(op, np.eye(4))
 
     def test_diagonal_conjugation_map(self):
         # a -> [x, a] with diagonal x has a diagonal matrix with entries
@@ -181,7 +181,7 @@ class TestSuperoperator:
         x = np.diag([0.0, 1.0, 2.0])
         op = superop_from_map(3, lambda a: comm(x, a))
         expected = np.diag([x[j, j] - x[k, k] for j in range(3) for k in range(3)])
-        np.testing.assert_allclose(op.matrix, expected, atol=1e-14)
+        np.testing.assert_allclose(op, expected, atol=1e-14)
 
     def test_left_right_multiplication_kron_forms(self, rng):
         # Independent oracle: left multiplication is kron(p, I), right
@@ -189,8 +189,8 @@ class TestSuperoperator:
         p = random_complex(rng, 3)
         left = superop_from_map(3, lambda a: p @ a)
         right = superop_from_map(3, lambda a: a @ p)
-        np.testing.assert_allclose(left.matrix, np.kron(p, np.eye(3)), atol=1e-13)
-        np.testing.assert_allclose(right.matrix, np.kron(np.eye(3), p.T), atol=1e-13)
+        np.testing.assert_allclose(left, np.kron(p, np.eye(3)), atol=1e-13)
+        np.testing.assert_allclose(right, np.kron(np.eye(3), p.T), atol=1e-13)
 
     def test_apply_matches_map(self, rng):
         h = random_hermitian(rng, 4)
@@ -199,7 +199,7 @@ class TestSuperoperator:
         for _ in range(100):
             b = random_complex(sample_rng, 4)
             np.testing.assert_allclose(
-                op.apply(b), h @ b - b @ h, atol=1e-12 * hs_norm(b)
+                (op @ b.reshape(-1)).reshape(4, 4), h @ b - b @ h, atol=1e-12 * hs_norm(b)
             )
 
     def test_rejects_nonlinear_map(self):
@@ -209,11 +209,6 @@ class TestSuperoperator:
     def test_rejects_wrong_output_shape(self):
         with pytest.raises(InvalidInput):
             superop_from_map(2, lambda a: np.zeros((3, 3)))
-
-    def test_apply_rejects_wrong_size(self):
-        op = superop_from_map(2, lambda a: a)
-        with pytest.raises(InvalidInput):
-            op.apply(np.eye(3))
 
 
 class TestJsonRoundTrip:

@@ -84,8 +84,8 @@ def test_commutant_matrix_matches_probed_commutators(n, m, rng):
     for u, v in [(t.u, t.v), (random_complex(rng, n), random_complex(rng, n))]:
         closed = np.vstack([_ad(u), _ad(v)])
         probed = np.vstack(
-            [superop_from_map(n, lambda a: comm(u, a)).matrix,
-             superop_from_map(n, lambda a: comm(v, a)).matrix]
+            [superop_from_map(n, lambda a: comm(u, a)),
+             superop_from_map(n, lambda a: comm(v, a))]
         )
         assert hs_norm(closed - probed) <= 1e-14 * hs_norm(probed)
 
@@ -141,26 +141,26 @@ class TestFlatLaplacian:
     @pytest.mark.parametrize("n,m", ALL_PAIRS)
     def test_matches_literal_double_commutators(self, n, m, rng):
         t = FuzzyTorus(n, m)
-        lam_max = float(np.linalg.norm(t.laplacian.matrix, 2))
+        lam_max = float(np.linalg.norm(t.laplacian, 2))
         for _ in range(5):
             a = random_complex(rng, n)
             literal = comm(t.y, comm(t.y, a)) + comm(t.x, comm(t.x, a))
             assert hs_norm(t.laplacian_apply(a) - literal) <= 1e-13 * hs_norm(a) * lam_max
 
     def test_n2_spectrum(self, torus2):
-        w, _ = hermitian_eig(torus2.laplacian.matrix)
+        w, _ = hermitian_eig(torus2.laplacian)
         np.testing.assert_allclose(w, [0.0, 1.0, 1.0, 2.0], atol=1e-12)
 
     def test_flattened_clock_is_eigenvector(self, torus2):
         flat_u = torus2.u.reshape(-1)
         np.testing.assert_allclose(
-            torus2.laplacian.matrix @ flat_u, flat_u, atol=1e-13
+            torus2.laplacian @ flat_u, flat_u, atol=1e-13
         )
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 3), (5, 2)])
     def test_superop_hermitian_psd_kernel(self, n, m):
         t = FuzzyTorus(n, m)
-        mat = t.laplacian.matrix
+        mat = t.laplacian
         norm = float(np.linalg.norm(mat, 2))
         assert hs_norm(mat - mat.conj().T) <= 1e-12 * hs_norm(mat)
         w, vecs = hermitian_eig(mat)
@@ -182,14 +182,14 @@ class TestFlatLaplacian:
             return np.kron(p, eye) - np.kron(eye, p.T)
 
         expected = ad(t.y) @ ad(t.y) + ad(t.x) @ ad(t.x)
-        np.testing.assert_allclose(t.laplacian.matrix, expected, atol=1e-12)
+        np.testing.assert_allclose(t.laplacian, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n,m", ALL_PAIRS + [(16, 1)])
     def test_closed_form_matches_probe(self, n, m):
         # The reference: the literal map applied to each matrix unit.
         t = FuzzyTorus(n, m)
-        closed = t.laplacian.matrix
-        probed = superop_from_map(n, t.laplacian_apply).matrix
+        closed = t.laplacian
+        probed = superop_from_map(n, t.laplacian_apply)
         lam_max = float(np.linalg.norm(probed, 2))
         assert np.max(np.abs(closed - probed)) <= 1e-15 * lam_max
 
@@ -204,7 +204,7 @@ class TestReflectionSplit:
         assert len(split.even.eigenvalues) == n * (n + 1) // 2
         assert len(split.odd.eigenvalues) == n * (n - 1) // 2
         assert np.isrealobj(split.even.eigenvectors) and np.isrealobj(split.odd.eigenvectors)
-        w = hermitian_eig(t.laplacian.matrix).eigenvalues
+        w = hermitian_eig(t.laplacian).eigenvalues
         np.testing.assert_allclose(np.sort(split.eigenvalues), w, rtol=0, atol=1e-14 * w[-1])
 
     @pytest.mark.parametrize("n,m", SPLIT_PAIRS)
@@ -246,7 +246,7 @@ def test_superop_of_derivation_diagonal(torus3):
     op = superop_from_map(3, _derivation(torus3, "d2"))
     x = np.diag(torus3.x)
     expected = np.diag([(x[k] - x[j]) for j in range(3) for k in range(3)])
-    np.testing.assert_allclose(op.matrix, expected, atol=1e-14)
+    np.testing.assert_allclose(op, expected, atol=1e-14)
 
 
 def test_geometry_json_shape(torus2):
