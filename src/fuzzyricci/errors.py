@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class FuzzyRicciError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``time`` is the failure's flow time."""
+
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
 
 
 class InvalidInput(FuzzyRicciError):
@@ -24,7 +28,7 @@ class SpectrumOutOfDomain(FuzzyRicciError):
 
 
 class MetricDegenerate(FuzzyRicciError):
-    """A metric has an eigenvalue at or below the positivity floor."""
+    """A metric is not above the positivity floor, or a curved Laplacian has no single zero mode."""
 
 
 class PositivityLost(FuzzyRicciError):
@@ -34,17 +38,9 @@ class PositivityLost(FuzzyRicciError):
     failure; rerun with tighter tolerances.
     """
 
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
-
 
 class StepUnderflow(FuzzyRicciError):
     """Adaptive step size fell below the configured minimum."""
-
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
 
 
 class InsufficientData(FuzzyRicciError):

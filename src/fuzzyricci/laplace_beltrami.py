@@ -83,9 +83,7 @@ class WeightedSpace:
         return cls(c=eig.matrix, eigenvalues=eig.eigenvalues, eigenvectors=eig.eigenvectors)
 
     def _power(self, p: float) -> np.ndarray:
-        v = self.eigenvectors
-        m = (v * self.eigenvalues**p) @ v.conj().T
-        return (m + m.conj().T) / 2
+        return stacked_power([self], p)[0]
 
     @cached_property
     def c_sqrt(self) -> np.ndarray:
@@ -119,7 +117,7 @@ class WeightedSpace:
         b = np.asarray(b, dtype=complex)
         if a.shape != b.shape or a.shape[-2:] != self.c.shape:
             raise InvalidInput(f"shape mismatch: {a.shape} vs {b.shape}")
-        return np.trace(self.c @ a.conj().swapaxes(-1, -2) @ b, axis1=-2, axis2=-1)
+        return _weighted_inner(self.c, a, b)
 
     def norm(self, a) -> float | np.ndarray:
         return np.sqrt(self.inner(a, a).real)
@@ -135,6 +133,18 @@ class WeightedSpace:
     def from_flat(self, a_flat) -> np.ndarray:
         """Inverse unitary: a_flat -> a_flat c^{-1/2}."""
         return np.asarray(a_flat, dtype=complex) @ self.c_invsqrt
+
+
+def stacked_power(spaces, p: float) -> np.ndarray:
+    """``c^p = V diag(w^p) V*``, symmetrized, of each state in ``spaces``, stacked ``(S, n, n)``."""
+    v, w = np.stack([s.eigenvectors for s in spaces]), np.stack([s.eigenvalues for s in spaces])
+    m = (v * (w**p)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def _weighted_inner(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(c a* b) over the last two axes, ``c`` broadcast against ``a`` and ``b``."""
+    return np.trace(c @ a.conj().swapaxes(-1, -2) @ b, axis1=-2, axis2=-1)
 
 
 def metric_state(torus: FuzzyTorus, c) -> WeightedSpace:
@@ -157,10 +167,15 @@ def lb_conjugated_superop(torus: FuzzyTorus, c) -> np.ndarray:
     spectrum equals that of the weighted-space operator. In closed form it
     is ``(I x S^T) L (I x S^T)`` with ``S = c^{-1/2}``, applied by reshaping.
     """
-    s = metric_state(torus, c).c_invsqrt
-    n, dim = torus.n, torus.n**2
-    m = (torus.laplacian.reshape(dim, n, n) @ s.T).reshape(dim, dim)
-    return (s.T @ m.reshape(n, n, dim)).reshape(dim, dim)
+    return _conjugated_operators(torus, metric_state(torus, c).c_invsqrt[None])[0]
+
+
+def _conjugated_operators(torus: FuzzyTorus, s: np.ndarray) -> np.ndarray:
+    """The ``(S, n^2, n^2)`` conjugated operators for a stack ``s`` of ``c^{-1/2}``."""
+    n, dim, count = torus.n, torus.n**2, len(s)
+    st = s.swapaxes(-1, -2)[:, None]
+    m = (torus.laplacian.reshape(dim, n, n) @ st).reshape(count, dim, dim)
+    return (st @ m.reshape(count, n, n, dim)).reshape(count, dim, dim)
 
 
 def rejected_operator_superop(torus: FuzzyTorus, c) -> np.ndarray:
@@ -191,6 +206,7 @@ class SpectralData:
     ``gap_threshold`` is ``GAP_TOL_REL`` times the operator norm (at least
     1); ``degeneracy_groups`` lists index runs whose consecutive gaps fall
     below it, and ``kernel_index`` locates the single eigenvalue below it.
+    ``min_gaps`` is each eigenvalue's distance to its nearest neighbor.
     """
 
     space: WeightedSpace
@@ -200,23 +216,11 @@ class SpectralData:
     gap_threshold: float
     degeneracy_groups: list[list[int]]
     kernel_index: int
+    min_gaps: np.ndarray
 
     @property
     def operator_norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
-
-    @property
-    def min_gaps(self) -> np.ndarray:
-        """Distance from each eigenvalue to its nearest spectral neighbor."""
-        gaps = np.abs(np.diff(self.eigenvalues))
-        return np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
-
-
-def _group_degenerate(eigenvalues: np.ndarray, threshold: float) -> list[list[int]]:
-    # Index ranges between the gaps of at least threshold; np.split would cost ~4x more.
-    cuts = np.flatnonzero(np.diff(eigenvalues) >= threshold) + 1
-    bounds = [0, *cuts.tolist(), len(eigenvalues)]
-    return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
@@ -227,31 +231,50 @@ def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
     eigenvectors. Exactly one eigenvalue sits below the kernel threshold;
     its weighted eigenvector is proportional to the identity.
     """
-    space = metric_state(torus, c)
-    w, v = hermitian_eig(lb_conjugated_superop(torus, space))
-    n = torus.n
-    threshold = GAP_TOL_REL * max(float(np.max(np.abs(w), initial=0.0)), 1.0)
+    return lb_spectra(torus, [c])[0]
 
-    # Column i of the eigenvector matrix is the row-major flattening of vector i.
-    vectors_flat = v.T.reshape(n * n, n, n)
-    vectors = space.from_flat(vectors_flat)
-    vectors = vectors / space.norm(vectors)[:, None, None]
 
-    kernel = np.flatnonzero(np.abs(w) < threshold)
-    if len(kernel) != 1:
-        raise MetricDegenerate(
-            f"expected exactly one zero mode, found {len(kernel)} "
-            f"eigenvalues below {threshold:.3e}"
-        )
-    return SpectralData(
-        space=space,
-        eigenvalues=w,
-        vectors_flat=vectors_flat,
-        vectors_weighted=vectors,
-        gap_threshold=threshold,
-        degeneracy_groups=_group_degenerate(w, threshold),
-        kernel_index=int(kernel[0]),
-    )
+def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
+    """:func:`lb_spectrum` of each metric or state in ``states``, bit for bit, computed as stacks.
+
+    One stacked operator build (``len(states) * n^4`` entries) and one
+    ``eigh`` call. Kernel checks run in order: the first state without
+    exactly one zero mode raises ``MetricDegenerate``, with its ``times`` entry.
+    """
+    spaces = [metric_state(torus, c) for c in states]
+    s = stacked_power(spaces, -0.5)
+    w, v = hermitian_eig(_conjugated_operators(torus, s))
+    n, count = torus.n, len(spaces)
+    thresholds = GAP_TOL_REL * np.maximum(np.max(np.abs(w), axis=-1, initial=0.0), 1.0)
+    kernels = np.abs(w) < thresholds[:, None]
+
+    # Column i of each eigenvector matrix is the row-major flattening of vector i.
+    vectors_flat = v.swapaxes(-1, -2).reshape(count, n * n, n, n)
+    vectors = vectors_flat @ s[:, None]
+    c = np.stack([space.c for space in spaces])[:, None]
+    vectors = vectors / np.sqrt(_weighted_inner(c, vectors, vectors).real)[..., None, None]
+    # Ascending eigenvalues: abs leaves every gap's bits as np.diff gives them.
+    gaps = np.abs(np.diff(w, axis=-1))
+    inf = np.full((count, 1), np.inf)
+    min_gaps = np.minimum(np.concatenate([gaps, inf], -1), np.concatenate([inf, gaps], -1))
+
+    spectra = []
+    for k, space in enumerate(spaces):
+        threshold = float(thresholds[k])
+        kernel = np.flatnonzero(kernels[k])
+        if len(kernel) != 1:
+            raise MetricDegenerate(
+                f"expected exactly one zero mode, found {len(kernel)} "
+                f"eigenvalues below {threshold:.3e}",
+                time=None if times is None else float(times[k]),
+            )
+        # Index ranges between the gaps of at least threshold; np.split would cost ~4x more.
+        bounds = [0, *(np.flatnonzero(gaps[k] >= threshold) + 1).tolist(), n * n]
+        groups = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        spectra.append(SpectralData(
+            space, w[k], vectors_flat[k], vectors[k], threshold, groups, int(kernel[0]), min_gaps[k]
+        ))
+    return spectra
 
 
 def spectrum_to_json(data: SpectralData, t: float) -> dict:

@@ -134,19 +134,23 @@ class FuzzyTorus:
     def laplacian_split(self) -> ReflectionSplit:
         """The flat Laplacian's two real blocks and their eigendecompositions.
 
-        Each block is assembled from ``L`` applied to its own basis matrices
-        (the formula of ``laplacian_apply``, applied to the stack at once),
-        so neither the dense complex matrix nor its decomposition is needed.
+        Each block is filled from ``L`` applied to its basis matrices (the
+        formula of ``laplacian_apply``), n of them at a time, so neither the
+        dense complex matrix nor its decomposition is needed.
         """
         n = self.n
         gather_in, gather_out, n_even = _adapted_coordinates(n)
         blocks = []
         for lo, hi in ((0, n_even), (n_even, n * n)):
-            units = np.eye(hi - lo, n * n, lo)  # the block's coordinate vectors
-            basis = np.ascontiguousarray(_gather(units, gather_out)).view(complex).reshape(-1, n, n)
-            images = _flat_laplacian(self.y, self._x_weights, basis)
-            coords = _gather(images.reshape(hi - lo, -1).view(float), gather_in)
-            blocks.append(hermitian_eig(coords[:, lo:hi]))
+            block = np.empty((hi - lo, hi - lo))
+            for row in range(lo, hi, n):
+                end = min(row + n, hi)
+                units = np.eye(end - row, n * n, row)  # these rows' coordinate vectors
+                basis = np.ascontiguousarray(_gather(units, gather_out)).view(complex)
+                images = _flat_laplacian(self.y, self._x_weights, basis.reshape(-1, n, n))
+                coords = _gather(images.reshape(end - row, -1).view(float), gather_in)
+                block[row - lo : end - lo] = coords[:, lo:hi]
+            blocks.append(hermitian_eig(block))
         return ReflectionSplit(n, *blocks, gather_in, gather_out)
 
     def to_json(self) -> dict:

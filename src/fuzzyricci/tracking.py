@@ -24,22 +24,32 @@ evaluated separately as a cross-check.
 
 The torus, each sample's metric state and ``L log c`` (its negated field) are
 read off the trajectory, so no function here takes a torus or applies ``L``.
+Spectra and both forms of the law are computed as stacks over chunks of
+samples (``CHUNK_ENTRIES``), with the same bits as one sample at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import FuzzyRicciError, InsufficientData, InvalidInput
 from .flow import FlowResult, FlowSample
-from .laplace_beltrami import lb_spectrum
+from .laplace_beltrami import lb_spectra, stacked_power
 
 OVERLAP_MIN = 0.9  # a weaker eigenvector match is flagged degenerate
 # A report passes with its relative residual and its forms' discrepancy within these.
 RESIDUAL_BUDGET = 1e-4
 FORMS_BUDGET = 1e-10
+# Bound on a chunk's stacked (S, n^2, n^2) operators: S = max(1, CHUNK_ENTRIES // n^4) samples.
+CHUNK_ENTRIES = 2**14
+
+
+def _chunks(count: int, n: int) -> list[slice]:
+    size = max(1, CHUNK_ENTRIES // n**4)
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 @dataclass(frozen=True)
@@ -114,7 +124,8 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
 
     Curve ``i`` starts at the i-th ascending eigenvalue of the first sample;
     later samples follow by overlap assignment. Matching failures are
-    recorded as per-sample degeneracy flags, never raised.
+    recorded as per-sample degeneracy flags, never raised; an operator
+    without a single zero mode raises ``MetricDegenerate`` with its time.
     """
     if not trajectory.samples:
         raise InsufficientData("trajectory has no samples")
@@ -125,23 +136,25 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     degenerate = np.empty((samples, n2), dtype=bool)
     vectors = np.empty((samples, n2, n, n), dtype=complex)
 
-    for k, sample in enumerate(trajectory.samples):
-        sd = lb_spectrum(torus, sample.space)
-        if k == 0:
-            kernel, order, bad = sd.kernel_index, np.arange(n2), np.zeros(n2, dtype=bool)
-            # Scalar abs() per vector: array np.abs rounds differently in the last bit.
-            phases = np.array([_fix_first_phase(v) for v in sd.vectors_flat])
-        else:
-            match = match_eigenpairs(prev_flat, sd.vectors_flat)
-            order, phases, bad = match.permutation, match.phases, match.degenerate
-            # The kernel is exactly known; never let the assignment drift it.
-            bad[kernel] |= order[kernel] != sd.kernel_index
-        phases = phases[:, None, None]
-        prev_flat = phases * sd.vectors_flat[order]
-        vectors[k] = phases * sd.vectors_weighted[order]
-        values[k] = sd.eigenvalues[order]
-        min_gap[k] = sd.min_gaps[order]
-        degenerate[k] = bad | (min_gap[k] < sd.gap_threshold)
+    for chunk in _chunks(samples, n):
+        part = trajectory.samples[chunk]
+        spectra = lb_spectra(torus, [s.space for s in part], times=[s.t for s in part])
+        for k, sd in enumerate(spectra, chunk.start):
+            if k == 0:
+                kernel, order, bad = sd.kernel_index, np.arange(n2), np.zeros(n2, dtype=bool)
+                # Scalar abs() per vector: array np.abs rounds differently in the last bit.
+                phases = np.array([_fix_first_phase(v) for v in sd.vectors_flat])
+            else:
+                match = match_eigenpairs(prev_flat, sd.vectors_flat)
+                order, phases, bad = match.permutation, match.phases, match.degenerate
+                # The kernel is exactly known; never let the assignment drift it.
+                bad[kernel] |= order[kernel] != sd.kernel_index
+            phases = phases[:, None, None]
+            prev_flat = phases * sd.vectors_flat[order]
+            vectors[k] = phases * sd.vectors_weighted[order]
+            values[k] = sd.eigenvalues[order]
+            min_gap[k] = sd.min_gaps[order]
+            degenerate[k] = bad | (min_gap[k] < sd.gap_threshold)
     return SpectralCurves(
         times=trajectory.times,
         values=values,
@@ -152,12 +165,19 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     )
 
 
-def _real_rhs(val) -> float | np.ndarray:
+def _stacked(sample, get) -> np.ndarray:
+    """``get(sample)``, or for a sequence of samples a ``(S, 1, n, n)`` stack to broadcast."""
+    single = isinstance(sample, FlowSample)
+    return get(sample) if single else np.stack([get(s) for s in sample])[:, None]
+
+
+def _real_rhs(val, sample) -> float | np.ndarray:
     val = np.asarray(val)
     bad = np.abs(val.imag) > 1e-10 * (1.0 + np.abs(val.real))
-    if np.any(bad):
+    if np.any(bad):  # the earliest sample's first bad entry
+        at = sample if isinstance(sample, FlowSample) else sample[int(np.argmax(bad.any(-1)))]
         raise FuzzyRicciError(
-            f"variation right-hand side has non-real value {complex(val[bad][0])!r}"
+            f"variation right-hand side has non-real value {complex(val[bad][0])!r}", time=at.t
         )
     return val.real if val.ndim else float(val.real)
 
@@ -168,14 +188,15 @@ def variation_rhs(sample: FlowSample, value, a) -> float | np.ndarray:
     ``L log c`` is the negated field the sample keeps. ``a`` must be
     normalized in the weighted inner product of the sample's metric; it may
     be one matrix or a stack ``(..., n, n)`` with ``value`` of shape
-    ``(...)``, and the result has the shape of ``value``. The trace is real
-    up to roundoff (product of two Hermitian factors); a relative imaginary
-    part above 1e-10 in any entry indicates a broken input and raises.
+    ``(...)``, and the result has the shape of ``value``; ``sample`` may be a
+    sequence of samples, with ``value`` and ``a`` stacked over it. The trace
+    is real up to roundoff (product of two Hermitian factors); a relative
+    imaginary part above 1e-10 in any entry raises, with its sample's time.
     """
     a = np.asarray(a, dtype=complex)
-    lap_log = -sample.field
+    lap_log = -_stacked(sample, lambda s: s.field)
     trace = np.trace(a.conj().swapaxes(-1, -2) @ a @ lap_log, axis1=-2, axis2=-1)
-    return _real_rhs(trace * value)
+    return _real_rhs(trace * value, sample)
 
 
 def variation_rhs_state_form(sample: FlowSample, value, a) -> float | np.ndarray:
@@ -185,10 +206,13 @@ def variation_rhs_state_form(sample: FlowSample, value, a) -> float | np.ndarray
     computed literally as written, from the sample's metric state, to serve
     as an independent cross-check. Arguments are as in :func:`variation_rhs`.
     """
-    space = sample.space
     a = np.asarray(a, dtype=complex)
-    lap_log = -sample.field
-    return _real_rhs(space.state(a.conj().swapaxes(-1, -2) @ a @ lap_log @ space.c_inv) * value)
+    lap_log = -_stacked(sample, lambda s: s.field)
+    single = isinstance(sample, FlowSample)
+    c_inv = sample.space.c_inv if single else stacked_power([s.space for s in sample], -1.0)[:, None]
+    b = a.conj().swapaxes(-1, -2) @ a @ lap_log @ c_inv
+    phi = np.trace(_stacked(sample, lambda s: s.c) @ b, axis1=-2, axis2=-1)
+    return _real_rhs(phi * value, sample)
 
 
 def uniform_step(times) -> float:
@@ -290,11 +314,14 @@ def first_variation_report(curves: SpectralCurves, trajectory: FlowResult) -> Va
     """Check d(lambda)/dt against the variation formula along every curve.
 
     The derivative oracle is the finite-difference stencil of
-    :func:`fd_derivative`; the formula side is evaluated once per sample for
-    all tracked eigenpairs together, from the sample's metric state, with
-    ``L log c`` read off the sample's field ``-L log c``, so ``L`` is not
-    applied again. Degenerate samples contribute rows but are excluded from
-    the aggregates. Relative residuals are ``|fd - rhs| / (1 + |fd|)``.
+    :func:`fd_derivative`; each form of the law is evaluated once per chunk
+    of samples, from their metric states and fields ``-L log c``, so ``L``
+    is not applied again. The earliest non-real right-hand side raises, the
+    plain form's first at one sample. Degenerate samples contribute rows but
+    are excluded from the aggregates. Relative residuals are
+    ``|fd - rhs| / (1 + |fd|)``. ``curves`` must be tracked on the
+    trajectory's sample times (``InvalidInput`` otherwise); curves of
+    another metric on the same grid cannot be told apart.
     """
     samples = trajectory.samples
     uniform_step(trajectory.times)
@@ -303,12 +330,20 @@ def first_variation_report(curves: SpectralCurves, trajectory: FlowResult) -> Va
             f"curves have {len(curves.times)} samples, trajectory has {len(samples)}"
         )
     times = trajectory.times
+    if not np.array_equal(curves.times, times):
+        raise InvalidInput("curves were tracked on other sample times than the trajectory's")
     rhs = np.empty_like(curves.values)
     rhs_alt = np.empty_like(curves.values)
-    for k, sample in enumerate(samples):
-        value, a = curves.values[k], curves.vectors[k]
-        rhs[k] = variation_rhs(sample, value, a)
-        rhs_alt[k] = variation_rhs_state_form(sample, value, a)
+    for chunk in _chunks(len(samples), trajectory.torus.n):
+        part, value, a = samples[chunk], curves.values[chunk], curves.vectors[chunk]
+        errors = []
+        for out, form in ((rhs, variation_rhs), (rhs_alt, variation_rhs_state_form)):
+            try:
+                out[chunk] = form(part, value, a)
+            except FuzzyRicciError as exc:
+                errors.append(exc)
+        if errors:
+            raise min(errors, key=lambda exc: exc.time)
     return VariationReport(
         curves=curves, fd=fd_derivative(times, curves.values), rhs=rhs, rhs_state_form=rhs_alt
     )
@@ -321,30 +356,15 @@ def curves_csv_rows(report: VariationReport):
     (absolute), min_gap, degenerate_flag. Rows are grouped by curve, then
     ordered by time; floats rendered with ``repr`` for byte determinism.
     """
-    yield [
-        "t",
-        "curve_id",
-        "lambda",
-        "lambda_dot_fd",
-        "variation_rhs",
-        "residual",
-        "min_gap",
-        "degenerate_flag",
-    ]
+    yield ["t", "curve_id", "lambda", "lambda_dot_fd", "variation_rhs", "residual", "min_gap",
+           "degenerate_flag"]
     curves = report.curves
-    abs_residual = report.abs_residual
+    times = list(map(repr, curves.times.tolist()))
+    columns = (curves.values, report.fd, report.rhs, report.abs_residual, curves.min_gap)
     for i in range(curves.values.shape[1]):
-        for k, t in enumerate(curves.times):
-            yield [
-                repr(float(t)),
-                str(i),
-                repr(float(curves.values[k, i])),
-                repr(float(report.fd[k, i])),
-                repr(float(report.rhs[k, i])),
-                repr(float(abs_residual[k, i])),
-                repr(float(curves.min_gap[k, i])),
-                str(int(curves.degenerate[k, i])),
-            ]
+        floats = [map(repr, column[:, i].tolist()) for column in columns]
+        flags = map(str, curves.degenerate[:, i].astype(int).tolist())
+        yield from zip(times, repeat(str(i)), *floats, flags)
 
 
 def report_to_json(report: VariationReport) -> dict:

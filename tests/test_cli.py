@@ -451,6 +451,15 @@ class TestTrack:
         doc = json.loads((out / "variation.json").read_text())
         assert doc["passed"] is (code == 0)
 
+    def test_degenerate_spectrum_names_its_time(self, tmp_path, capsys):
+        # A metric near the positivity floor: the first sample's operator has two zero modes.
+        out = tmp_path / "run"
+        code = run_cli(["track", "--n", 2, "--initial", "diag:1,1e-11", "--t1", 0.01, "--out", out])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MetricDegenerate"
+        assert err["time"] == 0.0
+
     def test_too_coarse_stride_exit_2(self, tmp_path):
         code = run_cli(
             ["track", "--n", 2, "--t1", 0.05, "--stride", 0.05,

@@ -95,6 +95,45 @@ class TestHermitianEig:
         w2, v2 = hermitian_eig(a.copy())
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_stack_equals_separate_calls(self, rng, n):
+        stack = np.stack([random_hermitian(rng, n) + 1e-14 * random_complex(rng, n) for _ in range(5)])
+        eig = hermitian_eig(stack)
+        assert eig.eigenvalues.shape == (5, n) and eig.eigenvectors.shape == (5, n, n)
+        for k, a in enumerate(stack):
+            one = hermitian_eig(a)
+            assert np.array_equal(eig.eigenvalues[k], one.eigenvalues)
+            assert np.array_equal(eig.eigenvectors[k], one.eigenvectors)
+            assert np.array_equal(eig.matrix[k], one.matrix)
+
+    def test_real_stack_stays_real(self, rng):
+        stack = rng.standard_normal((3, 2, 5, 5))
+        stack = stack + stack.swapaxes(-1, -2)
+        eig = hermitian_eig(stack)
+        assert np.isrealobj(eig.matrix) and np.isrealobj(eig.eigenvectors)
+        for index in np.ndindex(3, 2):
+            one = hermitian_eig(stack[index])
+            assert np.array_equal(eig.eigenvalues[index], one.eigenvalues)
+            assert np.array_equal(eig.eigenvectors[index], one.eigenvectors)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(0.5j, "not Hermitian"), (np.nan, "not finite"), (np.inf, "not finite")],
+        ids=["non-hermitian", "nan", "inf"],
+    )
+    def test_stack_rejects_any_one_bad_matrix(self, rng, entry, message):
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        stack[2, 0, 1] += entry
+        with pytest.raises(InvalidInput, match=message):
+            hermitian_eig(stack)
+
+    def test_stack_reports_its_first_bad_matrix(self, rng):
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        stack[1, 0, 1] += 0.5j
+        stack[2, 0, 0] = np.nan
+        with pytest.raises(InvalidInput, match="not Hermitian"):
+            hermitian_eig(stack)
+
 
 class TestMatrixFunction:
     def test_exp_diagonal(self):

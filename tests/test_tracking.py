@@ -295,23 +295,24 @@ class TestVariationReport:
                 assert abs(report.rhs[k, i] - direct) <= 1e-13 * abs(direct)
                 assert abs(report.rhs_state_form[k, i] - state) <= 1e-13 * abs(state)
 
-    def test_one_batched_call_per_sample(self, torus2, monkeypatch):
+    def test_one_batched_call_per_chunk(self, torus2, monkeypatch):
+        # At n = 2 one chunk holds all 201 samples: one call of each form.
         trajectory = run_flow(
             torus2, random_metric(2, 1), FlowConfig(t1=0.2, sample_stride=1e-3)
         )
         curves = track_spectrum(trajectory)
-        calls = {"variation_rhs": 0, "variation_rhs_state_form": 0}
+        calls = {"variation_rhs": [], "variation_rhs_state_form": []}
         for name in calls:
             real = getattr(tracking, name)
 
-            def counting(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+            def counting(sample, *args, _name=name, _real=real, **kwargs):
+                calls[_name].append(len(sample))
+                return _real(sample, *args, **kwargs)
 
             monkeypatch.setattr(tracking, name, counting)
         first_variation_report(curves, trajectory)
         assert len(trajectory.samples) == 201
-        assert calls == {"variation_rhs": 201, "variation_rhs_state_form": 201}
+        assert calls == {"variation_rhs": [201], "variation_rhs_state_form": [201]}
 
     def test_no_laplacian_apply_after_the_flow(self, torus2, monkeypatch):
         # Each sample keeps the integrator's field -L log c, and the curved
@@ -333,9 +334,10 @@ class TestVariationReport:
         assert len(trajectory.samples) == 201
         assert calls == []
 
-    def test_one_operator_eig_per_sample(self, torus3, monkeypatch):
+    def test_one_operator_eig_per_chunk(self, torus3, monkeypatch):
         # Tracking and the variation law reuse the flow's metric states: the
-        # only decomposition left per sample is the n^2 x n^2 operator's.
+        # only decomposition left is the n^2 x n^2 operators', one stacked
+        # call per chunk, and at n = 3 one chunk holds all 201 samples.
         trajectory = run_flow(
             torus3, random_metric(3, 1), FlowConfig(t1=0.2, sample_stride=1e-3)
         )
@@ -352,4 +354,70 @@ class TestVariationReport:
         curves = track_spectrum(trajectory)
         first_variation_report(curves, trajectory)
         assert len(trajectory.samples) == 201
-        assert shapes == [(9, 9)] * len(trajectory.samples)
+        assert shapes == [(201, 9, 9)]
+
+    def test_chunked_spectra_equal_per_sample_spectra(self, monkeypatch):
+        # At n = 4 a chunk holds 2**14 // 4**4 = 64 samples, so 201 samples
+        # make three full chunks and a partial one.
+        torus = FuzzyTorus(4, 1)
+        trajectory = run_flow(torus, random_metric(4, 0), FlowConfig(t1=0.2, sample_stride=1e-3))
+        chunks = []
+        real = tracking.lb_spectra
+
+        def recording(torus, states, times=None):
+            spectra = real(torus, states, times=times)
+            chunks.append(spectra)
+            return spectra
+
+        monkeypatch.setattr(tracking, "lb_spectra", recording)
+        track_spectrum(trajectory)
+        assert [len(c) for c in chunks] == [64, 64, 64, 9]
+        stacked = [sd for chunk in chunks for sd in chunk]
+        for sample, sd in zip(trajectory.samples, stacked, strict=True):
+            one = lb_spectrum(torus, sample.space)
+            assert sd.space is sample.space
+            for name in ("eigenvalues", "vectors_flat", "vectors_weighted", "min_gaps"):
+                assert np.array_equal(getattr(sd, name), getattr(one, name)), name
+            assert sd.gap_threshold == one.gap_threshold
+            assert sd.degeneracy_groups == one.degeneracy_groups
+            assert sd.kernel_index == one.kernel_index
+
+    def test_curves_of_other_times_rejected(self, short_run):
+        trajectory, curves = short_run
+        shifted = dataclasses.replace(curves, times=curves.times + 5.0)
+        with pytest.raises(InvalidInput, match="sample times"):
+            first_variation_report(shifted, trajectory)
+
+
+class TestNonRealGuard:
+    """The variation law's guard names the earliest failing sample's time."""
+
+    @pytest.fixture
+    def broken_run(self, torus2, short_run):
+        # The third sample's field gets a 1e-6 anti-Hermitian part.
+        trajectory, curves = short_run
+        samples = list(trajectory.samples)
+        samples[2] = dataclasses.replace(samples[2], field=samples[2].field + 1e-6j * np.eye(2))
+        return dataclasses.replace(trajectory, samples=samples), curves
+
+    def test_report_raises_at_the_broken_sample(self, broken_run):
+        trajectory, curves = broken_run
+        with pytest.raises(FuzzyRicciError) as report_error:
+            first_variation_report(curves, trajectory)
+        with pytest.raises(FuzzyRicciError) as direct:
+            variation_rhs(trajectory.samples[2], curves.values[2], curves.vectors[2])
+        assert report_error.value.time == trajectory.samples[2].t
+        assert str(report_error.value) == str(direct.value)
+        assert direct.value.time == trajectory.samples[2].t
+
+    @pytest.mark.parametrize("state_index, raised", [(1, "state form"), (2, "non-real")])
+    def test_earliest_sample_first_then_plain_form(self, broken_run, monkeypatch, state_index, raised):
+        trajectory, curves = broken_run
+        t = trajectory.samples[state_index].t
+
+        def failing_state_form(*args):
+            raise FuzzyRicciError("state form", time=t)
+
+        monkeypatch.setattr(tracking, "variation_rhs_state_form", failing_state_form)
+        with pytest.raises(FuzzyRicciError, match=raised):
+            first_variation_report(curves, trajectory)
