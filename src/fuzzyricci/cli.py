@@ -282,6 +282,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "rejected_error": result.rejected_error,
         "rejected_cone": result.rejected_cone,
         "switch_time": result.switch_time,
+        "field_evaluations": result.field_evaluations,
+        "tail_trials": result.tail_trials,
         "trace_drift_rel": drift,
         "det_nondecreasing": nondecreasing,
         "min_eig_final": result.final.min_eig,

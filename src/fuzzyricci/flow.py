@@ -19,15 +19,18 @@ is the heat flow ``dc/dt ~ -L c/kappa``, whose stiffness is
 ``lambda_max(L)/kappa``, and an explicit step is held far below what the
 accuracy needs. So once every eigenvalue of an accepted state lies within
 ``_LAWSON_SPREAD = 0.05`` times ``kappa`` of ``kappa``, the run switches, for
-good, to Lawson's integrating factor: the same tableau, error norm, FSAL,
-cone rejection and step controller, applied to ``e^{sL/kappa} c``, with
-``e^{-sL/kappa}`` applied exactly in the real eigen-coordinates of the flat
+good, to an exponential Runge-Kutta pair with that linear part: Cox and
+Matthews' ETDRK4, with their ETD3RK embedded for the error estimate, under
+the same error norm, FSAL, cone rejection and step controller (only the
+controller's exponent follows the estimate's order, and the explicit phase's
+step cap ``_MAX_STEP`` no longer applies). Its weights, the phi-functions of
+``-h L/kappa``, are diagonal in the real eigen-coordinates of the flat
 ``L``'s two reflection blocks (``FuzzyTorus.laplacian_split``), where every
-Lawson vector is real and every stage state is written back exactly
-Hermitian. That decomposition, built once per torus and only by a run that
-switches, also gives a Lawson trial its linear part ``L c/kappa``, so the
-trial applies ``L`` only for its six fields. From the start, the factor
-would not help: ``L/kappa`` does not capture the stiffness of ``log``.
+stage is an increment from the step's start state, so every stage state is
+exactly Hermitian. That decomposition is built once per torus and only by a
+run that switches; a tail trial evaluates five fields and applies ``L`` only
+for them. From the start, the exponential pair would not help: ``L/kappa``
+does not capture the stiffness of ``log``.
 
 Each eigendecomposition of a stage builds a metric state
 (``WeightedSpace``); a sample keeps the state the integrator reached and the
@@ -43,8 +46,9 @@ violation signals integrator tolerances that are too loose, reported as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -76,19 +80,35 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-# Nodes: stage i is evaluated at t + c_i h. They never decrease, so every
-# exponent of the integrating factor between two stages is a decay.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+
+# Taylor coefficients 1/(j+3)! of phi_3, j = 0..16: where |z| < 1 the first
+# term left out, 1/20!, is below 1e-17 of phi_3.
+_PHI3_TAYLOR = [1 / math.factorial(j + 3) for j in range(17)]
 
 _SAFETY = 0.9
 _MAX_GROWTH = 5.0
 _MIN_SHRINK = 0.2
+# The controller's exponent is one over the order of the error estimate plus
+# one: fourth order (DP45's embedded solution) before the switch, third
+# order (ETD3RK) after it.
 _ORDER_EXP = 1 / 5
+_ETD_ORDER_EXP = 1 / 4
+# The exponential pair's error estimate, ETDRK4 minus ETD3RK, is multiplied
+# by this weight so that the tail is as accurate as the explicit phase.
+# Unweighted, the estimate exceeds the propagated ETDRK4 solution's true
+# local error only 2-8x (n=16, seed 0, one step of h = 0.01 to 0.08 from the
+# state at t = 2), and simulate at n=16, t1=20 is 9.45 and 9.41 digits
+# accurate at seeds 0 and 1 against a rel_tol=1e-13 reference, where a run
+# that never switches is 10.29 and 10.36. Weighted by 30 it is 10.24 and
+# 10.32, with 127 and 122 tail trials (67 and 70 unweighted).
+_ETD_ERROR_WEIGHT = 30.0
+# The explicit phase's largest step; after the switch the error controller
+# alone bounds the step.
 _MAX_STEP = 1.0
 # A trial step below this size ends the run (PositivityLost or StepUnderflow).
 _MIN_STEP = 1e-12
 
-# The run switches to the integrating factor once every eigenvalue of c is
+# The run switches to the exponential tail once every eigenvalue of c is
 # within this fraction of the flat value kappa = tr(c0)/n, and keeps it.
 _LAWSON_SPREAD = 0.05
 
@@ -144,7 +164,10 @@ class FlowResult:
     A trial step is rejected either because its error estimate exceeds the
     tolerance (``rejected_error``) or because a stage left the positive cone
     (``rejected_cone``). ``switch_time`` is when the run switched to the
-    integrating factor, ``None`` if it never did.
+    exponential tail, ``None`` if it never did; ``tail_trials`` counts the
+    trials after it. ``field_evaluations`` counts evaluations of ``-L log c``:
+    one at the start, then one per stage that stays in the positive cone (a
+    completed trial costs six before the switch and five after it).
     """
 
     torus: FuzzyTorus
@@ -153,6 +176,8 @@ class FlowResult:
     rejected_error: int = 0
     rejected_cone: int = 0
     switch_time: float | None = None
+    field_evaluations: int = 0
+    tail_trials: int = 0
 
     @property
     def rejected_steps(self) -> int:
@@ -210,118 +235,141 @@ def _field_or_reject(torus: FuzzyTorus, c: np.ndarray) -> tuple[WeightedSpace, n
     return space, _field(torus, space)
 
 
-class _LawsonStages:
-    """The stage states of one Lawson trial step, in ``L``'s real eigen-coordinates.
+def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``phi_1, phi_2, phi_3`` of a real array ``z <= 0``, elementwise.
 
-    The integrating factor ``e^{-sL/kappa}`` is the exact flow of the
-    linearization at ``kappa I``: near the flat limit
-    ``log c ~ log(kappa) I + (c - kappa I)/kappa``, so the flow is the heat
-    flow ``dc/dt ~ -L c/kappa``. It is diagonal in the eigen-coordinates of
-    the flat ``L`` (``split``, a ``ReflectionSplit``), real coordinates that
-    hold a Hermitian matrix whole; a field's anti-Hermitian roundoff is not
-    read. There the factor decays at the ``rates`` ``mu = max(eig L, 0)/kappa``.
-
-    With ``F = -L log c`` split as ``-L c/kappa + N(c)``, stage ``i`` is
-    ``C_i = c + Q(d_i)``, where ``Q`` is ``split.from_eigen`` (so ``C_i``
-    is exactly Hermitian),
-
-        d_i = (e^{-c_i h mu} - 1)/mu * g + h sum_j a_ij e^{-(c_i - c_j) h mu} * N_j,
-
-    ``g = Q*(L c)/kappa``, and ``N_j = Q*(F_j + L C_j/kappa)``, which is
-    ``Q*(F_j) + g + mu * d_j``. Since ``L`` annihilates the scalar
-    ``c_00 I``, ``g = mu * Q*(c - c_00 I)``, so no stage applies ``L``
-    beyond its field, and a scalar ``c`` has ``g = N_j = 0`` and stays
-    bit-exact.
+    ``phi_0(z) = e^z`` and ``phi_{k+1}(z) = (phi_k(z) - 1/k!)/z``, with
+    ``phi_k(0) = 1/k!``. Where ``|z| >= 1`` the functions start from
+    ``expm1(z)/z`` and follow that recurrence, which loses little there;
+    where ``|z| < 1`` it would cancel, so ``phi_3`` is summed from its Taylor
+    series and ``phi_2 = 1/2 + z phi_3``, ``phi_1 = 1 + z phi_2``. Each
+    formula is evaluated on lanes that keep it finite, so no lane overflows.
     """
-
-    def __init__(self, rates: np.ndarray, split: ReflectionSplit, c: np.ndarray, h: float):
-        self.rates, self.split, self.c, self.h = rates, split, c, h
-        self.hmu = h * rates
-        self.g = rates * split.to_eigen(c - c[0, 0] * np.eye(len(c)))
-        # d_j and N_j, one row per stage (d_0 = 0); `known` rows of N are filled.
-        self.offsets = np.zeros((len(_DP_C), len(rates)))
-        self.nonlinear = np.empty_like(self.offsets)
-        self.known = 0
-
-    def _propagated(self, weights, node: float, fields: list[np.ndarray]) -> np.ndarray:
-        """``h sum_j w_j e^{-(node - c_j) h mu} * N_j`` over the given stage fields."""
-        for j in range(self.known, len(fields)):
-            self.nonlinear[j] = self.split.to_eigen(fields[j]) + self.g + self.rates * self.offsets[j]
-        k = self.known = len(fields)
-        # One row per stage, summed in stage order; a zero weight adds exact zeros.
-        weights = np.asarray(weights)[:k, None]
-        terms = weights * np.exp((_DP_C[:k, None] - node) * self.hmu) * self.nonlinear[:k]
-        return self.h * terms.sum(axis=0)
-
-    def state(self, weights, node: float, fields: list[np.ndarray]) -> np.ndarray:
-        """The state of stage ``len(fields)``, at ``t + node h``, from its tableau row."""
-        rates = self.rates
-        # (e^{-node h mu} - 1)/mu, whose limit at mu = 0 is -node h.
-        decay = np.divide(
-            np.expm1(-node * self.hmu), rates,
-            out=np.full_like(rates, -node * self.h), where=rates > 0,
-        )
-        d = self.offsets[len(fields)] = decay * self.g + self._propagated(weights, node, fields)
-        return self.c + self.split.from_eigen(d)
-
-    def error(self, fields: list[np.ndarray]) -> float:
-        """Hilbert-Schmidt norm of the fifth- minus the fourth-order state."""
-        return float(np.linalg.norm(self._propagated(_DP_B5 - _DP_B4, 1.0, fields)))
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 1
+    zs = np.where(small, z, 0.0)
+    phi3 = np.full_like(zs, _PHI3_TAYLOR[-1])
+    for coefficient in _PHI3_TAYLOR[-2::-1]:
+        phi3 = phi3 * zs + coefficient
+    phi2 = zs * phi3 + 0.5
+    phi1 = zs * phi2 + 1.0
+    zb = np.where(small, -1.0, z)
+    big1 = np.expm1(zb) / zb
+    big2 = (big1 - 1.0) / zb
+    big3 = (big2 - 0.5) / zb
+    return np.where(small, phi1, big1), np.where(small, phi2, big2), np.where(small, phi3, big3)
 
 
-def _trial_step(
-    torus: FuzzyTorus,
-    c: np.ndarray,
-    k1: np.ndarray,
-    h: float,
-    config: FlowConfig,
-    factor: tuple[np.ndarray, ReflectionSplit] | None = None,
-) -> tuple[WeightedSpace, np.ndarray, float, float] | None:
-    """One embedded RK trial step of size ``h`` from ``c``, whose field is ``k1``.
-
-    Returns ``(space_next, k_next, error_estimate, tolerance)`` for an
-    evaluable step, or ``None`` when a stage leaves the positive cone and the
-    step must be retried smaller. ``space_next`` is the metric state of the
-    symmetrized candidate, where the last stage is evaluated: its cone check
-    is the positivity check of the candidate state, and ``k_next`` is the
-    field there, the next step's first stage. Acceptance is the caller's
-    decision (``error_estimate <= tolerance``).
-
-    With an integrating ``factor``, the ``(rates, split)`` of ``_LawsonStages``,
-    the step is Lawson's: the same tableau, applied to ``e^{sL/kappa} c``.
-    """
-    lawson = None if factor is None else _LawsonStages(*factor, c, h)
+def _dp45_trial(evaluate, c: np.ndarray, k1: np.ndarray, h: float):
+    """A DP45 trial: ``(space_next, k_next, error)``, or ``None`` outside the cone."""
     stages = [k1]
-    for row, node in zip(_DP_A, _DP_C[1:]):
-        if lawson is None:
-            ci = c
-            for a_ij, k in zip(row, stages):
-                if a_ij != 0.0:
-                    ci = ci + h * a_ij * k
-        else:
-            ci = lawson.state(row, node, stages)
-        stage = _field_or_reject(torus, ci)
+    for row in _DP_A:
+        ci = c
+        for a_ij, k in zip(row, stages):
+            if a_ij != 0.0:
+                ci = ci + h * a_ij * k
+        stage = evaluate(ci)
         if stage is None:
             return None
         stages.append(stage[1])
 
-    if lawson is None:
-        c5 = c + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0)
-    else:
-        c5 = lawson.state(_DP_B5, 1.0, stages)
-    stage = _field_or_reject(torus, c5)
+    stage = evaluate(c + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0))
     if stage is None:
         return None
     space_next, k_next = stage
-    c5 = space_next.c  # symmetrized
     stages.append(k_next)
-    if lawson is None:
-        c4 = c + h * sum(b * k for b, k in zip(_DP_B4, stages) if b != 0.0)
-        c4 = (c4 + c4.conj().T) / 2
-        err = hs_norm(c5 - c4)
+    c4 = c + h * sum(b * k for b, k in zip(_DP_B4, stages) if b != 0.0)
+    c4 = (c4 + c4.conj().T) / 2
+    return space_next, k_next, hs_norm(space_next.c - c4)
+
+
+def _etd_trial(
+    evaluate, c: np.ndarray, k1: np.ndarray, h: float, rates: np.ndarray, split: ReflectionSplit
+):
+    """An exponential Runge-Kutta trial on ``e^{-sL/kappa}``: ``(space_next, k_next, error)``.
+
+    In the real eigen-coordinates of the flat ``L`` (``split``), where
+    ``L/kappa`` acts as the ``rates`` ``mu = max(eig L, 0)/kappa``, write a
+    stage state as the increment ``d`` from ``c``: ``C = c + Q(d)``, with
+    ``Q = split.from_eigen``, so every stage state is exactly Hermitian.
+    Then ``d' = -mu d + M(d)``, ``d(0) = 0``, with the remainder
+    ``M = Q*(F(C)) + mu d`` (``Q* = split.to_eigen``). Cox and Matthews'
+    ETDRK4 (J. Comput. Phys. 176, 2002), with ``z = -h mu``, ``phi_k =
+    phi_k(z)`` and ``p = (h/2) phi_1(z/2)``:
+
+        d_a = p M_0,   d_b = p M_a,   d_c = e^{z/2} d_a + p (2 M_b - M_0),
+        d_next = h [(phi_1 - 3 phi_2 + 4 phi_3) M_0 + (2 phi_2 - 4 phi_3)(M_a + M_b)
+                    + (4 phi_3 - phi_2) M_c].
+
+    The embedded third-order solution is their ETD3RK, which reuses stage
+    ``a`` and adds the full-step stage ``d_3 = h phi_1 (2 M_a - M_0)``; it
+    replaces ``M_a + M_b`` by ``2 M_a`` and ``M_c`` by ``M_3``. A trial
+    evaluates five fields (``a``, ``b``, ``c``, ``3`` and the end state, the
+    next trial's ``M_0``). A scalar ``c`` has ``M = 0`` and stays bit-exact.
+    """
+    z = -h * rates
+    p = (h / 2) * _phi_functions(z / 2)[0]
+    phi1, phi2, phi3 = _phi_functions(z)
+    w_mid = h * (2 * phi2 - 4 * phi3)
+    w_end = h * (4 * phi3 - phi2)
+
+    def remainder(d: np.ndarray) -> np.ndarray | None:
+        stage = evaluate(c + split.from_eigen(d))
+        return None if stage is None else split.to_eigen(stage[1]) + rates * d
+
+    m0 = split.to_eigen(k1)
+    d_a = p * m0
+    m_a = remainder(d_a)
+    if m_a is None:
+        return None
+    m_b = remainder(p * m_a)
+    if m_b is None:
+        return None
+    m_c = remainder(np.exp(z / 2) * d_a + p * (2 * m_b - m0))
+    if m_c is None:
+        return None
+    m_3 = remainder(h * phi1 * (2 * m_a - m0))
+    if m_3 is None:
+        return None
+    d_next = h * (phi1 - 3 * phi2 + 4 * phi3) * m0 + w_mid * (m_a + m_b) + w_end * m_c
+    stage = evaluate(c + split.from_eigen(d_next))
+    if stage is None:
+        return None
+    error = _ETD_ERROR_WEIGHT * float(np.linalg.norm(w_mid * (m_b - m_a) + w_end * (m_c - m_3)))
+    return stage[0], stage[1], error
+
+
+def _trial_step(
+    evaluate: Callable[[np.ndarray], tuple[WeightedSpace, np.ndarray] | None],
+    c: np.ndarray,
+    k1: np.ndarray,
+    h: float,
+    config: FlowConfig,
+    tail: tuple[np.ndarray, ReflectionSplit] | None = None,
+) -> tuple[WeightedSpace, np.ndarray, float, float] | None:
+    """One embedded trial step of size ``h`` from ``c``, whose field is ``k1``.
+
+    ``evaluate(C)`` gives the metric state and the field at a stage state
+    ``C``, or ``None`` outside the positive cone. Returns ``(space_next,
+    k_next, error_estimate, tolerance)`` for an evaluable step, or ``None``
+    when a stage leaves the positive cone and the step must be retried
+    smaller. ``space_next`` is the metric state of the symmetrized candidate,
+    where the last stage is evaluated: its cone check is the positivity check
+    of the candidate state, and ``k_next`` is the field there, the next
+    step's first stage. Acceptance is the caller's decision
+    (``error_estimate <= tolerance``).
+
+    Without ``tail`` the step is DP45's; with the ``(rates, split)`` of the
+    flat ``L`` it is the exponential pair of ``_etd_trial``.
+    """
+    if tail is None:
+        trial = _dp45_trial(evaluate, c, k1, h)
     else:
-        err = lawson.error(stages)
-    tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(c5))
+        trial = _etd_trial(evaluate, c, k1, h, *tail)
+    if trial is None:
+        return None
+    space_next, k_next, err = trial
+    tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(space_next.c))
     return space_next, k_next, err, tol
 
 
@@ -355,9 +403,10 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     The trajectory lands exactly on each sample time (the adaptive step is
     clipped at sample boundaries), so sampled states are integration states,
     not interpolants, and each sample's field is the integrator's own. The
-    run switches to the integrating factor at the first state whose
+    run switches to the exponential tail at the first state whose
     eigenvalues all lie within ``_LAWSON_SPREAD * kappa`` of the flat value
-    ``kappa``, and keeps it.
+    ``kappa``, and keeps it; only steps before the switch are capped at
+    ``_MAX_STEP``.
     """
     config = config or FlowConfig()
     space = metric_state(torus, c0)
@@ -366,20 +415,29 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     target_trace = space.trace  # conserved; fixes the flat limit
     kappa = target_trace / torus.n
 
+    def evaluate(c: np.ndarray) -> tuple[WeightedSpace, np.ndarray] | None:
+        stage = _field_or_reject(torus, c)
+        result.field_evaluations += stage is not None
+        return stage
+
     k1 = _field(torus, space)  # the field at space, the next trial's first stage
+    result.field_evaluations = 1
     result.samples.append(_make_sample(ts[0], space, k1, target_trace))
     h = min(_MAX_STEP, config.sample_stride)
     t = float(ts[0])
-    factor = None  # (rates, split) of e^{-sL/kappa} once the run has switched
+    tail = None  # (rates, split) of e^{-sL/kappa} once the run has switched
+    order_exp = _ORDER_EXP
     for t_next in ts[1:]:
         t_target = float(t_next)
         while t < t_target:
-            if factor is None and np.max(np.abs(space.eigenvalues - kappa)) <= _LAWSON_SPREAD * kappa:
+            if tail is None and np.max(np.abs(space.eigenvalues - kappa)) <= _LAWSON_SPREAD * kappa:
                 split = torus.laplacian_split
-                factor = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
+                tail = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
+                order_exp = _ETD_ORDER_EXP
                 result.switch_time = t
-            h = min(h, _MAX_STEP, t_target - t)
-            trial = _trial_step(torus, space.c, k1, h, config, factor)
+            h = min(h, t_target - t) if tail is not None else min(h, _MAX_STEP, t_target - t)
+            result.tail_trials += tail is not None
+            trial = _trial_step(evaluate, space.c, k1, h, config, tail)
             if trial is None:
                 result.rejected_cone += 1
                 h = h / 2
@@ -395,11 +453,11 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
                 result.accepted_steps += 1
                 t = t + h
                 space, k1 = space_next, k_next
-                growth = _SAFETY * (tol / err) ** _ORDER_EXP if err > 0 else _MAX_GROWTH
+                growth = _SAFETY * (tol / err) ** order_exp if err > 0 else _MAX_GROWTH
                 h = h * min(_MAX_GROWTH, max(_MIN_SHRINK, growth))
             else:
                 result.rejected_error += 1
-                shrink = _SAFETY * (tol / err) ** _ORDER_EXP
+                shrink = _SAFETY * (tol / err) ** order_exp
                 h = h * min(1.0, max(_MIN_SHRINK, shrink))
             if h < _MIN_STEP:
                 raise StepUnderflow(f"step size fell below min_step={_MIN_STEP:g}", time=t)
@@ -446,7 +504,11 @@ def trajectory_csv_rows(result: FlowResult) -> Iterator[list[str]]:
 
 
 def trajectory_to_json(result: FlowResult, config: FlowConfig) -> dict:
-    """Trajectory (with geometry parameters and integrator stats) as JSON."""
+    """Trajectory (with geometry parameters and integrator stats) as JSON.
+
+    ``config.max_step`` is the explicit phase's step cap; steps after the
+    switch to the exponential tail are not capped.
+    """
     return {
         "n": result.torus.n,
         "m": result.torus.m,
@@ -476,6 +538,8 @@ def trajectory_to_json(result: FlowResult, config: FlowConfig) -> dict:
         "rejected_error": result.rejected_error,
         "rejected_cone": result.rejected_cone,
         "switch_time": result.switch_time,
+        "field_evaluations": result.field_evaluations,
+        "tail_trials": result.tail_trials,
     }
 
 

@@ -20,7 +20,7 @@ reflection ``S(a) = P a^T P`` (``P`` reverses the index), because
 ``P x P = m(n-1) I - x`` and ``P y P = y^T``. On the real coordinates of a
 Hermitian matrix it is therefore a real symmetric matrix that splits into an
 S-even and an S-odd block; ``laplacian_split`` decomposes the two blocks
-(a ``ReflectionSplit``), for the flow's integrating factor and the invariant
+(a ``ReflectionSplit``), for the flow's exponential tail and the invariant
 suite's kernel checks.
 """
 

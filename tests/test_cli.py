@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzyricci
-from fuzzyricci import FuzzyRicciError, PositivityLost, cli, linalg
+from fuzzyricci import FuzzyRicciError, PositivityLost, cli, flow, linalg
 from fuzzyricci.laplace_beltrami import WeightedSpace
 
 
@@ -247,6 +248,32 @@ def test_config_round_trip(tmp_path, argv):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", 4, "--t1", 1e6, "--stride", 1e6],
+        ["spectrum", "--n", 3, "--seed", 2, "--t1", 1e12],
+    ],
+)
+def test_long_window_ends(tmp_path, monkeypatch, argv):
+    # The explicit phase's step cap does not hold after the switch, so the
+    # tail's steps grow with the window instead of needing t1 steps. Counting
+    # trials makes a run that does not end fail fast.
+    tails = []
+    real_trial = flow._trial_step
+
+    def counting_trial(*args):
+        tails.append(args[5] is not None)
+        assert len(tails) <= 400
+        return real_trial(*args)
+
+    monkeypatch.setattr(flow, "_trial_step", counting_trial)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*argv, "--out", tmp_path / "run"]) == 0
+    assert tails[-1]
+
+
 class TestSimulate:
     def test_writes_artifacts(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -271,6 +298,18 @@ class TestSimulate:
                     "switch_time"):
             assert trajectory[key] == summary[key], key
         assert f"integrating factor at t={summary['switch_time']:.6g}" in capsys.readouterr().out
+
+    def test_counters_in_summary_and_trajectory(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--n", 3, "--seed", 1, "--t1", 5, "--out", out]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        trajectory = json.loads((out / "trajectory.json").read_text())
+        trials = summary["accepted_steps"] + summary["rejected_steps"]
+        assert 0 < summary["tail_trials"] < trials
+        # At most six fields per trial, plus one at the start.
+        assert trials < summary["field_evaluations"] <= 6 * trials + 1
+        for key in ("field_evaluations", "tail_trials"):
+            assert trajectory[key] == summary[key], key
 
     def test_csv_only_format(self, tmp_path):
         out = tmp_path / "run"

@@ -1,3 +1,7 @@
+import math
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -227,9 +231,11 @@ class TestRunFlow:
         assert min(s.min_eig for s in result.samples) > 0
 
     def test_eigendecomposition_budget(self, monkeypatch):
-        # Six per trial (stages 2-7; stage 7 at the candidate state is also
-        # its positivity check, its sample and the next step's stage 1) and
-        # one at start-up; samples reuse the integrator's states. Every module
+        # Six per DP45 trial (stages 2-7; stage 7 at the candidate state is
+        # also its positivity check, its sample and the next step's stage 1),
+        # five per tail trial (stages a, b, c, the embedded full-step stage
+        # and the candidate state, which plays the same roles) and one at
+        # start-up; samples reuse the integrator's states. Every module
         # binding hermitian_eig is patched, so no route can hide a call.
         c0 = random_metric(3, 0, scale=2.0)
         calls = []
@@ -245,9 +251,9 @@ class TestRunFlow:
         for module in patched:
             monkeypatch.setattr(module, "hermitian_eig", counting_eig)
 
-        # L is applied once per field, the same six per completed trial with
-        # or without the integrating factor (a Lawson trial reads L c from
-        # L's eigenbasis), and once at start-up.
+        # L is applied once per field: six per completed DP45 trial, five per
+        # completed tail trial (a tail trial reads its linear part from L's
+        # eigenbasis), and once at start-up.
         applies = []
         real_apply = FuzzyTorus.laplacian_apply
 
@@ -257,11 +263,11 @@ class TestRunFlow:
 
         monkeypatch.setattr(FuzzyTorus, "laplacian_apply", counting_apply)
 
-        # A trial that a stage outside the cone ends early costs fewer than
-        # six, so the bound alone leaves room for per-sample calls; count
-        # each trial's calls and require, outside all trials, exactly one
-        # metric state (start-up) and one decomposition of each real block of
-        # the flat L, 6 x 6 and 3 x 3 (the switch to the integrating factor).
+        # A trial that a stage outside the cone ends early costs fewer, so the
+        # bound alone leaves room for per-sample calls; count each trial's
+        # calls and require, outside all trials, exactly one metric state
+        # (start-up) and one decomposition of each real block of the flat L,
+        # 6 x 6 and 3 x 3 (the switch to the exponential tail).
         per_trial = []
         in_trials = set()
         real_trial = flow._trial_step
@@ -270,9 +276,9 @@ class TestRunFlow:
             eigs_before, applies_before = len(calls), len(applies)
             trial = real_trial(*args)
             in_trials.update(range(eigs_before, len(calls)))
-            lawson = args[5] is not None
+            tail = args[5] is not None
             per_trial.append(
-                (len(calls) - eigs_before, len(applies) - applies_before, trial is None, lawson)
+                (len(calls) - eigs_before, len(applies) - applies_before, trial is None, tail)
             )
             return trial
 
@@ -283,16 +289,52 @@ class TestRunFlow:
         assert result.rejected_steps > 0
         assert result.switch_time is not None and 0 < result.switch_time < 5.0
         assert len(per_trial) == trials
-        assert all(k == 6 or (left_cone and k >= 1) for k, _, left_cone, _ in per_trial)
+        assert all(
+            k == (5 if tail else 6) or (left_cone and 1 <= k < (5 if tail else 6))
+            for k, _, left_cone, tail in per_trial
+        )
         assert len(calls) - sum(k for k, _, _, _ in per_trial) == 3
         outside = sorted(call for i, call in enumerate(calls) if i not in in_trials)
         assert outside == [(3, False), (3, True), (6, True)]
         assert trials + 3 <= len(calls) <= 6 * trials + 3
 
-        completed = [(k, lawson) for _, k, left_cone, lawson in per_trial if not left_cone]
-        assert {lawson for _, lawson in completed} == {False, True}
-        assert all(k == 6 for k, _ in completed)
+        completed = [(k, tail) for _, k, left_cone, tail in per_trial if not left_cone]
+        assert {tail for _, tail in completed} == {False, True}
+        assert all(k == (5 if tail else 6) for k, tail in completed)
         assert len(applies) - sum(k for _, k, _, _ in per_trial) == 1
+
+    def test_field_evaluations_count_every_field(self, torus3, monkeypatch):
+        # One field at start-up, then one per stage that stays in the cone:
+        # six per completed DP45 trial, five per completed tail trial, fewer
+        # in a trial that a stage outside the cone ends.
+        applies = []
+        real_apply = FuzzyTorus.laplacian_apply
+
+        def counting_apply(self, a):
+            applies.append(np.shape(a))
+            return real_apply(self, a)
+
+        per_trial = []
+        real_trial = flow._trial_step
+
+        def counting_trial(*args):
+            before = len(applies)
+            trial = real_trial(*args)
+            per_trial.append((len(applies) - before, trial is None, args[5] is not None))
+            return trial
+
+        monkeypatch.setattr(FuzzyTorus, "laplacian_apply", counting_apply)
+        monkeypatch.setattr(flow, "_trial_step", counting_trial)
+        result = run_flow(torus3, random_metric(3, 0, scale=2.0), FlowConfig(t1=5.0))
+        assert result.rejected_cone > 0 and result.switch_time is not None
+        assert result.field_evaluations == len(applies) == 1 + sum(k for k, _, _ in per_trial)
+        # The tail trials are the last ones: the switch is for good.
+        tails = [tail for _, _, tail in per_trial]
+        assert 0 < result.tail_trials < len(tails)
+        assert tails == [False] * (len(tails) - result.tail_trials) + [True] * result.tail_trials
+        for k, left_cone, tail in per_trial:
+            full = 5 if tail else 6
+            assert k < full if left_cone else k == full
 
     def test_trials_are_accepted_or_rejected_by_one_cause(self, torus3, monkeypatch):
         # Every trial step ends in exactly one of: accepted, rejected on its
@@ -361,7 +403,7 @@ class TestRunFlow:
 
 
 class TestIntegratingFactor:
-    """The near-flat tail, integrated with the Lawson factor e^{-sL/kappa}."""
+    """The near-flat tail, integrated with exponential Runge-Kutta on e^{-sL/kappa}."""
 
     @pytest.mark.parametrize("n, m", [(4, 1), (5, 2)])
     @pytest.mark.parametrize("eps", [1e-3, 1e-4])
@@ -387,29 +429,63 @@ class TestIntegratingFactor:
             heat = (expm(-s.t * lap / kappa) @ (eps * b).reshape(-1)).reshape(n, n)
             assert hs_norm(s.c - (kappa * np.eye(n) + heat)) <= eps**2
 
+    @pytest.mark.parametrize("n, m, eps", [(4, 1, 0.05), (5, 2, 0.05), (4, 1, 0.5)])
+    def test_fixed_steps_converge_at_fourth_order(self, n, m, eps, monkeypatch):
+        # ETDRK4 at fixed steps over [0, 1/2] from kappa I + eps B, against a
+        # DP45 run at rel_tol 1e-13 that never switches: halving h from 1/32
+        # must cut the error by 2^3.5 or more (2^4 for fourth order). Near
+        # the flat point the remainder is nearly linear, so the start far
+        # from it is what shows a stage that is only accurate to low order.
+        torus = FuzzyTorus(n, m)
+        kappa = 1.3
+        rng = np.random.default_rng(n + 10 * m)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = (g + g.conj().T) / 2
+        b -= (np.trace(b).real / n) * np.eye(n)
+        c0 = kappa * np.eye(n) + eps * b / hs_norm(b)
+        split = torus.laplacian_split
+        tail = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
+
+        def evaluate(c):
+            return flow._field_or_reject(torus, c)
+
+        def fixed_steps(steps):
+            space = WeightedSpace.from_metric(c0)
+            k = flow._field(torus, space)
+            h = 0.5 / steps
+            for _ in range(steps):
+                space, k, _, _ = flow._trial_step(evaluate, space.c, k, h, FlowConfig(), tail)
+            return space.c
+
+        monkeypatch.setattr(flow, "_LAWSON_SPREAD", -1.0)  # never switches
+        config = FlowConfig(t1=0.5, sample_stride=0.5, rel_tol=1e-13, abs_tol=1e-15)
+        reference = run_flow(torus, c0, config).final.c
+        errors = [hs_norm(fixed_steps(steps) - reference) for steps in (16, 32, 64)]
+        assert errors[-1] < 1e-9
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 2**3.5
+
     @pytest.mark.parametrize(
         "n, m",
         [(n, m) for n in range(2, 9) for m in range(1, n) if np.gcd(m, n) == 1] + [(12, 7)],
     )
-    def test_stage_states_are_exactly_hermitian(self, n, m, monkeypatch):
+    def test_stage_states_are_exactly_hermitian(self, n, m):
         torus = FuzzyTorus(n, m)
         kappa = 1.3
         g = random_metric(n, n + 10 * m) - np.eye(n)
         space = WeightedSpace.from_metric(kappa * np.eye(n) + 1e-2 * g / hs_norm(g))
         split = torus.laplacian_split
-        factor = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
+        tail = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
         states = []
-        real_stage = flow._field_or_reject
 
-        def recording_stage(torus, c):
+        def recording_evaluate(c):
             states.append(c)
-            return real_stage(torus, c)
+            return flow._field_or_reject(torus, c)
 
-        monkeypatch.setattr(flow, "_field_or_reject", recording_stage)
         trial = flow._trial_step(
-            torus, space.c, flow._field(torus, space), 0.1, FlowConfig(), factor
+            recording_evaluate, space.c, flow._field(torus, space), 0.1, FlowConfig(), tail
         )
-        assert trial is not None and len(states) == 6
+        assert trial is not None and len(states) == 5
         for c in states:
             np.testing.assert_array_equal(c, c.conj().T)
 
@@ -428,6 +504,34 @@ class TestIntegratingFactor:
             assert hs_norm(a.c - b.c) <= 1e-9 * hs_norm(b.c)
             if a.t <= lawson.switch_time:
                 np.testing.assert_array_equal(a.c, b.c)
+
+
+def phi_reference(z: float, k: int) -> Decimal:
+    """phi_k(z) to 50 digits: its Taylor series where |z| <= 1, else the closed form."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(z)
+        if abs(x) <= 1:
+            return 1 / Decimal(math.factorial(k)) + sum(
+                x**j / math.factorial(j + k) for j in range(1, 60)
+            )
+        return (x.exp() - sum(x**j / math.factorial(j) for j in range(k))) / x**k
+
+
+PHI_POINTS = [0.0, -1e-12, -1e-3, -0.999999, -1.0, -1.000001, -10.0, -342.0, -1e4, -1e300]
+
+
+def test_phi_functions_match_a_50_digit_reference():
+    # All points in one array, so a formula evaluated on every lane (a
+    # Taylor sum at -1e300, say) would overflow here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phis = flow._phi_functions(np.array(PHI_POINTS))
+    for k, phi in enumerate(phis, start=1):
+        assert phi[0] == 1 / math.factorial(k)
+        for z, value in zip(PHI_POINTS, phi):
+            exact = phi_reference(z, k)
+            assert abs(Decimal(float(value)) - exact) <= Decimal("1e-15") * abs(exact), (k, z)
 
 
 @pytest.fixture(scope="module")
