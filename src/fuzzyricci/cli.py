@@ -277,25 +277,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     nondecreasing = det_drop <= DET_SLACK
     summary = {
         "samples": len(result.samples),
-        "accepted_steps": result.accepted_steps,
-        "rejected_steps": result.rejected_steps,
-        "rejected_error": result.rejected_error,
-        "rejected_cone": result.rejected_cone,
-        "switch_time": result.switch_time,
-        "field_evaluations": result.field_evaluations,
-        "tail_trials": result.tail_trials,
+        **result.counters,
         "trace_drift_rel": drift,
         "det_nondecreasing": nondecreasing,
         "min_eig_final": result.final.min_eig,
         "final_dist_to_flat": result.final.dist_to_flat,
     }
     _write_json(out / "summary.json", summary)
-    switch = "never" if result.switch_time is None else f"at t={result.switch_time:.6g}"
+    switch = "never" if result.switch_time is None else f"from t={result.switch_time:.6g}"
     print(
         f"simulate: {len(result.samples)} samples on [{config['t0']}, {config['t1']}], "
         f"trace drift {drift:.3e}, det nondecreasing: {nondecreasing}, "
         f"final dist to flat {result.final.dist_to_flat:.3e}, "
-        f"integrating factor {switch}"
+        f"exponential tail {switch}"
     )
     return EXIT_OK
 

@@ -18,7 +18,7 @@ The flow is stiff in two different ways. Early on the stiffness comes from
 is the heat flow ``dc/dt ~ -L c/kappa``, whose stiffness is
 ``lambda_max(L)/kappa``, and an explicit step is held far below what the
 accuracy needs. So once every eigenvalue of an accepted state lies within
-``_LAWSON_SPREAD = 0.05`` times ``kappa`` of ``kappa``, the run switches, for
+``_TAIL_SPREAD = 0.05`` times ``kappa`` of ``kappa``, the run switches, for
 good, to an exponential Runge-Kutta pair with that linear part: Cox and
 Matthews' ETDRK4, with their ETD3RK embedded for the error estimate, under
 the same error norm, FSAL, cone rejection and step controller (only the
@@ -48,7 +48,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -110,7 +111,7 @@ _MIN_STEP = 1e-12
 
 # The run switches to the exponential tail once every eigenvalue of c is
 # within this fraction of the flat value kappa = tr(c0)/n, and keeps it.
-_LAWSON_SPREAD = 0.05
+_TAIL_SPREAD = 0.05
 
 # Largest relative decrease of det c between samples that still counts as
 # nondecreasing: the exact flow never decreases it, so this is roundoff room.
@@ -142,19 +143,31 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowSample:
-    """The flow at one sample time: metric state ``space``, integrator field ``-L log c``."""
+    """The flow at one sample time: metric state ``space``, integrator field ``-L log c``.
+
+    ``trace``, ``det`` and ``min_eig`` are read off the state's decomposition.
+    """
 
     t: float
     space: WeightedSpace
     field: np.ndarray
-    trace: float
-    det: float
-    min_eig: float
     dist_to_flat: float
 
     @property
     def c(self) -> np.ndarray:
         return self.space.c
+
+    @property
+    def trace(self) -> float:
+        return self.space.trace
+
+    @property
+    def det(self) -> float:
+        return float(np.prod(self.space.eigenvalues))
+
+    @property
+    def min_eig(self) -> float:
+        return float(self.space.eigenvalues[0])
 
 
 @dataclass
@@ -168,6 +181,7 @@ class FlowResult:
     trials after it. ``field_evaluations`` counts evaluations of ``-L log c``:
     one at the start, then one per stage that stays in the positive cone (a
     completed trial costs six before the switch and five after it).
+    ``counters`` is the table of all seven, by the names the JSON artifacts use.
     """
 
     torus: FuzzyTorus
@@ -182,6 +196,18 @@ class FlowResult:
     @property
     def rejected_steps(self) -> int:
         return self.rejected_error + self.rejected_cone
+
+    @property
+    def counters(self) -> dict:
+        return {
+            "accepted_steps": self.accepted_steps,
+            "rejected_steps": self.rejected_steps,
+            "rejected_error": self.rejected_error,
+            "rejected_cone": self.rejected_cone,
+            "switch_time": self.switch_time,
+            "field_evaluations": self.field_evaluations,
+            "tail_trials": self.tail_trials,
+        }
 
     @property
     def times(self) -> np.ndarray:
@@ -261,7 +287,18 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _dp45_trial(evaluate, c: np.ndarray, k1: np.ndarray, h: float):
-    """A DP45 trial: ``(space_next, k_next, error)``, or ``None`` outside the cone."""
+    """One embedded DP45 trial step of size ``h`` from ``c``, whose field is ``k1``.
+
+    ``evaluate(C)`` gives the metric state and the field at a stage state
+    ``C``, or ``None`` outside the positive cone. Returns ``(space_next,
+    k_next, error_estimate)`` for an evaluable step, or ``None`` when a stage
+    leaves the positive cone and the step must be retried smaller.
+    ``space_next`` is the metric state of the symmetrized candidate, where the
+    last stage is evaluated: its cone check is the positivity check of the
+    candidate state, and ``k_next`` is the field there, the next step's first
+    stage. Acceptance is the caller's decision. ``_etd_trial`` keeps the same
+    contract after the switch to the exponential tail.
+    """
     stages = [k1]
     for row in _DP_A:
         ci = c
@@ -339,40 +376,6 @@ def _etd_trial(
     return stage[0], stage[1], error
 
 
-def _trial_step(
-    evaluate: Callable[[np.ndarray], tuple[WeightedSpace, np.ndarray] | None],
-    c: np.ndarray,
-    k1: np.ndarray,
-    h: float,
-    config: FlowConfig,
-    tail: tuple[np.ndarray, ReflectionSplit] | None = None,
-) -> tuple[WeightedSpace, np.ndarray, float, float] | None:
-    """One embedded trial step of size ``h`` from ``c``, whose field is ``k1``.
-
-    ``evaluate(C)`` gives the metric state and the field at a stage state
-    ``C``, or ``None`` outside the positive cone. Returns ``(space_next,
-    k_next, error_estimate, tolerance)`` for an evaluable step, or ``None``
-    when a stage leaves the positive cone and the step must be retried
-    smaller. ``space_next`` is the metric state of the symmetrized candidate,
-    where the last stage is evaluated: its cone check is the positivity check
-    of the candidate state, and ``k_next`` is the field there, the next
-    step's first stage. Acceptance is the caller's decision
-    (``error_estimate <= tolerance``).
-
-    Without ``tail`` the step is DP45's; with the ``(rates, split)`` of the
-    flat ``L`` it is the exponential pair of ``_etd_trial``.
-    """
-    if tail is None:
-        trial = _dp45_trial(evaluate, c, k1, h)
-    else:
-        trial = _etd_trial(evaluate, c, k1, h, *tail)
-    if trial is None:
-        return None
-    space_next, k_next, err = trial
-    tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(space_next.c))
-    return space_next, k_next, err, tol
-
-
 def sample_times(config: FlowConfig) -> np.ndarray:
     """Uniform cadence t0, t0 + stride, ... with t1 always included."""
     k = int(np.floor((config.t1 - config.t0) / config.sample_stride + 1e-9))
@@ -384,19 +387,6 @@ def sample_times(config: FlowConfig) -> np.ndarray:
     return ts
 
 
-def _make_sample(t: float, space: WeightedSpace, field: np.ndarray, trace0: float) -> FlowSample:
-    n = space.n
-    return FlowSample(
-        t=float(t),
-        space=space,
-        field=field,
-        trace=space.trace,
-        det=float(np.prod(space.eigenvalues)),
-        min_eig=float(space.eigenvalues[0]),
-        dist_to_flat=hs_norm(space.c - (trace0 / n) * np.eye(n)),
-    )
-
-
 def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None) -> FlowResult:
     """Integrate the metric flow and sample it on the configured cadence.
 
@@ -404,16 +394,18 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     clipped at sample boundaries), so sampled states are integration states,
     not interpolants, and each sample's field is the integrator's own. The
     run switches to the exponential tail at the first state whose
-    eigenvalues all lie within ``_LAWSON_SPREAD * kappa`` of the flat value
-    ``kappa``, and keeps it; only steps before the switch are capped at
-    ``_MAX_STEP``.
+    eigenvalues all lie within ``_TAIL_SPREAD * kappa`` of the flat value
+    ``kappa``, and keeps it: the phase is the trial, the controller's
+    exponent and the step cap, and only steps before the switch are capped
+    at ``_MAX_STEP``. A trial is accepted when its error estimate is within
+    ``abs_tol + rel_tol * max(||c||, ||c_next||)``.
     """
     config = config or FlowConfig()
     space = metric_state(torus, c0)
     result = FlowResult(torus=torus)
     ts = sample_times(config)
-    target_trace = space.trace  # conserved; fixes the flat limit
-    kappa = target_trace / torus.n
+    kappa = space.trace / torus.n  # the trace is conserved; it fixes the flat limit
+    flat = kappa * np.eye(torus.n)
 
     def evaluate(c: np.ndarray) -> tuple[WeightedSpace, np.ndarray] | None:
         stage = _field_or_reject(torus, c)
@@ -422,23 +414,25 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
 
     k1 = _field(torus, space)  # the field at space, the next trial's first stage
     result.field_evaluations = 1
-    result.samples.append(_make_sample(ts[0], space, k1, target_trace))
+    result.samples.append(FlowSample(float(ts[0]), space, k1, hs_norm(space.c - flat)))
     h = min(_MAX_STEP, config.sample_stride)
     t = float(ts[0])
-    tail = None  # (rates, split) of e^{-sL/kappa} once the run has switched
-    order_exp = _ORDER_EXP
+    trial, order_exp, max_step = _dp45_trial, _ORDER_EXP, _MAX_STEP
     for t_next in ts[1:]:
         t_target = float(t_next)
         while t < t_target:
-            if tail is None and np.max(np.abs(space.eigenvalues - kappa)) <= _LAWSON_SPREAD * kappa:
+            if result.switch_time is None and (
+                np.max(np.abs(space.eigenvalues - kappa)) <= _TAIL_SPREAD * kappa
+            ):
                 split = torus.laplacian_split
-                tail = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
-                order_exp = _ETD_ORDER_EXP
+                rates = np.maximum(split.eigenvalues, 0.0) / kappa
+                trial = partial(_etd_trial, rates=rates, split=split)
+                order_exp, max_step = _ETD_ORDER_EXP, math.inf
                 result.switch_time = t
-            h = min(h, t_target - t) if tail is not None else min(h, _MAX_STEP, t_target - t)
-            result.tail_trials += tail is not None
-            trial = _trial_step(evaluate, space.c, k1, h, config, tail)
-            if trial is None:
+            h = min(h, max_step, t_target - t)
+            result.tail_trials += result.switch_time is not None
+            step = trial(evaluate, space.c, k1, h)
+            if step is None:
                 result.rejected_cone += 1
                 h = h / 2
                 if h < _MIN_STEP:
@@ -448,7 +442,8 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
                         time=t,
                     )
                 continue
-            space_next, k_next, err, tol = trial
+            space_next, k_next, err = step
+            tol = config.abs_tol + config.rel_tol * max(hs_norm(space.c), hs_norm(space_next.c))
             if err <= tol:
                 result.accepted_steps += 1
                 t = t + h
@@ -462,7 +457,7 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
             if h < _MIN_STEP:
                 raise StepUnderflow(f"step size fell below min_step={_MIN_STEP:g}", time=t)
         t = t_target
-        result.samples.append(_make_sample(t, space, k1, target_trace))
+        result.samples.append(FlowSample(t, space, k1, hs_norm(space.c - flat)))
     return result
 
 
@@ -496,11 +491,9 @@ def trajectory_csv_rows(result: FlowResult) -> Iterator[list[str]]:
     header += ["trace", "det", "min_eig", "dist_to_flat"]
     yield header
     for s in result.samples:
-        row = [repr(s.t)]
-        for z in s.c.reshape(-1):
-            row += [repr(float(z.real)), repr(float(z.imag))]
-        row += [repr(s.trace), repr(s.det), repr(s.min_eig), repr(s.dist_to_flat)]
-        yield row
+        entries = np.ascontiguousarray(s.c).view(float).reshape(-1).tolist()
+        yield [repr(s.t), *map(repr, entries), repr(s.trace), repr(s.det), repr(s.min_eig),
+               repr(s.dist_to_flat)]
 
 
 def trajectory_to_json(result: FlowResult, config: FlowConfig) -> dict:
@@ -533,13 +526,7 @@ def trajectory_to_json(result: FlowResult, config: FlowConfig) -> dict:
             }
             for s in result.samples
         ],
-        "accepted_steps": result.accepted_steps,
-        "rejected_steps": result.rejected_steps,
-        "rejected_error": result.rejected_error,
-        "rejected_cone": result.rejected_cone,
-        "switch_time": result.switch_time,
-        "field_evaluations": result.field_evaluations,
-        "tail_trials": result.tail_trials,
+        **result.counters,
     }
 
 

@@ -59,8 +59,9 @@ class WeightedSpace:
     that decomposition, so each consumer of a state (the flow field, the
     sample, the spectrum, the variation law) reuses it. Also provides the
     weighted inner product ``<a,b>_c = tr(c a* b)``, the state
-    ``phi(a) = tr(c a)``, and the unitary (and its inverse) between the
-    weighted space and the plain Hilbert-Schmidt space.
+    ``phi(a) = tr(c a)``, and the unitary ``to_flat`` from the weighted
+    space onto the plain Hilbert-Schmidt space (its inverse is right
+    multiplication by ``c_invsqrt``).
     """
 
     c: np.ndarray
@@ -129,10 +130,6 @@ class WeightedSpace:
     def to_flat(self, a) -> np.ndarray:
         """Unitary into the plain Hilbert-Schmidt space: a -> a c^{1/2}."""
         return np.asarray(a, dtype=complex) @ self.c_sqrt
-
-    def from_flat(self, a_flat) -> np.ndarray:
-        """Inverse unitary: a_flat -> a_flat c^{-1/2}."""
-        return np.asarray(a_flat, dtype=complex) @ self.c_invsqrt
 
 
 def stacked_power(spaces, p: float) -> np.ndarray:

@@ -260,14 +260,16 @@ def test_long_window_ends(tmp_path, monkeypatch, argv):
     # tail's steps grow with the window instead of needing t1 steps. Counting
     # trials makes a run that does not end fail fast.
     tails = []
-    real_trial = flow._trial_step
 
-    def counting_trial(*args):
-        tails.append(args[5] is not None)
-        assert len(tails) <= 400
-        return real_trial(*args)
+    def counting(real, tail):
+        def trial(*args, **kwargs):
+            tails.append(tail)
+            assert len(tails) <= 400
+            return real(*args, **kwargs)
+        return trial
 
-    monkeypatch.setattr(flow, "_trial_step", counting_trial)
+    monkeypatch.setattr(flow, "_dp45_trial", counting(flow._dp45_trial, False))
+    monkeypatch.setattr(flow, "_etd_trial", counting(flow._etd_trial, True))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli([*argv, "--out", tmp_path / "run"]) == 0
@@ -290,20 +292,45 @@ class TestSimulate:
         assert summary["min_eig_final"] > 0
         assert summary["samples"] == 11
         # The step telemetry: rejections by cause, and when the run switched
-        # to the integrating factor.
+        # to the exponential tail.
         assert summary["rejected_error"] + summary["rejected_cone"] == summary["rejected_steps"]
         assert 0 < summary["switch_time"] < 5
         trajectory = json.loads((out / "trajectory.json").read_text())
         for key in ("accepted_steps", "rejected_steps", "rejected_error", "rejected_cone",
                     "switch_time"):
             assert trajectory[key] == summary[key], key
-        assert f"integrating factor at t={summary['switch_time']:.6g}" in capsys.readouterr().out
+        assert f"exponential tail from t={summary['switch_time']:.6g}" in capsys.readouterr().out
 
-    def test_counters_in_summary_and_trajectory(self, tmp_path):
+    def test_counters_in_summary_and_trajectory(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
+        results = []
+        real_run = cli.run_flow
+
+        def recording_run(*args):
+            results.append(real_run(*args))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_flow", recording_run)
         assert run_cli(["simulate", "--n", 3, "--seed", 1, "--t1", 5, "--out", out]) == 0
         summary = json.loads((out / "summary.json").read_text())
         trajectory = json.loads((out / "trajectory.json").read_text())
+        # Both documents spread the one counter table, keys and values.
+        (result,) = results
+        counters = result.counters
+        assert len(counters) == 7
+        assert {key: summary[key] for key in counters} == counters
+        assert {key: trajectory[key] for key in counters} == counters
+        assert set(summary) - set(counters) == {
+            "samples", "trace_drift_rel", "det_nondecreasing", "min_eig_final", "final_dist_to_flat"
+        }
+        assert set(trajectory) - set(counters) == {"n", "m", "config", "samples"}
+        # A sample's trace, det and min_eig are read off its metric state.
+        assert len(trajectory["samples"]) == len(result.samples)
+        for doc, sample in zip(trajectory["samples"], result.samples):
+            space = sample.space
+            assert doc["trace"] == sample.trace == space.trace
+            assert doc["det"] == sample.det == float(np.prod(space.eigenvalues))
+            assert doc["min_eig"] == sample.min_eig == float(space.eigenvalues[0])
         trials = summary["accepted_steps"] + summary["rejected_steps"]
         assert 0 < summary["tail_trials"] < trials
         # At most six fields per trial, plus one at the start.
@@ -540,9 +567,9 @@ class TestVerify:
     def test_full_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli(["verify", "--n-max", 8, "--out", out]) == 0
-        assert capsys.readouterr().out == "verify: 412/412 checks passed\n"
+        assert capsys.readouterr().out == "verify: 411/411 checks passed\n"
         doc = json.loads((out / "verify.json").read_text())
-        assert (doc["total"], doc["failures"], doc["passed"]) == (412, 0, True)
+        assert (doc["total"], doc["failures"], doc["passed"]) == (411, 0, True)
         # 21 coprime pairs (n, m) with n <= 8; 5 seeds at n = 2, 3; 3 seeds at n = 2, 3, 4.
         geometry = [
             "exchange_relation", "unitarity_u", "unitarity_v", "exp_x_is_u", "exp_y_is_v",
@@ -557,7 +584,7 @@ class TestVerify:
         ]
         flows = ["flow_trace_drift", "flow_det_nondecreasing", "flow_positivity", "flow_flat_limit"]
         single = [
-            "functional_calculus_identity", "superop_matches_map", "hs_inner_positive",
+            "functional_calculus_identity", "hs_inner_positive",
             "rejected_operator_not_hermitian", "variation_residual_rel", "variation_forms_agree",
             "tracking_no_flags", "curve_normalization", "curve_state_vanishes",
             "kernel_curve_is_identity", "variation_phase_invariance",

@@ -1,6 +1,7 @@
 import math
 import warnings
 from decimal import Decimal, localcontext
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ from fuzzyricci.flow import (
 )
 from fuzzyricci.laplace_beltrami import WeightedSpace
 from fuzzyricci.linalg import hs_norm, matrix_from_json
+
+
+def patch_trials(monkeypatch, wrap):
+    """Route every trial of ``run_flow`` through ``wrap(real, tail, *args, **kwargs)``.
+
+    ``real`` is the trial function wrapped, DP45's or the exponential tail's,
+    and ``tail`` tells which.
+    """
+    for name, tail in (("_dp45_trial", False), ("_etd_trial", True)):
+        monkeypatch.setattr(flow, name, partial(wrap, getattr(flow, name), tail))
 
 
 class TestRandomMetric:
@@ -270,19 +281,17 @@ class TestRunFlow:
         # 6 x 6 and 3 x 3 (the switch to the exponential tail).
         per_trial = []
         in_trials = set()
-        real_trial = flow._trial_step
 
-        def counting_trial(*args):
+        def counting_trial(real, tail, *args, **kwargs):
             eigs_before, applies_before = len(calls), len(applies)
-            trial = real_trial(*args)
+            trial = real(*args, **kwargs)
             in_trials.update(range(eigs_before, len(calls)))
-            tail = args[5] is not None
             per_trial.append(
                 (len(calls) - eigs_before, len(applies) - applies_before, trial is None, tail)
             )
             return trial
 
-        monkeypatch.setattr(flow, "_trial_step", counting_trial)
+        patch_trials(monkeypatch, counting_trial)
         # A torus of its own: the shared fixture may hold a cached decomposition of L.
         result = run_flow(FuzzyTorus(3, 1), c0, FlowConfig(t1=5.0))
         trials = result.accepted_steps + result.rejected_steps
@@ -315,16 +324,15 @@ class TestRunFlow:
             return real_apply(self, a)
 
         per_trial = []
-        real_trial = flow._trial_step
 
-        def counting_trial(*args):
+        def counting_trial(real, tail, *args, **kwargs):
             before = len(applies)
-            trial = real_trial(*args)
-            per_trial.append((len(applies) - before, trial is None, args[5] is not None))
+            trial = real(*args, **kwargs)
+            per_trial.append((len(applies) - before, trial is None, tail))
             return trial
 
         monkeypatch.setattr(FuzzyTorus, "laplacian_apply", counting_apply)
-        monkeypatch.setattr(flow, "_trial_step", counting_trial)
+        patch_trials(monkeypatch, counting_trial)
         result = run_flow(torus3, random_metric(3, 0, scale=2.0), FlowConfig(t1=5.0))
         assert result.rejected_cone > 0 and result.switch_time is not None
         assert result.field_evaluations == len(applies) == 1 + sum(k for k, _, _ in per_trial)
@@ -339,16 +347,22 @@ class TestRunFlow:
     def test_trials_are_accepted_or_rejected_by_one_cause(self, torus3, monkeypatch):
         # Every trial step ends in exactly one of: accepted, rejected on its
         # error estimate, rejected because a stage left the cone.
+        # A trial is accepted when its error estimate is within the tolerance
+        # at the larger of its start and end states.
         outcomes = []
-        real_trial = flow._trial_step
+        config = FlowConfig(t1=5.0)
 
-        def counting_trial(*args):
-            trial = real_trial(*args)
-            outcomes.append("cone" if trial is None else ("ok" if trial[2] <= trial[3] else "error"))
+        def counting_trial(real, tail, evaluate, c, k1, h, **kwargs):
+            trial = real(evaluate, c, k1, h, **kwargs)
+            if trial is None:
+                outcomes.append("cone")
+            else:
+                tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(trial[0].c))
+                outcomes.append("ok" if trial[2] <= tol else "error")
             return trial
 
-        monkeypatch.setattr(flow, "_trial_step", counting_trial)
-        result = run_flow(torus3, random_metric(3, 0, scale=2.0), FlowConfig(t1=5.0))
+        patch_trials(monkeypatch, counting_trial)
+        result = run_flow(torus3, random_metric(3, 0, scale=2.0), config)
         assert result.rejected_error > 0 and result.rejected_cone > 0
         assert result.rejected_steps == result.rejected_error + result.rejected_cone
         assert (
@@ -454,10 +468,10 @@ class TestIntegratingFactor:
             k = flow._field(torus, space)
             h = 0.5 / steps
             for _ in range(steps):
-                space, k, _, _ = flow._trial_step(evaluate, space.c, k, h, FlowConfig(), tail)
+                space, k, _ = flow._etd_trial(evaluate, space.c, k, h, *tail)
             return space.c
 
-        monkeypatch.setattr(flow, "_LAWSON_SPREAD", -1.0)  # never switches
+        monkeypatch.setattr(flow, "_TAIL_SPREAD", -1.0)  # never switches
         config = FlowConfig(t1=0.5, sample_stride=0.5, rel_tol=1e-13, abs_tol=1e-15)
         reference = run_flow(torus, c0, config).final.c
         errors = [hs_norm(fixed_steps(steps) - reference) for steps in (16, 32, 64)]
@@ -482,9 +496,7 @@ class TestIntegratingFactor:
             states.append(c)
             return flow._field_or_reject(torus, c)
 
-        trial = flow._trial_step(
-            recording_evaluate, space.c, flow._field(torus, space), 0.1, FlowConfig(), tail
-        )
+        trial = flow._etd_trial(recording_evaluate, space.c, flow._field(torus, space), 0.1, *tail)
         assert trial is not None and len(states) == 5
         for c in states:
             np.testing.assert_array_equal(c, c.conj().T)
@@ -493,16 +505,16 @@ class TestIntegratingFactor:
         torus = FuzzyTorus(8, 3)
         c0 = random_metric(8, 2)
         config = FlowConfig(t1=50.0)
-        lawson = run_flow(torus, c0, config)
-        monkeypatch.setattr(flow, "_LAWSON_SPREAD", -1.0)  # never switches
+        switched = run_flow(torus, c0, config)
+        monkeypatch.setattr(flow, "_TAIL_SPREAD", -1.0)  # never switches
         explicit = run_flow(torus, c0, config)
         assert explicit.switch_time is None
-        assert lawson.switch_time is not None
-        assert lawson.accepted_steps <= 1000 < explicit.accepted_steps
-        for a, b in zip(lawson.samples, explicit.samples):
+        assert switched.switch_time is not None
+        assert switched.accepted_steps <= 1000 < explicit.accepted_steps
+        for a, b in zip(switched.samples, explicit.samples):
             assert a.t == b.t
             assert hs_norm(a.c - b.c) <= 1e-9 * hs_norm(b.c)
-            if a.t <= lawson.switch_time:
+            if a.t <= switched.switch_time:
                 np.testing.assert_array_equal(a.c, b.c)
 
 
