@@ -237,11 +237,6 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     return c * (n / np.trace(c).real)
 
 
-def flat_metric(n: int) -> np.ndarray:
-    """The flat metric, the identity."""
-    return np.eye(n, dtype=complex)
-
-
 def _field(torus: FuzzyTorus, space: WeightedSpace) -> np.ndarray:
     """The flow's right-hand side -L log c at a metric state.
 
@@ -250,15 +245,6 @@ def _field(torus: FuzzyTorus, space: WeightedSpace) -> np.ndarray:
     metric.
     """
     return -torus.laplacian_apply(space.log)
-
-
-def _field_or_reject(torus: FuzzyTorus, c: np.ndarray) -> tuple[WeightedSpace, np.ndarray] | None:
-    """Metric state at a trial stage and the field there; ``None`` marks a domain exit."""
-    try:
-        space = WeightedSpace.from_metric(c)
-    except (InvalidInput, MetricDegenerate):
-        return None
-    return space, _field(torus, space)
 
 
 def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -290,14 +276,15 @@ def _dp45_trial(evaluate, c: np.ndarray, k1: np.ndarray, h: float):
     """One embedded DP45 trial step of size ``h`` from ``c``, whose field is ``k1``.
 
     ``evaluate(C)`` gives the metric state and the field at a stage state
-    ``C``, or ``None`` outside the positive cone. Returns ``(space_next,
-    k_next, error_estimate)`` for an evaluable step, or ``None`` when a stage
-    leaves the positive cone and the step must be retried smaller.
-    ``space_next`` is the metric state of the symmetrized candidate, where the
-    last stage is evaluated: its cone check is the positivity check of the
-    candidate state, and ``k_next`` is the field there, the next step's first
-    stage. Acceptance is the caller's decision. ``_etd_trial`` keeps the same
-    contract after the switch to the exponential tail.
+    ``C``, and raises ``InvalidInput`` or ``MetricDegenerate`` outside the
+    positive cone; that exception leaves the trial from the stage that left
+    the cone, and the caller retries the step smaller. Otherwise returns
+    ``(space_next, k_next, error_estimate)``. ``space_next`` is the metric
+    state of the symmetrized candidate, where the last stage is evaluated:
+    its cone check is the positivity check of the candidate state, and
+    ``k_next`` is the field there, the next step's first stage. Acceptance is
+    the caller's decision. ``_etd_trial`` keeps the same contract after the
+    switch to the exponential tail.
     """
     stages = [k1]
     for row in _DP_A:
@@ -305,15 +292,9 @@ def _dp45_trial(evaluate, c: np.ndarray, k1: np.ndarray, h: float):
         for a_ij, k in zip(row, stages):
             if a_ij != 0.0:
                 ci = ci + h * a_ij * k
-        stage = evaluate(ci)
-        if stage is None:
-            return None
-        stages.append(stage[1])
+        stages.append(evaluate(ci)[1])
 
-    stage = evaluate(c + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0))
-    if stage is None:
-        return None
-    space_next, k_next = stage
+    space_next, k_next = evaluate(c + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0))
     stages.append(k_next)
     c4 = c + h * sum(b * k for b, k in zip(_DP_B4, stages) if b != 0.0)
     c4 = (c4 + c4.conj().T) / 2
@@ -350,30 +331,19 @@ def _etd_trial(
     w_mid = h * (2 * phi2 - 4 * phi3)
     w_end = h * (4 * phi3 - phi2)
 
-    def remainder(d: np.ndarray) -> np.ndarray | None:
-        stage = evaluate(c + split.from_eigen(d))
-        return None if stage is None else split.to_eigen(stage[1]) + rates * d
+    def remainder(d: np.ndarray) -> np.ndarray:
+        return split.to_eigen(evaluate(c + split.from_eigen(d))[1]) + rates * d
 
     m0 = split.to_eigen(k1)
     d_a = p * m0
     m_a = remainder(d_a)
-    if m_a is None:
-        return None
     m_b = remainder(p * m_a)
-    if m_b is None:
-        return None
     m_c = remainder(np.exp(z / 2) * d_a + p * (2 * m_b - m0))
-    if m_c is None:
-        return None
     m_3 = remainder(h * phi1 * (2 * m_a - m0))
-    if m_3 is None:
-        return None
     d_next = h * (phi1 - 3 * phi2 + 4 * phi3) * m0 + w_mid * (m_a + m_b) + w_end * m_c
-    stage = evaluate(c + split.from_eigen(d_next))
-    if stage is None:
-        return None
+    space_next, k_next = evaluate(c + split.from_eigen(d_next))
     error = _ETD_ERROR_WEIGHT * float(np.linalg.norm(w_mid * (m_b - m_a) + w_end * (m_c - m_3)))
-    return stage[0], stage[1], error
+    return space_next, k_next, error
 
 
 def sample_times(config: FlowConfig) -> np.ndarray:
@@ -407,10 +377,10 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     kappa = space.trace / torus.n  # the trace is conserved; it fixes the flat limit
     flat = kappa * np.eye(torus.n)
 
-    def evaluate(c: np.ndarray) -> tuple[WeightedSpace, np.ndarray] | None:
-        stage = _field_or_reject(torus, c)
-        result.field_evaluations += stage is not None
-        return stage
+    def evaluate(c: np.ndarray) -> tuple[WeightedSpace, np.ndarray]:
+        stage = WeightedSpace.from_metric(c)
+        result.field_evaluations += 1
+        return stage, _field(torus, stage)
 
     k1 = _field(torus, space)  # the field at space, the next trial's first stage
     result.field_evaluations = 1
@@ -431,8 +401,10 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
                 result.switch_time = t
             h = min(h, max_step, t_target - t)
             result.tail_trials += result.switch_time is not None
-            step = trial(evaluate, space.c, k1, h)
-            if step is None:
+            try:
+                space_next, k_next, err = trial(evaluate, space.c, k1, h)
+            except (InvalidInput, MetricDegenerate):
+                # A stage left the positive cone: retry at half the step.
                 result.rejected_cone += 1
                 h = h / 2
                 if h < _MIN_STEP:
@@ -442,18 +414,17 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
                         time=t,
                     )
                 continue
-            space_next, k_next, err = step
             tol = config.abs_tol + config.rel_tol * max(hs_norm(space.c), hs_norm(space_next.c))
-            if err <= tol:
+            accepted = err <= tol
+            if accepted:
                 result.accepted_steps += 1
                 t = t + h
                 space, k1 = space_next, k_next
-                growth = _SAFETY * (tol / err) ** order_exp if err > 0 else _MAX_GROWTH
-                h = h * min(_MAX_GROWTH, max(_MIN_SHRINK, growth))
             else:
                 result.rejected_error += 1
-                shrink = _SAFETY * (tol / err) ** order_exp
-                h = h * min(1.0, max(_MIN_SHRINK, shrink))
+            # err == 0 only on acceptance; a NaN estimate is rejected and shrinks by _MIN_SHRINK.
+            factor = _MAX_GROWTH if err == 0 else _SAFETY * (tol / err) ** order_exp
+            h = h * min(_MAX_GROWTH if accepted else 1.0, max(_MIN_SHRINK, factor))
             if h < _MIN_STEP:
                 raise StepUnderflow(f"step size fell below min_step={_MIN_STEP:g}", time=t)
         t = t_target
@@ -544,7 +515,7 @@ def metric_from_spec(spec: str | dict, n: int, seed_default: int = 0) -> np.ndar
         raise InvalidInput(f"initial metric must be a spec string or a matrix document: {spec!r}")
     spec = spec.strip()
     if spec == "flat":
-        return flat_metric(n)
+        return np.eye(n, dtype=complex)
     if spec == "random":
         return random_metric(n, seed_default)
     if spec.startswith("diag:"):

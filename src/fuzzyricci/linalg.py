@@ -32,9 +32,9 @@ from .errors import InvalidInput, SpectrumOutOfDomain
 HERM_TOL_SCALE = 1e-10
 
 
-def as_square_matrix(a, name: str = "matrix", dtype=complex) -> np.ndarray:
-    """Coerce to a square ndarray of ``dtype`` (complex by default) or raise ``InvalidInput``."""
-    a = np.asarray(a, dtype=dtype)
+def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square complex ndarray or raise ``InvalidInput``."""
+    a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"{name} must be square, got shape {a.shape}")
     return a

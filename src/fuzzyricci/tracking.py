@@ -324,12 +324,8 @@ def first_variation_report(curves: SpectralCurves, trajectory: FlowResult) -> Va
     another metric on the same grid cannot be told apart.
     """
     samples = trajectory.samples
-    uniform_step(trajectory.times)
-    if len(curves.times) != len(samples):
-        raise InvalidInput(
-            f"curves have {len(curves.times)} samples, trajectory has {len(samples)}"
-        )
     times = trajectory.times
+    uniform_step(times)
     if not np.array_equal(curves.times, times):
         raise InvalidInput("curves were tracked on other sample times than the trajectory's")
     rhs = np.empty_like(curves.values)

@@ -19,7 +19,6 @@ from fuzzyricci import (
 )
 from fuzzyricci import cli, flow, laplace_beltrami, linalg, torus, tracking, verify
 from fuzzyricci.flow import (
-    flat_metric,
     flow_invariants,
     metric_from_spec,
     sample_times,
@@ -30,14 +29,24 @@ from fuzzyricci.laplace_beltrami import WeightedSpace
 from fuzzyricci.linalg import hs_norm, matrix_from_json
 
 
+# What a trial raises from the stage that left the positive cone.
+CONE_EXIT = (InvalidInput, MetricDegenerate)
+
+
 def patch_trials(monkeypatch, wrap):
     """Route every trial of ``run_flow`` through ``wrap(real, tail, *args, **kwargs)``.
 
     ``real`` is the trial function wrapped, DP45's or the exponential tail's,
-    and ``tail`` tells which.
+    and ``tail`` tells which. A wrapper that records a cone exit re-raises it.
     """
     for name, tail in (("_dp45_trial", False), ("_etd_trial", True)):
         monkeypatch.setattr(flow, name, partial(wrap, getattr(flow, name), tail))
+
+
+def stage_at(torus, c):
+    """A trial stage's metric state and field, as ``run_flow`` evaluates them."""
+    space = WeightedSpace.from_metric(c)
+    return space, flow._field(torus, space)
 
 
 class TestRandomMetric:
@@ -284,12 +293,17 @@ class TestRunFlow:
 
         def counting_trial(real, tail, *args, **kwargs):
             eigs_before, applies_before = len(calls), len(applies)
-            trial = real(*args, **kwargs)
-            in_trials.update(range(eigs_before, len(calls)))
-            per_trial.append(
-                (len(calls) - eigs_before, len(applies) - applies_before, trial is None, tail)
-            )
-            return trial
+            left_cone = False
+            try:
+                return real(*args, **kwargs)
+            except CONE_EXIT:
+                left_cone = True
+                raise
+            finally:
+                in_trials.update(range(eigs_before, len(calls)))
+                per_trial.append(
+                    (len(calls) - eigs_before, len(applies) - applies_before, left_cone, tail)
+                )
 
         patch_trials(monkeypatch, counting_trial)
         # A torus of its own: the shared fixture may hold a cached decomposition of L.
@@ -327,9 +341,14 @@ class TestRunFlow:
 
         def counting_trial(real, tail, *args, **kwargs):
             before = len(applies)
-            trial = real(*args, **kwargs)
-            per_trial.append((len(applies) - before, trial is None, tail))
-            return trial
+            left_cone = False
+            try:
+                return real(*args, **kwargs)
+            except CONE_EXIT:
+                left_cone = True
+                raise
+            finally:
+                per_trial.append((len(applies) - before, left_cone, tail))
 
         monkeypatch.setattr(FuzzyTorus, "laplacian_apply", counting_apply)
         patch_trials(monkeypatch, counting_trial)
@@ -353,12 +372,13 @@ class TestRunFlow:
         config = FlowConfig(t1=5.0)
 
         def counting_trial(real, tail, evaluate, c, k1, h, **kwargs):
-            trial = real(evaluate, c, k1, h, **kwargs)
-            if trial is None:
+            try:
+                trial = real(evaluate, c, k1, h, **kwargs)
+            except CONE_EXIT:
                 outcomes.append("cone")
-            else:
-                tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(trial[0].c))
-                outcomes.append("ok" if trial[2] <= tol else "error")
+                raise
+            tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(trial[0].c))
+            outcomes.append("ok" if trial[2] <= tol else "error")
             return trial
 
         patch_trials(monkeypatch, counting_trial)
@@ -372,6 +392,35 @@ class TestRunFlow:
         assert outcomes.count("ok") == result.accepted_steps
         assert outcomes.count("error") == result.rejected_error
         assert outcomes.count("cone") == result.rejected_cone
+
+    def test_only_a_cone_exit_is_retried(self, monkeypatch):
+        # A stage error other than a cone exit leaves run_flow as it is: the
+        # trial is not counted as rejected_cone and not retried smaller. Call
+        # 1 is start-up; the first trial leaves the cone at call 4, and call
+        # 5 is the first stage of its retry at half the step.
+        calls = []
+        real_from_metric = WeightedSpace.from_metric
+
+        def failing_from_metric(cls, c):
+            calls.append(c)
+            if len(calls) == 5:
+                raise np.linalg.LinAlgError("eigh did not converge")
+            return real_from_metric(c)
+
+        monkeypatch.setattr(WeightedSpace, "from_metric", classmethod(failing_from_metric))
+        cone_exits = []
+
+        def counting_trial(real, tail, *args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except CONE_EXIT:
+                cone_exits.append(tail)
+                raise
+
+        patch_trials(monkeypatch, counting_trial)
+        with pytest.raises(np.linalg.LinAlgError):
+            run_flow(FuzzyTorus(3, 1), random_metric(3, 0, scale=2.0), FlowConfig(t1=5.0))
+        assert len(calls) == 5 and cone_exits == [False]
 
     def test_sample_space_matches_fresh_decomposition(self, torus3):
         result = run_flow(torus3, random_metric(3, 4), FlowConfig(t1=2.0, sample_stride=0.25))
@@ -460,8 +509,7 @@ class TestIntegratingFactor:
         split = torus.laplacian_split
         tail = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
 
-        def evaluate(c):
-            return flow._field_or_reject(torus, c)
+        evaluate = partial(stage_at, torus)
 
         def fixed_steps(steps):
             space = WeightedSpace.from_metric(c0)
@@ -494,10 +542,10 @@ class TestIntegratingFactor:
 
         def recording_evaluate(c):
             states.append(c)
-            return flow._field_or_reject(torus, c)
+            return stage_at(torus, c)
 
         trial = flow._etd_trial(recording_evaluate, space.c, flow._field(torus, space), 0.1, *tail)
-        assert trial is not None and len(states) == 5
+        assert len(trial) == 3 and len(states) == 5
         for c in states:
             np.testing.assert_array_equal(c, c.conj().T)
 
@@ -579,7 +627,3 @@ class TestTrajectorySerialization:
             matrix_from_json(doc["samples"][-1]["c"]), result.final.c
         )
         assert doc["config"]["sample_stride"] == 0.5
-
-
-def test_flat_metric_helper():
-    np.testing.assert_array_equal(flat_metric(3), np.eye(3))
