@@ -56,7 +56,6 @@ from .tracking import (
     curves_csv_rows,
     first_variation_report,
     report_to_json,
-    track_spectrum,
     uniform_step,
 )
 from .verify import geometry_file_report, run_suite
@@ -261,8 +260,7 @@ def _out_dir(path) -> Path:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = resolve_config(args, "simulate")
     torus, c0 = _prepare_run(config)
-    flow_config = _flow_config(config)
-    result = run_flow(torus, c0, flow_config)
+    result = run_flow(torus, c0, _flow_config(config))
 
     formats = set(config["format"].split(","))
     out = _out_dir(config["out"])
@@ -271,7 +269,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if "csv" in formats:
         _write_csv(out / "trajectory.csv", trajectory_csv_rows(result))
     if "json" in formats:
-        _write_json(out / "trajectory.json", trajectory_to_json(result, flow_config))
+        _write_json(out / "trajectory.json", trajectory_to_json(result))
 
     drift, det_drop = flow_invariants(result)
     nondecreasing = det_drop <= DET_SLACK
@@ -322,8 +320,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     flow_config = _flow_config(config)
     uniform_step(sample_times(flow_config))  # the derivative oracle's grid, checked before the run
     result = run_flow(torus, c0, flow_config)
-    curves = track_spectrum(result)
-    report = first_variation_report(curves, result)
+    report = first_variation_report(result)
 
     formats = set(config["format"].split(","))
     out = _out_dir(config["out"])
@@ -335,7 +332,7 @@ def cmd_track(args: argparse.Namespace) -> int:
 
     passed = report.passed()
     print(
-        f"track: {curves.values.shape[1]} curves x {len(result.samples)} samples, "
+        f"track: {report.curves.values.shape[1]} curves x {len(result.samples)} samples, "
         f"max relative residual {report.max_rel_residual:.3e} "
         f"(budget {RESIDUAL_BUDGET:g}), forms agree to {report.max_form_discrepancy:.3e}, "
         f"{report.flagged_samples} flagged -> {'pass' if passed else 'FAIL'}"

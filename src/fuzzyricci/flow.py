@@ -47,7 +47,7 @@ violation signals integrator tolerances that are too loose, reported as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Iterator
 
@@ -172,7 +172,7 @@ class FlowSample:
 
 @dataclass
 class FlowResult:
-    """Sampled trajectory plus step-control counters.
+    """Sampled trajectory of a run of ``config`` on ``torus``, plus step-control counters.
 
     A trial step is rejected either because its error estimate exceeds the
     tolerance (``rejected_error``) or because a stage left the positive cone
@@ -185,6 +185,7 @@ class FlowResult:
     """
 
     torus: FuzzyTorus
+    config: FlowConfig
     samples: list[FlowSample] = field(default_factory=list)
     accepted_steps: int = 0
     rejected_error: int = 0
@@ -350,7 +351,7 @@ def sample_times(config: FlowConfig) -> np.ndarray:
     """Uniform cadence t0, t0 + stride, ... with t1 always included."""
     k = int(np.floor((config.t1 - config.t0) / config.sample_stride + 1e-9))
     ts = config.t0 + config.sample_stride * np.arange(k + 1)
-    if config.t1 - ts[-1] > 1e-9 * max(1.0, abs(config.t1)):
+    if config.t1 - ts[-1] > 1e-9 * config.sample_stride:
         ts = np.append(ts, config.t1)
     else:
         ts[-1] = config.t1
@@ -372,7 +373,7 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     """
     config = config or FlowConfig()
     space = metric_state(torus, c0)
-    result = FlowResult(torus=torus)
+    result = FlowResult(torus=torus, config=config)
     ts = sample_times(config)
     kappa = space.trace / torus.n  # the trace is conserved; it fixes the flat limit
     flat = kappa * np.eye(torus.n)
@@ -418,7 +419,8 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
             accepted = err <= tol
             if accepted:
                 result.accepted_steps += 1
-                t = t + h
+                # A step clipped to the sample time lands on it: t + (t_target - t) can round short.
+                t = t_target if h == t_target - t else t + h
                 space, k1 = space_next, k_next
             else:
                 result.rejected_error += 1
@@ -467,8 +469,8 @@ def trajectory_csv_rows(result: FlowResult) -> Iterator[list[str]]:
                repr(s.dist_to_flat)]
 
 
-def trajectory_to_json(result: FlowResult, config: FlowConfig) -> dict:
-    """Trajectory (with geometry parameters and integrator stats) as JSON.
+def trajectory_to_json(result: FlowResult) -> dict:
+    """Trajectory (with geometry parameters, run config and integrator stats) as JSON.
 
     ``config.max_step`` is the explicit phase's step cap; steps after the
     switch to the exponential tail are not capped.
@@ -477,13 +479,9 @@ def trajectory_to_json(result: FlowResult, config: FlowConfig) -> dict:
         "n": result.torus.n,
         "m": result.torus.m,
         "config": {
-            "t0": config.t0,
-            "t1": config.t1,
-            "rel_tol": config.rel_tol,
-            "abs_tol": config.abs_tol,
+            **asdict(result.config),
             "max_step": _MAX_STEP,
             "min_step": _MIN_STEP,
-            "sample_stride": config.sample_stride,
             "positivity_floor": POSITIVITY_FLOOR,
         },
         "samples": [

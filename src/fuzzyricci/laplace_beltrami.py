@@ -104,10 +104,6 @@ class WeightedSpace:
         v = self.eigenvectors
         return (v * np.log(self.eigenvalues)) @ v.conj().T
 
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
-
     @cached_property
     def trace(self) -> float:
         return float(np.trace(self.c).real)

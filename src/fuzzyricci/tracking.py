@@ -219,8 +219,8 @@ def uniform_step(times) -> float:
     """The step ``h`` of a sample grid that :func:`fd_derivative` can use.
 
     Raises ``InsufficientData`` below 3 samples and ``InvalidInput`` unless
-    every spacing is within ``1e-9 * max(|h|, 1)`` of the first. The grid is
-    known from the run settings, so ``track`` checks it before the flow.
+    every spacing is within ``1e-9 * |h|`` of the first. The grid is known
+    from the run settings, so ``track`` checks it before the flow.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 3:
@@ -228,7 +228,7 @@ def uniform_step(times) -> float:
             f"need at least 3 samples for second-order differences, got {len(times)}"
         )
     h = times[1] - times[0]
-    if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(abs(h), 1.0):
+    if np.max(np.abs(np.diff(times) - h)) > 1e-9 * abs(h):
         raise InvalidInput("sample times are not uniformly spaced")
     return float(h)
 
@@ -310,24 +310,23 @@ class VariationReport:
         return self.max_rel_residual <= RESIDUAL_BUDGET and self.max_form_discrepancy <= FORMS_BUDGET
 
 
-def first_variation_report(curves: SpectralCurves, trajectory: FlowResult) -> VariationReport:
-    """Check d(lambda)/dt against the variation formula along every curve.
+def first_variation_report(trajectory: FlowResult) -> VariationReport:
+    """Track the trajectory's curves and check d(lambda)/dt against the variation formula.
 
+    The sample grid is checked first (:func:`uniform_step`), then the curves
+    are tracked (:func:`track_spectrum`) and kept as the report's ``curves``.
     The derivative oracle is the finite-difference stencil of
     :func:`fd_derivative`; each form of the law is evaluated once per chunk
     of samples, from their metric states and fields ``-L log c``, so ``L``
     is not applied again. The earliest non-real right-hand side raises, the
     plain form's first at one sample. Degenerate samples contribute rows but
     are excluded from the aggregates. Relative residuals are
-    ``|fd - rhs| / (1 + |fd|)``. ``curves`` must be tracked on the
-    trajectory's sample times (``InvalidInput`` otherwise); curves of
-    another metric on the same grid cannot be told apart.
+    ``|fd - rhs| / (1 + |fd|)``.
     """
     samples = trajectory.samples
     times = trajectory.times
     uniform_step(times)
-    if not np.array_equal(curves.times, times):
-        raise InvalidInput("curves were tracked on other sample times than the trajectory's")
+    curves = track_spectrum(trajectory)
     rhs = np.empty_like(curves.values)
     rhs_alt = np.empty_like(curves.values)
     for chunk in _chunks(len(samples), trajectory.torus.n):

@@ -38,7 +38,6 @@ from .tracking import (
     FORMS_BUDGET,
     RESIDUAL_BUDGET,
     first_variation_report,
-    track_spectrum,
     variation_rhs,
 )
 
@@ -152,6 +151,9 @@ def geometry_file_report(doc: dict, name: str) -> dict:
         y = matrix_from_json(doc["y"])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InvalidInput(f"malformed geometry document: {exc}") from exc
+    shapes = [a.shape for a in (u, v, x, y)]
+    if n < 1 or any(shape != (n, n) for shape in shapes):
+        raise InvalidInput(f"geometry document has n={n} but matrices of shapes {shapes}")
     return _report(geometry_checks(n, q, u, v, x, y, f"file:n={n},m={m}"), geometry=name)
 
 
@@ -293,8 +295,8 @@ def tracking_checks() -> list[dict]:
     torus = FuzzyTorus(n, TRACK_M)
     config = FlowConfig(t1=TRACK_T1, sample_stride=TRACK_STRIDE)
     trajectory = run_flow(torus, random_metric(n, TRACK_SEED), config)
-    curves = track_spectrum(trajectory)
-    report = first_variation_report(curves, trajectory)
+    report = first_variation_report(trajectory)
+    curves = report.curves
     params = f"n={n},m={TRACK_M},seed={TRACK_SEED},h={TRACK_STRIDE:g}"
 
     checks = [

@@ -19,7 +19,6 @@ from fuzzyricci import (
     lb_spectrum,
     random_metric,
     run_flow,
-    track_spectrum,
 )
 from fuzzyricci.laplace_beltrami import (
     COUNTEREXAMPLE_SEED,
@@ -63,9 +62,7 @@ def variation_runs():
             config = FlowConfig(
                 t0=0.0, t1=0.2, rel_tol=1e-10, abs_tol=1e-12, sample_stride=h
             )
-            trajectory = run_flow(torus, c0, config)
-            curves = track_spectrum(trajectory)
-            out[(n, h)] = first_variation_report(curves, trajectory)
+            out[(n, h)] = first_variation_report(run_flow(torus, c0, config))
     return out
 
 

@@ -539,8 +539,9 @@ class TestTrack:
             (["--t1", 0.2, "--stride", 0.07], "InvalidInput"),  # 0, 0.07, 0.14, 0.2
             (["--t1", 0.0015], "InvalidInput"),  # 0, 1e-3, 1.5e-3
             (["--t1", 0.001], "InsufficientData"),  # 0, 1e-3
+            (["--t1", 2.9e-9, "--stride", 1e-9], "InvalidInput"),  # 0, 1e-9, 2e-9, 2.9e-9
         ],
-        ids=["uneven-stride", "uneven-end", "two-samples"],
+        ids=["uneven-stride", "uneven-end", "two-samples", "uneven-end-at-1e-9"],
     )
     def test_unusable_grid_exit_2_before_the_flow(self, tmp_path, monkeypatch, capsys, grid, error):
         def no_flow(*args, **kwargs):
@@ -634,14 +635,20 @@ class TestVerify:
         assert run_cli(["simulate", "--n", 2, "--t1", 0, "--out", tmp_path / "sim"]) == 0
         clean = json.loads((tmp_path / "sim" / "geometry.json").read_text())
         bool_entry = [[True, False]] + clean["u"]["entries"][1:]
-        for key, value in [
-            ("n", 2.9),
-            ("m", True),
-            ("u", {**clean["u"], "n": 2.5}),
-            ("q", [clean["q"][0], False]),
-            ("u", {**clean["u"], "entries": bool_entry}),
+        # Matrices that are not n x n, or n < 1, are malformed too.
+        assert run_cli(["simulate", "--n", 3, "--t1", 0, "--out", tmp_path / "sim3"]) == 0
+        clean3 = json.loads((tmp_path / "sim3" / "geometry.json").read_text())
+        for base, key, value in [
+            (clean, "n", 2.9),
+            (clean, "m", True),
+            (clean, "u", {**clean["u"], "n": 2.5}),
+            (clean, "q", [clean["q"][0], False]),
+            (clean, "u", {**clean["u"], "entries": bool_entry}),
+            (clean3, "u", clean["u"]),
+            (clean3, "n", 2),
+            (clean3, "n", 0),
         ]:
-            path.write_text(json.dumps({**clean, key: value}))
+            path.write_text(json.dumps({**base, key: value}))
             out = tmp_path / "verify"
             capsys.readouterr()
             assert run_cli(["verify", "--geometry", path, "--out", out]) == 2, key

@@ -233,6 +233,14 @@ class TestRunFlow:
         result = run_flow(torus2, random_metric(2, 1), FlowConfig(t1=2.0, sample_stride=0.5))
         np.testing.assert_allclose(result.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
+    @pytest.mark.parametrize("t0, t1", [(0.05, 0.21), (0.09, 0.34), (1e-9, 2.9e-9)])
+    def test_step_clipped_to_a_sample_time_lands_on_it(self, torus2, t0, t1):
+        # t0 + (t1 - t0) rounds one ulp short of t1 in these windows; a step
+        # left that short would be followed by a ~1e-17 trial and underflow.
+        result = run_flow(torus2, np.eye(2), FlowConfig(t0=t0, t1=t1, sample_stride=t1 - t0))
+        assert result.times.tolist() == [t0, t1]
+        assert (result.accepted_steps, result.rejected_steps, result.tail_trials) == (1, 0, 1)
+
     def test_tolerance_self_consistency(self, torus3):
         # Integrations at two different tolerances must land on the same
         # endpoint well within the looser tolerance's global error budget.
@@ -620,10 +628,11 @@ class TestTrajectorySerialization:
         np.testing.assert_array_equal(c, result.final.c)
 
     def test_json_round_trips_metric(self, result):
-        doc = trajectory_to_json(result, FlowConfig(t1=1.0, sample_stride=0.5))
+        doc = trajectory_to_json(result)
         assert doc["n"] == 2 and doc["m"] == 1
         assert len(doc["samples"]) == len(result.samples)
         np.testing.assert_array_equal(
             matrix_from_json(doc["samples"][-1]["c"]), result.final.c
         )
         assert doc["config"]["sample_stride"] == 0.5
+        assert result.config == FlowConfig(t1=1.0, sample_stride=0.5)

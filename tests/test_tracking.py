@@ -16,6 +16,7 @@ from fuzzyricci import (
     track_spectrum,
 )
 from fuzzyricci import laplace_beltrami, linalg, tracking
+from fuzzyricci.flow import sample_times
 from fuzzyricci.laplace_beltrami import WeightedSpace
 from fuzzyricci.linalg import hs_norm
 from fuzzyricci.tracking import (
@@ -23,6 +24,7 @@ from fuzzyricci.tracking import (
     fd_derivative,
     match_eigenpairs,
     report_to_json,
+    uniform_step,
     variation_rhs,
     variation_rhs_state_form,
 )
@@ -99,6 +101,19 @@ class TestFiniteDifferences:
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(InvalidInput):
             fd_derivative(np.array([0.0, 0.1, 0.3]), np.zeros(3))
+
+    def test_grid_rule_does_not_depend_on_the_time_scale(self):
+        # An end sample 0.2 s past the last stride multiple is kept and makes
+        # the grid non-uniform, at every scale s.
+        for k in range(-40, 21):
+            s = 2.0**k
+            uneven = sample_times(FlowConfig(t1=1.2 * s, sample_stride=0.5 * s))
+            assert len(uneven) == 4, k
+            with pytest.raises(InvalidInput):
+                uniform_step(uneven)
+            even = sample_times(FlowConfig(t1=s, sample_stride=0.5 * s))
+            assert len(even) == 3, k
+            assert uniform_step(even) == 0.5 * s, k
 
 
 class TestVariationRhs:
@@ -209,7 +224,7 @@ class TestTrackSpectrum:
         from fuzzyricci import FlowResult
 
         with pytest.raises(InsufficientData):
-            track_spectrum(FlowResult(torus=torus2))
+            track_spectrum(FlowResult(torus=torus2, config=FlowConfig()))
 
 
 class TestVariationReport:
@@ -217,14 +232,13 @@ class TestVariationReport:
         trajectory = run_flow(
             torus2, 2.0 * np.eye(2), FlowConfig(t1=0.01, sample_stride=1e-3)
         )
-        curves = track_spectrum(trajectory)
-        report = first_variation_report(curves, trajectory)
+        report = first_variation_report(trajectory)
         np.testing.assert_allclose(report.abs_residual, 0.0, atol=1e-12)
         np.testing.assert_allclose(report.rhs, 0.0, atol=1e-15)
 
     def test_seeded_run_within_budget(self, torus2, short_run):
-        trajectory, curves = short_run
-        report = first_variation_report(curves, trajectory)
+        trajectory, _ = short_run
+        report = first_variation_report(trajectory)
         assert report.flagged_samples == 0
         assert report.max_rel_residual <= 1e-4
         assert report.max_form_discrepancy <= 1e-10
@@ -233,28 +247,20 @@ class TestVariationReport:
     def test_insufficient_samples(self, torus2):
         trajectory = run_flow(torus2, random_metric(2, 1), FlowConfig(t1=0.1, sample_stride=0.1))
         assert len(trajectory.samples) == 2
-        curves = track_spectrum(trajectory)
         with pytest.raises(InsufficientData):
-            first_variation_report(curves, trajectory)
-
-    def test_mismatched_curves_rejected(self, torus2, short_run):
-        trajectory, curves = short_run
-        fields = ("times", "values", "min_gap", "degenerate", "vectors")
-        truncated = dataclasses.replace(curves, **{f: getattr(curves, f)[:-1] for f in fields})
-        with pytest.raises(InvalidInput):
-            first_variation_report(truncated, trajectory)
+            first_variation_report(trajectory)
 
     def test_forms_disagreement_fails_the_verdict(self, torus2, short_run):
-        trajectory, curves = short_run
-        report = first_variation_report(curves, trajectory)
+        trajectory, _ = short_run
+        report = first_variation_report(trajectory)
         assert report.passed()
         off = dataclasses.replace(report, rhs_state_form=report.rhs_state_form + 1e-6)
         assert not off.passed()
         assert report_to_json(off)["passed"] is False
 
     def test_csv_rows_shape(self, torus2, short_run):
-        trajectory, curves = short_run
-        report = first_variation_report(curves, trajectory)
+        trajectory, _ = short_run
+        report = first_variation_report(trajectory)
         rows = list(curves_csv_rows(report))
         assert rows[0] == [
             "t", "curve_id", "lambda", "lambda_dot_fd",
@@ -265,8 +271,8 @@ class TestVariationReport:
         assert all(row[7] in {"0", "1"} for row in rows[1:])
 
     def test_report_json_shape(self, torus2, short_run):
-        trajectory, curves = short_run
-        report = first_variation_report(curves, trajectory)
+        trajectory, _ = short_run
+        report = first_variation_report(trajectory)
         doc = report_to_json(report)
         assert doc["passed"] is True
         assert doc["h"] == pytest.approx(1e-3)
@@ -279,8 +285,8 @@ class TestVariationReport:
         trajectory = run_flow(
             torus3, random_metric(3, 2), FlowConfig(t1=0.01, sample_stride=1e-3)
         )
-        curves = track_spectrum(trajectory)
-        report = first_variation_report(curves, trajectory)
+        report = first_variation_report(trajectory)
+        curves = report.curves
         for k, sample in enumerate(trajectory.samples):
             # From scratch: a fresh decomposition of the sample's metric, L
             # applied here, and both forms evaluated literally.
@@ -300,7 +306,6 @@ class TestVariationReport:
         trajectory = run_flow(
             torus2, random_metric(2, 1), FlowConfig(t1=0.2, sample_stride=1e-3)
         )
-        curves = track_spectrum(trajectory)
         calls = {"variation_rhs": [], "variation_rhs_state_form": []}
         for name in calls:
             real = getattr(tracking, name)
@@ -310,7 +315,7 @@ class TestVariationReport:
                 return _real(sample, *args, **kwargs)
 
             monkeypatch.setattr(tracking, name, counting)
-        first_variation_report(curves, trajectory)
+        first_variation_report(trajectory)
         assert len(trajectory.samples) == 201
         assert calls == {"variation_rhs": [201], "variation_rhs_state_form": [201]}
 
@@ -329,8 +334,7 @@ class TestVariationReport:
             return real(self, a)
 
         monkeypatch.setattr(FuzzyTorus, "laplacian_apply", counting)
-        curves = track_spectrum(trajectory)
-        first_variation_report(curves, trajectory)
+        first_variation_report(trajectory)
         assert len(trajectory.samples) == 201
         assert calls == []
 
@@ -351,8 +355,7 @@ class TestVariationReport:
         for module in (laplace_beltrami, linalg, tracking):
             if vars(module).get("hermitian_eig") is real_eig:
                 monkeypatch.setattr(module, "hermitian_eig", counting_eig)
-        curves = track_spectrum(trajectory)
-        first_variation_report(curves, trajectory)
+        first_variation_report(trajectory)
         assert len(trajectory.samples) == 201
         assert shapes == [(201, 9, 9)]
 
@@ -382,11 +385,14 @@ class TestVariationReport:
             assert sd.degeneracy_groups == one.degeneracy_groups
             assert sd.kernel_index == one.kernel_index
 
-    def test_curves_of_other_times_rejected(self, short_run):
+    def test_report_keeps_the_curves_it_tracked(self, short_run):
         trajectory, curves = short_run
-        shifted = dataclasses.replace(curves, times=curves.times + 5.0)
-        with pytest.raises(InvalidInput, match="sample times"):
-            first_variation_report(shifted, trajectory)
+        tracked = first_variation_report(trajectory).curves
+        fresh = track_spectrum(trajectory)
+        for name in ("times", "values", "min_gap", "degenerate", "vectors"):
+            assert np.array_equal(getattr(tracked, name), getattr(fresh, name)), name
+            assert np.array_equal(getattr(tracked, name), getattr(curves, name)), name
+        assert tracked.kernel == fresh.kernel == curves.kernel
 
 
 class TestNonRealGuard:
@@ -403,7 +409,7 @@ class TestNonRealGuard:
     def test_report_raises_at_the_broken_sample(self, broken_run):
         trajectory, curves = broken_run
         with pytest.raises(FuzzyRicciError) as report_error:
-            first_variation_report(curves, trajectory)
+            first_variation_report(trajectory)
         with pytest.raises(FuzzyRicciError) as direct:
             variation_rhs(trajectory.samples[2], curves.values[2], curves.vectors[2])
         assert report_error.value.time == trajectory.samples[2].t
@@ -420,4 +426,4 @@ class TestNonRealGuard:
 
         monkeypatch.setattr(tracking, "variation_rhs_state_form", failing_state_form)
         with pytest.raises(FuzzyRicciError, match=raised):
-            first_variation_report(curves, trajectory)
+            first_variation_report(trajectory)
