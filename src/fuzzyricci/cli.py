@@ -30,7 +30,6 @@ Every package error outside the numerical pair exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import sys
@@ -174,9 +173,8 @@ def _write_json(path: Path, doc) -> None:
 
 
 def _write_csv(path: Path, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+    # Every field is a float repr, an int or a plain column name: nothing to quote.
+    path.write_text("".join(",".join(row) + "\n" for row in rows), newline="")
 
 
 def _read_json(path, what: str):

@@ -80,8 +80,9 @@ def hs_inner(a, b) -> complex:
 
 
 def hs_norm(a) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(tr(a* a))."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Hilbert-Schmidt (Frobenius) norm sqrt(tr(a* a)), from one BLAS dot product."""
+    a = np.asarray(a)
+    return math.sqrt(np.vdot(a, a).real)
 
 
 @dataclass(eq=False, slots=True)
@@ -123,25 +124,26 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
         raise InvalidInput(f"matrix must be square, got shape {a.shape}")
     adjoint = a.conj().swapaxes(-1, -2)
     n = a.shape[-1]
-    # vdot norms per matrix: np.vecdot costs ~2x per matrix at n=16, the flow's hot path.
-    pairs = ((a, adjoint),) if a.ndim == 2 else zip(a.reshape(-1, n, n), adjoint.reshape(-1, n, n))
-    for m, m_adjoint in pairs:
-        norm = _norm(m)
-        # Against a NaN or inf norm the defect test below would pass.
-        if not math.isfinite(norm):
-            raise InvalidInput(f"matrix norm is not finite: ||a|| = {norm}")
-        defect = _norm(m - m_adjoint)
-        if defect > HERM_TOL_SCALE * norm:
-            raise InvalidInput(
-                f"matrix is not Hermitian: ||a - a*|| = {defect:.3e} "
-                f"exceeds {HERM_TOL_SCALE:g} * ||a||"
-            )
+    if a.ndim == 2:
+        _check_hermitian(a, adjoint)
+    else:  # vdot norms per matrix: np.vecdot costs ~2x per matrix at n=16
+        for m, m_adjoint in zip(a.reshape(-1, n, n), adjoint.reshape(-1, n, n)):
+            _check_hermitian(m, m_adjoint)
     return (a + adjoint) / 2
 
 
-def _norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt norm from one BLAS dot product."""
-    return math.sqrt(np.vdot(a, a).real)
+def _check_hermitian(m: np.ndarray, m_adjoint: np.ndarray) -> None:
+    """Raise ``InvalidInput`` unless ``||m||`` is finite and ``||m - m*||`` within tolerance."""
+    norm = hs_norm(m)
+    # Against a NaN or inf norm the defect test below would pass.
+    if not math.isfinite(norm):
+        raise InvalidInput(f"matrix norm is not finite: ||a|| = {norm}")
+    defect = hs_norm(m - m_adjoint)
+    if defect > HERM_TOL_SCALE * norm:
+        raise InvalidInput(
+            f"matrix is not Hermitian: ||a - a*|| = {defect:.3e} "
+            f"exceeds {HERM_TOL_SCALE:g} * ||a||"
+        )
 
 
 def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -175,7 +177,7 @@ def matrix_exp(a) -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """||M - M*|| relative to ||M|| (Hilbert-Schmidt norms)."""
-    return float(np.linalg.norm(m - m.conj().T) / np.linalg.norm(m))
+    return hs_norm(m - m.conj().T) / hs_norm(m)
 
 
 def superop_from_map(n: int, map_fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

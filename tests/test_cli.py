@@ -1,4 +1,6 @@
+import csv
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -32,6 +34,53 @@ def test_import_leaves_scipy_optimize_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_command_leaves_scipy_unloaded(tmp_path, command):
+    # Loading scipy costs set-up time and memory; only eigencurve matching
+    # (track, verify) needs it, and imports it where it is used.
+    src = str(Path(fuzzyricci.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    args = [command, "--n", "3", "--t1", "0.1", "--out", str(tmp_path / "run")]
+    code = (
+        "import sys\n"
+        "from fuzzyricci import cli\n"
+        f"assert cli.main({args!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "args, name, rows",
+    [
+        (["simulate", "--n", 3, "--t1", 0.5, "--stride", 0.1],
+         "trajectory.csv", "trajectory_csv_rows"),
+        (["track", "--n", 2, "--seed", 7, "--t1", 0.02], "curves.csv", "curves_csv_rows"),
+    ],
+)
+def test_csv_bytes_are_the_csv_modules(tmp_path, monkeypatch, args, name, rows):
+    # The CSV writer joins fields without quoting; the csv module writes the
+    # same bytes for every row the package produces.
+    written = []
+    real_rows = getattr(cli, rows)
+
+    def recording_rows(arg):
+        written.extend(list(row) for row in real_rows(arg))
+        return iter(written)
+
+    monkeypatch.setattr(cli, rows, recording_rows)
+    out = tmp_path / "run"
+    assert run_cli([*args, "--out", out]) == 0
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(written)
+    assert len(written) > 1
+    assert (out / name).read_bytes() == expected.getvalue().encode()
 
 
 @pytest.mark.parametrize("command", ["simulate", "track"])

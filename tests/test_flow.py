@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from fuzzyricci import (
@@ -473,6 +474,96 @@ class TestRunFlow:
         assert result.final.dist_to_flat == hs_norm(result.final.c - 2.0 * np.eye(2))
 
 
+# The Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980), written out here so that the trial is checked against the published
+# coefficients rather than against its own.
+DP_NODES = [1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0]
+DP_A = [
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+]
+DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+
+
+def near_flat_metric(n, m, kappa, eps):
+    """``kappa I + eps B`` for a seeded traceless Hermitian ``B`` of unit norm."""
+    rng = np.random.default_rng(n + 10 * m)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = (g + g.conj().T) / 2
+    b -= (np.trace(b).real / n) * np.eye(n)
+    return kappa * np.eye(n) + eps * b / hs_norm(b)
+
+
+class TestExplicitTrial:
+    """The DP45 trial of the explicit phase, against the published tableau."""
+
+    def test_rows_sum_to_the_nodes(self):
+        assert len(flow._DP_A) == len(DP_NODES)
+        for row, node in zip(flow._DP_A, DP_NODES):
+            assert math.fsum(row) == pytest.approx(node, rel=1e-15)
+
+    def test_weights_sum_to_one(self):
+        assert math.fsum(flow._DP_B5) == pytest.approx(1.0, rel=1e-15)
+        assert math.fsum(flow._DP_B4) == pytest.approx(1.0, rel=1e-15)
+        # The seventh stage sits at the candidate, so it is the next trial's first.
+        assert flow._DP_B5[-1] == 0.0
+
+    def test_trial_is_the_tableau(self):
+        # Fields drawn at random, one per stage, so nothing cancels in the
+        # sums and a wrong coefficient shows in every quantity.
+        n, h = 4, 0.01
+        c = random_metric(n, 1, scale=0.3)
+        g = linalg.gaussian_matrices(np.random.default_rng(5), 7, n)
+        fields = [(a + a.conj().T) / hs_norm(a + a.conj().T) for a in g]
+        states = []
+
+        def evaluate(state):
+            states.append(state)
+            return WeightedSpace.from_metric(state), fields[len(states)]
+
+        space, k_next, error = flow._dp45_trial(evaluate, c, fields[0], h)
+        increments = [
+            h * sum(a * k for a, k in zip(row, fields)) for row in [*DP_A, DP_B5]
+        ]
+        assert len(states) == len(increments) == 6
+        for state, increment in zip(states, increments):
+            assert hs_norm(state - c - increment) <= 1e-13 * hs_norm(increment)
+        np.testing.assert_array_equal(space.c, (states[-1] + states[-1].conj().T) / 2)
+        assert k_next is fields[6]
+        expected = h * hs_norm(sum((b5 - b4) * k for b5, b4, k in zip(DP_B5, DP_B4, fields)))
+        assert error == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.5])
+    def test_fixed_steps_converge_at_fifth_order(self, eps):
+        # DP45 at fixed steps over [0, 1/2] from kappa I + eps B at n=4, the
+        # controller bypassed, against scipy's DOP853 at rtol 1e-13: halving h
+        # from 1/16 must cut the error by 2^4.5 or more (2^5 for fifth order).
+        torus = FuzzyTorus(4, 1)
+        c0 = near_flat_metric(4, 1, 1.3, eps)
+        evaluate = partial(stage_at, torus)
+
+        def fixed_steps(steps):
+            space = WeightedSpace.from_metric(c0)
+            k = flow._field(torus, space)
+            for _ in range(steps):
+                space, k, _ = flow._dp45_trial(evaluate, space.c, k, 0.5 / steps)
+            return space.c
+
+        def field(t, c):
+            return evaluate(c.reshape(4, 4))[1].reshape(-1)
+
+        solution = solve_ivp(field, (0.0, 0.5), c0.reshape(-1), "DOP853", rtol=1e-13, atol=1e-15)
+        reference = solution.y[:, -1].reshape(4, 4)
+        errors = [hs_norm(fixed_steps(steps) - reference) for steps in (8, 16, 32)]
+        assert errors[-1] < 1e-9
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 2**4.5
+
+
 class TestIntegratingFactor:
     """The near-flat tail, integrated with exponential Runge-Kutta on e^{-sL/kappa}."""
 
@@ -509,11 +600,7 @@ class TestIntegratingFactor:
         # from it is what shows a stage that is only accurate to low order.
         torus = FuzzyTorus(n, m)
         kappa = 1.3
-        rng = np.random.default_rng(n + 10 * m)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        b = (g + g.conj().T) / 2
-        b -= (np.trace(b).real / n) * np.eye(n)
-        c0 = kappa * np.eye(n) + eps * b / hs_norm(b)
+        c0 = near_flat_metric(n, m, kappa, eps)
         split = torus.laplacian_split
         tail = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
 
