@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, MetricDegenerate
-from .linalg import as_square_matrix, hermitian_eig, hs_inner, matrix_to_json
+from .linalg import as_square_matrix, hermitian_eig, matrix_to_json
 from .torus import FuzzyTorus
 
 # Relative spectral-gap threshold below which eigenvalues are grouped as
@@ -113,8 +113,8 @@ class WeightedSpace:
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
         if a.shape != b.shape or a.shape[-2:] != self.c.shape:
-            raise InvalidInput(f"shape mismatch: {a.shape} vs {b.shape}")
-        return _weighted_inner(self.c, a, b)
+            raise InvalidInput(f"shape mismatch: {a.shape} vs {b.shape}, metric {self.c.shape}")
+        return weighted_inner(self.c, a, b)
 
     def norm(self, a) -> float | np.ndarray:
         return np.sqrt(self.inner(a, a).real)
@@ -135,7 +135,7 @@ def stacked_power(spaces, p: float) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def _weighted_inner(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def weighted_inner(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tr(c a* b) over the last two axes, ``c`` broadcast against ``a`` and ``b``."""
     return np.trace(c @ a.conj().swapaxes(-1, -2) @ b, axis1=-2, axis2=-1)
 
@@ -245,7 +245,7 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
     vectors_flat = v.swapaxes(-1, -2).reshape(count, n * n, n, n)
     vectors = vectors_flat @ s[:, None]
     c = np.stack([space.c for space in spaces])[:, None]
-    vectors = vectors / np.sqrt(_weighted_inner(c, vectors, vectors).real)[..., None, None]
+    vectors = vectors / np.sqrt(weighted_inner(c, vectors, vectors).real)[..., None, None]
     # Ascending eigenvalues: abs leaves every gap's bits as np.diff gives them.
     gaps = np.abs(np.diff(w, axis=-1))
     inf = np.full((count, 1), np.inf)
@@ -281,11 +281,15 @@ def spectrum_to_json(data: SpectralData, t: float) -> dict:
     }
 
 
-def rayleigh_quotient(torus: FuzzyTorus, space: WeightedSpace, a) -> float:
-    """Eigenvalue via tr(a* La) / tr(c a* a), valid for any nonzero ``a``."""
-    a = as_square_matrix(a)
-    num = hs_inner(a, torus.laplacian_apply(a)).real
+def rayleigh_quotient(torus: FuzzyTorus, space, a) -> np.ndarray:
+    """Eigenvalue via tr(a* La) / tr(c a* a) of each nonzero matrix in a stack ``(..., n, n)``.
+
+    ``space`` and ``a`` must match the torus's size (``InvalidInput``); ``L`` is applied once.
+    """
+    space = metric_state(torus, space)
+    a = np.asarray(a, dtype=complex)
     den = space.inner(a, a).real
-    if den <= 0:
+    if np.any(den <= 0):
         raise InvalidInput("Rayleigh quotient of a null vector")
-    return float(num / den)
+    num = np.sum(a.conj() * torus.laplacian_apply(a), axis=(-2, -1)).real
+    return num / den

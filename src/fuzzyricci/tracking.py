@@ -36,7 +36,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import FuzzyRicciError, InsufficientData, InvalidInput
-from .flow import FlowResult, FlowSample
+from .flow import FlowResult
 from .laplace_beltrami import lb_spectra, stacked_power
 
 OVERLAP_MIN = 0.9  # a weaker eigenvector match is flagged degenerate
@@ -165,54 +165,46 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     )
 
 
-def _stacked(sample, get) -> np.ndarray:
-    """``get(sample)``, or for a sequence of samples a ``(S, 1, n, n)`` stack to broadcast."""
-    single = isinstance(sample, FlowSample)
-    return get(sample) if single else np.stack([get(s) for s in sample])[:, None]
-
-
-def _real_rhs(val, sample) -> float | np.ndarray:
-    val = np.asarray(val)
+def _real_rhs(val: np.ndarray, samples) -> np.ndarray:
     bad = np.abs(val.imag) > 1e-10 * (1.0 + np.abs(val.real))
     if np.any(bad):  # the earliest sample's first bad entry
-        at = sample if isinstance(sample, FlowSample) else sample[int(np.argmax(bad.any(-1)))]
         raise FuzzyRicciError(
-            f"variation right-hand side has non-real value {complex(val[bad][0])!r}", time=at.t
+            f"variation right-hand side has non-real value {complex(val[bad][0])!r}",
+            time=samples[int(np.argmax(bad.any(-1)))].t,
         )
-    return val.real if val.ndim else float(val.real)
+    return val.real
 
 
-def variation_rhs(sample: FlowSample, value, a) -> float | np.ndarray:
-    """Variation law right-hand side lambda * tr(a* a (L log c)) at a flow sample.
+def variation_rhs(samples, values, a) -> np.ndarray:
+    """Variation law right-hand side lambda * tr(a* a (L log c)) over flow samples.
 
-    ``L log c`` is the negated field the sample keeps. ``a`` must be
-    normalized in the weighted inner product of the sample's metric; it may
-    be one matrix or a stack ``(..., n, n)`` with ``value`` of shape
-    ``(...)``, and the result has the shape of ``value``; ``sample`` may be a
-    sequence of samples, with ``value`` and ``a`` stacked over it. The trace
-    is real up to roundoff (product of two Hermitian factors); a relative
-    imaginary part above 1e-10 in any entry raises, with its sample's time.
+    ``samples`` is a sequence of ``S`` flow samples, ``values`` their
+    ``(S, K)`` eigenvalues and ``a`` the ``(S, K, n, n)`` eigenvectors, each
+    normalized in the weighted inner product of its sample's metric; the
+    result is ``(S, K)``. ``L log c`` is the negated field each sample keeps.
+    The trace is real up to roundoff (product of two Hermitian factors); a
+    relative imaginary part above 1e-10 in any entry raises, with the time of
+    the earliest sample holding one.
     """
     a = np.asarray(a, dtype=complex)
-    lap_log = -_stacked(sample, lambda s: s.field)
+    lap_log = -np.stack([s.field for s in samples])[:, None]
     trace = np.trace(a.conj().swapaxes(-1, -2) @ a @ lap_log, axis1=-2, axis2=-1)
-    return _real_rhs(trace * value, sample)
+    return _real_rhs(trace * values, samples)
 
 
-def variation_rhs_state_form(sample: FlowSample, value, a) -> float | np.ndarray:
+def variation_rhs_state_form(samples, values, a) -> np.ndarray:
     """Equivalent form lambda * phi(a* a (L log c) c^{-1}), phi(b) = tr(c b).
 
     Algebraically identical to :func:`variation_rhs` by trace cyclicity;
-    computed literally as written, from the sample's metric state, to serve
+    computed literally as written, from each sample's metric state, to serve
     as an independent cross-check. Arguments are as in :func:`variation_rhs`.
     """
     a = np.asarray(a, dtype=complex)
-    lap_log = -_stacked(sample, lambda s: s.field)
-    single = isinstance(sample, FlowSample)
-    c_inv = sample.space.c_inv if single else stacked_power([s.space for s in sample], -1.0)[:, None]
+    lap_log = -np.stack([s.field for s in samples])[:, None]
+    c_inv = stacked_power([s.space for s in samples], -1.0)[:, None]
     b = a.conj().swapaxes(-1, -2) @ a @ lap_log @ c_inv
-    phi = np.trace(_stacked(sample, lambda s: s.c) @ b, axis1=-2, axis2=-1)
-    return _real_rhs(phi * value, sample)
+    phi = np.trace(np.stack([s.c for s in samples])[:, None] @ b, axis1=-2, axis2=-1)
+    return _real_rhs(phi * values, samples)
 
 
 def uniform_step(times) -> float:

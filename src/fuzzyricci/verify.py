@@ -22,6 +22,7 @@ from .laplace_beltrami import (
     metric_state,
     rayleigh_quotient,
     rejected_operator_superop,
+    weighted_inner,
 )
 from .linalg import (
     as_complex,
@@ -71,6 +72,11 @@ FLOW_SEEDS = (0, 1, 2)
 LB_SEEDS = range(5)
 TRACK_N, TRACK_M, TRACK_SEED = 2, 1, 7
 TRACK_T1, TRACK_STRIDE = 0.1, 2e-3
+
+
+def _hs_norms(a: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt norm of each matrix in a stack ``(..., n, n)``."""
+    return np.linalg.norm(a, axis=(-2, -1))
 
 
 def _check(name: str, params: str, tolerance, measured, passed: bool) -> dict:
@@ -184,22 +190,15 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
             _check("laplacian_kernel_is_identity", params, 1e-10, 1 - overlap, 1 - overlap <= 1e-10)
         )
 
-    rng = np.random.default_rng(2024)
-    worst_trace = 0.0
-    worst_herm = 0.0
-    worst_reflection = 0.0
-    for a in gaussian_matrices(rng, LAPLACIAN_SAMPLES, torus.n):
-        image = torus.laplacian_apply(a)
-        worst_trace = max(worst_trace, abs(np.trace(image)) / hs_norm(a))
-        worst_herm = max(
-            worst_herm,
-            hs_norm(image.conj().T - torus.laplacian_apply(a.conj().T)) / hs_norm(a),
-        )
-        # S(a) = P a^T P, with P the index reversal.
-        worst_reflection = max(
-            worst_reflection,
-            hs_norm(torus.laplacian_apply(a.T[::-1, ::-1]) - image.T[::-1, ::-1]) / hs_norm(a),
-        )
+    a = gaussian_matrices(np.random.default_rng(2024), LAPLACIAN_SAMPLES, torus.n)
+    image = torus.laplacian_apply(a)
+    size = _hs_norms(a)
+    worst_trace = np.max(np.abs(np.trace(image, axis1=-2, axis2=-1)) / size)
+    adjoint = torus.laplacian_apply(a.conj().swapaxes(-1, -2))
+    worst_herm = np.max(_hs_norms(image.conj().swapaxes(-1, -2) - adjoint) / size)
+    # S(a) = P a^T P, with P the index reversal.
+    reflected = torus.laplacian_apply(a.swapaxes(-1, -2)[:, ::-1, ::-1])
+    worst_reflection = np.max(_hs_norms(reflected - image.swapaxes(-1, -2)[:, ::-1, ::-1]) / size)
     checks.append(_leq("laplacian_kills_trace", params, worst_trace, TOL_LAP_TRACE))
     checks.append(_leq("laplacian_respects_adjoint", params, worst_herm, TOL_LAP_TRACE))
     reflection_tol = TOL_LAP_REFLECTION * max(norm, 1.0)
@@ -261,17 +260,11 @@ def lb_checks(torus: FuzzyTorus) -> list[dict]:
         uc_err = abs(lhs - rhs) / max(abs(rhs), 1.0)
         checks.append(_leq("uc_preserves_inner", params, uc_err, TOL_UC))
 
-        worst_ray = 0.0
-        worst_state = 0.0
-        c_norm = hs_norm(space.c)
-        for i, wv in enumerate(data.vectors_weighted):
-            lam = float(data.eigenvalues[i])
-            ray = rayleigh_quotient(torus, space, wv)
-            worst_ray = max(worst_ray, abs(ray - lam) / max(abs(lam), 1.0))
-            if i != data.kernel_index:
-                worst_state = max(
-                    worst_state, abs(space.state(wv)) / (c_norm * space.norm(wv))
-                )
+        vectors, lam = data.vectors_weighted, data.eigenvalues
+        ray = rayleigh_quotient(torus, space, vectors)
+        worst_ray = np.max(np.abs(ray - lam) / np.maximum(np.abs(lam), 1.0))
+        others = vectors[np.arange(len(lam)) != data.kernel_index]
+        worst_state = np.max(np.abs(space.state(others)) / (hs_norm(space.c) * space.norm(others)))
         checks.append(_leq("lb_rayleigh_identity", params, worst_ray, TOL_RAYLEIGH))
         checks.append(_leq("lb_state_vanishes", params, worst_state, TOL_STATE_ZERO))
     return checks
@@ -307,34 +300,24 @@ def tracking_checks() -> list[dict]:
         ),
     ]
 
+    c = np.stack([s.c for s in trajectory.samples])[:, None]
+    vectors = curves.vectors
+    worst_norm = np.max(np.abs(np.sqrt(weighted_inner(c, vectors, vectors).real) - 1.0))
     off_kernel = np.arange(n * n) != curves.kernel
-    worst_norm = 0.0
-    worst_state = 0.0
-    kernel_ok = True
-    for sample, vectors in zip(trajectory.samples, curves.vectors):
-        space = sample.space
-        worst_norm = max(worst_norm, float(np.max(np.abs(space.norm(vectors) - 1.0))))
-        state = space.state(vectors[off_kernel])
-        worst_state = max(worst_state, float(np.max(np.abs(state))))
-        target = np.eye(n) / np.sqrt(space.trace)
-        kernel_ok = kernel_ok and hs_norm(vectors[curves.kernel] - target) <= 1e-8
+    worst_state = np.max(np.abs(np.trace(c @ vectors[:, off_kernel], axis1=-2, axis2=-1)))
+    target = np.eye(n) / np.sqrt(np.trace(c[:, 0], axis1=-2, axis2=-1).real)[:, None, None]
+    kernel_ok = bool(np.all(_hs_norms(vectors[:, curves.kernel] - target) <= 1e-8))
     checks.append(_leq("curve_normalization", params, worst_norm, 1e-10))
     checks.append(_leq("curve_state_vanishes", params, worst_state, 1e-9))
     checks.append(_check("kernel_curve_is_identity", params, None, None, kernel_ok))
 
     # Phase invariance of the formula: rotating an eigenvector must not move it.
-    rng = np.random.default_rng(5)
-    value, vector = curves.values[0, -1], curves.vectors[0, -1]
-    sample = trajectory.samples[0]
-    base = variation_rhs(sample, value, vector)
-    worst_phase = 0.0
-    for _ in range(5):
-        theta = rng.uniform(0, 2 * np.pi)
-        rotated = np.exp(1j * theta) * vector
-        worst_phase = max(
-            worst_phase,
-            abs(variation_rhs(sample, value, rotated) - base),
-        )
+    vector = curves.vectors[0, -1]
+    phases = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, size=5))
+    rotations = np.concatenate([vector[None], phases[:, None, None] * vector])
+    values = np.full((1, len(rotations)), curves.values[0, -1])
+    rhs = variation_rhs(trajectory.samples[:1], values, rotations[None])[0]
+    worst_phase = np.max(np.abs(rhs[1:] - rhs[0]))
     checks.append(_leq("variation_phase_invariance", params, worst_phase, 1e-10))
     return checks
 

@@ -564,7 +564,7 @@ class TestExplicitTrial:
             assert coarse / fine >= 2**4.5
 
 
-class TestIntegratingFactor:
+class TestExponentialTail:
     """The near-flat tail, integrated with exponential Runge-Kutta on e^{-sL/kappa}."""
 
     @pytest.mark.parametrize("n, m", [(4, 1), (5, 2)])
@@ -592,12 +592,14 @@ class TestIntegratingFactor:
             assert hs_norm(s.c - (kappa * np.eye(n) + heat)) <= eps**2
 
     @pytest.mark.parametrize("n, m, eps", [(4, 1, 0.05), (5, 2, 0.05), (4, 1, 0.5)])
-    def test_fixed_steps_converge_at_fourth_order(self, n, m, eps, monkeypatch):
-        # ETDRK4 at fixed steps over [0, 1/2] from kappa I + eps B, against a
-        # DP45 run at rel_tol 1e-13 that never switches: halving h from 1/32
-        # must cut the error by 2^3.5 or more (2^4 for fourth order). Near
-        # the flat point the remainder is nearly linear, so the start far
-        # from it is what shows a stage that is only accurate to low order.
+    def test_fixed_steps_converge_at_fourth_order(self, n, m, eps):
+        # ETDRK4 at fixed steps over [0, 1/2] from kappa I + eps B, against
+        # scipy's DOP853 at rtol 1e-13: halving h from 1/32 must cut the
+        # error by 2^3.5 or more (2^4 for fourth order). Near the flat point
+        # the remainder is nearly linear, so the start far from it is what
+        # shows a stage that is only accurate to low order. The reference is
+        # scipy's integrator, not the package's DP45, so a wrong DP45 weight
+        # cannot slow or skew it.
         torus = FuzzyTorus(n, m)
         kappa = 1.3
         c0 = near_flat_metric(n, m, kappa, eps)
@@ -614,9 +616,11 @@ class TestIntegratingFactor:
                 space, k, _ = flow._etd_trial(evaluate, space.c, k, h, *tail)
             return space.c
 
-        monkeypatch.setattr(flow, "_TAIL_SPREAD", -1.0)  # never switches
-        config = FlowConfig(t1=0.5, sample_stride=0.5, rel_tol=1e-13, abs_tol=1e-15)
-        reference = run_flow(torus, c0, config).final.c
+        def field(t, c):
+            return evaluate(c.reshape(n, n))[1].reshape(-1)
+
+        solution = solve_ivp(field, (0.0, 0.5), c0.reshape(-1), "DOP853", rtol=1e-13, atol=1e-15)
+        reference = solution.y[:, -1].reshape(n, n)
         errors = [hs_norm(fixed_steps(steps) - reference) for steps in (16, 32, 64)]
         assert errors[-1] < 1e-9
         for coarse, fine in zip(errors, errors[1:]):

@@ -118,6 +118,19 @@ class TestMetricState:
         assert metric_state(torus2, space) is space
 
 
+class TestRayleighQuotient:
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [(3, ("(2, 2)", "(3, 3)")), (2, ("2x2", "(3, 3)"))],
+        ids=["vector-off-size", "metric-off-size"],
+    )
+    def test_wrong_size_names_both_sizes(self, space3, n, sizes):
+        with pytest.raises(InvalidInput) as error:
+            rayleigh_quotient(FuzzyTorus(n), space3, np.eye(2))
+        for size in sizes:
+            assert size in str(error.value)
+
+
 class TestCurvedLaplacian:
     def test_kills_identity(self, torus3, space3):
         np.testing.assert_allclose(

@@ -116,43 +116,55 @@ class TestFiniteDifferences:
             assert uniform_step(even) == 0.5 * s, k
 
 
+def law_at(form, sample, lam, a):
+    # The law at one sample and one vector: the (1, 1) call.
+    return form([sample], np.array([[lam]]), np.asarray(a)[None, None])[0, 0]
+
+
 class TestVariationRhs:
     def test_scalar_metric_gives_zero(self, torus2, rng):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert variation_rhs(sample_at(torus2, 1.7 * np.eye(2)), 2.0, a) == 0.0
+        assert law_at(variation_rhs, sample_at(torus2, 1.7 * np.eye(2)), 2.0, a) == 0.0
 
     def test_zero_eigenvalue_gives_zero(self, torus2):
         sample = sample_at(torus2, random_metric(2, 3))
         kernel = np.eye(2) / np.sqrt(sample.space.trace)
-        assert variation_rhs(sample, 0.0, kernel) == 0.0
+        assert law_at(variation_rhs, sample, 0.0, kernel) == 0.0
 
     def test_phase_invariance(self, torus3, rng):
         sample = sample_at(torus3, random_metric(3, 5))
         data = lb_spectrum(torus3, sample.space)
         a = data.vectors_weighted[2]
         lam = float(data.eigenvalues[2])
-        base = variation_rhs(sample, lam, a)
+        base = law_at(variation_rhs, sample, lam, a)
         for theta in rng.uniform(0, 2 * np.pi, size=5):
             rotated = np.exp(1j * theta) * a
-            assert variation_rhs(sample, lam, rotated) == pytest.approx(base, abs=1e-12)
+            assert law_at(variation_rhs, sample, lam, rotated) == pytest.approx(base, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_both_forms_agree(self, torus3, seed):
         sample = sample_at(torus3, random_metric(3, seed))
         data = lb_spectrum(torus3, sample.space)
-        for lam, a in zip(data.eigenvalues, data.vectors_weighted):
-            direct = variation_rhs(sample, float(lam), a)
-            via_state = variation_rhs_state_form(sample, float(lam), a)
-            assert direct == pytest.approx(via_state, rel=1e-12, abs=1e-10)
+        values, vectors = data.eigenvalues[None], data.vectors_weighted[None]
+        direct = variation_rhs([sample], values, vectors)[0]
+        via_state = variation_rhs_state_form([sample], values, vectors)[0]
+        for i in range(9):
+            assert direct[i] == pytest.approx(via_state[i], rel=1e-12, abs=1e-10)
 
     @pytest.mark.parametrize("form", [variation_rhs, variation_rhs_state_form])
     def test_stacked_call_matches_per_vector_calls(self, torus3, form):
-        sample = sample_at(torus3, random_metric(3, 6))
-        data = lb_spectrum(torus3, sample.space)
-        stacked = form(sample, data.eigenvalues, data.vectors_weighted)
-        assert stacked.shape == (9,)
-        for i, a in enumerate(data.vectors_weighted):
-            assert stacked[i] == form(sample, data.eigenvalues[i], a)
+        # The report evaluates the law per chunk of samples, with the bits of
+        # one sample and one vector at a time.
+        samples = [sample_at(torus3, random_metric(3, seed)) for seed in (6, 8)]
+        data = [lb_spectrum(torus3, s.space) for s in samples]
+        values = np.stack([d.eigenvalues for d in data])
+        vectors = np.stack([d.vectors_weighted for d in data])
+        stacked = form(samples, values, vectors)
+        assert stacked.shape == (2, 9)
+        for k in range(2):
+            for i in range(9):
+                one = form(samples[k:k + 1], values[k:k + 1, i:i + 1], vectors[k:k + 1, i:i + 1])
+                assert stacked[k, i] == one[0, 0]
 
     @pytest.mark.parametrize("form", [variation_rhs, variation_rhs_state_form])
     def test_stacked_call_rejects_one_non_real_entry(self, torus3, form):
@@ -163,7 +175,7 @@ class TestVariationRhs:
         # An anti-Hermitian L log c makes tr(a* a L log c) imaginary; only entry 4 is nonzero.
         broken = dataclasses.replace(sample, field=-1j * np.eye(3))
         with pytest.raises(FuzzyRicciError):
-            form(broken, values, data.vectors_weighted)
+            form([broken], values[None], data.vectors_weighted[None])
 
 
 class TestTrackSpectrum:
@@ -411,7 +423,7 @@ class TestNonRealGuard:
         with pytest.raises(FuzzyRicciError) as report_error:
             first_variation_report(trajectory)
         with pytest.raises(FuzzyRicciError) as direct:
-            variation_rhs(trajectory.samples[2], curves.values[2], curves.vectors[2])
+            variation_rhs(trajectory.samples[2:3], curves.values[2:3], curves.vectors[2:3])
         assert report_error.value.time == trajectory.samples[2].t
         assert str(report_error.value) == str(direct.value)
         assert direct.value.time == trajectory.samples[2].t
