@@ -35,29 +35,33 @@ run that switches; a tail trial evaluates five fields and applies ``L`` only
 for them. From the start, the exponential pair would not help: ``L/kappa``
 does not capture the stiffness of ``log``.
 
-Each eigendecomposition of a stage builds a metric state
-(``WeightedSpace``); a sample keeps the state the integrator reached and the
-field there, so spectra and the variation law reuse its decomposition and its
-``L log c``. Two domain guards are specific to this flow: every Runge-Kutta
-stage and every accepted state must stay Hermitian positive definite (the
-vector field needs ``log c``), and a trial step whose stages leave the
-positive cone is rejected and retried at half the step size rather than
-reported as an error. The exact flow cannot leave the cone, so a persistent
-violation signals integrator tolerances that are too loose, reported as
-``PositivityLost``.
+Only the initial metric is validated as outside input (``metric_state``). A
+stage state is a sum of the integrator's own Hermitian matrices, so it is not
+checked for Hermiticity: one ``eigh`` call, which reads its lower triangle
+only, makes its metric state (``WeightedSpace``), and an accepted state is
+mirrored once from that triangle, with a real diagonal. So every sample's
+``c`` is exactly Hermitian and exactly the matrix of its decomposition, and
+spectra and the variation law reuse that decomposition and the sample's
+field. Two domain guards stay per stage: a finite norm, and the smallest
+eigenvalue above ``POSITIVITY_FLOOR`` (the vector field needs ``log c``). A
+stage failing either has left the positive cone: the trial is rejected and
+retried at half the step size rather than reported as an error. The exact
+flow cannot leave the cone, so a persistent violation signals integrator
+tolerances that are too loose, reported as ``PositivityLost`` raised from
+the last stage's ``MetricDegenerate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidInput, InvalidParams, MetricDegenerate, PositivityLost, StepUnderflow
-from .laplace_beltrami import POSITIVITY_FLOOR, WeightedSpace, metric_state
+from .laplace_beltrami import POSITIVITY_FLOOR, WeightedSpace, check_positive, metric_state
 from .linalg import (
     gaussian_matrices,
     hs_norm,
@@ -281,15 +285,15 @@ def _dp45_trial(evaluate, c: np.ndarray, k1: np.ndarray, h: float):
     """One embedded DP45 trial step of size ``h`` from ``c``, whose field is ``k1``.
 
     ``evaluate(C)`` gives the metric state and the field at a stage state
-    ``C``, and raises ``InvalidInput`` or ``MetricDegenerate`` outside the
-    positive cone; that exception leaves the trial from the stage that left
-    the cone, and the caller retries the step smaller. Otherwise returns
+    ``C``, and raises ``MetricDegenerate`` outside the positive cone; that
+    exception leaves the trial from the stage that left the cone, and the
+    caller retries the step smaller. Otherwise returns
     ``(space_next, k_next, error_estimate)``. ``space_next`` is the metric
-    state of the symmetrized candidate, where the last stage is evaluated:
-    its cone check is the positivity check of the candidate state, and
-    ``k_next`` is the field there, the next step's first stage. Acceptance is
-    the caller's decision. ``_etd_trial`` keeps the same contract after the
-    switch to the exponential tail.
+    state of the candidate (``run_flow`` mirrors it if it is accepted), where
+    the last stage is evaluated: its cone check is the positivity check of
+    the candidate state, and ``k_next`` is the field there, the next step's
+    first stage. Acceptance is the caller's decision. ``_etd_trial`` keeps
+    the same contract after the switch to the exponential tail.
     """
     n = c.shape[0]
     stages = np.empty((7, n * n), dtype=complex)
@@ -346,6 +350,13 @@ def _etd_trial(
     return space_next, k_next, error
 
 
+def _mirrored(c: np.ndarray) -> np.ndarray:
+    """What ``eigh`` decomposes for ``c``: its lower triangle, mirrored, real on the diagonal."""
+    m = np.where(np.tri(len(c), dtype=bool), c, c.conj().T)
+    np.fill_diagonal(m, m.diagonal().real)
+    return m
+
+
 def sample_times(config: FlowConfig) -> np.ndarray:
     """Uniform cadence t0, t0 + stride, ... with t1 always included."""
     k = int(np.floor((config.t1 - config.t0) / config.sample_stride + 1e-9))
@@ -378,7 +389,12 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     flat = kappa * np.eye(torus.n)
 
     def evaluate(c: np.ndarray) -> tuple[WeightedSpace, np.ndarray]:
-        stage = WeightedSpace.from_metric(c)
+        norm = hs_norm(c)
+        if not math.isfinite(norm):  # eigh raises on some NaN entries and passes others
+            raise MetricDegenerate(f"stage state is not finite: ||c|| = {norm}")
+        w, v = np.linalg.eigh(c)
+        check_positive(w)
+        stage = WeightedSpace(c, w, v)
         result.field_evaluations += 1
         return stage, _field(torus, stage)
 
@@ -403,16 +419,16 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
             result.tail_trials += result.switch_time is not None
             try:
                 space_next, k_next, err = trial(evaluate, space.c, k1, h)
-            except (InvalidInput, MetricDegenerate):
+            except MetricDegenerate as exc:
                 # A stage left the positive cone: retry at half the step.
                 result.rejected_cone += 1
-                h = h / 2
-                if h < _MIN_STEP:
+                if h / 2 < _MIN_STEP:
                     raise PositivityLost(
-                        "a Runge-Kutta stage left the positive cone at the minimum "
-                        "step size; rerun with tighter tolerances",
+                        f"a Runge-Kutta stage left the positive cone at the minimum step "
+                        f"size, h = {h:.6e} ({exc}); rerun with tighter tolerances",
                         time=t,
-                    )
+                    ) from exc
+                h = h / 2
                 continue
             tol = config.abs_tol + config.rel_tol * max(hs_norm(space.c), hs_norm(space_next.c))
             accepted = err <= tol
@@ -420,7 +436,7 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
                 result.accepted_steps += 1
                 # A step clipped to the sample time lands on it: t + (t_target - t) can round short.
                 t = t_target if h == t_target - t else t + h
-                space, k1 = space_next, k_next
+                space, k1 = replace(space_next, c=_mirrored(space_next.c)), k_next
             else:
                 result.rejected_error += 1
             # err == 0 only on acceptance; a NaN estimate is rejected and shrinks by _MIN_SHRINK.

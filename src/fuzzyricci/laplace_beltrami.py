@@ -76,11 +76,7 @@ class WeightedSpace:
         ``c`` and ``MetricDegenerate`` when positive definiteness fails.
         """
         eig = hermitian_eig(as_square_matrix(c, "metric"))  # rejects gross non-Hermiticity
-        lo = float(eig.eigenvalues[0])
-        if lo <= POSITIVITY_FLOOR:
-            raise MetricDegenerate(
-                f"metric is not positive definite: min eigenvalue {lo:.6e} <= {POSITIVITY_FLOOR:g}"
-            )
+        check_positive(eig.eigenvalues)
         return cls(c=eig.matrix, eigenvalues=eig.eigenvalues, eigenvectors=eig.eigenvectors)
 
     def _power(self, p: float) -> np.ndarray:
@@ -126,6 +122,15 @@ class WeightedSpace:
     def to_flat(self, a) -> np.ndarray:
         """Unitary into the plain Hilbert-Schmidt space: a -> a c^{1/2}."""
         return np.asarray(a, dtype=complex) @ self.c_sqrt
+
+
+def check_positive(eigenvalues: np.ndarray) -> None:
+    """Raise ``MetricDegenerate`` unless the least of ascending ``eigenvalues`` is above the floor."""
+    lo = float(eigenvalues[0])
+    if lo <= POSITIVITY_FLOOR:
+        raise MetricDegenerate(
+            f"metric is not positive definite: min eigenvalue {lo:.6e} <= {POSITIVITY_FLOOR:g}"
+        )
 
 
 def stacked_power(spaces, p: float) -> np.ndarray:

@@ -104,7 +104,7 @@ def hermitian_eig(a) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack ``(..., n, n)``.
 
     The input may drift off Hermitian by up to ``HERM_TOL_SCALE * ||a||``
-    (integrator roundoff); it is symmetrized before decomposition, and the
+    (roundoff); it is symmetrized before decomposition, and the
     result keeps that symmetrized matrix. A larger defect, or a non-finite
     norm (a NaN or inf entry), raises ``InvalidInput``; a stack is checked
     one matrix at a time, in order, and decomposed by one ``eigh`` call,
@@ -124,26 +124,19 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
         raise InvalidInput(f"matrix must be square, got shape {a.shape}")
     adjoint = a.conj().swapaxes(-1, -2)
     n = a.shape[-1]
-    if a.ndim == 2:
-        _check_hermitian(a, adjoint)
-    else:  # vdot norms per matrix: np.vecdot costs ~2x per matrix at n=16
-        for m, m_adjoint in zip(a.reshape(-1, n, n), adjoint.reshape(-1, n, n)):
-            _check_hermitian(m, m_adjoint)
+    # vdot norms per matrix: np.vecdot costs ~2x per matrix at n=16
+    for m, m_adjoint in zip(a.reshape(-1, n, n), adjoint.reshape(-1, n, n)):
+        norm = hs_norm(m)
+        # Against a NaN or inf norm the defect test below would pass.
+        if not math.isfinite(norm):
+            raise InvalidInput(f"matrix norm is not finite: ||a|| = {norm}")
+        defect = hs_norm(m - m_adjoint)
+        if defect > HERM_TOL_SCALE * norm:
+            raise InvalidInput(
+                f"matrix is not Hermitian: ||a - a*|| = {defect:.3e} "
+                f"exceeds {HERM_TOL_SCALE:g} * ||a||"
+            )
     return (a + adjoint) / 2
-
-
-def _check_hermitian(m: np.ndarray, m_adjoint: np.ndarray) -> None:
-    """Raise ``InvalidInput`` unless ``||m||`` is finite and ``||m - m*||`` within tolerance."""
-    norm = hs_norm(m)
-    # Against a NaN or inf norm the defect test below would pass.
-    if not math.isfinite(norm):
-        raise InvalidInput(f"matrix norm is not finite: ||a|| = {norm}")
-    defect = hs_norm(m - m_adjoint)
-    if defect > HERM_TOL_SCALE * norm:
-        raise InvalidInput(
-            f"matrix is not Hermitian: ||a - a*|| = {defect:.3e} "
-            f"exceeds {HERM_TOL_SCALE:g} * ||a||"
-        )
 
 
 def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

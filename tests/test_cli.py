@@ -462,6 +462,18 @@ class TestSimulate:
         assert err["error"] == "PositivityLost"
         assert err["time"] == 1.25
 
+    def test_non_finite_field_exit_3_names_why(self, tmp_path, monkeypatch, capsys):
+        # Every stage leaves the cone as "not finite"; the error says so and
+        # gives the step at which the run gave up, and no file is written.
+        monkeypatch.setattr(flow, "_field", lambda torus, space: np.full((2, 2), np.nan + 0j))
+        out = tmp_path / "x"
+        assert run_cli(["simulate", "--n", 2, "--out", out]) == 3
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "PositivityLost" and err["time"] == 0.0
+        assert "minimum step size, h = " in err["message"]
+        assert "stage state is not finite" in err["message"]
+
 
 class TestSpectrum:
     def test_flat_spectrum(self, tmp_path):

@@ -79,6 +79,19 @@ class TestHermitianEig:
         eig = hermitian_eig(a)
         np.testing.assert_array_equal(eig.matrix, (a + a.conj().T) / 2)
 
+    @pytest.mark.parametrize("n", [3, 16])
+    def test_matrix_is_one_eigh_of_its_symmetrization(self, rng, n):
+        # A single matrix takes the stack's checking path; its bits must be
+        # those of one eigh call on (a + a*)/2, complex or real.
+        drift = 1e-14 * random_complex(rng, n)
+        for a in (random_hermitian(rng, n) + drift, random_hermitian(rng, n).real + drift.real):
+            eig = hermitian_eig(a)
+            symmetrized = (a + a.conj().T) / 2
+            w, v = np.linalg.eigh(symmetrized)
+            assert np.array_equal(eig.matrix, symmetrized)
+            assert np.array_equal(eig.eigenvalues, w) and np.array_equal(eig.eigenvectors, v)
+            assert eig.eigenvectors.dtype == a.dtype
+
     def test_real_input_stays_real(self, rng):
         a = rng.standard_normal((5, 5))
         a = a + a.T
