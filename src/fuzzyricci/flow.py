@@ -38,11 +38,12 @@ does not capture the stiffness of ``log``.
 Only the initial metric is validated as outside input (``metric_state``). A
 stage state is a sum of the integrator's own Hermitian matrices, so it is not
 checked for Hermiticity: one ``eigh`` call, which reads its lower triangle
-only, makes its metric state (``WeightedSpace``), and an accepted state is
-mirrored once from that triangle, with a real diagonal. So every sample's
-``c`` is exactly Hermitian and exactly the matrix of its decomposition, and
-spectra and the variation law reuse that decomposition and the sample's
-field. Two domain guards stay per stage: a finite norm, and the smallest
+only, makes its metric state (``WeightedSpace``), whose eigenpairs give the
+stage's field ``L(V diag(-log w) V*)`` directly (``_field``), and an accepted
+state is mirrored once from that triangle, with a real diagonal. So every
+sample's ``c`` is exactly Hermitian and exactly the matrix of its
+decomposition, and spectra and the variation law reuse that decomposition
+and the sample's field. Two domain guards stay per stage: a finite norm, and the smallest
 eigenvalue above ``POSITIVITY_FLOOR`` (the vector field needs ``log c``). A
 stage failing either has left the positive cone: the trial is rejected and
 retried at half the step size rather than reported as an error. The exact
@@ -54,7 +55,7 @@ the last stage's ``MetricDegenerate``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Iterator
 
@@ -247,13 +248,15 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
 
 
 def _field(torus: FuzzyTorus, space: WeightedSpace) -> np.ndarray:
-    """The flow's right-hand side -L log c at a metric state.
+    """The flow's right-hand side -L log c at a metric state, from its eigenpairs.
 
     Traceless by construction (the Laplacian is a sum of commutators), which
     is what makes the flow conserve ``tr(c)`` to roundoff; zero at a scalar
-    metric.
+    metric. ``L`` is applied to ``V diag(-log w) V*``: negating the ``n`` logs
+    rather than the result is exact. Every field of a run is computed here.
     """
-    return -torus.laplacian_apply(space.log)
+    v = space.eigenvectors
+    return torus.laplacian_apply((v * -np.log(space.eigenvalues)) @ v.conj().T)
 
 
 def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,11 +353,11 @@ def _etd_trial(
     return space_next, k_next, error
 
 
-def _mirrored(c: np.ndarray) -> np.ndarray:
-    """What ``eigh`` decomposes for ``c``: its lower triangle, mirrored, real on the diagonal."""
-    m = np.where(np.tri(len(c), dtype=bool), c, c.conj().T)
-    np.fill_diagonal(m, m.diagonal().real)
-    return m
+def _mirrored(space: WeightedSpace, lower: np.ndarray) -> WeightedSpace:
+    """``space`` on what ``eigh`` decomposed: its triangle ``lower``, mirrored, real diagonal."""
+    c = np.where(lower, space.c, space.c.conj().T)
+    np.fill_diagonal(c, c.diagonal().real)
+    return WeightedSpace(c, space.eigenvalues, space.eigenvectors)
 
 
 def sample_times(config: FlowConfig) -> np.ndarray:
@@ -387,6 +390,8 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     ts = sample_times(config)
     kappa = space.trace / torus.n  # the trace is conserved; it fixes the flat limit
     flat = kappa * np.eye(torus.n)
+    lower = np.tri(torus.n, dtype=bool)
+    spread = _TAIL_SPREAD * kappa
 
     def evaluate(c: np.ndarray) -> tuple[WeightedSpace, np.ndarray]:
         norm = hs_norm(c)
@@ -407,9 +412,8 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     for t_next in ts[1:]:
         t_target = float(t_next)
         while t < t_target:
-            if result.switch_time is None and (
-                np.max(np.abs(space.eigenvalues - kappa)) <= _TAIL_SPREAD * kappa
-            ):
+            w = space.eigenvalues  # ascending, so its ends are the farthest from kappa
+            if result.switch_time is None and max(w[-1] - kappa, kappa - w[0]) <= spread:
                 split = torus.laplacian_split
                 rates = np.maximum(split.eigenvalues, 0.0) / kappa
                 trial = partial(_etd_trial, rates=rates, split=split)
@@ -436,7 +440,7 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
                 result.accepted_steps += 1
                 # A step clipped to the sample time lands on it: t + (t_target - t) can round short.
                 t = t_target if h == t_target - t else t + h
-                space, k1 = replace(space_next, c=_mirrored(space_next.c)), k_next
+                space, k1 = _mirrored(space_next, lower), k_next
             else:
                 result.rejected_error += 1
             # err == 0 only on acceptance; a NaN estimate is rejected and shrinks by _MIN_SHRINK.

@@ -24,7 +24,9 @@ Every metric enters through the size-checked ``metric_state``. Both
 operators are plain ``(n^2, n^2)`` arrays built in closed form from the
 torus's cached flat Laplacian matrix: left and right multiplication by ``p``
 act on the row-major flattening as ``p (x) I`` and ``I (x) p^T``, applied
-by reshaping, so no map is probed column by column.
+by reshaping, so no map is probed column by column. A right product over a
+stack of matrices is one BLAS call per sample (``right_product``), with the
+bits of one call per matrix.
 """
 
 from __future__ import annotations
@@ -141,8 +143,16 @@ def stacked_power(spaces, p: float) -> np.ndarray:
 
 
 def weighted_inner(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """tr(c a* b) over the last two axes, ``c`` broadcast against ``a`` and ``b``."""
-    return np.trace(c @ a.conj().swapaxes(-1, -2) @ b, axis1=-2, axis2=-1)
+    """tr(c a* b) over the last two axes, ``c`` broadcast against ``a`` and ``b``.
+
+    ``c`` must be Hermitian, as a metric is: the trace is ``sum conj(a c) o b``.
+    """
+    return np.sum((a @ c).conj() * b, axis=(-2, -1))
+
+
+def right_product(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``a[k, i] @ p[k]`` of stacks ``(S, K, n, n)``, ``(S, n, n)``, one product per sample."""
+    return (a.reshape(len(a), -1, a.shape[-1]) @ p).reshape(a.shape[:-1] + p.shape[-1:])
 
 
 def metric_state(torus: FuzzyTorus, c) -> WeightedSpace:
@@ -171,9 +181,9 @@ def lb_conjugated_superop(torus: FuzzyTorus, c) -> np.ndarray:
 def _conjugated_operators(torus: FuzzyTorus, s: np.ndarray) -> np.ndarray:
     """The ``(S, n^2, n^2)`` conjugated operators for a stack ``s`` of ``c^{-1/2}``."""
     n, dim, count = torus.n, torus.n**2, len(s)
-    st = s.swapaxes(-1, -2)[:, None]
-    m = (torus.laplacian.reshape(dim, n, n) @ st).reshape(count, dim, dim)
-    return (st @ m.reshape(count, n, n, dim)).reshape(count, dim, dim)
+    st = s.swapaxes(-1, -2)
+    m = torus.laplacian.reshape(n * dim, n) @ st  # one product per sample
+    return (st[:, None] @ m.reshape(count, n, n, dim)).reshape(count, dim, dim)
 
 
 def rejected_operator_superop(torus: FuzzyTorus, c) -> np.ndarray:
@@ -248,9 +258,10 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
 
     # Column i of each eigenvector matrix is the row-major flattening of vector i.
     vectors_flat = v.swapaxes(-1, -2).reshape(count, n * n, n, n)
-    vectors = vectors_flat @ s[:, None]
-    c = np.stack([space.c for space in spaces])[:, None]
-    vectors = vectors / np.sqrt(weighted_inner(c, vectors, vectors).real)[..., None, None]
+    vectors = right_product(vectors_flat, s)
+    # weighted_inner's sum, with its product a c taken once per sample.
+    vc = right_product(vectors, np.stack([space.c for space in spaces]))
+    vectors = vectors / np.sqrt(np.sum(vc.conj() * vectors, axis=(-2, -1)).real)[..., None, None]
     # Ascending eigenvalues: abs leaves every gap's bits as np.diff gives them.
     gaps = np.abs(np.diff(w, axis=-1))
     inf = np.full((count, 1), np.inf)

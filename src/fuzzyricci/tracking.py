@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import FuzzyRicciError, InsufficientData, InvalidInput
 from .flow import FlowResult
-from .laplace_beltrami import lb_spectra, stacked_power
+from .laplace_beltrami import lb_spectra, right_product, stacked_power
 
 OVERLAP_MIN = 0.9  # a weaker eigenvector match is flagged degenerate
 # A report passes with its relative residual and its forms' discrepancy within these.
@@ -187,8 +187,8 @@ def variation_rhs(samples, values, a) -> np.ndarray:
     the earliest sample holding one.
     """
     a = np.asarray(a, dtype=complex)
-    lap_log = -np.stack([s.field for s in samples])[:, None]
-    trace = np.trace(a.conj().swapaxes(-1, -2) @ a @ lap_log, axis1=-2, axis2=-1)
+    lap_log = -np.stack([s.field for s in samples])
+    trace = np.trace(right_product(a.conj().swapaxes(-1, -2) @ a, lap_log), axis1=-2, axis2=-1)
     return _real_rhs(trace * values, samples)
 
 
@@ -200,9 +200,9 @@ def variation_rhs_state_form(samples, values, a) -> np.ndarray:
     as an independent cross-check. Arguments are as in :func:`variation_rhs`.
     """
     a = np.asarray(a, dtype=complex)
-    lap_log = -np.stack([s.field for s in samples])[:, None]
-    c_inv = stacked_power([s.space for s in samples], -1.0)[:, None]
-    b = a.conj().swapaxes(-1, -2) @ a @ lap_log @ c_inv
+    lap_log = -np.stack([s.field for s in samples])
+    c_inv = stacked_power([s.space for s in samples], -1.0)
+    b = right_product(right_product(a.conj().swapaxes(-1, -2) @ a, lap_log), c_inv)
     phi = np.trace(np.stack([s.c for s in samples])[:, None] @ b, axis1=-2, axis2=-1)
     return _real_rhs(phi * values, samples)
 

@@ -22,7 +22,6 @@ from .laplace_beltrami import (
     metric_state,
     rayleigh_quotient,
     rejected_operator_superop,
-    weighted_inner,
 )
 from .linalg import (
     as_complex,
@@ -302,7 +301,9 @@ def tracking_checks() -> list[dict]:
 
     c = np.stack([s.c for s in trajectory.samples])[:, None]
     vectors = curves.vectors
-    worst_norm = np.max(np.abs(np.sqrt(weighted_inner(c, vectors, vectors).real) - 1.0))
+    # The literal tr(c a* a), not the formula lb_spectra normalizes with.
+    norms = np.trace(c @ vectors.conj().swapaxes(-1, -2) @ vectors, axis1=-2, axis2=-1)
+    worst_norm = np.max(np.abs(np.sqrt(norms.real) - 1.0))
     off_kernel = np.arange(n * n) != curves.kernel
     worst_state = np.max(np.abs(np.trace(c @ vectors[:, off_kernel], axis1=-2, axis2=-1)))
     target = np.eye(n) / np.sqrt(np.trace(c[:, 0], axis1=-2, axis2=-1).real)[:, None, None]

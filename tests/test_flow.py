@@ -335,15 +335,19 @@ class TestRunFlow:
     def test_field_evaluations_count_every_field(self, torus3, monkeypatch):
         # One field at start-up, then one per stage that stays in the cone:
         # six per completed DP45 trial, five per completed tail trial, fewer
-        # in a trial that a stage outside the cone ends.
-        applies = []
+        # in a trial that a stage outside the cone ends. Every one of them is
+        # computed by flow._field, the patch point that tests of the stages use.
+        applies, fields, per_trial = [], [], []
         real_apply = FuzzyTorus.laplacian_apply
+        real_field = flow._field
 
         def counting_apply(self, a):
             applies.append(np.shape(a))
             return real_apply(self, a)
 
-        per_trial = []
+        def counting_field(torus, space):
+            fields.append(space)
+            return real_field(torus, space)
 
         def counting_trial(real, tail, *args, **kwargs):
             before = len(applies)
@@ -357,17 +361,25 @@ class TestRunFlow:
                 per_trial.append((len(applies) - before, left_cone, tail))
 
         monkeypatch.setattr(FuzzyTorus, "laplacian_apply", counting_apply)
+        monkeypatch.setattr(flow, "_field", counting_field)
         patch_trials(monkeypatch, counting_trial)
-        result = run_flow(torus3, random_metric(3, 0, scale=2.0), FlowConfig(t1=5.0))
-        assert result.rejected_cone > 0 and result.switch_time is not None
-        assert result.field_evaluations == len(applies) == 1 + sum(k for k, _, _ in per_trial)
-        # The tail trials are the last ones: the switch is for good.
-        tails = [tail for _, _, tail in per_trial]
-        assert 0 < result.tail_trials < len(tails)
-        assert tails == [False] * (len(tails) - result.tail_trials) + [True] * result.tail_trials
-        for k, left_cone, tail in per_trial:
-            full = 5 if tail else 6
-            assert k < full if left_cone else k == full
+        for spread in (-1.0, flow._TAIL_SPREAD):  # a run that never switches, then one that does
+            monkeypatch.setattr(flow, "_TAIL_SPREAD", spread)
+            for calls in (applies, fields, per_trial):
+                calls.clear()
+            result = run_flow(torus3, random_metric(3, 0, scale=2.0), FlowConfig(t1=5.0))
+            reaches_tail = spread > 0
+            assert result.rejected_cone > 0 and (result.switch_time is not None) == reaches_tail
+            assert result.field_evaluations == len(fields) == len(applies)
+            assert len(fields) == 1 + sum(k for k, _, _ in per_trial)
+            # The tail trials are the last ones: the switch is for good.
+            tails = [tail for _, _, tail in per_trial]
+            assert 0 < result.tail_trials < len(tails) if reaches_tail else result.tail_trials == 0
+            switch = len(tails) - result.tail_trials
+            assert tails == [False] * switch + [True] * result.tail_trials
+            for k, left_cone, tail in per_trial:
+                full = 5 if tail else 6
+                assert k < full if left_cone else k == full
 
     def test_trials_are_accepted_or_rejected_by_one_cause(self, torus3, monkeypatch):
         # Every trial step ends in exactly one of: accepted, rejected on its

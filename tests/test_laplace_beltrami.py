@@ -17,9 +17,17 @@ from fuzzyricci.laplace_beltrami import (
     metric_state,
     rayleigh_quotient,
     rejected_operator_superop,
+    right_product,
     spectrum_to_json,
+    weighted_inner,
 )
-from fuzzyricci.linalg import hermiticity_defect, hs_inner, hs_norm, superop_from_map
+from fuzzyricci.linalg import (
+    gaussian_matrices,
+    hermiticity_defect,
+    hs_inner,
+    hs_norm,
+    superop_from_map,
+)
 from fuzzyricci.verify import coprime_pairs
 from conftest import random_complex
 
@@ -84,6 +92,48 @@ class TestWeightedSpace:
     def test_one_off_inner_product(self):
         space = WeightedSpace.from_metric(np.diag([2.0, 1.0]))
         assert space.inner(np.eye(2), np.eye(2)).real == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16])
+    def test_weighted_inner_matches_the_literal_trace(self, n):
+        # weighted_inner sums conj(a c) o b, which is tr(c a* b) for a
+        # Hermitian c. The reference is that trace as written, and the bound,
+        # fixed from the dtype before measuring, is 16 eps ||c|| ||a|| ||b||
+        # in Hilbert-Schmidt norms, per entry of a stack.
+        rng = np.random.default_rng(n)
+        eps = np.finfo(float).eps
+        metrics = np.stack([random_metric(n, seed, scale=0.5) for seed in range(3)])
+        a, b = gaussian_matrices(rng, 24, n).reshape(2, 3, 4, n, n)
+        cases = [
+            (metrics[0], a[0, 0], b[0, 0]),  # single matrices
+            (metrics[0], a[0], b[0]),  # one metric against a stack
+            (metrics[:, None], a, b),  # a metric per sample, as lb_spectra and verify use
+        ]
+        for c, x, y in cases:
+            literal = np.trace(c @ x.conj().swapaxes(-1, -2) @ y, axis1=-2, axis2=-1)
+            got = weighted_inner(c, x, y)
+            assert got.shape == literal.shape
+            norm_c, norm_x, norm_y = (np.linalg.norm(m, axis=(-2, -1)) for m in (c, x, y))
+            assert np.all(np.abs(got - literal) <= 16 * eps * norm_c * norm_x * norm_y)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    def test_right_product_has_the_bits_of_per_matrix_products(self, n):
+        # One (K n x n) @ (n x n) product per sample must give every entry the
+        # bits of K separate n x n products: spectra and both forms of the
+        # variation law rely on it. Odd n matter, since BLAS kernels treat
+        # edge rows apart.
+        rng = np.random.default_rng(n)
+        a = gaussian_matrices(rng, 3 * 5, n).reshape(3, 5, n, n)
+        p = gaussian_matrices(rng, 3, n)
+        for q in (p, p.swapaxes(-1, -2)):  # the operators right-multiply by a transpose
+            stacked = right_product(a, q)
+            assert stacked.tobytes() == (a @ q[:, None]).tobytes()
+            for k in range(3):
+                for i in range(5):
+                    assert stacked[k, i].tobytes() == (a[k, i] @ q[k]).tobytes()
+        # The conjugated operators' right product, the flat L reshaped to (n^3, n).
+        lap, st = FuzzyTorus(n, 1).laplacian, p.swapaxes(-1, -2)
+        one = lap.reshape(n**3, n) @ st
+        assert one.tobytes() == (lap.reshape(n * n, n, n) @ st[:, None]).tobytes()
 
 
 class TestMetricState:

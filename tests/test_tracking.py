@@ -152,19 +152,22 @@ class TestVariationRhs:
             assert direct[i] == pytest.approx(via_state[i], rel=1e-12, abs=1e-10)
 
     @pytest.mark.parametrize("form", [variation_rhs, variation_rhs_state_form])
-    def test_stacked_call_matches_per_vector_calls(self, torus3, form):
+    def test_stacked_call_matches_per_vector_calls(self, form):
         # The report evaluates the law per chunk of samples, with the bits of
-        # one sample and one vector at a time.
-        samples = [sample_at(torus3, random_metric(3, seed)) for seed in (6, 8)]
-        data = [lb_spectrum(torus3, s.space) for s in samples]
-        values = np.stack([d.eigenvalues for d in data])
-        vectors = np.stack([d.vectors_weighted for d in data])
-        stacked = form(samples, values, vectors)
-        assert stacked.shape == (2, 9)
-        for k in range(2):
-            for i in range(9):
-                one = form(samples[k:k + 1], values[k:k + 1, i:i + 1], vectors[k:k + 1, i:i + 1])
-                assert stacked[k, i] == one[0, 0]
+        # one sample and one vector at a time; an odd n > 3 reaches other
+        # BLAS edge cases than n = 3.
+        for n, m in ((3, 1), (5, 2)):
+            torus = FuzzyTorus(n, m)
+            samples = [sample_at(torus, random_metric(n, seed)) for seed in (6, 8)]
+            data = [lb_spectrum(torus, s.space) for s in samples]
+            values = np.stack([d.eigenvalues for d in data])
+            vectors = np.stack([d.vectors_weighted for d in data])
+            stacked = form(samples, values, vectors)
+            assert stacked.shape == (2, n * n)
+            for k in range(2):
+                for i in range(n * n):
+                    one = form(samples[k:k + 1], values[k:k + 1, [i]], vectors[k:k + 1, [i]])
+                    assert stacked[k, i] == one[0, 0]
 
     @pytest.mark.parametrize("form", [variation_rhs, variation_rhs_state_form])
     def test_stacked_call_rejects_one_non_real_entry(self, torus3, form):
@@ -372,10 +375,8 @@ class TestVariationReport:
         assert shapes == [(201, 9, 9)]
 
     def test_chunked_spectra_equal_per_sample_spectra(self, monkeypatch):
-        # At n = 4 a chunk holds 2**14 // 4**4 = 64 samples, so 201 samples
-        # make three full chunks and a partial one.
-        torus = FuzzyTorus(4, 1)
-        trajectory = run_flow(torus, random_metric(4, 0), FlowConfig(t1=0.2, sample_stride=1e-3))
+        # A chunk holds 2**14 // n**4 samples: 64 at n = 4 and 26 at n = 5, so
+        # 201 samples make several full chunks and a partial one.
         chunks = []
         real = tracking.lb_spectra
 
@@ -385,17 +386,22 @@ class TestVariationReport:
             return spectra
 
         monkeypatch.setattr(tracking, "lb_spectra", recording)
-        track_spectrum(trajectory)
-        assert [len(c) for c in chunks] == [64, 64, 64, 9]
-        stacked = [sd for chunk in chunks for sd in chunk]
-        for sample, sd in zip(trajectory.samples, stacked, strict=True):
-            one = lb_spectrum(torus, sample.space)
-            assert sd.space is sample.space
-            for name in ("eigenvalues", "vectors_flat", "vectors_weighted", "min_gaps"):
-                assert np.array_equal(getattr(sd, name), getattr(one, name)), name
-            assert sd.gap_threshold == one.gap_threshold
-            assert sd.degeneracy_groups == one.degeneracy_groups
-            assert sd.kernel_index == one.kernel_index
+        for n, m, seed, sizes in ((4, 1, 0, [64, 64, 64, 9]), (5, 2, 3, [26] * 7 + [19])):
+            torus = FuzzyTorus(n, m)
+            config = FlowConfig(t1=0.2, sample_stride=1e-3)
+            trajectory = run_flow(torus, random_metric(n, seed), config)
+            chunks.clear()
+            track_spectrum(trajectory)
+            assert [len(c) for c in chunks] == sizes
+            stacked = [sd for chunk in chunks for sd in chunk]
+            for sample, sd in zip(trajectory.samples, stacked, strict=True):
+                one = lb_spectrum(torus, sample.space)
+                assert sd.space is sample.space
+                for name in ("eigenvalues", "vectors_flat", "vectors_weighted", "min_gaps"):
+                    assert np.array_equal(getattr(sd, name), getattr(one, name)), name
+                assert sd.gap_threshold == one.gap_threshold
+                assert sd.degeneracy_groups == one.degeneracy_groups
+                assert sd.kernel_index == one.kernel_index
 
     def test_report_keeps_the_curves_it_tracked(self, short_run):
         trajectory, curves = short_run
