@@ -40,10 +40,11 @@ stage state is a sum of the integrator's own Hermitian matrices, so it is not
 checked for Hermiticity: one ``eigh`` call, which reads its lower triangle
 only, makes its metric state (``WeightedSpace``), whose eigenpairs give the
 stage's field ``L(V diag(-log w) V*)`` directly (``_field``), and an accepted
-state is mirrored once from that triangle, with a real diagonal. So every
-sample's ``c`` is exactly Hermitian and exactly the matrix of its
-decomposition, and spectra and the variation law reuse that decomposition
-and the sample's field. Two domain guards stay per stage: a finite norm, and the smallest
+state is mirrored once from that triangle, with a real diagonal
+(``linalg.lower_mirrored``), as the initial state is. So every sample's
+``c`` is exactly Hermitian and exactly the matrix of its decomposition, and
+spectra and the variation law reuse that decomposition and the sample's
+field. Two domain guards stay per stage: a finite norm, and the smallest
 eigenvalue above ``POSITIVITY_FLOOR`` (the vector field needs ``log c``). A
 stage failing either has left the positive cone: the trial is rejected and
 retried at half the step size rather than reported as an error. The exact
@@ -66,6 +67,7 @@ from .laplace_beltrami import POSITIVITY_FLOOR, WeightedSpace, check_positive, m
 from .linalg import (
     gaussian_matrices,
     hs_norm,
+    lower_mirrored,
     matrix_exp,
     matrix_from_json,
     matrix_to_json,
@@ -353,13 +355,6 @@ def _etd_trial(
     return space_next, k_next, error
 
 
-def _mirrored(space: WeightedSpace, lower: np.ndarray) -> WeightedSpace:
-    """``space`` on what ``eigh`` decomposed: its triangle ``lower``, mirrored, real diagonal."""
-    c = np.where(lower, space.c, space.c.conj().T)
-    np.fill_diagonal(c, c.diagonal().real)
-    return WeightedSpace(c, space.eigenvalues, space.eigenvectors)
-
-
 def sample_times(config: FlowConfig) -> np.ndarray:
     """Uniform cadence t0, t0 + stride, ... with t1 always included."""
     k = int(np.floor((config.t1 - config.t0) / config.sample_stride + 1e-9))
@@ -440,7 +435,9 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
                 result.accepted_steps += 1
                 # A step clipped to the sample time lands on it: t + (t_target - t) can round short.
                 t = t_target if h == t_target - t else t + h
-                space, k1 = _mirrored(space_next, lower), k_next
+                c = lower_mirrored(space_next.c, lower)
+                space = WeightedSpace(c, space_next.eigenvalues, space_next.eigenvectors)
+                k1 = k_next
             else:
                 result.rejected_error += 1
             # err == 0 only on acceptance; a NaN estimate is rejected and shrinks by _MIN_SHRINK.
@@ -472,14 +469,17 @@ def trajectory_csv_rows(result: FlowResult) -> Iterator[list[str]]:
     """Trajectory as CSV rows (header first), deterministic formatting.
 
     Columns: t, the metric entries c_re_jk / c_im_jk in row-major (j, k)
-    order, then trace, det, min_eig, dist_to_flat. Floats are rendered with
-    ``repr`` so identical runs produce identical bytes.
+    order, then trace, det, min_eig, dist_to_flat. ``j`` and ``k`` are each
+    zero-padded to the digits of ``n - 1`` (``c_re_0111`` at n = 12), so
+    every name is unique; for n <= 10 they are single digits. Floats are
+    rendered with ``repr`` so identical runs produce identical bytes.
     """
     n = result.torus.n
+    width = len(str(n - 1))
     header = ["t"]
     for j in range(n):
         for k in range(n):
-            header += [f"c_re_{j}{k}", f"c_im_{j}{k}"]
+            header += [f"c_re_{j:0{width}}{k:0{width}}", f"c_im_{j:0{width}}{k:0{width}}"]
     header += ["trace", "det", "min_eig", "dist_to_flat"]
     yield header
     for s in result.samples:

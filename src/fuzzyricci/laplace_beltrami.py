@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, MetricDegenerate
-from .linalg import as_square_matrix, hermitian_eig, matrix_to_json
+from .linalg import as_square_matrix, hermitian_eig, lower_mirrored, matrix_to_json
 from .torus import FuzzyTorus
 
 # Relative spectral-gap threshold below which eigenvalues are grouped as
@@ -75,11 +75,14 @@ class WeightedSpace:
         """Validate ``c`` (square, Hermitian, eigenvalues above ``POSITIVITY_FLOOR``).
 
         Raises ``InvalidInput`` for a non-square or grossly non-Hermitian
-        ``c`` and ``MetricDegenerate`` when positive definiteness fails.
+        ``c`` and ``MetricDegenerate`` when positive definiteness fails. The
+        state keeps the matrix ``eigh`` decomposed: the lower triangle of
+        ``c``, mirrored, with a real diagonal, so it is exactly Hermitian.
         """
-        eig = hermitian_eig(as_square_matrix(c, "metric"))  # rejects gross non-Hermiticity
-        check_positive(eig.eigenvalues)
-        return cls(c=eig.matrix, eigenvalues=eig.eigenvalues, eigenvectors=eig.eigenvectors)
+        c = as_square_matrix(c, "metric")
+        w, v = hermitian_eig(c)  # rejects gross non-Hermiticity
+        check_positive(w)
+        return cls(lower_mirrored(c, np.tri(len(c), dtype=bool)), w, v)
 
     def _power(self, p: float) -> np.ndarray:
         return stacked_power([self], p)[0]
@@ -251,7 +254,7 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
     """
     spaces = [metric_state(torus, c) for c in states]
     s = stacked_power(spaces, -0.5)
-    w, v = hermitian_eig(_conjugated_operators(torus, s))
+    w, v = np.linalg.eigh(_conjugated_operators(torus, s))
     n, count = torus.n, len(spaces)
     thresholds = GAP_TOL_REL * np.maximum(np.max(np.abs(w), axis=-1, initial=0.0), 1.0)
     kernels = np.abs(w) < thresholds[:, None]

@@ -2,8 +2,9 @@
 
 Matrices are plain complex ``numpy`` arrays, and so is every dense operator
 on them: an ``(n^2, n^2)`` array acting on flattened matrices. The module
-provides the Hilbert-Schmidt structure ``<a,b> = tr(a* b)``, Hermitian
-eigendecomposition with a fixed symmetrization policy, functional calculus
+provides the Hilbert-Schmidt structure ``<a,b> = tr(a* b)``, the checked
+Hermitian eigendecomposition of a matrix from outside the program, the
+matrix that ``eigh`` decomposes (``lower_mirrored``), functional calculus
 ``f(a) = V f(L) V*``, an operator's ``hermiticity_defect``, the vectorization
 of linear matrix maps by probing matrix units (``superop_from_map``), the
 reference that the closed-form operators are checked against, and
@@ -20,15 +21,14 @@ of an operator can be read off its ``n^2 x n^2`` matrix directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidInput, SpectrumOutOfDomain
 
-# Hermiticity drift up to HERM_TOL_SCALE * ||a|| is silently symmetrized;
-# anything larger is an error, not roundoff.
+# Hermiticity drift up to HERM_TOL_SCALE * ||a|| is roundoff, and eigh reads
+# only the lower triangle; anything larger is an error.
 HERM_TOL_SCALE = 1e-10
 
 
@@ -85,58 +85,36 @@ def hs_norm(a) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
-@dataclass(eq=False, slots=True)
-class HermitianEig:
-    """Eigendecomposition ``V diag(eigenvalues) V*`` of the Hermitian ``matrix``.
-
-    Unpacks as ``eigenvalues, eigenvectors``.
-    """
-
-    eigenvalues: np.ndarray  # real, ascending
-    eigenvectors: np.ndarray  # unitary, eigenvectors in columns
-    matrix: np.ndarray  # the symmetrized input that was decomposed
-
-    def __iter__(self):
-        return iter((self.eigenvalues, self.eigenvectors))
-
-
-def hermitian_eig(a) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix in a stack ``(..., n, n)``.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of one Hermitian matrix from outside the program, once it is checked.
 
     The input may drift off Hermitian by up to ``HERM_TOL_SCALE * ||a||``
-    (roundoff); it is symmetrized before decomposition, and the
-    result keeps that symmetrized matrix. A larger defect, or a non-finite
-    norm (a NaN or inf entry), raises ``InvalidInput``; a stack is checked
-    one matrix at a time, in order, and decomposed by one ``eigh`` call,
-    with the same bits as separate calls. A real input stays real, with
-    real orthogonal eigenvectors. Output is deterministic for identical
-    input: eigenvalues ascending, eigenvectors in the corresponding columns.
+    (roundoff); ``eigh`` reads its lower triangle only, so what is decomposed
+    is ``lower_mirrored(a, np.tri(n, dtype=bool))``. A non-square input, a
+    larger defect, or a non-finite norm (a NaN or inf entry) raises
+    ``InvalidInput``. Matrices the program builds itself go straight to
+    ``eigh``. Unpacks as ``eigenvalues, eigenvectors``: ascending, with the
+    eigenvectors in the corresponding columns.
     """
-    a = np.asarray(a)
-    a = _symmetrized(np.asarray(a, dtype=float if a.dtype == float else complex))
-    w, v = np.linalg.eigh(a)
-    return HermitianEig(w, v, a)
+    a = as_square_matrix(a)
+    norm = hs_norm(a)
+    # Against a NaN or inf norm the defect test below would pass.
+    if not math.isfinite(norm):
+        raise InvalidInput(f"matrix norm is not finite: ||a|| = {norm}")
+    defect = hs_norm(a - a.conj().T)
+    if defect > HERM_TOL_SCALE * norm:
+        raise InvalidInput(
+            f"matrix is not Hermitian: ||a - a*|| = {defect:.3e} "
+            f"exceeds {HERM_TOL_SCALE:g} * ||a||"
+        )
+    return np.linalg.eigh(a)
 
 
-def _symmetrized(a: np.ndarray) -> np.ndarray:
-    """``(a + a*)/2``, once each matrix of ``a`` is checked square, finite and Hermitian."""
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidInput(f"matrix must be square, got shape {a.shape}")
-    adjoint = a.conj().swapaxes(-1, -2)
-    n = a.shape[-1]
-    # vdot norms per matrix: np.vecdot costs ~2x per matrix at n=16
-    for m, m_adjoint in zip(a.reshape(-1, n, n), adjoint.reshape(-1, n, n)):
-        norm = hs_norm(m)
-        # Against a NaN or inf norm the defect test below would pass.
-        if not math.isfinite(norm):
-            raise InvalidInput(f"matrix norm is not finite: ||a|| = {norm}")
-        defect = hs_norm(m - m_adjoint)
-        if defect > HERM_TOL_SCALE * norm:
-            raise InvalidInput(
-                f"matrix is not Hermitian: ||a - a*|| = {defect:.3e} "
-                f"exceeds {HERM_TOL_SCALE:g} * ||a||"
-            )
-    return (a + adjoint) / 2
+def lower_mirrored(a: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """What ``eigh`` decomposes for ``a``: its triangle ``lower``, mirrored, real diagonal."""
+    a = np.where(lower, a, a.conj().T)
+    np.fill_diagonal(a, a.diagonal().real)
+    return a
 
 
 def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -149,8 +127,7 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     ``SpectrumOutOfDomain``. The result is Hermitian whenever ``f`` is
     real-valued.
     """
-    eig = hermitian_eig(a)
-    w = eig.eigenvalues
+    w, v = hermitian_eig(a)
     with np.errstate(all="ignore"):
         fw = np.asarray(f(w))
     bad = ~np.isfinite(fw)
@@ -159,7 +136,6 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         raise SpectrumOutOfDomain(
             f"function undefined at eigenvalue {offending!r}", eigenvalue=offending
         )
-    v = eig.eigenvectors
     return (v * fw) @ v.conj().T
 
 

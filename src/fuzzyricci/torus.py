@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParams
-from .linalg import HermitianEig, hermitian_eig, matrix_to_json
+from .linalg import matrix_to_json
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class FuzzyTorus:
                 images = _flat_laplacian(self.y, self._x_weights, basis.reshape(-1, n, n))
                 coords = _gather(images.reshape(end - row, -1).view(float), gather_in)
                 block[row - lo : end - lo] = coords[:, lo:hi]
-            blocks.append(hermitian_eig(block))
+            blocks.append(np.linalg.eigh(block))
         return ReflectionSplit(n, *blocks, gather_in, gather_out)
 
     def to_json(self) -> dict:
@@ -170,7 +170,8 @@ class FuzzyTorus:
 class ReflectionSplit:
     """The flat Laplacian on Hermitian matrices as two real symmetric blocks.
 
-    ``even`` and ``odd`` decompose ``L`` on the S-even and S-odd
+    ``even`` and ``odd`` are ``np.linalg.eigh``'s results (with
+    ``.eigenvalues`` and ``.eigenvectors``) for ``L`` on the S-even and S-odd
     reflection-adapted coordinates (sizes n(n+1)/2 and n(n-1)/2). Eigen-
     coordinates are real vectors of length n^2, the even block's first:
     ``eigenvalues`` lists the blocks' eigenvalues in that order (each block's
@@ -179,8 +180,8 @@ class ReflectionSplit:
     """
 
     n: int
-    even: HermitianEig
-    odd: HermitianEig
+    even: tuple[np.ndarray, np.ndarray]
+    odd: tuple[np.ndarray, np.ndarray]
     _gather_in: _Gather
     _gather_out: _Gather
 

@@ -431,6 +431,34 @@ class TestSimulate:
         first = rows[1].split(",")
         assert float(first[1]) == 1.0 and float(first[7]) == 3.0
 
+    def test_non_hermitian_initial_file_exit_2_and_no_files(self, tmp_path, capsys):
+        c0 = np.diag([1.0, 3.0]).astype(complex)
+        c0[0, 1] = 100 * linalg.HERM_TOL_SCALE * linalg.hs_norm(c0)
+        path = tmp_path / "c0.json"
+        path.write_text(json.dumps(linalg.matrix_to_json(c0)))
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--n", 2, "--initial", path, "--out", out]) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput" and "not Hermitian" in err["message"]
+
+    def test_drifted_initial_file_runs_from_its_lower_triangle(self, tmp_path):
+        # Roundoff drift is accepted, and the first sample is the matrix eigh
+        # decomposed: the lower triangle mirrored, with a real diagonal.
+        c0 = flow.random_metric(3, 1)
+        c0[2, 0] += 1e-13
+        c0[1, 1] += 1e-13j
+        path = tmp_path / "c0.json"
+        path.write_text(json.dumps(linalg.matrix_to_json(c0)))
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--n", 3, "--initial", path, "--t1", 0.5, "--out", out]) == 0
+        doc = json.loads((out / "trajectory.json").read_text())
+        first = linalg.matrix_from_json(doc["samples"][0]["c"])
+        mirrored = np.tril(c0) + np.tril(c0, -1).conj().T
+        np.fill_diagonal(mirrored, c0.diagonal().real)
+        np.testing.assert_array_equal(first, mirrored)
+        np.testing.assert_array_equal(first, first.conj().T)
+
     @pytest.mark.parametrize(
         "text",
         [

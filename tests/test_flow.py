@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from fuzzyricci import (
     FlowConfig,
+    FlowResult,
     FuzzyTorus,
     InvalidInput,
     InvalidParams,
@@ -612,7 +613,11 @@ class TestExplicitTrial:
         assert len(states) == len(increments) == 6
         for state, increment in zip(states, increments):
             assert hs_norm(state - c - increment) <= 1e-13 * hs_norm(increment)
-        np.testing.assert_array_equal(space.c, (states[-1] + states[-1].conj().T) / 2)
+        # from_metric keeps the triangle eigh read, mirrored, with a real diagonal.
+        last = states[-1]
+        mirrored = np.tril(last) + np.tril(last, -1).conj().T
+        np.fill_diagonal(mirrored, last.diagonal().real)
+        np.testing.assert_array_equal(space.c, mirrored)
         assert k_next is fields[6]
         expected = h * hs_norm(sum((b5 - b4) * k for b5, b4, k in zip(DP_B5, DP_B4, fields)))
         assert error == pytest.approx(expected, rel=1e-13)
@@ -806,6 +811,16 @@ class TestTrajectorySerialization:
         ]
         assert len(rows) == 1 + len(result.samples)
         assert float(rows[1][0]) == 0.0 and float(rows[-1][0]) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 10, 12, 16])
+    def test_csv_header_names_each_entry_once(self, n):
+        # Unpadded, (1, 11) and (11, 1) would both be c_re_111 at n = 12.
+        header = next(trajectory_csv_rows(FlowResult(FuzzyTorus(n), FlowConfig())))
+        for part in ("c_re_", "c_im_"):
+            digits = [name[len(part):] for name in header if name.startswith(part)]
+            assert all(len(d) % 2 == 0 for d in digits)
+            pairs = [(int(d[: len(d) // 2]), int(d[len(d) // 2 :])) for d in digits]
+            assert pairs == [(j, k) for j in range(n) for k in range(n)]
 
     def test_csv_round_trips_metric(self, result):
         rows = list(trajectory_csv_rows(result))

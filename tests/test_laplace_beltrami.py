@@ -14,6 +14,7 @@ from fuzzyricci.laplace_beltrami import (
     COUNTEREXAMPLE_SEED,
     WeightedSpace,
     lb_conjugated_superop,
+    lb_spectra,
     metric_state,
     rayleigh_quotient,
     rejected_operator_superop,
@@ -29,7 +30,7 @@ from fuzzyricci.linalg import (
     superop_from_map,
 )
 from fuzzyricci.verify import coprime_pairs
-from conftest import random_complex
+from conftest import ROUNDOFF_PAIRS, random_complex, recording_eigh
 
 
 def lb_apply(torus, space, a):
@@ -213,6 +214,18 @@ class TestCurvedLaplacian:
         assert hermiticity_defect(op) <= 1e-11
         w = np.linalg.eigvalsh((op + op.conj().T) / 2)
         assert w[0] >= -1e-10 * max(abs(w[-1]), 1.0)
+
+    @pytest.mark.parametrize("n,m", ROUNDOFF_PAIRS)
+    def test_operators_reach_eigh_hermitian_to_roundoff(self, n, m, monkeypatch):
+        # lb_spectra sends its stacked operators straight to eigh, which reads
+        # one triangle, unchecked: their Hermiticity defect must stay at
+        # roundoff, far below the HERM_TOL_SCALE that outside matrices meet.
+        inputs = recording_eigh(monkeypatch)
+        lb_spectra(FuzzyTorus(n, m), [random_metric(n, seed) for seed in range(6)])
+        operators = inputs[-1]
+        assert operators.shape == (6, n * n, n * n)
+        for op in operators:
+            assert hs_norm(op - op.conj().T) <= 16 * np.finfo(float).eps * hs_norm(op)
 
     @pytest.mark.parametrize("n,m", list(coprime_pairs(8)))
     def test_closed_form_matches_probed_map(self, n, m):

@@ -6,7 +6,7 @@ import pytest
 from fuzzyricci import FuzzyTorus, InvalidParams, verify
 from fuzzyricci.linalg import hermitian_eig, hs_norm, matrix_function, superop_from_map
 from fuzzyricci.torus import _ad, commutant_dimension
-from conftest import random_complex, random_hermitian
+from conftest import ROUNDOFF_PAIRS, random_complex, random_hermitian, recording_eigh
 
 ALL_PAIRS = [
     (n, m) for n in range(2, 9) for m in range(1, n) if math.gcd(m, n) == 1
@@ -206,6 +206,17 @@ class TestReflectionSplit:
         assert np.isrealobj(split.even.eigenvectors) and np.isrealobj(split.odd.eigenvectors)
         w = hermitian_eig(t.laplacian).eigenvalues
         np.testing.assert_allclose(np.sort(split.eigenvalues), w, rtol=0, atol=1e-14 * w[-1])
+
+    @pytest.mark.parametrize("n,m", ROUNDOFF_PAIRS)
+    def test_blocks_reach_eigh_symmetric_to_roundoff(self, n, m, monkeypatch):
+        # The blocks go straight to eigh, which reads one triangle, unchecked.
+        inputs = recording_eigh(monkeypatch)
+        FuzzyTorus(n, m).laplacian_split
+        sizes = [n * (n + 1) // 2, n * (n - 1) // 2]
+        assert [b.shape for b in inputs] == [(size, size) for size in sizes]
+        for block in inputs:
+            assert np.isrealobj(block)
+            assert hs_norm(block - block.T) <= 16 * np.finfo(float).eps * hs_norm(block)
 
     @pytest.mark.parametrize("n,m", SPLIT_PAIRS)
     def test_round_trip_through_eigen_coordinates(self, n, m, rng):

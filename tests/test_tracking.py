@@ -15,7 +15,7 @@ from fuzzyricci import (
     run_flow,
     track_spectrum,
 )
-from fuzzyricci import laplace_beltrami, linalg, tracking
+from fuzzyricci import tracking
 from fuzzyricci.flow import sample_times
 from fuzzyricci.laplace_beltrami import WeightedSpace
 from fuzzyricci.linalg import hs_norm
@@ -28,6 +28,7 @@ from fuzzyricci.tracking import (
     variation_rhs,
     variation_rhs_state_form,
 )
+from conftest import recording_eigh
 
 
 def sample_at(torus, c):
@@ -360,19 +361,11 @@ class TestVariationReport:
         trajectory = run_flow(
             torus3, random_metric(3, 1), FlowConfig(t1=0.2, sample_stride=1e-3)
         )
-        shapes = []
-        real_eig = linalg.hermitian_eig
-
-        def counting_eig(a):
-            shapes.append(np.shape(a))
-            return real_eig(a)
-
-        for module in (laplace_beltrami, linalg, tracking):
-            if vars(module).get("hermitian_eig") is real_eig:
-                monkeypatch.setattr(module, "hermitian_eig", counting_eig)
+        # Every eigh call the report makes counts, checked or not.
+        inputs = recording_eigh(monkeypatch)
         first_variation_report(trajectory)
         assert len(trajectory.samples) == 201
-        assert shapes == [(201, 9, 9)]
+        assert [a.shape for a in inputs] == [(201, 9, 9)]
 
     def test_chunked_spectra_equal_per_sample_spectra(self, monkeypatch):
         # A chunk holds 2**14 // n**4 samples: 64 at n = 4 and 26 at n = 5, so
