@@ -4,9 +4,14 @@ A trajectory of metrics induces, at each sample time, a full curved-Laplacian
 spectrum. Consecutive spectra are stitched into continuous curves by solving
 an assignment problem on squared eigenvector overlaps, with global phases
 fixed so that consecutive overlaps are real positive (first sample: largest
-magnitude component made real positive). Crossings are not resolved: samples
-where the spectral gap collapses or the best overlap drops below
-``OVERLAP_MIN`` are flagged and excluded from quantitative aggregates.
+magnitude component made real positive). The assignment is exact:
+Jonker-Volgenant shortest augmenting paths (Jonker & Volgenant, Computing 38,
+1987; Crouse, IEEE TAES 52, 2016), warm-started by row reduction. A row whose
+largest overlap lies in a column no other row claims is assigned at once, and
+only the contested rows run an augmenting search; along a flow the row maxima
+are nearly always a permutation, so no search runs. Crossings are not
+resolved: samples where the spectral gap collapses or the best overlap drops
+below ``OVERLAP_MIN`` are flagged and excluded from quantitative aggregates.
 
 The tracked curves satisfy a first variation law along the flow,
 
@@ -69,17 +74,90 @@ class MatchResult:
     degenerate: np.ndarray
 
 
-def match_eigenpairs(prev: np.ndarray, cur: np.ndarray) -> MatchResult:
-    """Match two stacks of flat eigenvectors by maximum total squared overlap."""
-    # scipy.optimize is most of the package's import time; only matching needs it.
-    from scipy.optimize import linear_sum_assignment
+def _max_weight_assignment(weight: np.ndarray) -> np.ndarray:
+    """The permutation ``perm`` maximizing ``sum(weight[i, perm[i]])`` of a square matrix.
 
+    Row reduction first: each row takes its largest entry's column (the
+    first, on a tie). If those columns are all distinct, they are optimal,
+    since the sum of row maxima bounds every assignment. Otherwise the
+    contested rows give up their columns and each runs a shortest augmenting
+    path search (:func:`_augment_contested`). A NaN or inf entry raises
+    ``InvalidInput``: the search cannot terminate on one.
+    """
+    k = len(weight)
+    if np.count_nonzero(np.isfinite(weight)) != weight.size:
+        raise InvalidInput("overlap matrix has a NaN or inf entry")
+    col4row = weight.argmax(axis=1)
+    claims = np.bincount(col4row, minlength=k)
+    if np.count_nonzero(claims) < k:
+        _augment_contested(weight, col4row, claims)
+    return col4row
+
+
+def _augment_contested(weight: np.ndarray, col4row: np.ndarray, claims: np.ndarray) -> None:
+    """Reassign, in place, every row of ``col4row`` whose column ``claims`` counts twice or more.
+
+    Jonker-Volgenant shortest augmenting paths on the cost ``-weight``, as
+    Crouse's rectangular LSAP (the algorithm behind scipy's
+    ``linear_sum_assignment``). The row reduction is the starting dual:
+    ``u[i] = -max(weight[i])`` and ``v = 0`` keep every reduced cost
+    ``-weight[i, j] - u[i] - v[j]`` non-negative, zero on each kept row's
+    column. Each search is Dijkstra's algorithm on reduced costs from one
+    free row to the nearest unassigned column; the duals then move so the
+    new path's reduced costs are zero, and the path is flipped.
+    """
+    k = len(weight)
+    rows = np.arange(k)
+    contested = claims[col4row] > 1
+    cost = -weight
+    u = cost[rows, col4row]
+    v = np.zeros(k)
+    col4row[contested] = -1
+    row4col = np.full(k, -1)
+    row4col[col4row[~contested]] = rows[~contested]
+    for start in rows[contested]:
+        shortest = np.empty(k)  # path cost to each scanned column
+        frontier = np.full(k, np.inf)  # path cost to each unscanned column; inf once scanned
+        unscanned = np.ones(k, dtype=bool)
+        path = np.empty(k, dtype=int)  # the row each column's shortest path comes from
+        scanned, visited = [], []
+        distance, i = 0.0, start
+        while True:
+            visited.append(i)
+            reach = distance + cost[i] - u[i] - v
+            shorter = unscanned & (reach < frontier)
+            frontier[shorter] = reach[shorter]
+            path[shorter] = i
+            j = int(frontier.argmin())
+            distance = shortest[j] = frontier[j]
+            frontier[j], unscanned[j] = np.inf, False
+            scanned.append(j)
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[start] += distance
+        others = visited[1:]
+        u[others] += distance - shortest[col4row[others]]
+        v[scanned] -= distance - shortest[scanned]
+        while True:  # flip the path back to its start row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+
+
+def match_eigenpairs(prev: np.ndarray, cur: np.ndarray) -> MatchResult:
+    """Match two stacks of flat eigenvectors by maximum total squared overlap.
+
+    A NaN or inf overlap raises ``InvalidInput``.
+    """
     if prev.shape != cur.shape:
         raise InvalidInput(f"dimension mismatch: {prev.shape} vs {cur.shape} vector stacks")
     p = prev.reshape(len(prev), -1)
     q = cur.reshape(len(cur), -1)
     overlap = p.conj() @ q.T  # overlap[i, j] = <prev_i, cur_j>
-    _, perm = linear_sum_assignment(-np.abs(overlap) ** 2)
+    perm = _max_weight_assignment(np.abs(overlap) ** 2)
     z = overlap[np.arange(len(prev)), perm]
     mag = np.abs(z)
     phases = np.where(mag > 0, np.conj(z) / np.where(mag > 0, mag, 1.0), 1.0)

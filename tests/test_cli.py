@@ -25,7 +25,7 @@ def run_cli(args):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # Only eigencurve matching needs scipy.optimize, which dominates import time.
+    # No command needs scipy; loading scipy.optimize would dominate import time.
     src = str(Path(fuzzyricci.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, fuzzyricci.cli; print('scipy.optimize' in sys.modules)"
@@ -36,13 +36,22 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert done.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command", ["simulate", "spectrum"])
-def test_command_leaves_scipy_unloaded(tmp_path, command):
-    # Loading scipy costs set-up time and memory; only eigencurve matching
-    # (track, verify) needs it, and imports it where it is used.
+@pytest.mark.parametrize(
+    "command, size",
+    [
+        ("simulate", ["--n", "3", "--t1", "0.1"]),
+        ("spectrum", ["--n", "3", "--t1", "0.1"]),
+        ("track", ["--n", "2", "--t1", "0.05"]),
+        ("verify", ["--n-max", "2"]),
+    ],
+    ids=["simulate", "spectrum", "track", "verify"],
+)
+def test_command_leaves_scipy_unloaded(tmp_path, command, size):
+    # Loading scipy costs set-up time and memory, and no command needs it:
+    # eigencurve matching (track, verify) has its own assignment solver.
     src = str(Path(fuzzyricci.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    args = [command, "--n", "3", "--t1", "0.1", "--out", str(tmp_path / "run")]
+    args = [command, *size, "--out", str(tmp_path / "run")]
     code = (
         "import sys\n"
         "from fuzzyricci import cli\n"

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from fuzzyricci import (
     FlowConfig,
@@ -28,7 +29,7 @@ from fuzzyricci.tracking import (
     variation_rhs,
     variation_rhs_state_form,
 )
-from conftest import recording_eigh
+from conftest import random_complex, recording_eigh
 
 
 def sample_at(torus, c):
@@ -77,6 +78,93 @@ class TestMatching:
         b = lb_spectrum(torus3, np.eye(3)).vectors_flat
         with pytest.raises(InvalidInput):
             match_eigenpairs(a, b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_overlap_rejected(self, torus2, bad):
+        # The augmenting search never finishes on a NaN: the guard runs first.
+        vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
+        broken = vectors.copy()
+        broken[2, 0, 1] = bad
+        # inf * 0 in the overlap product warns before the guard sees the NaN.
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidInput, match="NaN or inf"):
+            match_eigenpairs(vectors, broken)
+        weight = np.eye(3)
+        weight[1, 0] = bad  # rows 0 and 1 contest column 0: the search would run
+        with pytest.raises(InvalidInput, match="NaN or inf"):
+            tracking._max_weight_assignment(weight)
+
+
+def scipy_assignment(weight):
+    """The reference solver: scipy's exact assignment, minimizing the negated weights."""
+    return linear_sum_assignment(-weight)[1]
+
+
+def assignment_weights(kind, k, rng):
+    """A k x k weight matrix of one kind; every kind but "ties" has a unique optimum almost surely."""
+    if kind == "random":
+        return rng.random((k, k))
+    if kind == "unitary":  # |U|^2: the overlaps of two orthonormal bases
+        return np.abs(np.linalg.qr(random_complex(rng, k))[0]) ** 2
+    if kind == "near_identity":
+        return np.eye(k) + 1e-3 * rng.random((k, k))
+    if kind == "ties":
+        return rng.integers(0, 3, (k, k)).astype(float)
+    if kind == "one_column":  # every row's maximum in one column
+        weight = rng.random((k, k))
+        weight[:, rng.integers(k)] += 1.0
+        return weight
+    # "collisions": a third of the rows put their maximum in one shared column
+    target = rng.permutation(k)
+    target[: k // 3] = target[0]
+    weight = 0.05 * rng.random((k, k))
+    weight[np.arange(k), target] += 1.0
+    return weight
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("k", [1, 2, 4, 16, 81, 256])
+    @pytest.mark.parametrize(
+        "kind", ["random", "unitary", "near_identity", "ties", "one_column", "collisions"]
+    )
+    def test_matches_scipy(self, k, kind):
+        rng = np.random.default_rng(k)
+        rows = np.arange(k)
+        for _ in range(3 if k == 256 else 10):
+            weight = assignment_weights(kind, k, rng)
+            perm = tracking._max_weight_assignment(weight.copy())
+            reference = scipy_assignment(weight)
+            np.testing.assert_array_equal(np.sort(perm), rows)
+            assert abs(weight[rows, perm].sum() - weight[rows, reference].sum()) <= 1e-12
+            if kind != "ties":
+                np.testing.assert_array_equal(perm, reference)
+
+    def test_contested_rows_run_the_search(self, monkeypatch):
+        weight = assignment_weights("one_column", 16, np.random.default_rng(0))
+        searches = []
+        search = tracking._augment_contested
+        monkeypatch.setattr(
+            tracking, "_augment_contested", lambda *args: (searches.append(1), search(*args))
+        )
+        np.testing.assert_array_equal(
+            tracking._max_weight_assignment(weight), scipy_assignment(weight)
+        )
+        assert searches == [1]
+        # A permutation of row maxima is the optimum, and no search runs.
+        assert tracking._max_weight_assignment(np.eye(16)[::-1]).tolist() == list(range(15, -1, -1))
+        assert searches == [1]
+
+    @pytest.mark.parametrize("n, m, seed", [(5, 2, 3), (8, 1, 0)])
+    def test_curves_equal_scipy_matching(self, monkeypatch, n, m, seed):
+        # At (8, 1, 0) two samples have contested rows, so the search runs.
+        trajectory = run_flow(
+            FuzzyTorus(n, m), random_metric(n, seed), FlowConfig(t1=0.05, sample_stride=1e-3)
+        )
+        ours = track_spectrum(trajectory)
+        monkeypatch.setattr(tracking, "_max_weight_assignment", scipy_assignment)
+        theirs = track_spectrum(trajectory)
+        for field in ("values", "min_gap", "degenerate", "vectors"):
+            assert getattr(ours, field).tobytes() == getattr(theirs, field).tobytes()
+        assert ours.kernel == theirs.kernel
 
 
 class TestFiniteDifferences:
