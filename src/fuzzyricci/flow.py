@@ -28,7 +28,7 @@ the same error norm, FSAL, cone rejection and step controller (only the
 controller's exponent follows the estimate's order, and the explicit phase's
 step cap ``_MAX_STEP`` no longer applies). Its weights, the phi-functions of
 ``-h L/kappa``, are diagonal in the real eigen-coordinates of the flat
-``L``'s two reflection blocks (``FuzzyTorus.laplacian_split``), where every
+``L`` on Hermitian matrices (``FuzzyTorus.laplacian_split``), where every
 stage is an increment from the step's start state, so every stage state is
 exactly Hermitian. That decomposition is built once per torus and only by a
 run that switches; a tail trial evaluates five fields and applies ``L`` only
@@ -72,7 +72,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
 )
-from .torus import FuzzyTorus, ReflectionSplit
+from .torus import FuzzyTorus, RealSplit
 
 # Dormand-Prince 4(5) tableau: A rows of stages 2-6, then the weights. B5 is
 # the fifth-order propagating weight vector, B4 the embedded fourth-order one;
@@ -311,11 +311,12 @@ def _dp45_trial(evaluate, c: np.ndarray, k1: np.ndarray, h: float):
 
 
 def _etd_trial(
-    evaluate, c: np.ndarray, k1: np.ndarray, h: float, rates: np.ndarray, split: ReflectionSplit
+    evaluate, c: np.ndarray, k1: np.ndarray, h: float, rates: np.ndarray, split: RealSplit
 ):
     """An exponential Runge-Kutta trial on ``e^{-sL/kappa}``: ``(space_next, k_next, error)``.
 
-    In the real eigen-coordinates of the flat ``L`` (``split``), where
+    In the real eigen-coordinates of the flat ``L`` on Hermitian matrices,
+    one real symmetric n^2 x n^2 matrix (``split``), where
     ``L/kappa`` acts as the ``rates`` ``mu = max(eig L, 0)/kappa``, write a
     stage state as the increment ``d`` from ``c``: ``C = c + Q(d)``, with
     ``Q = split.from_eigen``, so every stage state is exactly Hermitian.

@@ -15,13 +15,12 @@ commutators behind ``commutant_dimension``, are built in closed form from
 Kronecker products: under the row-major flattening ``a -> [p, a]`` has the
 matrix ``p (x) I - I (x) p^T``. The dense matrix is cached per torus.
 
-``L`` maps Hermitian matrices to Hermitian matrices and commutes with the
-reflection ``S(a) = P a^T P`` (``P`` reverses the index), because
-``P x P = m(n-1) I - x`` and ``P y P = y^T``. On the real coordinates of a
-Hermitian matrix it is therefore a real symmetric matrix that splits into an
-S-even and an S-odd block; ``laplacian_split`` decomposes the two blocks
-(a ``ReflectionSplit``), for the flow's exponential tail and the invariant
-suite's kernel checks.
+``L`` maps Hermitian matrices to Hermitian matrices and is symmetric in the
+Hilbert-Schmidt inner product. On the real coordinates of a Hermitian matrix
+(the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle)
+it is therefore one real symmetric n^2 x n^2 matrix; ``laplacian_split``
+decomposes it (a ``RealSplit``), for the flow's exponential tail and the
+invariant suite's kernel checks.
 """
 
 from __future__ import annotations
@@ -131,27 +130,23 @@ class FuzzyTorus:
         return m
 
     @cached_property
-    def laplacian_split(self) -> ReflectionSplit:
-        """The flat Laplacian's two real blocks and their eigendecompositions.
+    def laplacian_split(self) -> RealSplit:
+        """The flat Laplacian in a Hermitian matrix's real coordinates, decomposed.
 
-        Each block is filled from ``L`` applied to its basis matrices (the
-        formula of ``laplacian_apply``), n of them at a time, so neither the
-        dense complex matrix nor its decomposition is needed.
+        The real symmetric n^2 x n^2 matrix is filled from ``L`` applied to the
+        coordinates' basis matrices (the formula of ``laplacian_apply``), n of
+        them at a time, so neither the dense complex matrix nor its
+        decomposition is needed, and decomposed with one ``eigh`` call.
         """
         n = self.n
-        gather_in, gather_out, n_even = _adapted_coordinates(n)
-        blocks = []
-        for lo, hi in ((0, n_even), (n_even, n * n)):
-            block = np.empty((hi - lo, hi - lo))
-            for row in range(lo, hi, n):
-                end = min(row + n, hi)
-                units = np.eye(end - row, n * n, row)  # these rows' coordinate vectors
-                basis = np.ascontiguousarray(_gather(units, gather_out)).view(complex)
-                images = _flat_laplacian(self.y, self._x_weights, basis.reshape(-1, n, n))
-                coords = _gather(images.reshape(end - row, -1).view(float), gather_in)
-                block[row - lo : end - lo] = coords[:, lo:hi]
-            blocks.append(np.linalg.eigh(block))
-        return ReflectionSplit(n, *blocks, gather_in, gather_out)
+        index_in, scale, index_out, weight_out = _real_coordinates(n)
+        block = np.empty((n * n, n * n))
+        for row in range(0, n * n, n):
+            units = np.eye(n, n * n, row)  # these rows' coordinate vectors
+            basis = np.ascontiguousarray(weight_out * units[:, index_out]).view(complex)
+            images = _flat_laplacian(self.y, self._x_weights, basis.reshape(n, n, n))
+            block[row : row + n] = scale * images.reshape(n, -1).view(float)[:, index_in]
+        return RealSplit(n, *np.linalg.eigh(block), index_in, scale, index_out, weight_out)
 
     def to_json(self) -> dict:
         """Dump the generators for cross-checking against other builds."""
@@ -167,40 +162,33 @@ class FuzzyTorus:
 
 
 @dataclass(frozen=True, eq=False)
-class ReflectionSplit:
-    """The flat Laplacian on Hermitian matrices as two real symmetric blocks.
+class RealSplit:
+    """The flat Laplacian on Hermitian matrices as one real symmetric matrix, decomposed.
 
-    ``even`` and ``odd`` are ``np.linalg.eigh``'s results (with
-    ``.eigenvalues`` and ``.eigenvectors``) for ``L`` on the S-even and S-odd
-    reflection-adapted coordinates (sizes n(n+1)/2 and n(n-1)/2). Eigen-
-    coordinates are real vectors of length n^2, the even block's first:
-    ``eigenvalues`` lists the blocks' eigenvalues in that order (each block's
-    ascending). Both maps are isometries between Hermitian matrices in the
+    ``eigenvalues`` (ascending) and ``eigenvectors`` (columns) are
+    ``np.linalg.eigh``'s for ``L`` in the real coordinates of
+    ``_real_coordinates``. Eigen-coordinates are real vectors of length n^2.
+    Both maps are isometries between Hermitian matrices in the
     Hilbert-Schmidt norm and eigen-coordinates in the Euclidean norm.
     """
 
     n: int
-    even: tuple[np.ndarray, np.ndarray]
-    odd: tuple[np.ndarray, np.ndarray]
-    _gather_in: _Gather
-    _gather_out: _Gather
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return np.concatenate([self.even.eigenvalues, self.odd.eigenvalues])
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    _index_in: np.ndarray
+    _scale: np.ndarray
+    _index_out: np.ndarray
+    _weight_out: np.ndarray
 
     def to_eigen(self, a: np.ndarray) -> np.ndarray:
         """Eigen-coordinates of a Hermitian ``a``, read from its upper triangle and diagonal."""
         af = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float)
-        z = _gather(af, self._gather_in)
-        ne = len(self.even.eigenvalues)
-        return np.concatenate([z[:ne] @ self.even.eigenvectors, z[ne:] @ self.odd.eigenvectors])
+        return (self._scale * af[self._index_in]) @ self.eigenvectors
 
     def from_eigen(self, d: np.ndarray) -> np.ndarray:
         """The exactly Hermitian matrix with eigen-coordinates ``d``."""
-        ne = len(self.even.eigenvalues)
-        z = np.concatenate([self.even.eigenvectors @ d[:ne], self.odd.eigenvectors @ d[ne:]])
-        return _gather(z, self._gather_out).view(complex).reshape(self.n, self.n)
+        z = self.eigenvectors @ d
+        return (self._weight_out * z[self._index_out]).view(complex).reshape(self.n, self.n)
 
 
 def _flat_laplacian(y: np.ndarray, weights: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -209,67 +197,30 @@ def _flat_laplacian(y: np.ndarray, weights: np.ndarray, a: np.ndarray) -> np.nda
     return (y @ b - b @ y) + weights * a
 
 
-# A two-term gather (index1, weight1, index2, weight2) along the last axis:
-# out = weight1 * values[..., index1] + weight2 * values[..., index2].
-_Gather = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+def _real_coordinates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One-term gathers between an n x n Hermitian matrix and its real coordinates.
 
-
-def _gather(values: np.ndarray, gather: _Gather) -> np.ndarray:
-    i1, w1, i2, w2 = gather
-    return w1 * values[..., i1] + w2 * values[..., i2]
-
-
-def _adapted_coordinates(n: int) -> tuple[_Gather, _Gather, int]:
-    """Gathers between an n x n Hermitian matrix and its reflection-adapted coordinates.
-
-    The plain real coordinates, orthonormal in the Hilbert-Schmidt inner
-    product, are the diagonal and sqrt(2) Re of the upper triangle, then
-    sqrt(2) Im of the strict upper triangle. ``S`` maps entry (j, k) to
-    (n-1-k, n-1-j), so it permutes them without signs. An orbit is a fixed
-    coordinate ``r``, with the even coordinate ``r``, or a pair ``{r, S r}``,
-    with the even coordinate ``(r + S r)/sqrt 2`` and the odd one
-    ``(r - S r)/sqrt 2``. The even coordinates come first.
-
-    Returns the gather from a matrix's ``float`` view (its upper triangle)
-    to the adapted coordinates, the gather back to the ``float`` view of the
-    Hermitian matrix (both triangles, so it is exactly Hermitian), and the
-    number of even coordinates. Every weight is the correctly rounded square
-    root of an exact number, so a weight that is 1 in exact arithmetic is 1.
+    The coordinates, orthonormal in the Hilbert-Schmidt inner product, are the
+    diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle.
+    Returns the indices and scales that read them from a matrix's ``float``
+    view (its diagonal and upper triangle), then the index and weight that
+    write each entry of that view back: Im negated below the diagonal, so the
+    matrix is exactly Hermitian, and the diagonal's Im zero.
     """
-    size = n * n
-    r, c = np.triu_indices(n)
-    upper = r < c
-    rows, cols = np.concatenate([r, r[upper]]), np.concatenate([c, c[upper]])
-    part = np.repeat([0, 1], [len(r), np.count_nonzero(upper)])  # Re, then Im
-    src = 2 * (rows * n + cols) + part  # each plain coordinate's index in the float view
-    plain = np.zeros(2 * size, dtype=int)
-    plain[src] = np.arange(size)
-    partner = plain[2 * ((n - 1 - cols) * n + n - 1 - rows) + part]
-    scale2 = np.where(rows == cols, 1.0, 2.0)
-
-    first = np.flatnonzero(np.arange(size) <= partner)
-    pairs = first[partner[first] != first]
-    n_even = len(first)
-    first = np.concatenate([first, pairs])
-    second = partner[first]
-    share = np.where(second != first, 0.5, 1.0)
-    w1 = np.sqrt(share * scale2[first])
-    w2 = np.repeat([1.0, -1.0], [n_even, len(pairs)]) * np.sqrt((1 - share) * scale2[second])
-
-    # The way back is the transpose divided by the squared scale: an entry
-    # reads its orbit's even coordinate (slot 0) and odd one (slot 1), and
-    # the lower triangle mirrors the upper with Im negated.
-    slot = np.repeat([0, 1], [n_even, len(pairs)])
-    index = np.zeros((2, 2 * size), dtype=int)
-    weight = np.zeros((2, 2 * size))
-    for members, w in ((second, w2), (first, w1)):  # a fixed coordinate keeps w1
-        index[slot, src[members]] = np.arange(size)
-        weight[slot, src[members]] = w / scale2[members]
-    mirror = 2 * (cols * n + rows) + part
-    index[:, mirror] = index[:, src]
-    weight[:, mirror] = weight[:, src] * np.where(part == 1, -1.0, 1.0)
-    gather_in = (src[first], w1, src[second], w2)
-    return gather_in, (index[0], weight[0], index[1], weight[1]), n_even
+    r, c = np.triu_indices(n, 1)
+    diagonal = np.arange(n) * (n + 1)
+    part = np.repeat([0, 1], [n + len(r), len(r)])  # Re, then Im
+    index_in = 2 * np.concatenate([diagonal, r * n + c, r * n + c]) + part
+    mirror = 2 * np.concatenate([diagonal, c * n + r, c * n + r]) + part
+    off = np.arange(n * n) >= n
+    scale = np.where(off, np.sqrt(2.0), 1.0)
+    weight = np.where(off, np.sqrt(0.5), 1.0)  # correctly rounded, as 1/sqrt(2) is not
+    index_out = np.zeros(2 * n * n, dtype=int)
+    weight_out = np.zeros(2 * n * n)
+    index_out[mirror] = index_out[index_in] = np.arange(n * n)
+    weight_out[mirror] = np.where(part == 1, -weight, weight)
+    weight_out[index_in] = weight
+    return index_in, scale, index_out, weight_out
 
 
 def _ad(p: np.ndarray) -> np.ndarray:

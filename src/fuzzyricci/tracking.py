@@ -150,12 +150,15 @@ def _augment_contested(weight: np.ndarray, col4row: np.ndarray, claims: np.ndarr
 def match_eigenpairs(prev: np.ndarray, cur: np.ndarray) -> MatchResult:
     """Match two stacks of flat eigenvectors by maximum total squared overlap.
 
-    A NaN or inf overlap raises ``InvalidInput``.
+    A NaN or inf in either stack, or an overlap that overflows, raises
+    ``InvalidInput``.
     """
     if prev.shape != cur.shape:
         raise InvalidInput(f"dimension mismatch: {prev.shape} vs {cur.shape} vector stacks")
     p = prev.reshape(len(prev), -1)
     q = cur.reshape(len(cur), -1)
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):  # before inf * 0 warns in the product
+        raise InvalidInput("overlap matrix has a NaN or inf entry")
     overlap = p.conj() @ q.T  # overlap[i, j] = <prev_i, cur_j>
     perm = _max_weight_assignment(np.abs(overlap) ** 2)
     z = overlap[np.arange(len(prev)), perm]

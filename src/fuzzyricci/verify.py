@@ -168,11 +168,10 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     norm = float(np.linalg.norm(mat, 2))
     checks = [_leq("laplacian_hermitian", params, hermiticity_defect(mat), TOL_LAP_HERM)]
 
-    # The spectrum, kernel and gap come from the two real blocks, which the
-    # reflection row below justifies.
+    # The spectrum, kernel and gap come from L's real form on Hermitian
+    # matrices, the one the exponential tail uses; eigh lists it ascending.
     split = torus.laplacian_split
-    order = np.argsort(split.eigenvalues, kind="stable")
-    w = split.eigenvalues[order]
+    w = split.eigenvalues
     checks.append(_geq("laplacian_psd", params, float(w[0]), -TOL_LAP_PSD * norm))
     kernel = np.flatnonzero(np.abs(w) < KERNEL_THRESHOLD * max(norm, 1.0))
     checks.append(_check("laplacian_kernel_dim", params, 1.0, len(kernel), len(kernel) == 1))
@@ -184,7 +183,7 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
         )
         # The identity's eigen-coordinates are its overlaps with the eigenvectors.
         identity = split.to_eigen(np.eye(torus.n) / np.sqrt(torus.n))
-        overlap = abs(identity[order[idx]])
+        overlap = abs(identity[idx])
         checks.append(
             _check("laplacian_kernel_is_identity", params, 1e-10, 1 - overlap, 1 - overlap <= 1e-10)
         )
@@ -195,7 +194,7 @@ def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     worst_trace = np.max(np.abs(np.trace(image, axis1=-2, axis2=-1)) / size)
     adjoint = torus.laplacian_apply(a.conj().swapaxes(-1, -2))
     worst_herm = np.max(_hs_norms(image.conj().swapaxes(-1, -2) - adjoint) / size)
-    # S(a) = P a^T P, with P the index reversal.
+    # L commutes with S(a) = P a^T P (P the index reversal): P x P = m(n-1) I - x, P y P = y^T.
     reflected = torus.laplacian_apply(a.swapaxes(-1, -2)[:, ::-1, ::-1])
     worst_reflection = np.max(_hs_norms(reflected - image.swapaxes(-1, -2)[:, ::-1, ::-1]) / size)
     checks.append(_leq("laplacian_kills_trace", params, worst_trace, TOL_LAP_TRACE))

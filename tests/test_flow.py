@@ -293,8 +293,8 @@ class TestRunFlow:
         # A trial that a stage outside the cone ends early costs fewer, so the
         # bound alone leaves room for per-sample calls; count each trial's
         # calls and require, outside all trials, exactly one metric state
-        # (start-up) and one decomposition of each real block of the flat L,
-        # 6 x 6 and 3 x 3 (the switch to the exponential tail).
+        # (start-up) and one decomposition of the flat L's real 9 x 9 form on
+        # Hermitian matrices (the switch to the exponential tail).
         per_trial = []
         in_trials = set()
 
@@ -323,10 +323,10 @@ class TestRunFlow:
             k == (5 if tail else 6) or (left_cone and 1 <= k < (5 if tail else 6))
             for k, _, left_cone, tail in per_trial
         )
-        assert len(calls) - sum(k for k, _, _, _ in per_trial) == 3
+        assert len(calls) - sum(k for k, _, _, _ in per_trial) == 2
         outside = sorted(call for i, call in enumerate(calls) if i not in in_trials)
-        assert outside == [(3, False), (3, True), (6, True)]
-        assert trials + 3 <= len(calls) <= 6 * trials + 3
+        assert outside == [(3, False), (9, True)]
+        assert trials + 2 <= len(calls) <= 6 * trials + 2
 
         completed = [(k, tail) for _, k, left_cone, tail in per_trial if not left_cone]
         assert {tail for _, tail in completed} == {False, True}

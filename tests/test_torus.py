@@ -194,29 +194,39 @@ class TestFlatLaplacian:
         assert np.max(np.abs(closed - probed)) <= 1e-15 * lam_max
 
 
+def broken_reflection_torus():
+    """FuzzyTorus(5, 2) whose x-weights break the reflection S(a) = P a^T P.
+
+    The weights stay symmetric and zero on the diagonal (L stays Hermitian
+    and traceless) but are not invariant under (j, k) -> (n-1-k, n-1-j).
+    """
+    t = FuzzyTorus(5, 2)
+    j, k = np.indices((5, 5))
+    t.__dict__["_x_weights"] = t._x_weights + 1e-3 * (j + k) * (j != k)
+    return t
+
+
 class TestReflectionSplit:
-    """The flat L's two real blocks against the complex matrix and the literal map."""
+    """The flat L's one real block against the complex matrix and the literal map."""
 
     @pytest.mark.parametrize("n,m", SPLIT_PAIRS)
     def test_blocks_have_the_spectrum_of_l(self, n, m):
         t = FuzzyTorus(n, m)
         split = t.laplacian_split
-        assert len(split.even.eigenvalues) == n * (n + 1) // 2
-        assert len(split.odd.eigenvalues) == n * (n - 1) // 2
-        assert np.isrealobj(split.even.eigenvectors) and np.isrealobj(split.odd.eigenvectors)
+        assert split.eigenvalues.shape == (n * n,)
+        assert split.eigenvectors.shape == (n * n, n * n) and np.isrealobj(split.eigenvectors)
         w = hermitian_eig(t.laplacian).eigenvalues
-        np.testing.assert_allclose(np.sort(split.eigenvalues), w, rtol=0, atol=1e-14 * w[-1])
+        np.testing.assert_allclose(split.eigenvalues, w, rtol=0, atol=1e-14 * w[-1])
 
     @pytest.mark.parametrize("n,m", ROUNDOFF_PAIRS)
     def test_blocks_reach_eigh_symmetric_to_roundoff(self, n, m, monkeypatch):
-        # The blocks go straight to eigh, which reads one triangle, unchecked.
+        # The block goes straight to eigh, which reads one triangle, unchecked.
         inputs = recording_eigh(monkeypatch)
         FuzzyTorus(n, m).laplacian_split
-        sizes = [n * (n + 1) // 2, n * (n - 1) // 2]
-        assert [b.shape for b in inputs] == [(size, size) for size in sizes]
-        for block in inputs:
-            assert np.isrealobj(block)
-            assert hs_norm(block - block.T) <= 16 * np.finfo(float).eps * hs_norm(block)
+        assert [b.shape for b in inputs] == [(n * n, n * n)]
+        block = inputs[0]
+        assert np.isrealobj(block)
+        assert hs_norm(block - block.T) <= 16 * np.finfo(float).eps * hs_norm(block)
 
     @pytest.mark.parametrize("n,m", SPLIT_PAIRS)
     def test_round_trip_through_eigen_coordinates(self, n, m, rng):
@@ -240,13 +250,18 @@ class TestReflectionSplit:
             through = split.from_eigen(split.eigenvalues * split.to_eigen(a))
             assert hs_norm(through - direct) <= 1e-14 * hs_norm(direct)
 
+    def test_applies_l_that_breaks_the_reflection(self, rng):
+        # The basis needs only that L is symmetric on Hermitian matrices.
+        t = broken_reflection_torus()
+        split = t.laplacian_split
+        for _ in range(3):
+            a = random_hermitian(rng, 5)
+            direct = t.laplacian_apply(a)
+            through = split.from_eigen(split.eigenvalues * split.to_eigen(a))
+            assert hs_norm(through - direct) <= 1e-14 * hs_norm(direct)
 
     def test_verify_row_sees_a_broken_reflection(self):
-        # Weights still symmetric and zero on the diagonal (L stays Hermitian
-        # and traceless) but not invariant under (j, k) -> (n-1-k, n-1-j).
-        t = FuzzyTorus(5, 2)
-        j, k = np.indices((5, 5))
-        t.__dict__["_x_weights"] = t._x_weights + 1e-3 * (j + k) * (j != k)
+        t = broken_reflection_torus()
         rows = {row["check"]: row["passed"] for row in verify.laplacian_checks(t)}
         assert rows["laplacian_kills_trace"] and rows["laplacian_respects_adjoint"]
         assert not rows["laplacian_commutes_with_reflection"]
