@@ -17,6 +17,7 @@ from .errors import (
     InvalidInput,
     InvalidParams,
     MetricDegenerate,
+    NonRealVariation,
     PositivityLost,
     SpectrumOutOfDomain,
     StepUnderflow,
@@ -37,6 +38,7 @@ __all__ = [
     "InvalidInput",
     "InvalidParams",
     "MetricDegenerate",
+    "NonRealVariation",
     "PositivityLost",
     "SpectralCurves",
     "SpectralData",

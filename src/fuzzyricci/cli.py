@@ -10,7 +10,8 @@ Configuration comes from an optional JSON document (``--config``) with
 command-line flags overriding individual keys one-to-one; the resolved
 configuration is written next to the outputs as ``config.json`` so a run is
 reproducible from its artifacts alone. All outputs are deterministic:
-identical configuration produces byte-identical files. Every JSON document,
+identical configuration produces byte-identical files, for the same numpy,
+BLAS and BLAS thread count. Every JSON document,
 the error document on stderr included, is the stdlib encoder's text with
 ``sort_keys=True, indent=2`` plus a newline. ``_json_text`` writes it, since
 the stdlib formats every value in Python once ``indent`` is set; a list of
@@ -22,9 +23,9 @@ tolerance that is not finite and positive, an ``--out`` that cannot be a
 directory (an existing file is refused before any work), a ``track``
 sample grid that is not uniform or has fewer than 3 samples (refused before
 the flow), and ``verify --n-max`` given with ``--geometry``; 3 numerical
-failure (positivity loss or step underflow); 4 acceptance failure in
-track/verify.
-Every package error outside the numerical pair exits 2.
+failure (positivity loss, step underflow, or a variation-law value that is
+not real, ``NonRealVariation``); 4 acceptance failure in track/verify.
+Every package error outside the numerical three exits 2.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import FuzzyRicciError, InvalidInput, InvalidParams, PositivityLost, StepUnderflow
+from .errors import FuzzyRicciError, InvalidInput, InvalidParams, NonRealVariation
+from .errors import PositivityLost, StepUnderflow
 from .flow import (
     DET_SLACK,
     FlowConfig,
@@ -406,7 +408,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (FuzzyRicciError, FileNotFoundError) as exc:
         sys.stderr.write(_json_bytes(_error_doc(exc)))
-        return EXIT_NUMERICAL if isinstance(exc, (PositivityLost, StepUnderflow)) else EXIT_INVALID
+        numerical = isinstance(exc, (PositivityLost, StepUnderflow, NonRealVariation))
+        return EXIT_NUMERICAL if numerical else EXIT_INVALID
 
 
 def entry() -> None:

@@ -43,5 +43,9 @@ class StepUnderflow(FuzzyRicciError):
     """Adaptive step size fell below the configured minimum."""
 
 
+class NonRealVariation(FuzzyRicciError):
+    """The variation law's right-hand side is not real to within its guard: a numerical failure."""
+
+
 class InsufficientData(FuzzyRicciError):
     """Not enough samples for the requested computation."""

@@ -213,7 +213,7 @@ class SpectralData:
     plain Hilbert-Schmidt inner product (eigenvectors of the conjugated
     operator); ``vectors_weighted[i]`` are the same eigenvectors mapped back
     by ``c^{-1/2}`` and normalized in the weighted inner product. Global
-    phases are left free; the tracking layer owns the phase convention.
+    phases are left free: matching and the variation law do not see them.
     ``gap_threshold`` is ``GAP_TOL_REL`` times the operator norm (at least
     1); ``degeneracy_groups`` lists index runs whose consecutive gaps fall
     below it, and ``kernel_index`` locates the single eigenvalue below it.

@@ -2,16 +2,15 @@
 
 A trajectory of metrics induces, at each sample time, a full curved-Laplacian
 spectrum. Consecutive spectra are stitched into continuous curves by solving
-an assignment problem on squared eigenvector overlaps, with global phases
-fixed so that consecutive overlaps are real positive (first sample: largest
-magnitude component made real positive). The assignment is exact:
-Jonker-Volgenant shortest augmenting paths (Jonker & Volgenant, Computing 38,
-1987; Crouse, IEEE TAES 52, 2016), warm-started by row reduction. A row whose
-largest overlap lies in a column no other row claims is assigned at once, and
-only the contested rows run an augmenting search; along a flow the row maxima
-are nearly always a permutation, so no search runs. Crossings are not
-resolved: samples where the spectral gap collapses or the best overlap drops
-below ``OVERLAP_MIN`` are flagged and excluded from quantitative aggregates.
+an assignment problem on squared eigenvector overlaps, which no global phase
+moves. The assignment is exact: Jonker-Volgenant shortest augmenting paths
+(Jonker & Volgenant, Computing 38, 1987; Crouse, IEEE TAES 52, 2016),
+warm-started by row reduction. A row whose largest overlap lies in a column
+no other row claims is assigned at once, and only the contested rows run an
+augmenting search; along a flow the row maxima are nearly always a
+permutation, so no search runs. Crossings are not resolved: samples where the
+spectral gap collapses or the best overlap drops below ``OVERLAP_MIN`` are
+flagged and excluded from quantitative aggregates.
 
 The tracked curves satisfy a first variation law along the flow,
 
@@ -29,8 +28,13 @@ evaluated separately as a cross-check.
 
 The torus, each sample's metric state and ``L log c`` (its negated field) are
 read off the trajectory, so no function here takes a torus or applies ``L``.
-Spectra and both forms of the law are computed as stacks over chunks of
-samples (``CHUNK_ENTRIES``), with the same bits as one sample at a time.
+Tracking is one pass over chunks of samples (``CHUNK_ENTRIES``): each chunk's
+spectra are computed as one stack, with the same bits as one sample at a
+time, both forms of the law are evaluated on them in spectral order, and
+matching then carries each sample's values and law values into curve order.
+The law reads an eigenvector only through ``a* a``, so neither its phase nor
+its curve matters there. No eigenvector outlives its chunk: the curves keep
+per-sample scalars only, and memory beyond them is bounded per chunk.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import FuzzyRicciError, InsufficientData, InvalidInput
+from .errors import InsufficientData, InvalidInput, NonRealVariation
 from .flow import FlowResult
 from .laplace_beltrami import lb_spectra, right_product, stacked_power
 
@@ -52,24 +56,17 @@ FORMS_BUDGET = 1e-10
 CHUNK_ENTRIES = 2**14
 
 
-def _chunks(count: int, n: int) -> list[slice]:
-    size = max(1, CHUNK_ENTRIES // n**4)
-    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
-
-
 @dataclass(frozen=True)
 class MatchResult:
     """Assignment of previous eigenvectors to current ones.
 
     ``permutation[i]`` is the current-stack index matched to previous
-    vector ``i``; ``phases[i]`` is the unit complex number to multiply the
-    matched current vector by so its overlap with the previous one is real
-    positive; ``overlaps[i]`` is that overlap magnitude; ``degenerate[i]``
-    marks matches below ``OVERLAP_MIN``.
+    vector ``i``; ``overlaps[i]`` is the magnitude of their overlap, which
+    no phase of either vector changes; ``degenerate[i]`` marks matches below
+    ``OVERLAP_MIN``.
     """
 
     permutation: np.ndarray
-    phases: np.ndarray
     overlaps: np.ndarray
     degenerate: np.ndarray
 
@@ -161,87 +158,75 @@ def match_eigenpairs(prev: np.ndarray, cur: np.ndarray) -> MatchResult:
         raise InvalidInput("overlap matrix has a NaN or inf entry")
     overlap = p.conj() @ q.T  # overlap[i, j] = <prev_i, cur_j>
     perm = _max_weight_assignment(np.abs(overlap) ** 2)
-    z = overlap[np.arange(len(prev)), perm]
-    mag = np.abs(z)
-    phases = np.where(mag > 0, np.conj(z) / np.where(mag > 0, mag, 1.0), 1.0)
-    return MatchResult(
-        permutation=perm,
-        phases=phases.astype(complex),
-        overlaps=mag,
-        degenerate=mag < OVERLAP_MIN,
-    )
-
-
-def _fix_first_phase(a_flat: np.ndarray) -> complex:
-    """Phase making the largest-magnitude component real positive."""
-    flat = a_flat.reshape(-1)
-    z = flat[int(np.argmax(np.abs(flat)))]
-    mag = abs(z)
-    return np.conj(z) / mag if mag > 0 else 1.0
+    mag = np.abs(overlap[np.arange(len(prev)), perm])
+    return MatchResult(permutation=perm, overlaps=mag, degenerate=mag < OVERLAP_MIN)
 
 
 @dataclass(frozen=True)
 class SpectralCurves:
     """The n^2 eigenvalue curves of a trajectory, indexed ``[sample, curve]``.
 
-    ``vectors[k, i]`` is curve ``i``'s eigenvector at ``times[k]``,
-    normalized in the weighted inner product of that sample's metric, with
-    its phase fixed along the curve (first sample: largest-magnitude
-    component of the flat vector real positive; later samples: real positive
-    overlap with the previous sample). ``degenerate`` flags samples with a
-    collapsed gap or a weak overlap; ``kernel`` is the zero-mode curve.
+    ``rhs`` and ``rhs_state_form`` are the two forms of the variation law
+    (:func:`variation_rhs`, :func:`variation_rhs_state_form`) at each curve's
+    eigenpair. ``degenerate`` flags samples with a collapsed gap or a weak
+    overlap; ``kernel`` is the zero-mode curve. No eigenvector is kept.
     """
 
     times: np.ndarray
     values: np.ndarray
     min_gap: np.ndarray
     degenerate: np.ndarray
-    vectors: np.ndarray
+    rhs: np.ndarray
+    rhs_state_form: np.ndarray
     kernel: int
 
 
 def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
-    """Stitch per-sample spectra into n^2 continuous eigenvalue curves.
+    """Stitch per-sample spectra into n^2 continuous eigenvalue curves, with the law on them.
 
     Curve ``i`` starts at the i-th ascending eigenvalue of the first sample;
     later samples follow by overlap assignment. Matching failures are
-    recorded as per-sample degeneracy flags, never raised; an operator
-    without a single zero mode raises ``MetricDegenerate`` with its time.
+    recorded as per-sample degeneracy flags, never raised. Each chunk's
+    spectra come first: an operator without a single zero mode raises
+    ``MetricDegenerate`` with its time. Both forms of the law follow, each
+    once per chunk, plain form first: a non-real value raises
+    ``NonRealVariation`` with the time of the chunk's earliest sample holding
+    one. So the earliest failing chunk raises, before any later chunk runs.
     """
     if not trajectory.samples:
         raise InsufficientData("trajectory has no samples")
     torus = trajectory.torus
-    n, n2, samples = torus.n, torus.n * torus.n, len(trajectory.samples)
-    values = np.empty((samples, n2))
-    min_gap = np.empty((samples, n2))
+    n2, samples = torus.n * torus.n, len(trajectory.samples)
+    values, min_gap, rhs, rhs_alt = (np.empty((samples, n2)) for _ in range(4))
     degenerate = np.empty((samples, n2), dtype=bool)
-    vectors = np.empty((samples, n2, n, n), dtype=complex)
 
-    for chunk in _chunks(samples, n):
-        part = trajectory.samples[chunk]
+    size = max(1, CHUNK_ENTRIES // n2**2)
+    for start in range(0, samples, size):
+        part = trajectory.samples[start:start + size]
         spectra = lb_spectra(torus, [s.space for s in part], times=[s.t for s in part])
-        for k, sd in enumerate(spectra, chunk.start):
+        lam = np.stack([sd.eigenvalues for sd in spectra])
+        a = np.stack([sd.vectors_weighted for sd in spectra])
+        law = variation_rhs(part, lam, a), variation_rhs_state_form(part, lam, a)
+        for k, sd in enumerate(spectra, start):
             if k == 0:
                 kernel, order, bad = sd.kernel_index, np.arange(n2), np.zeros(n2, dtype=bool)
-                # Scalar abs() per vector: array np.abs rounds differently in the last bit.
-                phases = np.array([_fix_first_phase(v) for v in sd.vectors_flat])
             else:
                 match = match_eigenpairs(prev_flat, sd.vectors_flat)
-                order, phases, bad = match.permutation, match.phases, match.degenerate
+                order, bad = match.permutation, match.degenerate
                 # The kernel is exactly known; never let the assignment drift it.
                 bad[kernel] |= order[kernel] != sd.kernel_index
-            phases = phases[:, None, None]
-            prev_flat = phases * sd.vectors_flat[order]
-            vectors[k] = phases * sd.vectors_weighted[order]
+            prev_flat = sd.vectors_flat[order]
             values[k] = sd.eigenvalues[order]
             min_gap[k] = sd.min_gaps[order]
             degenerate[k] = bad | (min_gap[k] < sd.gap_threshold)
+            rhs[k], rhs_alt[k] = law[0][k - start, order], law[1][k - start, order]
     return SpectralCurves(
         times=trajectory.times,
         values=values,
         min_gap=min_gap,
         degenerate=degenerate,
-        vectors=vectors,
+        rhs=rhs,
+        rhs_state_form=rhs_alt,
         kernel=kernel,
     )
 
@@ -249,7 +234,7 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
 def _real_rhs(val: np.ndarray, samples) -> np.ndarray:
     bad = np.abs(val.imag) > 1e-10 * (1.0 + np.abs(val.real))
     if np.any(bad):  # the earliest sample's first bad entry
-        raise FuzzyRicciError(
+        raise NonRealVariation(
             f"variation right-hand side has non-real value {complex(val[bad][0])!r}",
             time=samples[int(np.argmax(bad.any(-1)))].t,
         )
@@ -264,8 +249,8 @@ def variation_rhs(samples, values, a) -> np.ndarray:
     normalized in the weighted inner product of its sample's metric; the
     result is ``(S, K)``. ``L log c`` is the negated field each sample keeps.
     The trace is real up to roundoff (product of two Hermitian factors); a
-    relative imaginary part above 1e-10 in any entry raises, with the time of
-    the earliest sample holding one.
+    relative imaginary part above 1e-10 in any entry raises
+    ``NonRealVariation``, with the time of the earliest sample holding one.
     """
     a = np.asarray(a, dtype=complex)
     lap_log = -np.stack([s.field for s in samples])
@@ -321,17 +306,24 @@ def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 class VariationReport:
     """First-variation residuals of every tracked curve, indexed ``[sample, curve]``.
 
-    ``fd`` is the derivative oracle, ``rhs`` and ``rhs_state_form`` the two
-    forms of the law. The headline aggregates cover interior, non-degenerate
-    samples: the endpoint stencils are one-sided (the flow only exists
-    forward from the start) and carry roughly twice the truncation constant,
-    so they are reported separately and never gate a verdict.
+    ``fd`` is the derivative oracle; ``rhs`` and ``rhs_state_form``, the two
+    forms of the law, are read off ``curves``. The headline aggregates cover
+    interior, non-degenerate samples: the endpoint stencils are one-sided
+    (the flow only exists forward from the start) and carry roughly twice the
+    truncation constant, so they are reported separately and never gate a
+    verdict.
     """
 
     curves: SpectralCurves
     fd: np.ndarray
-    rhs: np.ndarray
-    rhs_state_form: np.ndarray
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self.curves.rhs
+
+    @property
+    def rhs_state_form(self) -> np.ndarray:
+        return self.curves.rhs_state_form
 
     @property
     def h(self) -> float:
@@ -387,34 +379,16 @@ def first_variation_report(trajectory: FlowResult) -> VariationReport:
     """Track the trajectory's curves and check d(lambda)/dt against the variation formula.
 
     The sample grid is checked first (:func:`uniform_step`), then the curves
-    are tracked (:func:`track_spectrum`) and kept as the report's ``curves``.
-    The derivative oracle is the finite-difference stencil of
-    :func:`fd_derivative`; each form of the law is evaluated once per chunk
-    of samples, from their metric states and fields ``-L log c``, so ``L``
-    is not applied again. The earliest non-real right-hand side raises, the
-    plain form's first at one sample. Degenerate samples contribute rows but
-    are excluded from the aggregates. Relative residuals are
+    and both forms of the law at them are computed in one pass
+    (:func:`track_spectrum`) and kept as the report's ``curves``. The
+    derivative oracle is the finite-difference stencil of
+    :func:`fd_derivative`. Degenerate samples contribute rows but are
+    excluded from the aggregates. Relative residuals are
     ``|fd - rhs| / (1 + |fd|)``.
     """
-    samples = trajectory.samples
-    times = trajectory.times
-    uniform_step(times)
+    uniform_step(trajectory.times)
     curves = track_spectrum(trajectory)
-    rhs = np.empty_like(curves.values)
-    rhs_alt = np.empty_like(curves.values)
-    for chunk in _chunks(len(samples), trajectory.torus.n):
-        part, value, a = samples[chunk], curves.values[chunk], curves.vectors[chunk]
-        errors = []
-        for out, form in ((rhs, variation_rhs), (rhs_alt, variation_rhs_state_form)):
-            try:
-                out[chunk] = form(part, value, a)
-            except FuzzyRicciError as exc:
-                errors.append(exc)
-        if errors:
-            raise min(errors, key=lambda exc: exc.time)
-    return VariationReport(
-        curves=curves, fd=fd_derivative(times, curves.values), rhs=rhs, rhs_state_form=rhs_alt
-    )
+    return VariationReport(curves=curves, fd=fd_derivative(curves.times, curves.values))
 
 
 def curves_csv_rows(report: VariationReport):

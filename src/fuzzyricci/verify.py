@@ -18,6 +18,7 @@ from .flow import DET_SLACK, FlowConfig, flow_invariants, random_metric, run_flo
 from .laplace_beltrami import (
     COUNTEREXAMPLE_SEED,
     lb_conjugated_superop,
+    lb_spectra,
     lb_spectrum,
     metric_state,
     rayleigh_quotient,
@@ -287,7 +288,6 @@ def tracking_checks() -> list[dict]:
     config = FlowConfig(t1=TRACK_T1, sample_stride=TRACK_STRIDE)
     trajectory = run_flow(torus, random_metric(n, TRACK_SEED), config)
     report = first_variation_report(trajectory)
-    curves = report.curves
     params = f"n={n},m={TRACK_M},seed={TRACK_SEED},h={TRACK_STRIDE:g}"
 
     checks = [
@@ -298,24 +298,31 @@ def tracking_checks() -> list[dict]:
         ),
     ]
 
+    # The eigenvectors the law consumed: each sample's spectrum, in spectral order.
+    spectra = lb_spectra(torus, [s.space for s in trajectory.samples])
     c = np.stack([s.c for s in trajectory.samples])[:, None]
-    vectors = curves.vectors
+    vectors = np.stack([sd.vectors_weighted for sd in spectra])
+    kernels = np.array([sd.kernel_index for sd in spectra])
     # The literal tr(c a* a), not the formula lb_spectra normalizes with.
     norms = np.trace(c @ vectors.conj().swapaxes(-1, -2) @ vectors, axis1=-2, axis2=-1)
     worst_norm = np.max(np.abs(np.sqrt(norms.real) - 1.0))
-    off_kernel = np.arange(n * n) != curves.kernel
-    worst_state = np.max(np.abs(np.trace(c @ vectors[:, off_kernel], axis1=-2, axis2=-1)))
+    off_kernel = np.arange(n * n) != kernels[:, None]
+    worst_state = np.max(np.abs(np.trace(c @ vectors, axis1=-2, axis2=-1))[off_kernel])
+    # A kernel vector is I / sqrt(tr c) times a free phase: make its trace real positive.
+    kernel = vectors[np.arange(len(spectra)), kernels]
+    trace = np.trace(kernel, axis1=-2, axis2=-1)
+    aligned = kernel * (trace.conj() / np.abs(trace))[:, None, None]
     target = np.eye(n) / np.sqrt(np.trace(c[:, 0], axis1=-2, axis2=-1).real)[:, None, None]
-    kernel_ok = bool(np.all(_hs_norms(vectors[:, curves.kernel] - target) <= 1e-8))
+    kernel_ok = bool(np.all(_hs_norms(aligned - target) <= 1e-8))
     checks.append(_leq("curve_normalization", params, worst_norm, 1e-10))
     checks.append(_leq("curve_state_vanishes", params, worst_state, 1e-9))
     checks.append(_check("kernel_curve_is_identity", params, None, None, kernel_ok))
 
     # Phase invariance of the formula: rotating an eigenvector must not move it.
-    vector = curves.vectors[0, -1]
+    vector = vectors[0, -1]
     phases = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, size=5))
     rotations = np.concatenate([vector[None], phases[:, None, None] * vector])
-    values = np.full((1, len(rotations)), curves.values[0, -1])
+    values = np.full((1, len(rotations)), spectra[0].eigenvalues[-1])
     rhs = variation_rhs(trajectory.samples[:1], values, rotations[None])[0]
     worst_phase = np.max(np.abs(rhs[1:] - rhs[0]))
     checks.append(_leq("variation_phase_invariance", params, worst_phase, 1e-10))

@@ -624,6 +624,17 @@ class TestTrack:
         assert err["error"] == "MetricDegenerate"
         assert err["time"] == 0.0
 
+    def test_non_real_variation_exit_3_and_no_files(self, tmp_path, capsys):
+        # At n = 12 the law's imaginary-part guard trips at the first sample:
+        # a numerical failure, raised in the first chunk, before any file.
+        out = tmp_path / "run"
+        code = run_cli(["track", "--n", 12, "--seed", 0, "--t1", 0.05, "--out", out])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonRealVariation"
+        assert err["time"] == 0.0
+        assert not out.exists()
+
     def test_too_coarse_stride_exit_2(self, tmp_path):
         code = run_cli(
             ["track", "--n", 2, "--t1", 0.05, "--stride", 0.05,

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fuzzyricci import (
     FuzzyTorus,
     InsufficientData,
     InvalidInput,
+    NonRealVariation,
     first_variation_report,
     lb_spectrum,
     random_metric,
@@ -18,7 +20,7 @@ from fuzzyricci import (
 )
 from fuzzyricci import tracking
 from fuzzyricci.flow import sample_times
-from fuzzyricci.laplace_beltrami import WeightedSpace
+from fuzzyricci.laplace_beltrami import WeightedSpace, lb_spectra
 from fuzzyricci.linalg import hs_norm
 from fuzzyricci.tracking import (
     curves_csv_rows,
@@ -37,6 +39,11 @@ def sample_at(torus, c):
     return run_flow(torus, c, FlowConfig(t1=0.0)).samples[0]
 
 
+def sample_spectra(torus, trajectory):
+    # The spectra the curves were tracked from, one stacked call as the tracker makes.
+    return lb_spectra(torus, [s.space for s in trajectory.samples])
+
+
 @pytest.fixture(scope="module")
 def short_run(torus2):
     c0 = random_metric(2, 7)
@@ -51,7 +58,6 @@ class TestMatching:
         vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
         match = match_eigenpairs(vectors, vectors)
         np.testing.assert_array_equal(match.permutation, np.arange(4))
-        np.testing.assert_allclose(match.phases, np.ones(4), atol=1e-12)
         np.testing.assert_allclose(match.overlaps, np.ones(4), atol=1e-12)
         assert not match.degenerate.any()
 
@@ -64,14 +70,12 @@ class TestMatching:
     def test_phase_rotation_recovered(self, torus2):
         vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
         theta = 0.83
-        rotated = np.exp(1j * theta) * vectors
+        rotated = np.exp(1j * theta) * vectors[[0, 3, 2, 1]]
+        # Matching is on |overlap|^2: a global phase moves neither the assignment nor the overlaps.
         match = match_eigenpairs(vectors, rotated)
-        np.testing.assert_allclose(match.phases, np.exp(-1j * theta) * np.ones(4), atol=1e-12)
-        # Applying the phases makes the overlap real positive again.
-        for i in range(4):
-            fixed = match.phases[i] * rotated[i]
-            overlap = np.vdot(vectors[i].reshape(-1), fixed.reshape(-1))
-            assert overlap.real > 0.99 and abs(overlap.imag) < 1e-12
+        np.testing.assert_array_equal(match.permutation, [0, 3, 2, 1])
+        np.testing.assert_allclose(match.overlaps, np.ones(4), atol=1e-12)
+        assert not match.degenerate.any()
 
     def test_dimension_mismatch(self, torus2, torus3):
         a = lb_spectrum(torus2, np.eye(2)).vectors_flat
@@ -161,7 +165,7 @@ class TestAssignment:
         ours = track_spectrum(trajectory)
         monkeypatch.setattr(tracking, "_max_weight_assignment", scipy_assignment)
         theirs = track_spectrum(trajectory)
-        for field in ("values", "min_gap", "degenerate", "vectors"):
+        for field in ("values", "min_gap", "degenerate", "rhs", "rhs_state_form"):
             assert getattr(ours, field).tobytes() == getattr(theirs, field).tobytes()
         assert ours.kernel == theirs.kernel
 
@@ -265,7 +269,7 @@ class TestVariationRhs:
         values[4] = 1.0
         # An anti-Hermitian L log c makes tr(a* a L log c) imaginary; only entry 4 is nonzero.
         broken = dataclasses.replace(sample, field=-1j * np.eye(3))
-        with pytest.raises(FuzzyRicciError):
+        with pytest.raises(NonRealVariation):
             form([broken], values[None], data.vectors_weighted[None])
 
 
@@ -283,26 +287,31 @@ class TestTrackSpectrum:
 
     def test_kernel_curve(self, torus2, short_run):
         trajectory, curves = short_run
-        assert curves.values.shape == (len(trajectory.samples), 4)
-        assert curves.vectors.shape == (len(trajectory.samples), 4, 2, 2)
+        for name in ("values", "min_gap", "degenerate", "rhs", "rhs_state_form"):
+            assert getattr(curves, name).shape == (len(trajectory.samples), 4), name
         np.testing.assert_allclose(curves.values[:, curves.kernel], 0.0, atol=1e-12)
-        for vector, flow_sample in zip(curves.vectors[:, curves.kernel], trajectory.samples):
+        spectra = sample_spectra(torus2, trajectory)
+        for k, (sd, flow_sample) in enumerate(zip(spectra, trajectory.samples)):
+            assert curves.values[k, curves.kernel] == sd.eigenvalues[sd.kernel_index]
+            # The zero mode is I / sqrt(tr c) up to a free phase: make its trace real positive.
+            vector = sd.vectors_weighted[sd.kernel_index]
+            trace = np.trace(vector)
             target = np.eye(2) / np.sqrt(np.trace(flow_sample.c).real)
-            assert hs_norm(vector - target) <= 1e-8
+            assert hs_norm(vector * trace.conj() / abs(trace) - target) <= 1e-8
 
-    def test_normalization_along_curves(self, short_run):
-        trajectory, curves = short_run
+    def test_normalization_along_curves(self, torus2, short_run):
+        trajectory, _ = short_run
         spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
-        for k, vectors in enumerate(curves.vectors):
-            for vector in vectors:
+        for k, sd in enumerate(sample_spectra(torus2, trajectory)):
+            for vector in sd.vectors_weighted:
                 assert abs(spaces[k].norm(vector) - 1.0) <= 1e-10
 
-    def test_mean_zero_off_kernel(self, short_run):
-        trajectory, curves = short_run
+    def test_mean_zero_off_kernel(self, torus2, short_run):
+        trajectory, _ = short_run
         spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
-        for k, vectors in enumerate(curves.vectors):
-            for i, vector in enumerate(vectors):
-                if i != curves.kernel:
+        for k, sd in enumerate(sample_spectra(torus2, trajectory)):
+            for i, vector in enumerate(sd.vectors_weighted):
+                if i != sd.kernel_index:
                     assert abs(spaces[k].state(vector)) <= 1e-9
 
     def test_dense_sampling_keeps_high_overlap(self, torus2):
@@ -357,7 +366,8 @@ class TestVariationReport:
         trajectory, _ = short_run
         report = first_variation_report(trajectory)
         assert report.passed()
-        off = dataclasses.replace(report, rhs_state_form=report.rhs_state_form + 1e-6)
+        curves = dataclasses.replace(report.curves, rhs_state_form=report.rhs_state_form + 1e-6)
+        off = dataclasses.replace(report, curves=curves)
         assert not off.passed()
         assert report_to_json(off)["passed"] is False
 
@@ -390,13 +400,15 @@ class TestVariationReport:
         )
         report = first_variation_report(trajectory)
         curves = report.curves
-        for k, sample in enumerate(trajectory.samples):
+        spectra = sample_spectra(torus3, trajectory)
+        for k, (sample, sd) in enumerate(zip(trajectory.samples, spectra)):
             # From scratch: a fresh decomposition of the sample's metric, L
-            # applied here, and both forms evaluated literally.
+            # applied here, and both forms evaluated literally at each
+            # eigenpair, found on its curve by its eigenvalue's bits.
             space = WeightedSpace.from_metric(sample.c)
             lap_log = torus3.laplacian_apply(space.log)
-            for i in range(9):
-                value, a = curves.values[k, i], curves.vectors[k, i]
+            for value, a in zip(sd.eigenvalues, sd.vectors_weighted):
+                (i,) = np.flatnonzero(curves.values[k] == value)
                 aa = a.conj().T @ a
                 direct = (value * np.trace(aa @ lap_log)).real
                 b = aa @ lap_log @ space.c_inv
@@ -483,11 +495,34 @@ class TestVariationReport:
                 assert sd.degeneracy_groups == one.degeneracy_groups
                 assert sd.kernel_index == one.kernel_index
 
+    def test_memory_does_not_grow_with_eigenvectors(self):
+        # The report keeps per-sample scalars only. From 51 to 201 samples at
+        # n = 6 its peak traced memory may grow by eight (S, n^2) float arrays
+        # (the curves' four, fd, and room for temporaries): 2.3 KB a sample,
+        # where the sample's n^2 weighted eigenvectors alone would hold 20.7 KB.
+        n, torus = 6, FuzzyTorus(6, 1)
+        runs = [
+            run_flow(torus, random_metric(n, 0), FlowConfig(t1=t1, sample_stride=1e-3))
+            for t1 in (0.05, 0.2)
+        ]
+        first_variation_report(runs[0])  # one-time caches stay out of the peaks
+        peaks = []
+        for trajectory in runs:
+            tracemalloc.start()
+            try:
+                first_variation_report(trajectory)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra_samples = len(runs[1].samples) - len(runs[0].samples)
+        assert extra_samples == 150
+        assert peaks[1] - peaks[0] <= 8 * extra_samples * n**2 * 8
+
     def test_report_keeps_the_curves_it_tracked(self, short_run):
         trajectory, curves = short_run
         tracked = first_variation_report(trajectory).curves
         fresh = track_spectrum(trajectory)
-        for name in ("times", "values", "min_gap", "degenerate", "vectors"):
+        for name in ("times", "values", "min_gap", "degenerate", "rhs", "rhs_state_form"):
             assert np.array_equal(getattr(tracked, name), getattr(fresh, name)), name
             assert np.array_equal(getattr(tracked, name), getattr(curves, name)), name
         assert tracked.kernel == fresh.kernel == curves.kernel
@@ -499,29 +534,48 @@ class TestNonRealGuard:
     @pytest.fixture
     def broken_run(self, torus2, short_run):
         # The third sample's field gets a 1e-6 anti-Hermitian part.
-        trajectory, curves = short_run
+        trajectory, _ = short_run
         samples = list(trajectory.samples)
         samples[2] = dataclasses.replace(samples[2], field=samples[2].field + 1e-6j * np.eye(2))
-        return dataclasses.replace(trajectory, samples=samples), curves
+        return dataclasses.replace(trajectory, samples=samples)
 
-    def test_report_raises_at_the_broken_sample(self, broken_run):
-        trajectory, curves = broken_run
-        with pytest.raises(FuzzyRicciError) as report_error:
+    def test_report_raises_at_the_broken_sample(self, torus2, broken_run):
+        trajectory = broken_run
+        with pytest.raises(NonRealVariation) as report_error:
             first_variation_report(trajectory)
-        with pytest.raises(FuzzyRicciError) as direct:
-            variation_rhs(trajectory.samples[2:3], curves.values[2:3], curves.vectors[2:3])
+        (sd,) = lb_spectra(torus2, [trajectory.samples[2].space])
+        with pytest.raises(NonRealVariation) as direct:
+            variation_rhs(trajectory.samples[2:3], sd.eigenvalues[None], sd.vectors_weighted[None])
         assert report_error.value.time == trajectory.samples[2].t
         assert str(report_error.value) == str(direct.value)
         assert direct.value.time == trajectory.samples[2].t
 
     @pytest.mark.parametrize("state_index, raised", [(1, "state form"), (2, "non-real")])
     def test_earliest_sample_first_then_plain_form(self, broken_run, monkeypatch, state_index, raised):
-        trajectory, curves = broken_run
+        # One sample per chunk (2**14 // 2**4 entries at n = 2): the earliest
+        # failing chunk is the earliest failing sample, and within it the
+        # plain form raises first.
+        monkeypatch.setattr(tracking, "CHUNK_ENTRIES", 2**4)
+        trajectory = broken_run
         t = trajectory.samples[state_index].t
+        real = tracking.variation_rhs_state_form
 
-        def failing_state_form(*args):
-            raise FuzzyRicciError("state form", time=t)
+        def failing_state_form(samples, *args):
+            if samples[0].t == t:
+                raise FuzzyRicciError("state form", time=t)
+            return real(samples, *args)
 
         monkeypatch.setattr(tracking, "variation_rhs_state_form", failing_state_form)
         with pytest.raises(FuzzyRicciError, match=raised):
             first_variation_report(trajectory)
+
+    def test_plain_form_first_within_a_chunk(self, broken_run, monkeypatch):
+        # All 51 samples share one chunk: the plain form's failure at the third
+        # sample raises before the state form runs, even were it to fail earlier.
+        trajectory = broken_run
+        monkeypatch.setattr(
+            tracking, "variation_rhs_state_form", lambda *args: pytest.fail("state form ran")
+        )
+        with pytest.raises(NonRealVariation) as error:
+            first_variation_report(trajectory)
+        assert error.value.time == trajectory.samples[2].t

@@ -9,7 +9,7 @@ them to 1e-13: they measure roundoff-sized relative errors.
 import numpy as np
 import pytest
 
-from fuzzyricci import FlowConfig, FuzzyTorus, random_metric, run_flow, track_spectrum, verify
+from fuzzyricci import FlowConfig, FuzzyTorus, random_metric, run_flow, verify
 from fuzzyricci.laplace_beltrami import lb_spectrum, metric_state
 from fuzzyricci.linalg import gaussian_matrices, hs_inner, hs_norm
 
@@ -60,16 +60,18 @@ def tracking_reference():
     torus = FuzzyTorus(n, verify.TRACK_M)
     config = FlowConfig(t1=verify.TRACK_T1, sample_stride=verify.TRACK_STRIDE)
     trajectory = run_flow(torus, random_metric(n, verify.TRACK_SEED), config)
-    curves = track_spectrum(trajectory)
+    # The eigenpairs the variation law consumed: each sample's own spectrum.
+    spectra = [lb_spectrum(torus, sample.space) for sample in trajectory.samples]
     worst_norm = worst_state = 0.0
-    for sample, vectors in zip(trajectory.samples, curves.vectors):
-        for i, a in enumerate(vectors):
+    for sample, data in zip(trajectory.samples, spectra):
+        for i, a in enumerate(data.vectors_weighted):
             worst_norm = max(worst_norm, abs(sample.space.norm(a) - 1.0))
-            if i != curves.kernel:
+            if i != data.kernel_index:
                 worst_state = max(worst_state, abs(sample.space.state(a)))
 
     # The law lambda tr(a* a (L log c)) at the first sample, literally.
-    sample, value, vector = trajectory.samples[0], curves.values[0, -1], curves.vectors[0, -1]
+    sample = trajectory.samples[0]
+    value, vector = spectra[0].eigenvalues[-1], spectra[0].vectors_weighted[-1]
 
     def law(a):
         return (value * np.trace(a.conj().T @ a @ -sample.field)).real
