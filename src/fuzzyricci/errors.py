@@ -40,7 +40,11 @@ class PositivityLost(FuzzyRicciError):
 
 
 class StepUnderflow(FuzzyRicciError):
-    """Adaptive step size fell below the configured minimum."""
+    """Adaptive step size fell below the configured minimum; ``step`` is the size that did."""
+
+    def __init__(self, message: str, time: float | None = None, step: float | None = None):
+        super().__init__(message, time=time)
+        self.step = step
 
 
 class NonRealVariation(FuzzyRicciError):

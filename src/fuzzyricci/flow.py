@@ -445,7 +445,9 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
             factor = _MAX_GROWTH if err == 0 else _SAFETY * (tol / err) ** order_exp
             h = h * min(_MAX_GROWTH if accepted else 1.0, max(_MIN_SHRINK, factor))
             if h < _MIN_STEP:
-                raise StepUnderflow(f"step size fell below min_step={_MIN_STEP:g}", time=t)
+                raise StepUnderflow(
+                    f"step size h = {h:.6e} fell below min_step={_MIN_STEP:g}", time=t, step=h
+                )
         t = t_target
         result.samples.append(FlowSample(t, space, k1, hs_norm(space.c - flat)))
     return result

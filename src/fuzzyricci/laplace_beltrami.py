@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, MetricDegenerate
-from .linalg import as_square_matrix, hermitian_eig, lower_mirrored, matrix_to_json
+from .linalg import MatrixDocs, as_square_matrix, hermitian_eig, lower_mirrored
 from .torus import FuzzyTorus
 
 # Relative spectral-gap threshold below which eigenvalues are grouped as
@@ -290,10 +290,13 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
 
 
 def spectrum_to_json(data: SpectralData, t: float) -> dict:
-    """Spectrum at time ``t`` as JSON: eigenvalues plus weighted-normalized eigenvectors."""
+    """Spectrum at time ``t`` as JSON: eigenvalues plus weighted-normalized eigenvectors.
+
+    The eigenvectors are a :class:`MatrixDocs`, each matrix's document built when read.
+    """
     return {
         "eigenvalues": data.eigenvalues.tolist(),
-        "eigenvectors_Hc": [matrix_to_json(a) for a in data.vectors_weighted],
+        "eigenvectors_Hc": MatrixDocs(data.vectors_weighted),
         "kernel_index": data.kernel_index,
         "degeneracy_groups": data.degeneracy_groups,
         "t": float(t),

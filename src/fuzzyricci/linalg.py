@@ -21,6 +21,7 @@ of an operator can be read off its ``n^2 x n^2`` matrix directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import Callable
 
 import numpy as np
@@ -191,6 +192,23 @@ def matrix_to_json(a) -> dict:
     a = as_square_matrix(a)
     entries = np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist()
     return {"n": int(a.shape[0]), "entries": entries}
+
+
+class MatrixDocs(Sequence):
+    """Read-only sequence of the :func:`matrix_to_json` documents of a stack ``(K, n, n)``.
+
+    Each document is built when it is read, so encoding the sequence holds
+    one matrix's Python lists at a time, not the whole stack's.
+    """
+
+    def __init__(self, stack: np.ndarray):
+        self._stack = stack
+
+    def __len__(self) -> int:
+        return len(self._stack)
+
+    def __getitem__(self, index: int) -> dict:
+        return matrix_to_json(self._stack[index])
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:

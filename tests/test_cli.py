@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -16,8 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzyricci
-from fuzzyricci import FuzzyRicciError, PositivityLost, cli, flow, linalg
-from fuzzyricci.laplace_beltrami import WeightedSpace
+from fuzzyricci import (
+    FuzzyRicciError,
+    FuzzyTorus,
+    PositivityLost,
+    cli,
+    flow,
+    lb_spectrum,
+    linalg,
+    random_metric,
+)
+from fuzzyricci.laplace_beltrami import WeightedSpace, spectrum_to_json
 
 
 def run_cli(args):
@@ -511,6 +521,18 @@ class TestSimulate:
         assert "minimum step size, h = " in err["message"]
         assert "stage state is not finite" in err["message"]
 
+    def test_step_underflow_exit_3_names_the_step(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(flow, "_MIN_STEP", 0.4)
+        out = tmp_path / "x"
+        tolerances = ["--rel-tol", 1e-14, "--abs-tol", 1e-16]
+        argv = ["simulate", "--n", 2, "--t1", 1, "--stride", 1, *tolerances, "--out", out]
+        assert run_cli(argv) == 3
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "StepUnderflow"
+        assert 0 < err["step"] < 0.4
+        assert f"h = {err['step']:.6e}" in err["message"]
+
 
 class TestSpectrum:
     def test_flat_spectrum(self, tmp_path):
@@ -819,6 +841,51 @@ def test_every_json_artifact_is_in_the_stdlib_format(tmp_path, argv):
     for path in paths:
         text = path.read_text()
         assert text == _stdlib_text(json.loads(text)), path.name
+
+
+def test_spectrum_is_streamed_one_matrix_at_a_time(tmp_path):
+    # Writing spectrum.json at n=8 (345 kB) peaks at 47 kB of traced memory,
+    # 0.14 of the file's size. Building every matrix's lists and the whole
+    # text before writing peaked at 1.22 MB, 3.5 times the file's size.
+    data = lb_spectrum(FuzzyTorus(8, 1), random_metric(8, 0))
+    cli._write_json(tmp_path / "warm.json", spectrum_to_json(data, t=0.0))
+    path = tmp_path / "spectrum.json"
+    tracemalloc.start()
+    try:
+        cli._write_json(path, spectrum_to_json(data, t=0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == (tmp_path / "warm.json").read_bytes()
+    assert peak < path.stat().st_size / 4
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over_an_earlier_run"])
+def test_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, earlier):
+    # The document's pieces stop after the first; the artifact is either
+    # absent or the earlier run's, and its sibling temporary file is gone.
+    out = tmp_path / "run"
+    if earlier:
+        assert run_cli(["spectrum", "--n", 2, "--out", out]) == 0
+        earlier_bytes = (out / "spectrum.json").read_bytes()
+    real = cli._json_document
+
+    def failing(doc):
+        pieces = real(doc)
+        yield next(pieces)
+        if "eigenvectors_Hc" in doc:
+            raise RuntimeError("write failed")
+        yield from pieces
+
+    monkeypatch.setattr(cli, "_json_document", failing)
+    with pytest.raises(RuntimeError, match="write failed"):
+        run_cli(["spectrum", "--n", 2, "--t1", 0.1, "--out", out])
+    names = sorted(path.name for path in out.iterdir())
+    if earlier:
+        assert names == ["config.json", "spectrum.json"]
+        assert (out / "spectrum.json").read_bytes() == earlier_bytes
+    else:
+        assert names == ["config.json"]
 
 
 def test_error_document_is_in_the_stdlib_format(tmp_path, capsys):

@@ -188,8 +188,11 @@ class TestFlowStep:
     def test_step_underflow(self, torus2, monkeypatch):
         monkeypatch.setattr(flow, "_MIN_STEP", 0.4)
         config = FlowConfig(t1=1.0, sample_stride=1.0, rel_tol=1e-14, abs_tol=1e-16)
-        with pytest.raises(StepUnderflow):
+        with pytest.raises(StepUnderflow) as caught:
             run_flow(torus2, random_metric(2, 0), config)
+        step = caught.value.step
+        assert 0 < step < 0.4
+        assert f"h = {step:.6e}" in str(caught.value)
 
 
 class TestFlowConfig:
