@@ -20,8 +20,9 @@ floats, or of equal-length float rows, is one ``str.join`` here.
 Artifacts are streamed: the text comes in pieces (one per list item, dict
 value or float list) that go straight to a sibling file, renamed onto the
 artifact's name once complete, so a failed write leaves no partial file.
-``spectrum.json``'s eigenvectors become Python lists one matrix at a time,
-as they are written, so the document never exists whole in memory: a fresh
+``spectrum.json``'s eigenvectors and ``trajectory.json``'s samples become
+Python lists one matrix or sample at a time (``linalg.LazyDocs``), as they
+are written, so the document never exists whole in memory: a fresh
 ``spectrum --n 16 --t1 1`` peaks at 44 MB ``ru_maxrss`` (69 MB when built
 whole first) and ``spectrum --n 32 --initial flat`` at 130 MB (460 MB).
 
@@ -59,7 +60,7 @@ from .flow import (
     trajectory_to_json,
 )
 from .laplace_beltrami import lb_spectrum, spectrum_to_json
-from .linalg import MatrixDocs, as_int
+from .linalg import LazyDocs, as_int
 from .torus import FuzzyTorus
 from .tracking import (
     RESIDUAL_BUDGET,
@@ -148,7 +149,7 @@ def _json_pieces(obj, ind: str):
     """The stdlib encoder's text of ``obj`` at line prefix ``ind``, in pieces: one per
     key, scalar, closing bracket and list of finite floats (bare or in equal-length rows).
 
-    A ``MatrixDocs`` is a list whose items are built as they are encoded.
+    A ``LazyDocs`` is a list whose items are built as they are encoded.
     """
     inner = ind + "  "
     if isinstance(obj, dict):  # a key that is not a str fails to sort or encode: TypeError
@@ -161,11 +162,11 @@ def _json_pieces(obj, ind: str):
             yield from _json_pieces(value, inner)
             prefix = "," + inner
         yield ind + "}"
-    elif isinstance(obj, (list, tuple, MatrixDocs)):
+    elif isinstance(obj, (list, tuple, LazyDocs)):
         if not obj:
             yield "[]"
             return
-        floats = None if isinstance(obj, MatrixDocs) else _floats_text(obj, inner)
+        floats = None if isinstance(obj, LazyDocs) else _floats_text(obj, inner)
         if floats is not None:
             yield "[" + inner + floats + ind + "]"
             return
@@ -194,14 +195,21 @@ def _scalar_text(obj) -> str:
 
 def _floats_text(items, inner: str) -> str | None:
     """A non-empty list's items at line prefix ``inner`` when they are finite floats,
-    bare or in equal-length rows, by one ``str.join`` over ``float.__repr__``; else None."""
+    bare or in equal-length rows, by one ``str.join`` over ``float.__repr__``; else None.
+
+    Rows are one join of the items' reprs interleaved with the two separators:
+    the one between a row's items, and the one that closes a row and opens
+    the next (the last is the list's closing bracket instead).
+    """
     widths = set(map(len, items)) if set(map(type, items)) <= {list, tuple} else set()
     try:
         if len(widths) == 1 and 0 not in widths:
-            deeper = inner + "  "
-            flat = map(float.__repr__, itertools.chain.from_iterable(items))
-            rows = map(("," + deeper).join, zip(*[flat] * widths.pop()))
-            text = "[" + deeper + (inner + "]," + inner + "[" + deeper).join(rows) + inner + "]"
+            width, deeper = widths.pop(), inner + "  "
+            parts = [("," + deeper)] * (2 * width * len(items))
+            parts[0::2] = map(float.__repr__, itertools.chain.from_iterable(items))
+            parts[2 * width - 1 :: 2 * width] = [inner + "]," + inner + "[" + deeper] * len(items)
+            parts[-1] = inner + "]"
+            text = "[" + deeper + "".join(parts)
         else:
             text = ("," + inner).join(map(float.__repr__, items))
     except TypeError:  # an item that is not a float

@@ -11,7 +11,8 @@ step control on the Hilbert-Schmidt error norm; its last stage, evaluated at
 the candidate state, is reused as the next step's first stage (FSAL), so a
 trial step costs six eigendecompositions. A trial keeps its seven stage
 fields as the rows of one array ``K``: each stage state and the candidate
-are one row-vector product over it, and the error estimate, the distance to
+are one row-vector product over it, the rows of ``h A`` (built once per
+trial, with ``B5`` as its last row), and the error estimate, the distance to
 the embedded fourth-order solution, is ``h ||(B5 - B4) K||``.
 
 The flow is stiff in two different ways. Early on the stiffness comes from
@@ -38,10 +39,12 @@ does not capture the stiffness of ``log``.
 Only the initial metric is validated as outside input (``metric_state``). A
 stage state is a sum of the integrator's own Hermitian matrices, so it is not
 checked for Hermiticity: one ``eigh`` call, which reads its lower triangle
-only, makes its metric state (``WeightedSpace``), whose eigenpairs give the
-stage's field ``L(V diag(-log w) V*)`` directly (``_field``), and an accepted
-state is mirrored once from that triangle, with a real diagonal
-(``linalg.lower_mirrored``), as the initial state is. So every sample's
+only, gives the eigenpairs from which the stage's field
+``L(V diag(-log w) V*)`` comes directly (``_field``, which applies ``L`` to
+that Hermitian matrix with two products, ``laplacian_apply(...,
+hermitian=True)``). Only an accepted state becomes a metric state
+(``WeightedSpace``): it is mirrored once from that triangle, with a real
+diagonal (``linalg.lower_mirrored``), as the initial state is. So every sample's
 ``c`` is exactly Hermitian and exactly the matrix of its decomposition, and
 spectra and the variation law reuse that decomposition and the sample's
 field. Two domain guards stay per stage: a finite norm, and the smallest
@@ -58,13 +61,14 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput, InvalidParams, MetricDegenerate, PositivityLost, StepUnderflow
 from .laplace_beltrami import POSITIVITY_FLOOR, WeightedSpace, check_positive, metric_state
 from .linalg import (
+    LazyDocs,
     gaussian_matrices,
     hs_norm,
     lower_mirrored,
@@ -74,24 +78,29 @@ from .linalg import (
 )
 from .torus import FuzzyTorus, RealSplit
 
-# Dormand-Prince 4(5) tableau: A rows of stages 2-6, then the weights. B5 is
-# the fifth-order propagating weight vector, B4 the embedded fourth-order one;
+# Dormand-Prince 4(5) tableau: A rows of stages 2-6 (row i - 2 holds the
+# weights of stages 1 to i - 1, then zeros), then the weights. B5 is the
+# fifth-order propagating weight vector, B4 the embedded fourth-order one;
 # their difference estimates the local error. The seventh stage sits at the
 # fifth-order solution itself (its A row equals B5, whose last entry is zero),
 # so it is evaluated there and doubles as the first stage of the next step
 # ("first same as last", FSAL).
-_DP_A = list(map(np.array, [
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+_DP_A = np.array([
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-]))
+])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_E = _DP_B5 - _DP_B4
+# The rows that make stage states 2-7 from stages 1-6: A, padded, then B5.
+# Complex, as matmul would cast them against the complex stages anyway: the
+# bits are the same, and no stage pays for the cast.
+_DP_STATES = np.vstack([np.pad(_DP_A, ((0, 0), (0, 1))), _DP_B5[:6]]).astype(complex)
 
 # Taylor coefficients 1/(j+3)! of phi_3, j = 0..16: where |z| < 1 the first
 # term left out, 1/20!, is below 1e-17 of phi_3.
@@ -192,7 +201,11 @@ class FlowResult:
     trials after it. ``field_evaluations`` counts evaluations of ``-L log c``:
     one at the start, then one per stage that stays in the positive cone (a
     completed trial costs six before the switch and five after it).
-    ``counters`` is the table of all seven, by the names the JSON artifacts use.
+    ``eigendecompositions`` counts the ``eigh`` calls of the metric: one at
+    the start, then one per stage that reaches ``eigh`` (every field, plus
+    each stage that ``eigh`` puts below ``POSITIVITY_FLOOR``); the flat
+    ``L``'s real decomposition at the switch is not one. ``counters`` is the
+    table of all eight, by the names the JSON artifacts use.
     """
 
     torus: FuzzyTorus
@@ -204,6 +217,7 @@ class FlowResult:
     switch_time: float | None = None
     field_evaluations: int = 0
     tail_trials: int = 0
+    eigendecompositions: int = 0
 
     @property
     def rejected_steps(self) -> int:
@@ -219,6 +233,7 @@ class FlowResult:
             "switch_time": self.switch_time,
             "field_evaluations": self.field_evaluations,
             "tail_trials": self.tail_trials,
+            "eigendecompositions": self.eigendecompositions,
         }
 
     @property
@@ -249,16 +264,26 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     return c * (n / np.trace(c).real)
 
 
-def _field(torus: FuzzyTorus, space: WeightedSpace) -> np.ndarray:
-    """The flow's right-hand side -L log c at a metric state, from its eigenpairs.
+class _Eigenpairs(NamedTuple):
+    """A stage's ``np.linalg.eigh`` result, by name (numpy before 2.0 returns a bare pair)."""
 
-    Traceless by construction (the Laplacian is a sum of commutators), which
-    is what makes the flow conserve ``tr(c)`` to roundoff; zero at a scalar
-    metric. ``L`` is applied to ``V diag(-log w) V*``: negating the ``n`` logs
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+def _field(torus: FuzzyTorus, eig) -> np.ndarray:
+    """The flow's right-hand side -L log c, from the eigenpairs of ``c``.
+
+    ``eig`` has ``c``'s ``eigenvalues`` and ``eigenvectors``: a
+    ``WeightedSpace``, or a stage's ``_Eigenpairs``. Traceless by
+    construction (the Laplacian is a sum of commutators), which is what
+    makes the flow conserve ``tr(c)`` to roundoff; zero at a scalar metric.
+    ``L`` is applied to the Hermitian ``V diag(-log w) V*`` by its two-product
+    path (``laplacian_apply(..., hermitian=True)``): negating the ``n`` logs
     rather than the result is exact. Every field of a run is computed here.
     """
-    v = space.eigenvectors
-    return torus.laplacian_apply((v * -np.log(space.eigenvalues)) @ v.conj().T)
+    v = eig.eigenvectors
+    return torus.laplacian_apply((v * -np.log(eig.eigenvalues)) @ v.conj().T, hermitian=True)
 
 
 def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,31 +314,34 @@ def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _dp45_trial(evaluate, c: np.ndarray, k1: np.ndarray, h: float):
     """One embedded DP45 trial step of size ``h`` from ``c``, whose field is ``k1``.
 
-    ``evaluate(C)`` gives the metric state and the field at a stage state
-    ``C``, and raises ``MetricDegenerate`` outside the positive cone; that
-    exception leaves the trial from the stage that left the cone, and the
-    caller retries the step smaller. Otherwise returns
-    ``(space_next, k_next, error_estimate)``. ``space_next`` is the metric
-    state of the candidate (``run_flow`` mirrors it if it is accepted), where
-    the last stage is evaluated: its cone check is the positivity check of
-    the candidate state, and ``k_next`` is the field there, the next step's
-    first stage. Acceptance is the caller's decision. ``_etd_trial`` keeps
-    the same contract after the switch to the exponential tail.
+    ``evaluate(C)`` gives a pair at a stage state ``C``: the state as the
+    caller keeps it (``run_flow``'s: ``C`` and its ``eigh`` result), and the
+    field there. It raises ``MetricDegenerate`` outside the positive cone;
+    that exception leaves the trial from the stage that left the cone, and
+    the caller retries the step smaller. Otherwise returns
+    ``(state_next, k_next, error_estimate)``. ``state_next`` is the kept state
+    of the candidate (``run_flow`` mirrors it into a ``WeightedSpace`` if it
+    is accepted), where the last stage is evaluated: its cone check is the
+    positivity check of the candidate state, and ``k_next`` is the field
+    there, the next step's first stage. Acceptance is the caller's decision.
+    ``_etd_trial`` keeps the same contract after the switch to the
+    exponential tail.
     """
     n = c.shape[0]
+    weights = h * _DP_STATES  # row i - 1 makes stage i + 1's state; row 5 the candidate
     stages = np.empty((7, n * n), dtype=complex)
     stages[0] = k1.reshape(-1)
-    for i, row in enumerate(_DP_A, start=1):
-        stages[i] = evaluate(c + ((h * row) @ stages[:i]).reshape(n, n))[1].reshape(-1)
-    space_next, k_next = evaluate(c + ((h * _DP_B5[:6]) @ stages[:6]).reshape(n, n))
+    for i in range(1, 6):
+        stages[i] = evaluate(c + (weights[i - 1, :i] @ stages[:i]).reshape(n, n))[1].reshape(-1)
+    state_next, k_next = evaluate(c + (weights[5] @ stages[:6]).reshape(n, n))
     stages[6] = k_next.reshape(-1)
-    return space_next, k_next, h * hs_norm(_DP_E @ stages)
+    return state_next, k_next, h * hs_norm(_DP_E @ stages)
 
 
 def _etd_trial(
     evaluate, c: np.ndarray, k1: np.ndarray, h: float, rates: np.ndarray, split: RealSplit
 ):
-    """An exponential Runge-Kutta trial on ``e^{-sL/kappa}``: ``(space_next, k_next, error)``.
+    """An exponential Runge-Kutta trial on ``e^{-sL/kappa}``: ``(state_next, k_next, error)``.
 
     In the real eigen-coordinates of the flat ``L`` on Hermitian matrices,
     one real symmetric n^2 x n^2 matrix (``split``), where
@@ -334,10 +362,12 @@ def _etd_trial(
     replaces ``M_a + M_b`` by ``2 M_a`` and ``M_c`` by ``M_3``. A trial
     evaluates five fields (``a``, ``b``, ``c``, ``3`` and the end state, the
     next trial's ``M_0``). A scalar ``c`` has ``M = 0`` and stays bit-exact.
+    The phi-functions at ``z/2`` and ``z`` come from one call on both, stacked:
+    lanes are independent, so the bits are those of two calls.
     """
     z = -h * rates
-    p = (h / 2) * _phi_functions(z / 2)[0]
-    phi1, phi2, phi3 = _phi_functions(z)
+    (half, phi1), (_, phi2), (_, phi3) = _phi_functions(np.stack([z / 2, z]))
+    p = (h / 2) * half
     w_mid = h * (2 * phi2 - 4 * phi3)
     w_end = h * (4 * phi3 - phi2)
 
@@ -351,9 +381,9 @@ def _etd_trial(
     m_c = remainder(np.exp(z / 2) * d_a + p * (2 * m_b - m0))
     m_3 = remainder(h * phi1 * (2 * m_a - m0))
     d_next = h * (phi1 - 3 * phi2 + 4 * phi3) * m0 + w_mid * (m_a + m_b) + w_end * m_c
-    space_next, k_next = evaluate(c + split.from_eigen(d_next))
+    state_next, k_next = evaluate(c + split.from_eigen(d_next))
     error = _ETD_ERROR_WEIGHT * float(np.linalg.norm(w_mid * (m_b - m_a) + w_end * (m_c - m_3)))
-    return space_next, k_next, error
+    return state_next, k_next, error
 
 
 def sample_times(config: FlowConfig) -> np.ndarray:
@@ -389,18 +419,20 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     lower = np.tri(torus.n, dtype=bool)
     spread = _TAIL_SPREAD * kappa
 
-    def evaluate(c: np.ndarray) -> tuple[WeightedSpace, np.ndarray]:
+    def evaluate(c: np.ndarray) -> tuple[tuple[np.ndarray, _Eigenpairs], np.ndarray]:
+        # A stage keeps its matrix and eigh's result; only an accepted
+        # candidate becomes a WeightedSpace.
         norm = hs_norm(c)
         if not math.isfinite(norm):  # eigh raises on some NaN entries and passes others
             raise MetricDegenerate(f"stage state is not finite: ||c|| = {norm}")
-        w, v = np.linalg.eigh(c)
-        check_positive(w)
-        stage = WeightedSpace(c, w, v)
+        eig = _Eigenpairs(*np.linalg.eigh(c))
+        result.eigendecompositions += 1
+        check_positive(eig.eigenvalues)
         result.field_evaluations += 1
-        return stage, _field(torus, stage)
+        return (c, eig), _field(torus, eig)
 
     k1 = _field(torus, space)  # the field at space, the next trial's first stage
-    result.field_evaluations = 1
+    result.field_evaluations = result.eigendecompositions = 1
     result.samples.append(FlowSample(float(ts[0]), space, k1, hs_norm(space.c - flat)))
     h = min(_MAX_STEP, config.sample_stride)
     t = float(ts[0])
@@ -418,7 +450,7 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
             h = min(h, max_step, t_target - t)
             result.tail_trials += result.switch_time is not None
             try:
-                space_next, k_next, err = trial(evaluate, space.c, k1, h)
+                (c_next, eig_next), k_next, err = trial(evaluate, space.c, k1, h)
             except MetricDegenerate as exc:
                 # A stage left the positive cone: retry at half the step.
                 result.rejected_cone += 1
@@ -430,14 +462,13 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
                     ) from exc
                 h = h / 2
                 continue
-            tol = config.abs_tol + config.rel_tol * max(hs_norm(space.c), hs_norm(space_next.c))
+            tol = config.abs_tol + config.rel_tol * max(hs_norm(space.c), hs_norm(c_next))
             accepted = err <= tol
             if accepted:
                 result.accepted_steps += 1
                 # A step clipped to the sample time lands on it: t + (t_target - t) can round short.
                 t = t_target if h == t_target - t else t + h
-                c = lower_mirrored(space_next.c, lower)
-                space = WeightedSpace(c, space_next.eigenvalues, space_next.eigenvectors)
+                space = WeightedSpace(lower_mirrored(c_next, lower), *eig_next)
                 k1 = k_next
             else:
                 result.rejected_error += 1
@@ -491,11 +522,24 @@ def trajectory_csv_rows(result: FlowResult) -> Iterator[list[str]]:
                repr(s.dist_to_flat)]
 
 
+def _sample_to_json(s: FlowSample) -> dict:
+    return {
+        "t": s.t,
+        "c": matrix_to_json(s.c),
+        "trace": s.trace,
+        "det": s.det,
+        "min_eig": s.min_eig,
+        "dist_to_flat": s.dist_to_flat,
+    }
+
+
 def trajectory_to_json(result: FlowResult) -> dict:
     """Trajectory (with geometry parameters, run config and integrator stats) as JSON.
 
     ``config.max_step`` is the explicit phase's step cap; steps after the
-    switch to the exponential tail are not capped.
+    switch to the exponential tail are not capped. The samples are a
+    ``LazyDocs``: each sample's document is built when it is read, so the
+    writer holds one sample's lists at a time.
     """
     return {
         "n": result.torus.n,
@@ -506,17 +550,7 @@ def trajectory_to_json(result: FlowResult) -> dict:
             "min_step": _MIN_STEP,
             "positivity_floor": POSITIVITY_FLOOR,
         },
-        "samples": [
-            {
-                "t": s.t,
-                "c": matrix_to_json(s.c),
-                "trace": s.trace,
-                "det": s.det,
-                "min_eig": s.min_eig,
-                "dist_to_flat": s.dist_to_flat,
-            }
-            for s in result.samples
-        ],
+        "samples": LazyDocs(_sample_to_json, result.samples),
         **result.counters,
     }
 

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, MetricDegenerate
-from .linalg import MatrixDocs, as_square_matrix, hermitian_eig, lower_mirrored
+from .linalg import LazyDocs, as_square_matrix, hermitian_eig, lower_mirrored, matrix_to_json
 from .torus import FuzzyTorus
 
 # Relative spectral-gap threshold below which eigenvalues are grouped as
@@ -292,11 +292,11 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
 def spectrum_to_json(data: SpectralData, t: float) -> dict:
     """Spectrum at time ``t`` as JSON: eigenvalues plus weighted-normalized eigenvectors.
 
-    The eigenvectors are a :class:`MatrixDocs`, each matrix's document built when read.
+    The eigenvectors are a :class:`LazyDocs`, each matrix's document built when read.
     """
     return {
         "eigenvalues": data.eigenvalues.tolist(),
-        "eigenvectors_Hc": MatrixDocs(data.vectors_weighted),
+        "eigenvectors_Hc": LazyDocs(matrix_to_json, data.vectors_weighted),
         "kernel_index": data.kernel_index,
         "degeneracy_groups": data.degeneracy_groups,
         "t": float(t),

@@ -194,21 +194,23 @@ def matrix_to_json(a) -> dict:
     return {"n": int(a.shape[0]), "entries": entries}
 
 
-class MatrixDocs(Sequence):
-    """Read-only sequence of the :func:`matrix_to_json` documents of a stack ``(K, n, n)``.
+class LazyDocs(Sequence):
+    """Read-only sequence of the JSON documents ``build(item)`` of ``items``.
 
     Each document is built when it is read, so encoding the sequence holds
-    one matrix's Python lists at a time, not the whole stack's.
+    one item's Python lists at a time, not all of them: a stack ``(K, n, n)``
+    with :func:`matrix_to_json`, say, or a trajectory's samples.
     """
 
-    def __init__(self, stack: np.ndarray):
-        self._stack = stack
+    def __init__(self, build: Callable, items: Sequence):
+        self._build = build
+        self._items = items
 
     def __len__(self) -> int:
-        return len(self._stack)
+        return len(self._items)
 
-    def __getitem__(self, index: int) -> dict:
-        return matrix_to_json(self._stack[index])
+    def __getitem__(self, index: int):
+        return self._build(self._items[index])
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:

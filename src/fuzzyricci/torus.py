@@ -15,6 +15,13 @@ commutators behind ``commutant_dimension``, are built in closed form from
 Kronecker products: under the row-major flattening ``a -> [p, a]`` has the
 matrix ``p (x) I - I (x) p^T``. The dense matrix is cached per torus.
 
+``laplacian_apply`` computes ``[y, [y, a]]`` with four products; for a
+Hermitian ``a``, ``hermitian=True`` needs two, since ``[y, a] = p - p*``
+with ``p = y a`` is anti-Hermitian and then ``[y, b] = d + d*`` with
+``d = y b``. The flow applies ``L`` that way to every ``log c``; every other
+caller, and ``laplacian_split``'s build, keep the general path, the
+reference the Hermitian one is tested against.
+
 ``L`` maps Hermitian matrices to Hermitian matrices and is symmetric in the
 Hilbert-Schmidt inner product. On the real coordinates of a Hermitian matrix
 (the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle)
@@ -99,13 +106,25 @@ class FuzzyTorus:
         d = self.m * np.arange(self.n, dtype=float)
         return (d[:, None] - d[None, :]) ** 2
 
-    def laplacian_apply(self, a: np.ndarray) -> np.ndarray:
+    def laplacian_apply(self, a: np.ndarray, hermitian: bool = False) -> np.ndarray:
         """Flat Laplacian [y, [y, a]] + [x, [x, a]], applied as [y, [y, a]] + W o a.
 
         The y-part stays a literal double commutator so that scalars map to
-        exactly zero.
+        exactly zero. With ``hermitian=True`` the caller vouches that ``a``
+        is Hermitian, and the double commutator takes two products instead
+        of four: ``p = y a``, ``b = p - p*``, ``d = y b``, then ``d + d*``.
+        The result then differs from the general path's by roundoff, is
+        exactly Hermitian when ``a`` is, and is exactly zero at a real scalar.
         """
-        return _flat_laplacian(self.y, self._x_weights, np.asarray(a))
+        a = np.asarray(a)
+        if not hermitian:
+            return _flat_laplacian(self.y, self._x_weights, a)
+        p = self.y @ a
+        p -= p.conj().swapaxes(-1, -2)  # [y, a], anti-Hermitian
+        d = self.y @ p
+        d += d.conj().swapaxes(-1, -2)  # [y, b] = y b - b y = d + d*, as b* = -b
+        d += self._x_weights * a
+        return d
 
     @cached_property
     def laplacian(self) -> np.ndarray:

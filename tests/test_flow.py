@@ -47,7 +47,7 @@ def patch_trials(monkeypatch, wrap):
 
 
 def stage_at(torus, c):
-    """A trial stage's metric state and field, as ``run_flow`` evaluates them."""
+    """A trial stage's metric state, as a ``WeightedSpace``, and its field as ``run_flow``'s."""
     space = WeightedSpace.from_metric(c)
     return space, flow._field(torus, space)
 
@@ -287,9 +287,9 @@ class TestRunFlow:
         applies = []
         real_apply = FuzzyTorus.laplacian_apply
 
-        def counting_apply(self, a):
+        def counting_apply(self, a, **kwargs):
             applies.append(np.shape(a))
-            return real_apply(self, a)
+            return real_apply(self, a, **kwargs)
 
         monkeypatch.setattr(FuzzyTorus, "laplacian_apply", counting_apply)
 
@@ -336,6 +336,39 @@ class TestRunFlow:
         assert all(k == (5 if tail else 6) for k, tail in completed)
         assert len(applies) - sum(k for _, k, _, _ in per_trial) == 1
 
+    def test_eigendecompositions_count_every_metric_eigh(self, monkeypatch):
+        # The counter is the start-up metric plus every stage that reaches
+        # eigh: each field, and each stage that eigh puts below the floor.
+        # It is taken from numpy's complex eigh calls, as the budget above
+        # counts them; the flat L's real block at the switch is not one.
+        c0 = random_metric(3, 0, scale=2.0)
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(np.isrealobj(a))
+            return real_eigh(a)
+
+        below_floor = []
+        real_check = flow.check_positive
+
+        def counting_check(w):
+            try:
+                real_check(w)
+            except MetricDegenerate:
+                below_floor.append(float(w[0]))
+                raise
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(flow, "check_positive", counting_check)
+        result = run_flow(FuzzyTorus(3, 1), c0, FlowConfig(t1=5.0))
+        assert result.switch_time is not None and len(below_floor) > 0
+        assert result.rejected_cone >= len(below_floor)
+        assert result.eigendecompositions == result.field_evaluations + len(below_floor)
+        assert result.eigendecompositions == calls.count(False)
+        assert calls.count(True) == 1
+        assert result.counters["eigendecompositions"] == result.eigendecompositions
+
     def test_field_evaluations_count_every_field(self, torus3, monkeypatch):
         # One field at start-up, then one per stage that stays in the cone:
         # six per completed DP45 trial, five per completed tail trial, fewer
@@ -345,9 +378,9 @@ class TestRunFlow:
         real_apply = FuzzyTorus.laplacian_apply
         real_field = flow._field
 
-        def counting_apply(self, a):
+        def counting_apply(self, a, **kwargs):
             applies.append(np.shape(a))
-            return real_apply(self, a)
+            return real_apply(self, a, **kwargs)
 
         def counting_field(torus, space):
             fields.append(space)
@@ -399,7 +432,8 @@ class TestRunFlow:
             except CONE_EXIT:
                 outcomes.append("cone")
                 raise
-            tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(trial[0].c))
+            c_next, _ = trial[0]  # run_flow keeps a stage as its matrix and eigh's result
+            tol = config.abs_tol + config.rel_tol * max(hs_norm(c), hs_norm(c_next))
             outcomes.append("ok" if trial[2] <= tol else "error")
             return trial
 
@@ -508,7 +542,9 @@ class TestRunFlow:
         result = run_flow(torus3, random_metric(3, 4), FlowConfig(t1=t1, sample_stride=0.25))
         assert len(result.samples) == samples
         for s in result.samples:
-            np.testing.assert_array_equal(s.field, -torus3.laplacian_apply(s.space.log))
+            np.testing.assert_array_equal(
+                s.field, -torus3.laplacian_apply(s.space.log, hermitian=True)
+            )
 
     def test_flow_invariants(self, torus3):
         result = run_flow(torus3, random_metric(3, 8), FlowConfig(t1=5.0))

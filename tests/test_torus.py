@@ -194,6 +194,41 @@ class TestFlatLaplacian:
         assert np.max(np.abs(closed - probed)) <= 1e-15 * lam_max
 
 
+HERMITIAN_PATH_PAIRS = [(2, 1), (3, 2), (5, 2), (8, 3), (12, 11), (16, 1), (32, 1)]
+
+
+class TestHermitianPath:
+    """``laplacian_apply(a, hermitian=True)``, the flow's two-product path, against the general one."""
+
+    @pytest.mark.parametrize("n,m", HERMITIAN_PATH_PAIRS)
+    def test_agrees_with_the_general_path(self, n, m, rng):
+        # Within 2 eps lambda_max(L) ||a||. Over 20 inputs per pair the
+        # largest difference was 0.48 of that unit (at n = 2); from n = 8 on
+        # the two paths were bit-equal.
+        t = FuzzyTorus(n, m)
+        lam_max = float(t.laplacian_split.eigenvalues[-1])
+        for _ in range(5):
+            a = random_hermitian(rng, n)
+            gap = hs_norm(t.laplacian_apply(a, hermitian=True) - t.laplacian_apply(a))
+            assert gap <= 2 * np.finfo(float).eps * lam_max * hs_norm(a)
+
+    @pytest.mark.parametrize("n,m", HERMITIAN_PATH_PAIRS)
+    def test_hermitian_input_gives_exactly_hermitian_output(self, n, m, rng):
+        t = FuzzyTorus(n, m)
+        for _ in range(5):
+            a = random_hermitian(rng, n)
+            np.testing.assert_array_equal(a, a.conj().T)
+            image = t.laplacian_apply(a, hermitian=True)
+            np.testing.assert_array_equal(image, image.conj().T)
+
+    @pytest.mark.parametrize("n,m", HERMITIAN_PATH_PAIRS)
+    def test_scalars_map_to_exactly_zero(self, n, m):
+        t = FuzzyTorus(n, m)
+        for s in (1.0, 2.5, -0.3):
+            image = t.laplacian_apply(s * np.eye(n, dtype=complex), hermitian=True)
+            np.testing.assert_array_equal(image, np.zeros((n, n)))
+
+
 def broken_reflection_torus():
     """FuzzyTorus(5, 2) whose x-weights break the reflection S(a) = P a^T P.
 

@@ -403,10 +403,11 @@ class TestVariationReport:
         spectra = sample_spectra(torus3, trajectory)
         for k, (sample, sd) in enumerate(zip(trajectory.samples, spectra)):
             # From scratch: a fresh decomposition of the sample's metric, L
-            # applied here, and both forms evaluated literally at each
-            # eigenpair, found on its curve by its eigenvalue's bits.
+            # applied here as the flow applies it (its Hermitian path), and
+            # both forms evaluated literally at each eigenpair, found on its
+            # curve by its eigenvalue's bits.
             space = WeightedSpace.from_metric(sample.c)
-            lap_log = torus3.laplacian_apply(space.log)
+            lap_log = torus3.laplacian_apply(space.log, hermitian=True)
             for value, a in zip(sd.eigenvalues, sd.vectors_weighted):
                 (i,) = np.flatnonzero(curves.values[k] == value)
                 aa = a.conj().T @ a
