@@ -29,9 +29,9 @@ whole first) and ``spectrum --n 32 --initial flat`` at 130 MB (460 MB).
 Exit codes: 0 success; 2 invalid input or parameters, including an
 unreadable ``--config``, ``--initial`` or ``--geometry`` file, a stride or
 tolerance that is not finite and positive, an ``--out`` that cannot be a
-directory (an existing file is refused before any work), a ``track``
-sample grid that is not uniform or has fewer than 3 samples (refused before
-the flow), and ``verify --n-max`` given with ``--geometry``; 3 numerical
+directory (an existing file is refused before any work), ``track`` sample
+times that are fewer than 3 or do not strictly increase (refused before the
+flow), and ``verify --n-max`` given with ``--geometry``; 3 numerical
 failure (positivity loss, step underflow, or a variation-law value that is
 not real, ``NonRealVariation``); 4 acceptance failure in track/verify.
 Every package error outside the numerical three exits 2.
@@ -64,10 +64,10 @@ from .linalg import LazyDocs, as_int
 from .torus import FuzzyTorus
 from .tracking import (
     RESIDUAL_BUDGET,
+    check_sample_times,
     curves_csv_rows,
     first_variation_report,
     report_to_json,
-    uniform_step,
 )
 from .verify import geometry_file_report, run_suite
 
@@ -381,7 +381,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     config = resolve_config(args, "track")
     torus, c0 = _prepare_run(config)
     flow_config = _flow_config(config)
-    uniform_step(sample_times(flow_config))  # the derivative oracle's grid, checked before the run
+    check_sample_times(sample_times(flow_config))  # the derivative oracle's times, before the run
     result = run_flow(torus, c0, flow_config)
     report = first_variation_report(result)
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -264,18 +264,11 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     return c * (n / np.trace(c).real)
 
 
-class _Eigenpairs(NamedTuple):
-    """A stage's ``np.linalg.eigh`` result, by name (numpy before 2.0 returns a bare pair)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _field(torus: FuzzyTorus, eig) -> np.ndarray:
     """The flow's right-hand side -L log c, from the eigenpairs of ``c``.
 
     ``eig`` has ``c``'s ``eigenvalues`` and ``eigenvectors``: a
-    ``WeightedSpace``, or a stage's ``_Eigenpairs``. Traceless by
+    ``WeightedSpace``, or a stage's ``np.linalg.eigh`` result. Traceless by
     construction (the Laplacian is a sum of commutators), which is what
     makes the flow conserve ``tr(c)`` to roundoff; zero at a scalar metric.
     ``L`` is applied to the Hermitian ``V diag(-log w) V*`` by its two-product
@@ -419,13 +412,13 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     lower = np.tri(torus.n, dtype=bool)
     spread = _TAIL_SPREAD * kappa
 
-    def evaluate(c: np.ndarray) -> tuple[tuple[np.ndarray, _Eigenpairs], np.ndarray]:
+    def evaluate(c: np.ndarray) -> tuple[tuple[np.ndarray, tuple], np.ndarray]:
         # A stage keeps its matrix and eigh's result; only an accepted
         # candidate becomes a WeightedSpace.
         norm = hs_norm(c)
         if not math.isfinite(norm):  # eigh raises on some NaN entries and passes others
             raise MetricDegenerate(f"stage state is not finite: ||c|| = {norm}")
-        eig = _Eigenpairs(*np.linalg.eigh(c))
+        eig = np.linalg.eigh(c)  # an EighResult: eigenvalues, eigenvectors
         result.eigendecompositions += 1
         check_positive(eig.eigenvalues)
         result.field_evaluations += 1

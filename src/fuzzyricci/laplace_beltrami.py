@@ -215,8 +215,7 @@ class SpectralData:
     by ``c^{-1/2}`` and normalized in the weighted inner product. Global
     phases are left free: matching and the variation law do not see them.
     ``gap_threshold`` is ``GAP_TOL_REL`` times the operator norm (at least
-    1); ``degeneracy_groups`` lists index runs whose consecutive gaps fall
-    below it, and ``kernel_index`` locates the single eigenvalue below it.
+    1); ``kernel_index`` locates the single eigenvalue below it.
     ``min_gaps`` is each eigenvalue's distance to its nearest neighbor.
     """
 
@@ -225,13 +224,20 @@ class SpectralData:
     vectors_flat: np.ndarray
     vectors_weighted: np.ndarray
     gap_threshold: float
-    degeneracy_groups: list[list[int]]
     kernel_index: int
     min_gaps: np.ndarray
 
     @property
     def operator_norm(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
+
+    @property
+    def degeneracy_groups(self) -> list[list[int]]:
+        """Index runs whose consecutive gaps fall below ``gap_threshold``, computed when read."""
+        # Index ranges between the gaps of at least threshold; np.split would cost ~4x more.
+        cuts = np.flatnonzero(np.diff(self.eigenvalues) >= self.gap_threshold) + 1
+        bounds = [0, *cuts.tolist(), len(self.eigenvalues)]
+        return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
@@ -249,8 +255,9 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
     """:func:`lb_spectrum` of each metric or state in ``states``, bit for bit, computed as stacks.
 
     One stacked operator build (``len(states) * n^4`` entries) and one
-    ``eigh`` call. Kernel checks run in order: the first state without
-    exactly one zero mode raises ``MetricDegenerate``, with its ``times`` entry.
+    ``eigh`` call. The zero modes are counted for the whole stack at once:
+    the first state without exactly one raises ``MetricDegenerate``, with its
+    ``times`` entry.
     """
     spaces = [metric_state(torus, c) for c in states]
     s = stacked_power(spaces, -0.5)
@@ -258,6 +265,14 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
     n, count = torus.n, len(spaces)
     thresholds = GAP_TOL_REL * np.maximum(np.max(np.abs(w), axis=-1, initial=0.0), 1.0)
     kernels = np.abs(w) < thresholds[:, None]
+    zero_modes = np.count_nonzero(kernels, axis=-1)
+    if np.any(zero_modes != 1):
+        k = int(np.argmax(zero_modes != 1))
+        raise MetricDegenerate(
+            f"expected exactly one zero mode, found {zero_modes[k]} "
+            f"eigenvalues below {thresholds[k]:.3e}",
+            time=None if times is None else float(times[k]),
+        )
 
     # Column i of each eigenvector matrix is the row-major flattening of vector i.
     vectors_flat = v.swapaxes(-1, -2).reshape(count, n * n, n, n)
@@ -270,23 +285,11 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
     inf = np.full((count, 1), np.inf)
     min_gaps = np.minimum(np.concatenate([gaps, inf], -1), np.concatenate([inf, gaps], -1))
 
-    spectra = []
-    for k, space in enumerate(spaces):
-        threshold = float(thresholds[k])
-        kernel = np.flatnonzero(kernels[k])
-        if len(kernel) != 1:
-            raise MetricDegenerate(
-                f"expected exactly one zero mode, found {len(kernel)} "
-                f"eigenvalues below {threshold:.3e}",
-                time=None if times is None else float(times[k]),
-            )
-        # Index ranges between the gaps of at least threshold; np.split would cost ~4x more.
-        bounds = [0, *(np.flatnonzero(gaps[k] >= threshold) + 1).tolist(), n * n]
-        groups = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        spectra.append(SpectralData(
-            space, w[k], vectors_flat[k], vectors[k], threshold, groups, int(kernel[0]), min_gaps[k]
-        ))
-    return spectra
+    return [
+        SpectralData(space, w[k], vectors_flat[k], vectors[k], float(thresholds[k]),
+                     int(kernels[k].argmax()), min_gaps[k])
+        for k, space in enumerate(spaces)
+    ]
 
 
 def spectrum_to_json(data: SpectralData, t: float) -> dict:

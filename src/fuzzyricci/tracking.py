@@ -18,11 +18,11 @@ The tracked curves satisfy a first variation law along the flow,
 
 for weighted-normalized eigenvectors ``a``; ``first_variation_report``
 checks it against numpy's second-order finite-difference derivative of the
-tracked eigenvalues (``np.gradient`` with ``edge_order=2``: central
-differences inside the window, one-sided three-point stencils at the ends).
-That oracle needs a uniform grid of at least 3 samples; ``uniform_step``
-checks one, and depends only on the sample times, so a run can be refused
-before its flow is integrated.
+tracked eigenvalues on the sample times the flow produced (``np.gradient``
+with the times as coordinates and ``edge_order=2``: three-point stencils,
+central inside the window, one-sided at the ends, second order on any
+increasing grid). It needs only at least 3 samples at strictly increasing
+times, which ``check_sample_times`` checks before the flow is integrated.
 The law has an equivalent form through the state ``phi(b) = tr(c b)``,
 evaluated separately as a cross-check.
 
@@ -273,33 +273,33 @@ def variation_rhs_state_form(samples, values, a) -> np.ndarray:
     return _real_rhs(phi * values, samples)
 
 
-def uniform_step(times) -> float:
-    """The step ``h`` of a sample grid that :func:`fd_derivative` can use.
+def check_sample_times(times) -> np.ndarray:
+    """The sample times, as floats, if :func:`fd_derivative` can use them.
 
     Raises ``InsufficientData`` below 3 samples and ``InvalidInput`` unless
-    every spacing is within ``1e-9 * |h|`` of the first. The grid is known
-    from the run settings, so ``track`` checks it before the flow.
+    the times strictly increase. They are known from the run settings, so
+    ``track`` checks them before the flow.
     """
     times = np.asarray(times, dtype=float)
     if len(times) < 3:
         raise InsufficientData(
             f"need at least 3 samples for second-order differences, got {len(times)}"
         )
-    h = times[1] - times[0]
-    if np.max(np.abs(np.diff(times) - h)) > 1e-9 * abs(h):
-        raise InvalidInput("sample times are not uniformly spaced")
-    return float(h)
+    if not np.all(np.diff(times) > 0):
+        raise InvalidInput("sample times do not strictly increase")
+    return times
 
 
 def fd_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Second-order finite-difference derivative on a uniform grid: numpy's ``gradient``.
+    """Second-order finite-difference derivative along axis 0, on the sample times.
 
-    Central differences at interior points; one-sided three-point stencils
-    at both ends (``edge_order=2``; the flow only exists forward from the
-    initial time, so the start derivative is genuinely one-sided).
+    numpy's ``gradient`` with the times as coordinates: three-point central
+    stencils at interior points, one-sided three-point stencils at both ends
+    (``edge_order=2``; the flow only exists forward from the initial time, so
+    the start derivative is genuinely one-sided).
     """
-    h = uniform_step(times)
-    return np.gradient(np.asarray(values, dtype=float), h, axis=0, edge_order=2)
+    times = check_sample_times(times)
+    return np.gradient(np.asarray(values, dtype=float), times, axis=0, edge_order=2)
 
 
 @dataclass(frozen=True)
@@ -327,6 +327,7 @@ class VariationReport:
 
     @property
     def h(self) -> float:
+        """The first sample spacing."""
         return float(self.curves.times[1] - self.curves.times[0])
 
     @property
@@ -378,15 +379,13 @@ class VariationReport:
 def first_variation_report(trajectory: FlowResult) -> VariationReport:
     """Track the trajectory's curves and check d(lambda)/dt against the variation formula.
 
-    The sample grid is checked first (:func:`uniform_step`), then the curves
-    and both forms of the law at them are computed in one pass
+    The curves and both forms of the law at them are computed in one pass
     (:func:`track_spectrum`) and kept as the report's ``curves``. The
     derivative oracle is the finite-difference stencil of
-    :func:`fd_derivative`. Degenerate samples contribute rows but are
+    :func:`fd_derivative`, which checks the sample times. Degenerate samples contribute rows but are
     excluded from the aggregates. Relative residuals are
     ``|fd - rhs| / (1 + |fd|)``.
     """
-    uniform_step(trajectory.times)
     curves = track_spectrum(trajectory)
     return VariationReport(curves=curves, fd=fd_derivative(curves.times, curves.values))
 

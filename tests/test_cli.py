@@ -667,12 +667,11 @@ class TestTrack:
     @pytest.mark.parametrize(
         "grid, error",
         [
-            (["--t1", 0.2, "--stride", 0.07], "InvalidInput"),  # 0, 0.07, 0.14, 0.2
-            (["--t1", 0.0015], "InvalidInput"),  # 0, 1e-3, 1.5e-3
             (["--t1", 0.001], "InsufficientData"),  # 0, 1e-3
-            (["--t1", 2.9e-9, "--stride", 1e-9], "InvalidInput"),  # 0, 1e-9, 2e-9, 2.9e-9
+            # 1e10 + k * 1e-6 rounds to multiples of the 1.9e-6 ulp: half the spacings are 0.
+            (["--t0", 1e10, "--t1", 10000000000.0001, "--stride", 1e-6], "InvalidInput"),
         ],
-        ids=["uneven-stride", "uneven-end", "two-samples", "uneven-end-at-1e-9"],
+        ids=["two-samples", "zero-spacing"],
     )
     def test_unusable_grid_exit_2_before_the_flow(self, tmp_path, monkeypatch, capsys, grid, error):
         def no_flow(*args, **kwargs):
@@ -683,6 +682,24 @@ class TestTrack:
         assert run_cli(["track", "--n", 2, *grid, "--out", out]) == 2
         assert not out.exists()
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+    @pytest.mark.parametrize(
+        "grid, code",
+        [
+            (["--t1", 0.2, "--stride", 0.07], 4),  # 0, 0.07, 0.14, 0.2: too coarse for the budget
+            (["--t1", 0.0015], 0),  # 0, 1e-3, 1.5e-3
+            (["--t1", 2.9e-9, "--stride", 1e-9], 0),  # 0, 1e-9, 2e-9, 2.9e-9
+            (["--t0", 1e4, "--t1", 10000.2], 0),  # spacings uneven by the rounding of the times
+            (["--t0", 1e10, "--t1", 10000000000.2], 0),
+        ],
+        ids=["uneven-stride", "uneven-end", "uneven-end-at-1e-9", "t0-1e4", "t0-1e10"],
+    )
+    def test_uneven_grid_runs(self, tmp_path, grid, code):
+        # The derivative oracle differentiates on the sample times, whatever their spacing.
+        out = tmp_path / "run"
+        assert run_cli(["track", "--n", 2, *grid, "--out", out]) == code
+        doc = json.loads((out / "variation.json").read_text())
+        assert doc["passed"] is (code == 0)
 
 
 class TestVerify:

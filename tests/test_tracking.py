@@ -23,11 +23,11 @@ from fuzzyricci.flow import sample_times
 from fuzzyricci.laplace_beltrami import WeightedSpace, lb_spectra
 from fuzzyricci.linalg import hs_norm
 from fuzzyricci.tracking import (
+    check_sample_times,
     curves_csv_rows,
     fd_derivative,
     match_eigenpairs,
     report_to_json,
-    uniform_step,
     variation_rhs,
     variation_rhs_state_form,
 )
@@ -190,22 +190,44 @@ class TestFiniteDifferences:
         with pytest.raises(InsufficientData):
             fd_derivative(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
 
-    def test_nonuniform_grid_rejected(self):
-        with pytest.raises(InvalidInput):
-            fd_derivative(np.array([0.0, 0.1, 0.3]), np.zeros(3))
+    def test_second_order_on_a_short_last_spacing(self):
+        # The grid sample_times gives when the stride does not divide the window.
+        def max_err(h):
+            t = sample_times(FlowConfig(t1=1.0 + 0.3 * h, sample_stride=h))
+            d = fd_derivative(t, np.sin(3 * t))
+            return np.max(np.abs(d - 3 * np.cos(3 * t)))
 
-    def test_grid_rule_does_not_depend_on_the_time_scale(self):
-        # An end sample 0.2 s past the last stride multiple is kept and makes
-        # the grid non-uniform, at every scale s.
+        assert max_err(1e-3) / max_err(5e-4) > 3.0
+
+    def test_second_order_on_a_geometric_grid(self):
+        def max_err(samples):
+            t = np.geomspace(1e-3, 1.0, samples)
+            d = fd_derivative(t, np.sin(3 * t))
+            return np.max(np.abs(d - 3 * np.cos(3 * t)))
+
+        assert max_err(1001) / max_err(2001) > 3.0
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, 0.1, 0.1], [0.0, 0.2, 0.1], [0.0, np.nan, 0.2]],
+        ids=["zero-spacing", "decreasing", "nan"],
+    )
+    def test_times_that_do_not_increase_rejected(self, times):
+        with pytest.raises(InvalidInput, match="strictly increase"):
+            fd_derivative(np.array(times), np.zeros(3))
+
+    def test_times_from_any_scale_pass(self):
+        # An end sample 0.2 s past the last stride multiple is kept and passes, at every scale s.
         for k in range(-40, 21):
             s = 2.0**k
             uneven = sample_times(FlowConfig(t1=1.2 * s, sample_stride=0.5 * s))
             assert len(uneven) == 4, k
-            with pytest.raises(InvalidInput):
-                uniform_step(uneven)
-            even = sample_times(FlowConfig(t1=s, sample_stride=0.5 * s))
-            assert len(even) == 3, k
-            assert uniform_step(even) == 0.5 * s, k
+            assert np.array_equal(check_sample_times(uneven), uneven), k
+            assert len(sample_times(FlowConfig(t1=s, sample_stride=0.5 * s))) == 3, k
+        # Grids uneven only by the rounding of large float times pass too.
+        for t0 in (1e4, 1e10):
+            times = sample_times(FlowConfig(t0=t0, t1=t0 + 0.2, sample_stride=1e-3))
+            assert np.ptp(np.diff(times)) > 0
+            assert np.array_equal(check_sample_times(times), times)
 
 
 def law_at(form, sample, lam, a):
