@@ -10,10 +10,13 @@ Both unitaries are exponentials of canonical Hermitian generators:
 ``v = exp((2 pi i / n) y)`` with ``y`` the Fourier conjugate of
 ``diag(0, ..., n-1)``. The flat Laplacian is
 ``L a = [y, [y, a]] + [x, [x, a]]``, a positive-semidefinite superoperator
-whose kernel is exactly the scalar matrices. Its dense matrix, and the
-commutators behind ``commutant_dimension``, are built in closed form from
-Kronecker products: under the row-major flattening ``a -> [p, a]`` has the
-matrix ``p (x) I - I (x) p^T``. The dense matrix is cached per torus.
+whose kernel is exactly the scalar matrices. The package holds ``L`` only as
+a map (``laplacian_apply``) and as its real split (``laplacian_split``); no
+dense n^2 x n^2 matrix of it is cached. The curved operators of
+``laplace_beltrami`` are assembled from n x n pieces, and the tests probe
+``laplacian_apply`` with ``linalg.superop_from_map`` as a reference. The
+commutators behind ``commutant_dimension`` are Kronecker products: under the
+row-major flattening ``a -> [p, a]`` has the matrix ``p (x) I - I (x) p^T``.
 
 ``laplacian_apply`` computes ``[y, [y, a]]`` with four products; for a
 Hermitian ``a``, ``hermitian=True`` needs two, since ``[y, a] = p - p*``
@@ -47,8 +50,8 @@ class FuzzyTorus:
     """Fuzzy torus of size ``n`` with twist ``m`` coprime to ``n``.
 
     Exposes the generating unitaries ``u``, ``v``, the Hermitian log
-    generators ``x``, ``y``, and the flat Laplacian. All matrix-valued
-    members are cached per instance.
+    generators ``x``, ``y``, and the flat Laplacian as a map and as its real
+    split. All matrix-valued members are cached per instance.
     """
 
     n: int
@@ -125,28 +128,6 @@ class FuzzyTorus:
         d += d.conj().swapaxes(-1, -2)  # [y, b] = y b - b y = d + d*, as b* = -b
         d += self._x_weights * a
         return d
-
-    @cached_property
-    def laplacian(self) -> np.ndarray:
-        """Flat Laplacian as a dense ``(n^2, n^2)`` array, built in closed form.
-
-        Hermitian and positive semidefinite in the Hilbert-Schmidt inner
-        product, with one-dimensional kernel spanned by the identity.
-        ``[y, [y, .]]`` has the matrix ``y^2 (x) I - 2 y (x) y^T + I (x) (y^2)^T``
-        and ``[x, [x, .]]`` the diagonal ``diag(vec W)``; the terms are
-        accumulated into one array.
-        """
-        n, y = self.n, self.y
-        y2 = y @ y
-        # m[j, k, l, p] is the entry at row j*n + k, column l*n + p.
-        m = np.empty((n, n, n, n), dtype=complex)
-        np.multiply(y[:, None, :, None], -2 * y.T[None, :, None, :], out=m)
-        i = np.arange(n)
-        m[:, i, :, i] += y2  # y^2 (x) I
-        m[i, :, i, :] += y2.T  # I (x) (y^2)^T
-        m = m.reshape(n * n, n * n)
-        m[np.arange(n * n), np.arange(n * n)] += self._x_weights.reshape(-1)
-        return m
 
     @cached_property
     def laplacian_split(self) -> RealSplit:

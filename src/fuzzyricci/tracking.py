@@ -30,8 +30,9 @@ The torus, each sample's metric state and ``L log c`` (its negated field) are
 read off the trajectory, so no function here takes a torus or applies ``L``.
 Tracking is one pass over chunks of samples (``CHUNK_ENTRIES``): each chunk's
 spectra are computed as one stack, with the same bits as one sample at a
-time, both forms of the law are evaluated on them in spectral order, and
-matching then carries each sample's values and law values into curve order.
+time, both forms of the law are evaluated on them in spectral order, the
+overlaps of all its consecutive samples are one stacked product, and matching
+then carries each sample's values and law values into curve order.
 The law reads an eigenvector only through ``a* a``, so neither its phase nor
 its curve matters there. No eigenvector outlives its chunk: the curves keep
 per-sample scalars only, and memory beyond them is bounded per chunk.
@@ -56,21 +57,6 @@ FORMS_BUDGET = 1e-10
 CHUNK_ENTRIES = 2**14
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Assignment of previous eigenvectors to current ones.
-
-    ``permutation[i]`` is the current-stack index matched to previous
-    vector ``i``; ``overlaps[i]`` is the magnitude of their overlap, which
-    no phase of either vector changes; ``degenerate[i]`` marks matches below
-    ``OVERLAP_MIN``.
-    """
-
-    permutation: np.ndarray
-    overlaps: np.ndarray
-    degenerate: np.ndarray
-
-
 def _max_weight_assignment(weight: np.ndarray) -> np.ndarray:
     """The permutation ``perm`` maximizing ``sum(weight[i, perm[i]])`` of a square matrix.
 
@@ -78,12 +64,11 @@ def _max_weight_assignment(weight: np.ndarray) -> np.ndarray:
     first, on a tie). If those columns are all distinct, they are optimal,
     since the sum of row maxima bounds every assignment. Otherwise the
     contested rows give up their columns and each runs a shortest augmenting
-    path search (:func:`_augment_contested`). A NaN or inf entry raises
-    ``InvalidInput``: the search cannot terminate on one.
+    path search (:func:`_augment_contested`). The entries must be finite:
+    the search cannot terminate on a NaN or inf, and ``track_spectrum``
+    checks each chunk's weights before any assignment.
     """
     k = len(weight)
-    if np.count_nonzero(np.isfinite(weight)) != weight.size:
-        raise InvalidInput("overlap matrix has a NaN or inf entry")
     col4row = weight.argmax(axis=1)
     claims = np.bincount(col4row, minlength=k)
     if np.count_nonzero(claims) < k:
@@ -144,24 +129,6 @@ def _augment_contested(weight: np.ndarray, col4row: np.ndarray, claims: np.ndarr
                 break
 
 
-def match_eigenpairs(prev: np.ndarray, cur: np.ndarray) -> MatchResult:
-    """Match two stacks of flat eigenvectors by maximum total squared overlap.
-
-    A NaN or inf in either stack, or an overlap that overflows, raises
-    ``InvalidInput``.
-    """
-    if prev.shape != cur.shape:
-        raise InvalidInput(f"dimension mismatch: {prev.shape} vs {cur.shape} vector stacks")
-    p = prev.reshape(len(prev), -1)
-    q = cur.reshape(len(cur), -1)
-    if not (np.isfinite(p).all() and np.isfinite(q).all()):  # before inf * 0 warns in the product
-        raise InvalidInput("overlap matrix has a NaN or inf entry")
-    overlap = p.conj() @ q.T  # overlap[i, j] = <prev_i, cur_j>
-    perm = _max_weight_assignment(np.abs(overlap) ** 2)
-    mag = np.abs(overlap[np.arange(len(prev)), perm])
-    return MatchResult(permutation=perm, overlaps=mag, degenerate=mag < OVERLAP_MIN)
-
-
 @dataclass(frozen=True)
 class SpectralCurves:
     """The n^2 eigenvalue curves of a trajectory, indexed ``[sample, curve]``.
@@ -185,8 +152,9 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     """Stitch per-sample spectra into n^2 continuous eigenvalue curves, with the law on them.
 
     Curve ``i`` starts at the i-th ascending eigenvalue of the first sample;
-    later samples follow by overlap assignment. Matching failures are
-    recorded as per-sample degeneracy flags, never raised. Each chunk's
+    later samples follow by overlap assignment. Weak matches are recorded as
+    per-sample degeneracy flags, never raised; a NaN or inf overlap raises
+    ``InvalidInput`` before any assignment of its chunk. Each chunk's
     spectra come first: an operator without a single zero mode raises
     ``MetricDegenerate`` with its time. Both forms of the law follow, each
     once per chunk, plain form first: a non-real value raises
@@ -207,15 +175,28 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
         lam = np.stack([sd.eigenvalues for sd in spectra])
         a = np.stack([sd.vectors_weighted for sd in spectra])
         law = variation_rhs(part, lam, a), variation_rhs_state_form(part, lam, a)
+        flat = np.stack([sd.vectors_flat for sd in spectra]).reshape(len(part), n2, n2)
+        pairs = flat if start == 0 else np.concatenate([last, flat])
+        # Every pair of consecutive samples in one product, in spectral order:
+        # overlap[i, j] = <earlier vector i, later vector j>.
+        with np.errstate(invalid="ignore", over="ignore"):
+            magnitude = np.abs(pairs[:-1].conj() @ pairs[1:].swapaxes(-1, -2))
+        weight = magnitude**2
+        if np.count_nonzero(np.isfinite(weight)) != weight.size:
+            raise InvalidInput("overlap matrix has a NaN or inf entry")
+        last = flat[-1:]
         for k, sd in enumerate(spectra, start):
             if k == 0:
                 kernel, order, bad = sd.kernel_index, np.arange(n2), np.zeros(n2, dtype=bool)
             else:
-                match = match_eigenpairs(prev_flat, sd.vectors_flat)
-                order, bad = match.permutation, match.degenerate
+                # Pairs are counted from the chunk's end: the first chunk's first sample has none.
+                i = k - start - len(part)
+                # Rows in curve order: row r is the earlier sample's spectral index prev[r].
+                prev = order
+                order = _max_weight_assignment(weight[i, prev])
+                bad = magnitude[i, prev, order] < OVERLAP_MIN
                 # The kernel is exactly known; never let the assignment drift it.
                 bad[kernel] |= order[kernel] != sd.kernel_index
-            prev_flat = sd.vectors_flat[order]
             values[k] = sd.eigenvalues[order]
             min_gap[k] = sd.min_gaps[order]
             degenerate[k] = bad | (min_gap[k] < sd.gap_threshold)

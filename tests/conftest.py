@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fuzzyricci import FuzzyTorus
+from fuzzyricci.linalg import superop_from_map
 
 _CRITERION_RE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 _RESULTS: dict[int, tuple[str, str]] = {}
@@ -59,6 +60,11 @@ def random_complex(rng: np.random.Generator, n: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     g = random_complex(rng, n)
     return (g + g.conj().T) / 2
+
+
+def dense_laplacian(torus: FuzzyTorus) -> np.ndarray:
+    """The flat Laplacian's dense ``(n^2, n^2)`` matrix, probed from ``laplacian_apply``."""
+    return superop_from_map(torus.n, torus.laplacian_apply)
 
 
 # Sizes and twists at which the program's own matrices are pinned Hermitian to

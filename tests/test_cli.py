@@ -261,9 +261,9 @@ def test_base_error_exit_2(monkeypatch, capsys):
 
 
 def test_no_command_probes_an_operator(tmp_path, monkeypatch):
-    # Every operator is built in closed form; superop_from_map is only the
-    # tests' reference. Every module binding it is patched, so no route can
-    # hide a call.
+    # Every operator is assembled in closed form from n x n pieces;
+    # superop_from_map is only the tests' reference. Every module binding it
+    # is patched, so no route can hide a call.
     calls = []
     real_probe = linalg.superop_from_map
 

@@ -30,7 +30,7 @@ from fuzzyricci.linalg import (
     superop_from_map,
 )
 from fuzzyricci.verify import coprime_pairs
-from conftest import ROUNDOFF_PAIRS, random_complex, recording_eigh
+from conftest import ROUNDOFF_PAIRS, dense_laplacian, random_complex, recording_eigh
 
 
 def lb_apply(torus, space, a):
@@ -131,10 +131,13 @@ class TestWeightedSpace:
             for k in range(3):
                 for i in range(5):
                     assert stacked[k, i].tobytes() == (a[k, i] @ q[k]).tobytes()
-        # The conjugated operators' right product, the flat L reshaped to (n^3, n).
-        lap, st = FuzzyTorus(n, 1).laplacian, p.swapaxes(-1, -2)
-        one = lap.reshape(n**3, n) @ st
-        assert one.tobytes() == (lap.reshape(n * n, n, n) @ st[:, None]).tobytes()
+        # The conjugated operators' block product: one fixed left factor, the
+        # x-weights, against a stack of (n, n^2) matrices.
+        weights = FuzzyTorus(n, 1)._x_weights
+        terms = gaussian_matrices(rng, 3 * n, n).reshape(3, n, n * n)
+        stacked = weights @ terms
+        for k in range(3):
+            assert stacked[k].tobytes() == (weights @ terms[k]).tobytes()
 
 
 class TestMetricState:
@@ -206,7 +209,7 @@ class TestCurvedLaplacian:
 
     def test_conjugated_superop_flat_case(self, torus2):
         op = lb_conjugated_superop(torus2, np.eye(2))
-        np.testing.assert_allclose(op, torus2.laplacian, atol=1e-12)
+        np.testing.assert_allclose(op, dense_laplacian(torus2), atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_conjugated_superop_hermitian_psd(self, torus2, seed):
@@ -227,15 +230,28 @@ class TestCurvedLaplacian:
         for op in operators:
             assert hs_norm(op - op.conj().T) <= 16 * np.finfo(float).eps * hs_norm(op)
 
-    @pytest.mark.parametrize("n,m", list(coprime_pairs(8)))
-    def test_closed_form_matches_probed_map(self, n, m):
+    @pytest.mark.parametrize("n,m", [*coprime_pairs(8), (12, 5), (16, 1)])
+    def test_closed_form_matches_probed_map(self, n, m, monkeypatch):
+        # The single build and the stacked one lb_spectra decomposes, for
+        # several metrics at once, each against the literal map.
         torus = FuzzyTorus(n, m)
-        for seed in range(3):
-            space = WeightedSpace.from_metric(random_metric(n, seed))
-            closed = lb_conjugated_superop(torus, space)
+        spaces = [WeightedSpace.from_metric(random_metric(n, seed)) for seed in range(3)]
+        inputs = recording_eigh(monkeypatch)
+        lb_spectra(torus, spaces)
+        (stacked,) = inputs
+        for space, op in zip(spaces, stacked, strict=True):
             s = space.c_invsqrt
             probed = superop_from_map(n, lambda a: torus.laplacian_apply(a @ s) @ s)
-            assert hs_norm(closed - probed) <= 1e-13 * hs_norm(closed)
+            for closed in (lb_conjugated_superop(torus, space), op):
+                assert hs_norm(closed - probed) <= 1e-13 * hs_norm(closed)
+
+    def test_spectrum_caches_no_dense_operator_on_the_torus(self):
+        # The operator is assembled from n x n pieces: after a spectrum the
+        # torus holds no array of n^4 entries (the dense flat L is 1 MB at n = 16).
+        torus = FuzzyTorus(16, 1)
+        lb_spectrum(torus, random_metric(16, 0))
+        sizes = [np.size(v) for v in vars(torus).values() if isinstance(v, np.ndarray)]
+        assert sizes and max(sizes) < 16**4
 
 
 class TestSpectrum:

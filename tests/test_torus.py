@@ -5,8 +5,15 @@ import pytest
 
 from fuzzyricci import FuzzyTorus, InvalidParams, verify
 from fuzzyricci.linalg import hermitian_eig, hs_norm, matrix_function, superop_from_map
+from fuzzyricci.laplace_beltrami import lb_conjugated_superop
 from fuzzyricci.torus import _ad, commutant_dimension
-from conftest import ROUNDOFF_PAIRS, random_complex, random_hermitian, recording_eigh
+from conftest import (
+    ROUNDOFF_PAIRS,
+    dense_laplacian,
+    random_complex,
+    random_hermitian,
+    recording_eigh,
+)
 
 ALL_PAIRS = [
     (n, m) for n in range(2, 9) for m in range(1, n) if math.gcd(m, n) == 1
@@ -141,26 +148,26 @@ class TestFlatLaplacian:
     @pytest.mark.parametrize("n,m", ALL_PAIRS)
     def test_matches_literal_double_commutators(self, n, m, rng):
         t = FuzzyTorus(n, m)
-        lam_max = float(np.linalg.norm(t.laplacian, 2))
+        lam_max = float(np.linalg.norm(dense_laplacian(t), 2))
         for _ in range(5):
             a = random_complex(rng, n)
             literal = comm(t.y, comm(t.y, a)) + comm(t.x, comm(t.x, a))
             assert hs_norm(t.laplacian_apply(a) - literal) <= 1e-13 * hs_norm(a) * lam_max
 
     def test_n2_spectrum(self, torus2):
-        w, _ = hermitian_eig(torus2.laplacian)
+        w, _ = hermitian_eig(dense_laplacian(torus2))
         np.testing.assert_allclose(w, [0.0, 1.0, 1.0, 2.0], atol=1e-12)
 
     def test_flattened_clock_is_eigenvector(self, torus2):
         flat_u = torus2.u.reshape(-1)
         np.testing.assert_allclose(
-            torus2.laplacian @ flat_u, flat_u, atol=1e-13
+            dense_laplacian(torus2) @ flat_u, flat_u, atol=1e-13
         )
 
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (4, 3), (5, 2)])
     def test_superop_hermitian_psd_kernel(self, n, m):
         t = FuzzyTorus(n, m)
-        mat = t.laplacian
+        mat = dense_laplacian(t)
         norm = float(np.linalg.norm(mat, 2))
         assert hs_norm(mat - mat.conj().T) <= 1e-12 * hs_norm(mat)
         w, vecs = hermitian_eig(mat)
@@ -174,7 +181,8 @@ class TestFlatLaplacian:
     @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (4, 1)])
     def test_superop_matches_kron_construction(self, n, m):
         # Independent route: products of the Kronecker commutator matrices,
-        # not the accumulated closed form.
+        # against the closed form from n x n pieces, the curved operator at
+        # the flat metric.
         t = FuzzyTorus(n, m)
         eye = np.eye(n)
 
@@ -182,14 +190,15 @@ class TestFlatLaplacian:
             return np.kron(p, eye) - np.kron(eye, p.T)
 
         expected = ad(t.y) @ ad(t.y) + ad(t.x) @ ad(t.x)
-        np.testing.assert_allclose(t.laplacian, expected, atol=1e-12)
+        np.testing.assert_allclose(lb_conjugated_superop(t, np.eye(n)), expected, atol=1e-12)
 
     @pytest.mark.parametrize("n,m", ALL_PAIRS + [(16, 1)])
     def test_closed_form_matches_probe(self, n, m):
-        # The reference: the literal map applied to each matrix unit.
+        # The reference: the literal map applied to each matrix unit. The
+        # closed form is the curved operator's, from n x n pieces, at c = I.
         t = FuzzyTorus(n, m)
-        closed = t.laplacian
-        probed = superop_from_map(n, t.laplacian_apply)
+        closed = lb_conjugated_superop(t, np.eye(n))
+        probed = dense_laplacian(t)
         lam_max = float(np.linalg.norm(probed, 2))
         assert np.max(np.abs(closed - probed)) <= 1e-15 * lam_max
 
@@ -250,7 +259,7 @@ class TestReflectionSplit:
         split = t.laplacian_split
         assert split.eigenvalues.shape == (n * n,)
         assert split.eigenvectors.shape == (n * n, n * n) and np.isrealobj(split.eigenvectors)
-        w = hermitian_eig(t.laplacian).eigenvalues
+        w = hermitian_eig(dense_laplacian(t)).eigenvalues
         np.testing.assert_allclose(split.eigenvalues, w, rtol=0, atol=1e-14 * w[-1])
 
     @pytest.mark.parametrize("n,m", ROUNDOFF_PAIRS)

@@ -26,7 +26,6 @@ from fuzzyricci.tracking import (
     check_sample_times,
     curves_csv_rows,
     fd_derivative,
-    match_eigenpairs,
     report_to_json,
     variation_rhs,
     variation_rhs_state_form,
@@ -53,48 +52,54 @@ def short_run(torus2):
     return trajectory, curves
 
 
+def matched_overlaps(prev, cur):
+    """The tracker's assignment of ``cur`` to ``prev`` and each match's overlap magnitude."""
+    magnitude = np.abs(prev.reshape(len(prev), -1).conj() @ cur.reshape(len(cur), -1).T)
+    perm = tracking._max_weight_assignment(magnitude**2)
+    return perm, magnitude[np.arange(len(prev)), perm]
+
+
 class TestMatching:
     def test_identical_spectra(self, torus2):
         vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
-        match = match_eigenpairs(vectors, vectors)
-        np.testing.assert_array_equal(match.permutation, np.arange(4))
-        np.testing.assert_allclose(match.overlaps, np.ones(4), atol=1e-12)
-        assert not match.degenerate.any()
+        perm, overlaps = matched_overlaps(vectors, vectors)
+        np.testing.assert_array_equal(perm, np.arange(4))
+        np.testing.assert_allclose(overlaps, np.ones(4), atol=1e-12)
+        assert not (overlaps < tracking.OVERLAP_MIN).any()
 
     def test_swapped_vectors_recovered(self, torus2):
         vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
         swapped = vectors[[0, 3, 2, 1]]
-        match = match_eigenpairs(vectors, swapped)
-        np.testing.assert_array_equal(match.permutation, [0, 3, 2, 1])
+        perm, _ = matched_overlaps(vectors, swapped)
+        np.testing.assert_array_equal(perm, [0, 3, 2, 1])
 
     def test_phase_rotation_recovered(self, torus2):
         vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
         theta = 0.83
         rotated = np.exp(1j * theta) * vectors[[0, 3, 2, 1]]
         # Matching is on |overlap|^2: a global phase moves neither the assignment nor the overlaps.
-        match = match_eigenpairs(vectors, rotated)
-        np.testing.assert_array_equal(match.permutation, [0, 3, 2, 1])
-        np.testing.assert_allclose(match.overlaps, np.ones(4), atol=1e-12)
-        assert not match.degenerate.any()
-
-    def test_dimension_mismatch(self, torus2, torus3):
-        a = lb_spectrum(torus2, np.eye(2)).vectors_flat
-        b = lb_spectrum(torus3, np.eye(3)).vectors_flat
-        with pytest.raises(InvalidInput):
-            match_eigenpairs(a, b)
+        perm, overlaps = matched_overlaps(vectors, rotated)
+        np.testing.assert_array_equal(perm, [0, 3, 2, 1])
+        np.testing.assert_allclose(overlaps, np.ones(4), atol=1e-12)
+        assert not (overlaps < tracking.OVERLAP_MIN).any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_overlap_rejected(self, torus2, bad):
-        # The augmenting search never finishes on a NaN: the guard runs first.
-        vectors = lb_spectrum(torus2, random_metric(2, 1)).vectors_flat
-        broken = vectors.copy()
-        broken[2, 0, 1] = bad
+    def test_nonfinite_overlap_rejected(self, short_run, monkeypatch, bad):
+        # The augmenting search never finishes on a NaN: each chunk's weights
+        # are checked before any assignment, with no warning from the product.
+        trajectory, _ = short_run
+        real = tracking.lb_spectra
+
+        def broken(torus, states, times=None):
+            spectra = real(torus, states, times=times)
+            vectors = spectra[2].vectors_flat.copy()
+            vectors[2, 0, 1] = bad
+            spectra[2] = dataclasses.replace(spectra[2], vectors_flat=vectors)
+            return spectra
+
+        monkeypatch.setattr(tracking, "lb_spectra", broken)
         with pytest.raises(InvalidInput, match="NaN or inf"):
-            match_eigenpairs(vectors, broken)
-        weight = np.eye(3)
-        weight[1, 0] = bad  # rows 0 and 1 contest column 0: the search would run
-        with pytest.raises(InvalidInput, match="NaN or inf"):
-            tracking._max_weight_assignment(weight)
+            track_spectrum(trajectory)
 
 
 def scipy_assignment(weight):
@@ -157,17 +162,36 @@ class TestAssignment:
         assert searches == [1]
 
     @pytest.mark.parametrize("n, m, seed", [(5, 2, 3), (8, 1, 0)])
-    def test_curves_equal_scipy_matching(self, monkeypatch, n, m, seed):
+    def test_curves_equal_scipy_matching(self, n, m, seed):
         # At (8, 1, 0) two samples have contested rows, so the search runs.
+        # The reference matches every consecutive pair on its own, rows in
+        # curve order, with scipy: no chunk, so a fault at a chunk's first
+        # pair or in the rows' order shows, which patching the solver would hide.
         trajectory = run_flow(
             FuzzyTorus(n, m), random_metric(n, seed), FlowConfig(t1=0.05, sample_stride=1e-3)
         )
         ours = track_spectrum(trajectory)
-        monkeypatch.setattr(tracking, "_max_weight_assignment", scipy_assignment)
-        theirs = track_spectrum(trajectory)
-        for field in ("values", "min_gap", "degenerate", "rhs", "rhs_state_form"):
-            assert getattr(ours, field).tobytes() == getattr(theirs, field).tobytes()
-        assert ours.kernel == theirs.kernel
+        spectra = sample_spectra(trajectory.torus, trajectory)
+        lam = np.stack([sd.eigenvalues for sd in spectra])
+        a = np.stack([sd.vectors_weighted for sd in spectra])
+        forms = (variation_rhs, variation_rhs_state_form)
+        laws = [form(trajectory.samples, lam, a) for form in forms]
+        rows, order, kernel = np.arange(n * n), np.arange(n * n), spectra[0].kernel_index
+        for k, sd in enumerate(spectra):
+            bad = np.zeros(n * n, dtype=bool)
+            if k:
+                prev, cur = spectra[k - 1].vectors_flat[order], sd.vectors_flat
+                overlap = np.abs(prev.reshape(n * n, -1).conj() @ cur.reshape(n * n, -1).T)
+                order = scipy_assignment(overlap**2)
+                bad = overlap[rows, order] < tracking.OVERLAP_MIN
+                bad[kernel] |= order[kernel] != sd.kernel_index
+            gaps = sd.min_gaps[order]
+            np.testing.assert_array_equal(ours.values[k], sd.eigenvalues[order])
+            np.testing.assert_array_equal(ours.min_gap[k], gaps)
+            np.testing.assert_array_equal(ours.degenerate[k], bad | (gaps < sd.gap_threshold))
+            np.testing.assert_array_equal(ours.rhs[k], laws[0][k, order])
+            np.testing.assert_array_equal(ours.rhs_state_form[k], laws[1][k, order])
+        assert ours.kernel == kernel
 
 
 class TestFiniteDifferences:
@@ -344,7 +368,7 @@ class TestTrackSpectrum:
         assert not curves.degenerate.any()
         stacks = [lb_spectrum(torus2, s.space).vectors_flat for s in trajectory.samples]
         for prev, cur in zip(stacks, stacks[1:]):
-            assert match_eigenpairs(prev, cur).overlaps.min() > 0.99
+            assert matched_overlaps(prev, cur)[1].min() > 0.99
 
     def test_curves_converge_to_flat_spectrum(self, torus2):
         trajectory = run_flow(
@@ -459,11 +483,10 @@ class TestVariationReport:
 
     def test_no_laplacian_apply_after_the_flow(self, torus2, monkeypatch):
         # Each sample keeps the integrator's field -L log c, and the curved
-        # operator is built from the per-torus flat L.
+        # operator is assembled from n x n pieces, never by applying L.
         trajectory = run_flow(
             torus2, random_metric(2, 1), FlowConfig(t1=0.2, sample_stride=1e-3)
         )
-        torus2.laplacian
         calls = []
         real = FuzzyTorus.laplacian_apply
 
