@@ -23,8 +23,8 @@ artifact's name once complete, so a failed write leaves no partial file.
 ``spectrum.json``'s eigenvectors and ``trajectory.json``'s samples become
 Python lists one matrix or sample at a time (``linalg.LazyDocs``), as they
 are written, so the document never exists whole in memory: a fresh
-``spectrum --n 16 --t1 1`` peaks at 44 MB ``ru_maxrss`` (69 MB when built
-whole first) and ``spectrum --n 32 --initial flat`` at 130 MB (460 MB).
+``spectrum --n 16 --t1 1`` peaks at 43 MB ``ru_maxrss`` and
+``spectrum --n 32 --initial flat`` at 114 MB.
 
 Exit codes: 0 success; 2 invalid input or parameters, including an
 unreadable ``--config``, ``--initial`` or ``--geometry`` file, a stride or

@@ -22,11 +22,11 @@ records a random metric exhibiting it at n = 2.
 
 Every metric enters through the size-checked ``metric_state``. Both
 operators are plain ``(n^2, n^2)`` arrays built in closed form from n x n
-pieces: ``y``, the x-weights and ``c^{-1/2}`` (``_conjugated_operators``).
-Under the row-major flattening ``a -> p a q`` has the matrix ``p (x) q^T``,
-so no map is probed column by column and the flat Laplacian's own dense
-matrix is never formed. A right product over a stack of matrices is one BLAS
-call per sample (``right_product``), with the bits of one call per matrix.
+pieces, ``y``, the x-weights and ``c^{-1/2}``, by the torus
+(``FuzzyTorus.conjugated_laplacians``). Under the row-major flattening
+``a -> p a q`` has the matrix ``p (x) q^T``, so no map is probed column by
+column. A right product over a stack of matrices is one BLAS call per
+sample (``right_product``), with the bits of one call per matrix.
 """
 
 from __future__ import annotations
@@ -177,35 +177,7 @@ def lb_conjugated_superop(torus: FuzzyTorus, c) -> np.ndarray:
     Hermitian positive semidefinite under the flattening convention; its
     spectrum equals that of the weighted-space operator.
     """
-    return _conjugated_operators(torus, metric_state(torus, c).c_invsqrt[None])[0]
-
-
-def _conjugated_operators(torus: FuzzyTorus, s: np.ndarray) -> np.ndarray:
-    """The ``(S, n^2, n^2)`` conjugated operators for a stack ``s`` of ``c^{-1/2}``.
-
-    With ``S = c^{-1/2}`` and ``L b = y^2 b - 2 y b y + b y^2 + W o b``, the
-    operator ``a -> L(a S) S`` is, in n x n pieces,
-
-        y^2 (x) (S^2)^T - 2 y (x) (S y S)^T + blockdiag_j (S (y^2 + diag W_j) S)^T,
-
-    ``W_j`` the j-th row of the x-weights: row j of ``(W o (a S)) S`` is row j
-    of ``a`` times ``S diag(W_j) S``. The two Kronecker terms are one rank-2
-    product per sample, written in ``[j, l, k, p]`` order and copied once into
-    the operators' ``[j, k, l, p]``; the ``j = l`` blocks are added in one step.
-    """
-    n, count = torus.n, len(s)
-    y, st = torus.y, s.swapaxes(-1, -2)
-    g = y.T @ st  # (S y)^T
-    # terms[:, r, k, p] = S[r, k] S[p, r]; block j sums them with weights W[j, r].
-    terms = s[..., None] * st[:, :, None, :]
-    blocks = (torus._x_weights @ terms.reshape(count, n, n * n)).reshape(count, n, n, n)
-    blocks += (g.conj().swapaxes(-1, -2) @ g)[:, None]  # (S y^2 S)^T
-    left = np.stack([y @ y, -2 * y], axis=-1).reshape(n * n, 2)
-    right = np.stack([st @ st, st @ g], axis=1).reshape(count, 2, n * n)
-    m = (left @ right).reshape(count, n, n, n, n).transpose(0, 1, 3, 2, 4).copy()
-    j = np.arange(n)
-    m[:, j, :, j] += blocks.swapaxes(0, 1)
-    return m.reshape(count, n * n, n * n)
+    return torus.conjugated_laplacians(metric_state(torus, c).c_invsqrt[None])[0]
 
 
 def rejected_operator_superop(torus: FuzzyTorus, c) -> np.ndarray:
@@ -280,7 +252,7 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
     """
     spaces = [metric_state(torus, c) for c in states]
     s = stacked_power(spaces, -0.5)
-    w, v = np.linalg.eigh(_conjugated_operators(torus, s))
+    w, v = np.linalg.eigh(torus.conjugated_laplacians(s))
     n, count = torus.n, len(spaces)
     thresholds = GAP_TOL_REL * np.maximum(np.max(np.abs(w), axis=-1, initial=0.0), 1.0)
     kernels = np.abs(w) < thresholds[:, None]

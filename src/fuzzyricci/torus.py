@@ -10,11 +10,11 @@ Both unitaries are exponentials of canonical Hermitian generators:
 ``v = exp((2 pi i / n) y)`` with ``y`` the Fourier conjugate of
 ``diag(0, ..., n-1)``. The flat Laplacian is
 ``L a = [y, [y, a]] + [x, [x, a]]``, a positive-semidefinite superoperator
-whose kernel is exactly the scalar matrices. The package holds ``L`` only as
-a map (``laplacian_apply``) and as its real split (``laplacian_split``); no
-dense n^2 x n^2 matrix of it is cached. The curved operators of
-``laplace_beltrami`` are assembled from n x n pieces, and the tests probe
-``laplacian_apply`` with ``linalg.superop_from_map`` as a reference. The
+whose kernel is exactly the scalar matrices. The package holds ``L`` as a map
+(``laplacian_apply``), as ``conjugated_laplacians``, the matrices of
+``a -> L(a S) S`` assembled from n x n pieces (``laplace_beltrami``'s curved
+operators at ``S = c^{-1/2}``, ``L``'s complex matrix ``M`` at ``S = I``),
+and as its real split (``laplacian_split``); none is cached dense. The
 commutators behind ``commutant_dimension`` are Kronecker products: under the
 row-major flattening ``a -> [p, a]`` has the matrix ``p (x) I - I (x) p^T``.
 
@@ -22,15 +22,15 @@ row-major flattening ``a -> [p, a]`` has the matrix ``p (x) I - I (x) p^T``.
 Hermitian ``a``, ``hermitian=True`` needs two, since ``[y, a] = p - p*``
 with ``p = y a`` is anti-Hermitian and then ``[y, b] = d + d*`` with
 ``d = y b``. The flow applies ``L`` that way to every ``log c``; every other
-caller, and ``laplacian_split``'s build, keep the general path, the
-reference the Hermitian one is tested against.
+caller keeps the general path, the reference the Hermitian one is tested
+against.
 
 ``L`` maps Hermitian matrices to Hermitian matrices and is symmetric in the
-Hilbert-Schmidt inner product. On the real coordinates of a Hermitian matrix
-(the diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle)
-it is therefore one real symmetric n^2 x n^2 matrix; ``laplacian_split``
-decomposes it (a ``RealSplit``), for the flow's exponential tail and the
-invariant suite's kernel checks.
+Hilbert-Schmidt inner product. So on the real coordinates ``Re a + Im a`` of
+a Hermitian ``a``, an isometry onto real n x n matrices, it is one real
+symmetric n^2 x n^2 matrix; ``laplacian_split`` decomposes it (a
+``RealSplit``), for the flow's exponential tail and the invariant suite's
+kernel checks.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ class FuzzyTorus:
         """
         a = np.asarray(a)
         if not hermitian:
-            return _flat_laplacian(self.y, self._x_weights, a)
+            b = self.y @ a - a @ self.y
+            return (self.y @ b - b @ self.y) + self._x_weights * a
         p = self.y @ a
         p -= p.conj().swapaxes(-1, -2)  # [y, a], anti-Hermitian
         d = self.y @ p
@@ -129,24 +130,48 @@ class FuzzyTorus:
         d += self._x_weights * a
         return d
 
+    def conjugated_laplacians(self, s: np.ndarray) -> np.ndarray:
+        """The ``(S, n^2, n^2)`` matrices of ``a -> L(a S) S`` for a complex stack ``s`` of ``S``.
+
+        With ``L b = y^2 b - 2 y b y + b y^2 + W o b`` the operator is, in
+        n x n pieces,
+
+            y^2 (x) (S^2)^T - 2 y (x) (S y S)^T + blockdiag_j (S (y^2 + diag W_j) S)^T,
+
+        ``W_j`` the j-th row of the x-weights: row j of ``(W o (a S)) S`` is row j
+        of ``a`` times ``S diag(W_j) S``. The two Kronecker terms are one rank-2
+        product per sample, written in ``[j, l, k, p]`` order and copied once into
+        the operators' ``[j, k, l, p]``; the ``j = l`` blocks are added in one step.
+        """
+        n, count = self.n, len(s)
+        y, st = self.y, s.swapaxes(-1, -2)
+        g = y.T @ st  # (S y)^T
+        # terms[:, r, k, p] = S[r, k] S[p, r]; block j sums them with weights W[j, r].
+        terms = s[..., None] * st[:, :, None, :]
+        blocks = (self._x_weights @ terms.reshape(count, n, n * n)).reshape(count, n, n, n)
+        blocks += (g.conj().swapaxes(-1, -2) @ g)[:, None]  # (S y^2 S)^T
+        left = np.stack([y @ y, -2 * y], axis=-1).reshape(n * n, 2)
+        right = np.stack([st @ st, st @ g], axis=1).reshape(count, 2, n * n)
+        m = (left @ right).reshape(count, n, n, n, n).transpose(0, 1, 3, 2, 4).copy()
+        j = np.arange(n)
+        m[:, j, :, j] += blocks.swapaxes(0, 1)
+        return m.reshape(count, n * n, n * n)
+
     @cached_property
     def laplacian_split(self) -> RealSplit:
         """The flat Laplacian in a Hermitian matrix's real coordinates, decomposed.
 
-        The real symmetric n^2 x n^2 matrix is filled from ``L`` applied to the
-        coordinates' basis matrices (the formula of ``laplacian_apply``), n of
-        them at a time, so neither the dense complex matrix nor its
-        decomposition is needed, and decomposed with one ``eigh`` call.
+        In the coordinates ``r = Re a + Im a`` (``Re a`` symmetric, ``Im a``
+        antisymmetric, so ``Re a - Im a = r^T``) ``L`` is ``Re M + (Im M) P``,
+        ``M`` its complex matrix (``conjugated_laplacians`` at ``S = I``) and
+        ``P`` the transpose of a flattened matrix; one ``eigh`` decomposes it.
         """
         n = self.n
-        index_in, scale, index_out, weight_out = _real_coordinates(n)
-        block = np.empty((n * n, n * n))
-        for row in range(0, n * n, n):
-            units = np.eye(n, n * n, row)  # these rows' coordinate vectors
-            basis = np.ascontiguousarray(weight_out * units[:, index_out]).view(complex)
-            images = _flat_laplacian(self.y, self._x_weights, basis.reshape(n, n, n))
-            block[row : row + n] = scale * images.reshape(n, -1).view(float)[:, index_in]
-        return RealSplit(n, *np.linalg.eigh(block), index_in, scale, index_out, weight_out)
+        m = self.conjugated_laplacians(np.eye(n, dtype=complex)[None])[0]
+        block = m.imag[:, np.arange(n * n).reshape(n, n).T.reshape(-1)]  # (Im M) P
+        block += m.real
+        del m
+        return RealSplit(n, *np.linalg.eigh(block))
 
     def to_json(self) -> dict:
         """Dump the generators for cross-checking against other builds."""
@@ -166,61 +191,30 @@ class RealSplit:
     """The flat Laplacian on Hermitian matrices as one real symmetric matrix, decomposed.
 
     ``eigenvalues`` (ascending) and ``eigenvectors`` (columns) are
-    ``np.linalg.eigh``'s for ``L`` in the real coordinates of
-    ``_real_coordinates``. Eigen-coordinates are real vectors of length n^2.
-    Both maps are isometries between Hermitian matrices in the
+    ``np.linalg.eigh``'s for ``L`` in the real coordinates ``Re a + Im a`` of
+    a Hermitian ``a``, flattened row-major. Eigen-coordinates are real vectors
+    of length n^2. Both maps are isometries between Hermitian matrices in the
     Hilbert-Schmidt norm and eigen-coordinates in the Euclidean norm.
     """
 
     n: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    _index_in: np.ndarray
-    _scale: np.ndarray
-    _index_out: np.ndarray
-    _weight_out: np.ndarray
 
     def to_eigen(self, a: np.ndarray) -> np.ndarray:
-        """Eigen-coordinates of a Hermitian ``a``, read from its upper triangle and diagonal."""
-        af = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float)
-        return (self._scale * af[self._index_in]) @ self.eigenvectors
+        """Eigen-coordinates of a Hermitian ``a``."""
+        a = np.asarray(a)
+        return (a.real + a.imag).reshape(-1) @ self.eigenvectors
 
     def from_eigen(self, d: np.ndarray) -> np.ndarray:
-        """The exactly Hermitian matrix with eigen-coordinates ``d``."""
-        z = self.eigenvectors @ d
-        return (self._weight_out * z[self._index_out]).view(complex).reshape(self.n, self.n)
+        """The exactly Hermitian matrix with eigen-coordinates ``d``.
 
-
-def _flat_laplacian(y: np.ndarray, weights: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``[y, [y, a]] + weights o a`` over the last two axes of ``a``."""
-    b = y @ a - a @ y
-    return (y @ b - b @ y) + weights * a
-
-
-def _real_coordinates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One-term gathers between an n x n Hermitian matrix and its real coordinates.
-
-    The coordinates, orthonormal in the Hilbert-Schmidt inner product, are the
-    diagonal, then sqrt(2) Re and sqrt(2) Im of the strict upper triangle.
-    Returns the indices and scales that read them from a matrix's ``float``
-    view (its diagonal and upper triangle), then the index and weight that
-    write each entry of that view back: Im negated below the diagonal, so the
-    matrix is exactly Hermitian, and the diagonal's Im zero.
-    """
-    r, c = np.triu_indices(n, 1)
-    diagonal = np.arange(n) * (n + 1)
-    part = np.repeat([0, 1], [n + len(r), len(r)])  # Re, then Im
-    index_in = 2 * np.concatenate([diagonal, r * n + c, r * n + c]) + part
-    mirror = 2 * np.concatenate([diagonal, c * n + r, c * n + r]) + part
-    off = np.arange(n * n) >= n
-    scale = np.where(off, np.sqrt(2.0), 1.0)
-    weight = np.where(off, np.sqrt(0.5), 1.0)  # correctly rounded, as 1/sqrt(2) is not
-    index_out = np.zeros(2 * n * n, dtype=int)
-    weight_out = np.zeros(2 * n * n)
-    index_out[mirror] = index_out[index_in] = np.arange(n * n)
-    weight_out[mirror] = np.where(part == 1, -weight, weight)
-    weight_out[index_in] = weight
-    return index_in, scale, index_out, weight_out
+        Its Re and Im are the symmetric and antisymmetric parts of ``r = Q d``.
+        """
+        half = (self.eigenvectors @ d).reshape(self.n, self.n) / 2
+        a = np.empty(half.shape, dtype=complex)
+        a.real, a.imag = half + half.T, half - half.T
+        return a
 
 
 def _ad(p: np.ndarray) -> np.ndarray:

@@ -165,8 +165,8 @@ def geometry_file_report(doc: dict, name: str) -> dict:
 
 def laplacian_checks(torus: FuzzyTorus) -> list[dict]:
     params = f"n={torus.n},m={torus.m}"
-    # L's dense matrix is the curved operator's closed form at the flat metric.
-    mat = lb_conjugated_superop(torus, np.eye(torus.n))
+    # L's dense matrix is the closed form of a -> L(a S) S at S = I.
+    mat = torus.conjugated_laplacians(np.eye(torus.n, dtype=complex)[None])[0]
     checks = [_leq("laplacian_hermitian", params, hermiticity_defect(mat), TOL_LAP_HERM)]
 
     # The norm, spectrum, kernel and gap come from L's real form on Hermitian

@@ -691,8 +691,11 @@ class TestTrack:
             (["--t1", 2.9e-9, "--stride", 1e-9], 0),  # 0, 1e-9, 2e-9, 2.9e-9
             (["--t0", 1e4, "--t1", 10000.2], 0),  # spacings uneven by the rounding of the times
             (["--t0", 1e10, "--t1", 10000000000.2], 0),
+            (["--t1", 0.200000000002], 0),  # the 2e-12 remainder moves the last sample onto t1
         ],
-        ids=["uneven-stride", "uneven-end", "uneven-end-at-1e-9", "t0-1e4", "t0-1e10"],
+        ids=[
+            "uneven-stride", "uneven-end", "uneven-end-at-1e-9", "t0-1e4", "t0-1e10", "sliver-end"
+        ],
     )
     def test_uneven_grid_runs(self, tmp_path, grid, code):
         # The derivative oracle differentiates on the sample times, whatever their spacing.

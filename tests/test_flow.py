@@ -213,6 +213,11 @@ class TestFlowConfig:
         ts = sample_times(FlowConfig(t0=0.0, t1=0.25, sample_stride=0.1))
         np.testing.assert_allclose(ts, [0.0, 0.1, 0.2, 0.25])
         assert sample_times(FlowConfig(t0=1.0, t1=1.0)).tolist() == [1.0]
+        # A remainder of up to 1e-6 strides moves the last sample onto t1.
+        ts = sample_times(FlowConfig(t0=0.0, t1=0.200000000002, sample_stride=1e-3))
+        assert len(ts) == 201 and ts[-1] == 0.200000000002
+        ts = sample_times(FlowConfig(t0=0.0, t1=0.2 + 1.1e-9, sample_stride=1e-3))  # keeps its own
+        assert len(ts) == 202 and ts[-1] == 0.2 + 1.1e-9
 
 
 class TestRunFlow:

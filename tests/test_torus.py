@@ -271,8 +271,13 @@ class TestReflectionSplit:
         block = inputs[0]
         assert np.isrealobj(block)
         assert hs_norm(block - block.T) <= 16 * np.finfo(float).eps * hs_norm(block)
+        # In the coordinates Re a + Im a, L is Re D + (Im D) P, P the transpose.
+        d = dense_laplacian(FuzzyTorus(n, m))
+        transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
+        lam_max = float(np.linalg.norm(d, 2))
+        assert np.max(np.abs(block - (d.real + d.imag[:, transpose]))) <= 1e-15 * lam_max
 
-    @pytest.mark.parametrize("n,m", SPLIT_PAIRS)
+    @pytest.mark.parametrize("n,m", SPLIT_PAIRS + [(32, 1)])
     def test_round_trip_through_eigen_coordinates(self, n, m, rng):
         split = FuzzyTorus(n, m).laplacian_split
         for _ in range(3):
@@ -284,7 +289,7 @@ class TestReflectionSplit:
             np.testing.assert_array_equal(back, back.conj().T)
             assert hs_norm(back - a) <= 1e-14 * hs_norm(a)
 
-    @pytest.mark.parametrize("n,m", SPLIT_PAIRS)
+    @pytest.mark.parametrize("n,m", SPLIT_PAIRS + [(32, 1)])
     def test_blocks_apply_l(self, n, m, rng):
         t = FuzzyTorus(n, m)
         split = t.laplacian_split
