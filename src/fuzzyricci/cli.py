@@ -22,9 +22,7 @@ value or float list) that go straight to a sibling file, renamed onto the
 artifact's name once complete, so a failed write leaves no partial file.
 ``spectrum.json``'s eigenvectors and ``trajectory.json``'s samples become
 Python lists one matrix or sample at a time (``linalg.LazyDocs``), as they
-are written, so the document never exists whole in memory: a fresh
-``spectrum --n 16 --t1 1`` peaks at 43 MB ``ru_maxrss`` and
-``spectrum --n 32 --initial flat`` at 114 MB.
+are written, so the document never exists whole in memory.
 
 Exit codes: 0 success; 2 invalid input or parameters, including an
 unreadable ``--config``, ``--initial`` or ``--geometry`` file, a stride or
@@ -32,8 +30,8 @@ tolerance that is not finite and positive, an ``--out`` that cannot be a
 directory (an existing file is refused before any work), ``track`` sample
 times that are fewer than 3 or do not strictly increase (refused before the
 flow), and ``verify --n-max`` given with ``--geometry``; 3 numerical
-failure (positivity loss, step underflow, or a variation-law value that is
-not real, ``NonRealVariation``); 4 acceptance failure in track/verify.
+failure (positivity loss, step underflow, or a sample's ``L log c`` that is
+not exactly Hermitian, ``NonRealVariation``); 4 acceptance failure in track/verify.
 Every package error outside the numerical three exits 2.
 """
 

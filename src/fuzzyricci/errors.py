@@ -48,7 +48,7 @@ class StepUnderflow(FuzzyRicciError):
 
 
 class NonRealVariation(FuzzyRicciError):
-    """The variation law's right-hand side is not real to within its guard: a numerical failure."""
+    """A sample's ``L log c`` is not exactly Hermitian, so the variation law is not real."""
 
 
 class InsufficientData(FuzzyRicciError):

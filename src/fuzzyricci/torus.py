@@ -18,12 +18,10 @@ and as its real split (``laplacian_split``); none is cached dense. The
 commutators behind ``commutant_dimension`` are Kronecker products: under the
 row-major flattening ``a -> [p, a]`` has the matrix ``p (x) I - I (x) p^T``.
 
-``laplacian_apply`` computes ``[y, [y, a]]`` with four products; for a
-Hermitian ``a``, ``hermitian=True`` needs two, since ``[y, a] = p - p*``
-with ``p = y a`` is anti-Hermitian and then ``[y, b] = d + d*`` with
-``d = y b``. The flow applies ``L`` that way to every ``log c``; every other
-caller keeps the general path, the reference the Hermitian one is tested
-against.
+``laplacian_apply`` computes ``[y, [y, a]]`` with four products, or with two
+for a Hermitian ``a`` (``hermitian=True``), whose image is exactly Hermitian.
+The flow applies ``L`` that way to every ``log c``; every other caller keeps
+the general path, the reference the Hermitian one is tested against.
 
 ``L`` maps Hermitian matrices to Hermitian matrices and is symmetric in the
 Hilbert-Schmidt inner product. So on the real coordinates ``Re a + Im a`` of
@@ -109,15 +107,19 @@ class FuzzyTorus:
         d = self.m * np.arange(self.n, dtype=float)
         return (d[:, None] - d[None, :]) ** 2
 
+    @cached_property
+    def _x_half_weights(self) -> np.ndarray:
+        return self._x_weights / 2  # W / 2, added before the Hermitian path's mirror
+
     def laplacian_apply(self, a: np.ndarray, hermitian: bool = False) -> np.ndarray:
         """Flat Laplacian [y, [y, a]] + [x, [x, a]], applied as [y, [y, a]] + W o a.
 
         The y-part stays a literal double commutator so that scalars map to
         exactly zero. With ``hermitian=True`` the caller vouches that ``a``
         is Hermitian, and the double commutator takes two products instead
-        of four: ``p = y a``, ``b = p - p*``, ``d = y b``, then ``d + d*``.
-        The result then differs from the general path's by roundoff, is
-        exactly Hermitian when ``a`` is, and is exactly zero at a real scalar.
+        of four: ``p = y a``, ``b = p - p*``, ``d = y b + (W/2) o a``, then
+        ``d + d*``. The result differs from the general path's by roundoff,
+        is exactly Hermitian for any ``a``, and is exactly zero at a real scalar.
         """
         a = np.asarray(a)
         if not hermitian:
@@ -126,12 +128,12 @@ class FuzzyTorus:
         p = self.y @ a
         p -= p.conj().swapaxes(-1, -2)  # [y, a], anti-Hermitian
         d = self.y @ p
-        d += d.conj().swapaxes(-1, -2)  # [y, b] = y b - b y = d + d*, as b* = -b
-        d += self._x_weights * a
+        d += self._x_half_weights * a
+        d += d.conj().swapaxes(-1, -2)  # [y, b] + W o a, as b* = -b and W is symmetric
         return d
 
     def conjugated_laplacians(self, s: np.ndarray) -> np.ndarray:
-        """The ``(S, n^2, n^2)`` matrices of ``a -> L(a S) S`` for a complex stack ``s`` of ``S``.
+        """The ``(S, n^2, n^2)`` complex matrices of ``a -> L(a S) S`` for a stack ``s`` of ``S``.
 
         With ``L b = y^2 b - 2 y b y + b y^2 + W o b`` the operator is, in
         n x n pieces,
@@ -143,7 +145,7 @@ class FuzzyTorus:
         product per sample, written in ``[j, l, k, p]`` order and copied once into
         the operators' ``[j, k, l, p]``; the ``j = l`` blocks are added in one step.
         """
-        n, count = self.n, len(s)
+        n, count, s = self.n, len(s), np.asarray(s, dtype=complex)
         y, st = self.y, s.swapaxes(-1, -2)
         g = y.T @ st  # (S y)^T
         # terms[:, r, k, p] = S[r, k] S[p, r]; block j sums them with weights W[j, r].
@@ -167,7 +169,7 @@ class FuzzyTorus:
         ``P`` the transpose of a flattened matrix; one ``eigh`` decomposes it.
         """
         n = self.n
-        m = self.conjugated_laplacians(np.eye(n, dtype=complex)[None])[0]
+        m = self.conjugated_laplacians(np.eye(n)[None])[0]
         block = m.imag[:, np.arange(n * n).reshape(n, n).T.reshape(-1)]  # (Im M) P
         block += m.real
         del m

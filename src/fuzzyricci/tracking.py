@@ -24,7 +24,7 @@ central inside the window, one-sided at the ends, second order on any
 increasing grid). It needs only at least 3 samples at strictly increasing
 times, which ``check_sample_times`` checks before the flow is integrated.
 The law has an equivalent form through the state ``phi(b) = tr(c b)``,
-evaluated separately as a cross-check.
+evaluated separately as a cross-check; both need ``L log c`` exactly Hermitian.
 
 The torus, each sample's metric state and ``L log c`` (its negated field) are
 read off the trajectory, so no function here takes a torus or applies ``L``.
@@ -157,9 +157,9 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     ``InvalidInput`` before any assignment of its chunk. Each chunk's
     spectra come first: an operator without a single zero mode raises
     ``MetricDegenerate`` with its time. Both forms of the law follow, each
-    once per chunk, plain form first: a non-real value raises
-    ``NonRealVariation`` with the time of the chunk's earliest sample holding
-    one. So the earliest failing chunk raises, before any later chunk runs.
+    once per chunk, plain form first: a field that is not exactly Hermitian raises
+    ``NonRealVariation`` with its sample's time, the chunk's earliest such one. So
+    the earliest failing chunk raises, before any later chunk runs.
     """
     if not trajectory.samples:
         raise InsufficientData("trajectory has no samples")
@@ -212,14 +212,17 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     )
 
 
-def _real_rhs(val: np.ndarray, samples) -> np.ndarray:
-    bad = np.abs(val.imag) > 1e-10 * (1.0 + np.abs(val.real))
-    if np.any(bad):  # the earliest sample's first bad entry
-        raise NonRealVariation(
-            f"variation right-hand side has non-real value {complex(val[bad][0])!r}",
-            time=samples[int(np.argmax(bad.any(-1)))].t,
-        )
-    return val.real
+def _lap_logs(samples) -> np.ndarray:
+    """The samples' ``L log c`` (their negated fields), stacked, if each is exactly Hermitian.
+
+    Else the law is not real: ``NonRealVariation``, with the earliest such sample's time.
+    """
+    lap_log = -np.stack([s.field for s in samples])
+    bad = (lap_log != lap_log.conj().swapaxes(-1, -2)).any(axis=(-2, -1))
+    if bad.any():
+        t = samples[int(bad.argmax())].t
+        raise NonRealVariation(f"non-real law, L log c not exactly Hermitian at t = {t!r}", time=t)
+    return lap_log
 
 
 def variation_rhs(samples, values, a) -> np.ndarray:
@@ -228,15 +231,13 @@ def variation_rhs(samples, values, a) -> np.ndarray:
     ``samples`` is a sequence of ``S`` flow samples, ``values`` their
     ``(S, K)`` eigenvalues and ``a`` the ``(S, K, n, n)`` eigenvectors, each
     normalized in the weighted inner product of its sample's metric; the
-    result is ``(S, K)``. ``L log c`` is the negated field each sample keeps.
-    The trace is real up to roundoff (product of two Hermitian factors); a
-    relative imaginary part above 1e-10 in any entry raises
-    ``NonRealVariation``, with the time of the earliest sample holding one.
+    result is ``(S, K)``, the real part of a trace of two Hermitian factors:
+    ``L log c``, each sample's negated field, is read through :func:`_lap_logs`.
     """
     a = np.asarray(a, dtype=complex)
-    lap_log = -np.stack([s.field for s in samples])
+    lap_log = _lap_logs(samples)
     trace = np.trace(right_product(a.conj().swapaxes(-1, -2) @ a, lap_log), axis1=-2, axis2=-1)
-    return _real_rhs(trace * values, samples)
+    return (trace * values).real
 
 
 def variation_rhs_state_form(samples, values, a) -> np.ndarray:
@@ -247,11 +248,10 @@ def variation_rhs_state_form(samples, values, a) -> np.ndarray:
     as an independent cross-check. Arguments are as in :func:`variation_rhs`.
     """
     a = np.asarray(a, dtype=complex)
-    lap_log = -np.stack([s.field for s in samples])
     c_inv = stacked_power([s.space for s in samples], -1.0)
-    b = right_product(right_product(a.conj().swapaxes(-1, -2) @ a, lap_log), c_inv)
+    b = right_product(right_product(a.conj().swapaxes(-1, -2) @ a, _lap_logs(samples)), c_inv)
     phi = np.trace(np.stack([s.c for s in samples])[:, None] @ b, axis1=-2, axis2=-1)
-    return _real_rhs(phi * values, samples)
+    return (phi * values).real
 
 
 def check_sample_times(times) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -646,16 +647,35 @@ class TestTrack:
         assert err["error"] == "MetricDegenerate"
         assert err["time"] == 0.0
 
-    def test_non_real_variation_exit_3_and_no_files(self, tmp_path, capsys):
-        # At n = 12 the law's imaginary-part guard trips at the first sample:
-        # a numerical failure, raised in the first chunk, before any file.
+    def test_non_hermitian_field_exit_3_and_no_files(self, tmp_path, monkeypatch, capsys):
+        # A 1e-6 anti-Hermitian part in the third sample's field makes the law
+        # non-real: a numerical failure, raised before any file is written.
+        real, times = cli.run_flow, []
+
+        def broken_flow(*args, **kwargs):
+            result = real(*args, **kwargs)
+            s = result.samples[2]
+            result.samples[2] = dataclasses.replace(s, field=s.field + 1e-6j * np.eye(len(s.c)))
+            times.append(s.t)
+            return result
+
+        monkeypatch.setattr(cli, "run_flow", broken_flow)
         out = tmp_path / "run"
-        code = run_cli(["track", "--n", 12, "--seed", 0, "--t1", 0.05, "--out", out])
+        code = run_cli(["track", "--n", 3, "--seed", 0, "--t1", 0.05, "--out", out])
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NonRealVariation"
-        assert err["time"] == 0.0
+        assert err["time"] == times[0] > 0
         assert not out.exists()
+
+    def test_n12_field_is_hermitian_and_the_verdict_decides(self, tmp_path):
+        # Every field of the flow is exactly Hermitian, so the law runs at n = 12;
+        # the finite-difference and forms budgets then fail it (exit 4).
+        out = tmp_path / "run"
+        code = run_cli(["track", "--n", 12, "--seed", 0, "--t1", 0.05, "--out", out])
+        assert code == 4
+        assert (out / "curves.csv").exists()
+        assert json.loads((out / "variation.json").read_text())["passed"] is False
 
     def test_too_coarse_stride_exit_2(self, tmp_path):
         code = run_cli(

@@ -552,6 +552,31 @@ class TestRunFlow:
                 s.field, -torus3.laplacian_apply(s.space.log, hermitian=True)
             )
 
+    @pytest.mark.parametrize(
+        "n, m, c0, t1",
+        [
+            (16, 1, random_metric(16, 0), 20.0),
+            (4, 1, np.diag([1.0, 2.0, 3.0, 4.0]), 50.0),  # flat point 2.5 I, deep in the tail
+            (5, 2, random_metric(5, 3), 20.0),
+        ],
+        ids=["16-1-0", "4-1-diag", "5-2-3"],
+    )
+    def test_every_field_is_exactly_hermitian(self, n, m, c0, t1, monkeypatch):
+        # At every sample and every stage, in both phases.
+        fields = []
+
+        def recording_field(torus, eig):
+            fields.append(real(torus, eig))
+            return fields[-1]
+
+        real = flow._field
+        monkeypatch.setattr(flow, "_field", recording_field)
+        result = run_flow(FuzzyTorus(n, m), c0, FlowConfig(t1=t1))
+        assert result.switch_time is not None
+        assert len(fields) == result.field_evaluations
+        for f in fields + [s.field for s in result.samples]:
+            np.testing.assert_array_equal(f, f.conj().T)
+
     def test_flow_invariants(self, torus3):
         result = run_flow(torus3, random_metric(3, 8), FlowConfig(t1=5.0))
         drift, drop = flow_invariants(result)

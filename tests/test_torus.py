@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fuzzyricci import FuzzyTorus, InvalidParams, verify
+from fuzzyricci import FuzzyTorus, InvalidParams, random_metric, verify
 from fuzzyricci.linalg import hermitian_eig, hs_norm, matrix_function, superop_from_map
-from fuzzyricci.laplace_beltrami import lb_conjugated_superop
+from fuzzyricci.laplace_beltrami import WeightedSpace, lb_conjugated_superop
 from fuzzyricci.torus import _ad, commutant_dimension
 from conftest import (
     ROUNDOFF_PAIRS,
@@ -202,6 +202,14 @@ class TestFlatLaplacian:
         lam_max = float(np.linalg.norm(probed, 2))
         assert np.max(np.abs(closed - probed)) <= 1e-15 * lam_max
 
+    @pytest.mark.parametrize("n,m", [(2, 1), (5, 2), (8, 3)])
+    def test_real_stack_is_the_complex_one(self, n, m):
+        # A real stack of S is cast to complex on entry, at no cost to a complex one.
+        t = FuzzyTorus(n, m)
+        real = t.conjugated_laplacians(np.eye(n)[None])
+        np.testing.assert_array_equal(real, t.conjugated_laplacians(np.eye(n, dtype=complex)[None]))
+        assert real.dtype == complex
+
 
 HERMITIAN_PATH_PAIRS = [(2, 1), (3, 2), (5, 2), (8, 3), (12, 11), (16, 1), (32, 1)]
 
@@ -227,6 +235,16 @@ class TestHermitianPath:
         for _ in range(5):
             a = random_hermitian(rng, n)
             np.testing.assert_array_equal(a, a.conj().T)
+            image = t.laplacian_apply(a, hermitian=True)
+            np.testing.assert_array_equal(image, image.conj().T)
+
+    @pytest.mark.parametrize("n,m", HERMITIAN_PATH_PAIRS)
+    def test_inexact_log_gives_exactly_hermitian_output(self, n, m):
+        # The flow's log c, V diag(log w) V*, is Hermitian only to roundoff.
+        t = FuzzyTorus(n, m)
+        for seed in range(3):
+            a = WeightedSpace.from_metric(random_metric(n, seed)).log
+            assert not np.array_equal(a, a.conj().T)
             image = t.laplacian_apply(a, hermitian=True)
             np.testing.assert_array_equal(image, image.conj().T)
 
