@@ -127,7 +127,7 @@ _ETD_ERROR_WEIGHT = 30.0
 # The explicit phase's largest step; after the switch the error controller
 # alone bounds the step.
 _MAX_STEP = 1.0
-# A trial step below this size ends the run (PositivityLost or StepUnderflow).
+# A rejected trial whose retry is below this size ends the run (PositivityLost or StepUnderflow).
 _MIN_STEP = 1e-12
 
 # The run switches to the exponential tail once every eigenvalue of c is
@@ -472,7 +472,7 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
             # err == 0 only on acceptance; a NaN estimate is rejected and shrinks by _MIN_SHRINK.
             factor = _MAX_GROWTH if err == 0 else _SAFETY * (tol / err) ** order_exp
             h = h * min(_MAX_GROWTH if accepted else 1.0, max(_MIN_SHRINK, factor))
-            if h < _MIN_STEP:
+            if h < _MIN_STEP and not accepted:  # a step clipped to a sample time may be tiny
                 raise StepUnderflow(
                     f"step size h = {h:.6e} fell below min_step={_MIN_STEP:g}", time=t, step=h
                 )

@@ -534,6 +534,19 @@ class TestSimulate:
         assert 0 < err["step"] < 0.4
         assert f"h = {err['step']:.6e}" in err["message"]
 
+    @pytest.mark.parametrize(
+        "argv, artifact",
+        [
+            (["spectrum", "--n", 2, "--t1", 1e-13], "spectrum.json"),
+            (["simulate", "--n", 2, "--t1", 1e-13, "--stride", 1e-13], "trajectory.json"),
+        ],
+        ids=["spectrum", "simulate"],
+    )
+    def test_window_below_min_step_exits_0(self, tmp_path, argv, artifact):
+        out = tmp_path / "x"
+        assert run_cli([*argv, "--out", out]) == 0
+        assert json.loads((out / artifact).read_text())
+
 
 class TestSpectrum:
     def test_flat_spectrum(self, tmp_path):
@@ -1003,7 +1016,14 @@ _DOCS = st.recursive(
 @settings(max_examples=2000, deadline=None)
 @given(_DOCS)
 def test_encoder_equals_stdlib_indent_encoder(doc):
-    assert cli._json_bytes(doc) == _stdlib_text(doc)
+    assert "".join(cli._json_document(doc)) == _stdlib_text(doc)
+
+
+def test_a_list_of_scalars_is_one_piece():
+    doc = [0, None, True, "a", 1.5, float("nan")]
+    assert list(cli._json_pieces(doc, "\n")) == [json.dumps(doc, indent=2)]
+    pieces = ["[\n  ", "[\n    0\n  ]", ",\n  ", "[\n    1,\n    2\n  ]", "\n]"]
+    assert list(cli._json_pieces([[0], [1, 2]], "\n")) == pieces
 
 
 @pytest.mark.parametrize("value", [np.int64(1), 1j, {1.0}], ids=["int64", "complex", "set"])
@@ -1012,7 +1032,7 @@ def test_encoder_refuses_what_stdlib_refuses(value):
         with pytest.raises(TypeError):
             _stdlib_text(doc)
         with pytest.raises(TypeError):
-            cli._json_bytes(doc)
+            "".join(cli._json_document(doc))
 
 
 @pytest.mark.parametrize(
@@ -1020,4 +1040,4 @@ def test_encoder_refuses_what_stdlib_refuses(value):
 )
 def test_encoder_refuses_a_key_that_is_not_a_string(doc):
     with pytest.raises(TypeError):
-        cli._json_bytes(doc)
+        "".join(cli._json_document(doc))

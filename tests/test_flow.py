@@ -195,6 +195,14 @@ class TestFlowStep:
         assert 0 < step < 0.4
         assert f"h = {step:.6e}" in str(caught.value)
 
+    def test_window_below_min_step_is_one_accepted_step(self, torus2):
+        # The step clipped to the 1e-13 window is accepted; the next step's
+        # size, below the floor, is no underflow since no trial was rejected.
+        config = FlowConfig(t1=1e-13, sample_stride=1e-13)
+        result = run_flow(torus2, random_metric(2, 0), config)
+        assert [s.t for s in result.samples] == [0.0, 1e-13]
+        assert result.accepted_steps == 1 and result.rejected_steps == 0
+
 
 class TestFlowConfig:
     def test_backward_window_rejected(self):
