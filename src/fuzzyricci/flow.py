@@ -31,11 +31,12 @@ step cap ``_MAX_STEP`` no longer applies). Its weights, the phi-functions of
 ``-h L/kappa``, are diagonal in the eigen-coordinates of the flat ``L`` on
 the real coordinates ``Re a + Im a`` of a Hermitian ``a``
 (``FuzzyTorus.laplacian_split``), where every stage is an increment from the
-step's start state, so every stage state is exactly Hermitian. That
-decomposition is built once per torus and only by a run that switches; a
-tail trial evaluates five fields and applies ``L`` only for them. From the
-start, the exponential pair would not help: ``L/kappa`` does not capture the
-stiffness of ``log``.
+step's start state, so every stage state is exactly Hermitian. The tail
+integrates only the n^2 - 1 modes ``L`` moves, not its kernel, the trace
+direction: the flow conserves ``tr c``, and a zero rate's weights grow like
+``h`` over a roundoff remainder, so that lane alone would reject long steps;
+without it every window ends. The split is built once per torus, by a run
+that switches. From the start ``L/kappa`` misses the stiffness of ``log``.
 
 Only the initial metric is validated as outside input (``metric_state``). A
 stage state is a sum of the integrator's own Hermitian matrices, so it is not
@@ -281,7 +282,7 @@ def _field(torus: FuzzyTorus, eig) -> np.ndarray:
 
 
 def _phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``phi_1, phi_2, phi_3`` of a real array ``z <= 0``, elementwise.
+    """``phi_1, phi_2, phi_3`` of a real array ``z < 0``, elementwise.
 
     ``phi_0(z) = e^z`` and ``phi_{k+1}(z) = (phi_k(z) - 1/k!)/z``, with
     ``phi_k(0) = 1/k!``. Where ``|z| >= 1`` the functions start from
@@ -337,11 +338,11 @@ def _etd_trial(
 ):
     """An exponential Runge-Kutta trial on ``e^{-sL/kappa}``: ``(state_next, k_next, error)``.
 
-    In the real eigen-coordinates of the flat ``L`` on Hermitian matrices,
-    one real symmetric n^2 x n^2 matrix (``split``), where
-    ``L/kappa`` acts as the ``rates`` ``mu = max(eig L, 0)/kappa``, write a
-    stage state as the increment ``d`` from ``c``: ``C = c + Q(d)``, with
-    ``Q = split.from_eigen``, so every stage state is exactly Hermitian.
+    In the real eigen-coordinates of the flat ``L`` on Hermitian matrices
+    (``split``: the n^2 - 1 modes past the trace direction, ``L``'s kernel),
+    where ``L/kappa`` acts as the ``rates`` ``mu``, ``L``'s positive
+    eigenvalues over kappa, write a stage state as the increment ``d`` from
+    ``c``: ``C = c + Q(d)``, ``Q = split.from_eigen``, exactly Hermitian.
     Then ``d' = -mu d + M(d)``, ``d(0) = 0``, with the remainder
     ``M = Q*(F(C)) + mu d`` (``Q* = split.to_eigen``). Cox and Matthews'
     ETDRK4 (J. Comput. Phys. 176, 2002), with ``z = -h mu``, ``phi_k =
@@ -402,10 +403,9 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
     not interpolants, and each sample's field is the integrator's own. The
     run switches to the exponential tail at the first state whose
     eigenvalues all lie within ``_TAIL_SPREAD * kappa`` of the flat value
-    ``kappa``, and keeps it: the phase is the trial, the controller's
-    exponent and the step cap, and only steps before the switch are capped
-    at ``_MAX_STEP``. A trial is accepted when its error estimate is within
-    ``abs_tol + rel_tol * max(||c||, ||c_next||)``.
+    ``kappa``, and keeps it: a phase is its trial, the controller's exponent
+    and the step cap (``_MAX_STEP``, then none). A trial is accepted when
+    its error estimate is within ``abs_tol + rel_tol * max(||c||, ||c_next||)``.
     """
     config = config or FlowConfig()
     space = metric_state(torus, c0)
@@ -439,9 +439,9 @@ def run_flow(torus: FuzzyTorus, c0: np.ndarray, config: FlowConfig | None = None
         while t < t_target:
             w = space.eigenvalues  # ascending, so its ends are the farthest from kappa
             if result.switch_time is None and max(w[-1] - kappa, kappa - w[0]) <= spread:
-                split = torus.laplacian_split
-                rates = np.maximum(split.eigenvalues, 0.0) / kappa
-                trial = partial(_etd_trial, rates=rates, split=split)
+                full = torus.laplacian_split  # its first pair is L's kernel, the trace direction
+                split = RealSplit(full.n, full.eigenvalues[1:], full.eigenvectors[:, 1:])
+                trial = partial(_etd_trial, rates=split.eigenvalues / kappa, split=split)
                 order_exp, max_step = _ETD_ORDER_EXP, math.inf
                 result.switch_time = t
             h = min(h, max_step, t_target - t)

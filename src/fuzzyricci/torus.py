@@ -194,9 +194,9 @@ class RealSplit:
 
     ``eigenvalues`` (ascending) and ``eigenvectors`` (columns) are
     ``np.linalg.eigh``'s for ``L`` in the real coordinates ``Re a + Im a`` of
-    a Hermitian ``a``, flattened row-major. Eigen-coordinates are real vectors
-    of length n^2. Both maps are isometries between Hermitian matrices in the
-    Hilbert-Schmidt norm and eigen-coordinates in the Euclidean norm.
+    a Hermitian ``a``, flattened row-major, or a subset of those pairs, one
+    real eigen-coordinate each. ``from_eigen`` is an isometry into Hermitian
+    matrices (Hilbert-Schmidt norm), and ``to_eigen``, its adjoint, inverts it.
     """
 
     n: int

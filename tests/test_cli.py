@@ -322,6 +322,8 @@ def test_config_round_trip(tmp_path, argv):
     [
         ["simulate", "--n", 4, "--t1", 1e6, "--stride", 1e6],
         ["spectrum", "--n", 3, "--seed", 2, "--t1", 1e12],
+        # Ends only if the tail leaves out L's kernel, whose zero rate's weights grow like h.
+        ["spectrum", "--n", 2, "--seed", 0, "--t1", 1e100],
     ],
 )
 def test_long_window_ends(tmp_path, monkeypatch, argv):

@@ -30,6 +30,7 @@ from fuzzyricci.flow import (
 )
 from fuzzyricci.laplace_beltrami import WeightedSpace
 from fuzzyricci.linalg import hs_norm, matrix_from_json
+from fuzzyricci.torus import RealSplit
 from conftest import dense_laplacian
 
 
@@ -45,6 +46,13 @@ def patch_trials(monkeypatch, wrap):
     """
     for name, tail in (("_dp45_trial", False), ("_etd_trial", True)):
         monkeypatch.setattr(flow, name, partial(wrap, getattr(flow, name), tail))
+
+
+def flat_tail(torus, kappa):
+    """``_etd_trial``'s ``(rates, split)`` as ``run_flow`` builds them: ``L`` past its kernel."""
+    full = torus.laplacian_split
+    split = RealSplit(full.n, full.eigenvalues[1:], full.eigenvectors[:, 1:])
+    return split.eigenvalues / kappa, split
 
 
 def stage_at(torus, c):
@@ -766,8 +774,7 @@ class TestExponentialTail:
         torus = FuzzyTorus(n, m)
         kappa = 1.3
         c0 = near_flat_metric(n, m, kappa, eps)
-        split = torus.laplacian_split
-        tail = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
+        tail = flat_tail(torus, kappa)
 
         evaluate = partial(stage_at, torus)
 
@@ -798,8 +805,7 @@ class TestExponentialTail:
         kappa = 1.3
         g = random_metric(n, n + 10 * m) - np.eye(n)
         space = WeightedSpace.from_metric(kappa * np.eye(n) + 1e-2 * g / hs_norm(g))
-        split = torus.laplacian_split
-        tail = (np.maximum(split.eigenvalues, 0.0) / kappa, split)
+        tail = flat_tail(torus, kappa)
         states = []
 
         def recording_evaluate(c):

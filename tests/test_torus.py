@@ -317,6 +317,16 @@ class TestReflectionSplit:
             through = split.from_eigen(split.eigenvalues * split.to_eigen(a))
             assert hs_norm(through - direct) <= 1e-14 * hs_norm(direct)
 
+    @pytest.mark.parametrize("n,m", SPLIT_PAIRS + [(32, 1)])
+    def test_first_pair_is_the_kernel(self, n, m):
+        # The exponential tail drops the split's first pair as L's kernel, the trace direction.
+        split = FuzzyTorus(n, m).laplacian_split
+        w = split.eigenvalues
+        assert abs(w[0]) <= 16 * np.finfo(float).eps * w[-1]
+        assert w[1] >= 0.5
+        identity = split.to_eigen(np.eye(n) / np.sqrt(n))
+        assert 1 - abs(identity[0]) <= 1e-14
+
     def test_applies_l_that_breaks_the_reflection(self, rng):
         # The basis needs only that L is symmetric on Hermitian matrices.
         t = broken_reflection_torus()
