@@ -14,14 +14,18 @@ whose kernel is exactly the scalar matrices. The package holds ``L`` as a map
 (``laplacian_apply``), as ``conjugated_laplacians``, the matrices of
 ``a -> L(a S) S`` assembled from n x n pieces (``laplace_beltrami``'s curved
 operators at ``S = c^{-1/2}``, ``L``'s complex matrix ``M`` at ``S = I``),
-and as its real split (``laplacian_split``); none is cached dense. The
-commutators behind ``commutant_dimension`` are Kronecker products: under the
-row-major flattening ``a -> [p, a]`` has the matrix ``p (x) I - I (x) p^T``.
+and as its real split (``laplacian_split``). The commutators behind
+``commutant_dimension`` are Kronecker products: under the row-major
+flattening ``a -> [p, a]`` has the matrix ``p (x) I - I (x) p^T``.
 
-``laplacian_apply`` computes ``[y, [y, a]]`` with four products, or with two
-for a Hermitian ``a`` (``hermitian=True``), whose image is exactly Hermitian.
-The flow applies ``L`` that way to every ``log c``; every other caller keeps
-the general path, the reference the Hermitian one is tested against.
+``laplacian_apply`` computes ``[y, [y, a]]`` with four products. For a
+Hermitian ``a`` (``hermitian=True``) its image is exactly Hermitian and costs
+one product with ``M / 2``, cached per torus, at ``n <= DENSE_MAX_N``, where
+numpy's per-call overhead outweighs the n^4 multiply-adds (the measured
+crossover), or two products above it; a scalar, whose dense image would be
+~eps rather than 0, always takes the two. The flow applies ``L`` that way to
+every ``log c``; every other caller keeps the general path, the reference
+the Hermitian one is tested against.
 
 ``L`` maps Hermitian matrices to Hermitian matrices and is symmetric in the
 Hilbert-Schmidt inner product. So on the real coordinates ``Re a + Im a`` of
@@ -41,6 +45,15 @@ import numpy as np
 
 from .errors import InvalidParams
 from .linalg import matrix_to_json
+
+# Largest n at which the Hermitian path applies L as one product with its
+# cached complex matrix (16 n^4 bytes, 234 KB at n = 11). At n = 4 a call
+# costs 3.2 us against 7.5 us for two products, whose four small-array numpy
+# calls cost more than the n^4 multiply-adds. With one OpenBLAS thread on a
+# 2-CPU Xeon, run_flow on [0, 0.05] at stride 1e-3 took 42.8 against 45.4 ms
+# at n = 11 (one product faster in 15 of 15 interleaved runs), 56.2 against
+# 56.3 ms at n = 12 (9 of 15) and 71.8 against 68.2 ms at n = 14 (0 of 15).
+DENSE_MAX_N = 11
 
 
 @dataclass(frozen=True)
@@ -111,20 +124,37 @@ class FuzzyTorus:
     def _x_half_weights(self) -> np.ndarray:
         return self._x_weights / 2  # W / 2, added before the Hermitian path's mirror
 
+    @cached_property
+    def _half_matrix(self) -> np.ndarray:
+        """``M / 2``, ``M`` the complex matrix of ``L`` (``conjugated_laplacians`` at ``S = I``)."""
+        return self.conjugated_laplacians(np.eye(self.n)[None])[0] / 2
+
     def laplacian_apply(self, a: np.ndarray, hermitian: bool = False) -> np.ndarray:
         """Flat Laplacian [y, [y, a]] + [x, [x, a]], applied as [y, [y, a]] + W o a.
 
         The y-part stays a literal double commutator so that scalars map to
         exactly zero. With ``hermitian=True`` the caller vouches that ``a``
-        is Hermitian, and the double commutator takes two products instead
-        of four: ``p = y a``, ``b = p - p*``, ``d = y b + (W/2) o a``, then
-        ``d + d*``. The result differs from the general path's by roundoff,
-        is exactly Hermitian for any ``a``, and is exactly zero at a real scalar.
+        is Hermitian, and the result is ``g + g*`` for a ``g`` whose Hermitian
+        part is ``L a / 2``:
+        - a single ``a`` at ``n <= DENSE_MAX_N`` takes ``g = (M/2) vec(a)``,
+          one product with ``L``'s cached complex matrix, which beats the
+          four numpy calls below up to that measured crossover. A dense
+          product maps a scalar to ~eps (BLAS uses FMA), so an ``a`` whose
+          first and last diagonal entries are equal, every scalar among
+          them, takes the two products instead;
+        - otherwise two products instead of four: ``p = y a``,
+          ``b = p - p*``, ``g = y b + (W/2) o a``.
+        The result differs from the general path's by roundoff, is exactly
+        Hermitian for any ``a``, and is exactly zero at a real scalar.
         """
         a = np.asarray(a)
         if not hermitian:
             b = self.y @ a - a @ self.y
             return (self.y @ b - b @ self.y) + self._x_weights * a
+        if self.n <= DENSE_MAX_N and a.ndim == 2 and a[0, 0] != a[-1, -1]:
+            g = (self._half_matrix @ a.reshape(-1)).reshape(self.n, self.n)
+            g += g.conj().T
+            return g
         p = self.y @ a
         p -= p.conj().swapaxes(-1, -2)  # [y, a], anti-Hermitian
         d = self.y @ p

@@ -47,6 +47,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_module_runs_from_a_checkout():
+    # python -m fuzzyricci needs only src/ on the path, not an installed script.
+    src = str(Path(fuzzyricci.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "fuzzyricci", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "track" in done.stdout
+
+
 @pytest.mark.parametrize(
     "command, size",
     [

@@ -6,7 +6,7 @@ import pytest
 from fuzzyricci import FuzzyTorus, InvalidParams, random_metric, verify
 from fuzzyricci.linalg import hermitian_eig, hs_norm, matrix_function, superop_from_map
 from fuzzyricci.laplace_beltrami import WeightedSpace, lb_conjugated_superop
-from fuzzyricci.torus import _ad, commutant_dimension
+from fuzzyricci.torus import DENSE_MAX_N, _ad, commutant_dimension
 from conftest import (
     ROUNDOFF_PAIRS,
     dense_laplacian,
@@ -211,17 +211,68 @@ class TestFlatLaplacian:
         assert real.dtype == complex
 
 
-HERMITIAN_PATH_PAIRS = [(2, 1), (3, 2), (5, 2), (8, 3), (12, 11), (16, 1), (32, 1)]
+# Both sides of the crossover between the Hermitian path's two branches.
+HERMITIAN_PATH_PAIRS = [
+    (2, 1), (3, 2), (5, 2), (8, 3), (DENSE_MAX_N, 1), (DENSE_MAX_N + 1, 1), (12, 11), (16, 1),
+    (32, 1),
+]
+
+
+def dense_formula(t, a):
+    """``g + g*`` with ``g = (M/2) vec(a)``, ``M`` the complex matrix of ``L``."""
+    half = t.conjugated_laplacians(np.eye(t.n)[None])[0] / 2
+    g = (half @ a.reshape(-1)).reshape(t.n, t.n)
+    return g + g.conj().T
+
+
+def two_product_formula(t, a):
+    """``p = y a``, ``b = p - p*``, ``d = y b + (W/2) o a``, then ``d + d*``."""
+    j = np.arange(t.n, dtype=float)
+    half_weights = (t.m * (j[:, None] - j[None, :])) ** 2 / 2
+    p = t.y @ a
+    b = p - p.conj().swapaxes(-1, -2)
+    d = t.y @ b + half_weights * a
+    return d + d.conj().swapaxes(-1, -2)
 
 
 class TestHermitianPath:
-    """``laplacian_apply(a, hermitian=True)``, the flow's two-product path, against the general one."""
+    """``laplacian_apply(a, hermitian=True)``, the flow's path, against the general one."""
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (4, 1), (5, 2), (DENSE_MAX_N, 1)])
+    def test_one_dense_product_up_to_the_crossover(self, n, m, rng):
+        t = FuzzyTorus(n, m)
+        for _ in range(3):
+            a = random_hermitian(rng, n)
+            np.testing.assert_array_equal(t.laplacian_apply(a, hermitian=True), dense_formula(t, a))
+
+    @pytest.mark.parametrize("n,m", [(DENSE_MAX_N + 1, 1), (16, 1)])
+    def test_two_products_above_the_crossover(self, n, m, rng):
+        t = FuzzyTorus(n, m)
+        for _ in range(3):
+            a = random_hermitian(rng, n)
+            np.testing.assert_array_equal(
+                t.laplacian_apply(a, hermitian=True), two_product_formula(t, a)
+            )
+
+    def test_equal_corner_diagonal_takes_two_products(self, rng):
+        # The scalar guard: a scalar's dense image is ~eps, not 0, so an input
+        # whose first and last diagonal entries are equal skips the dense product.
+        t = FuzzyTorus(4, 1)
+        a = random_hermitian(rng, 4)
+        a[-1, -1] = a[0, 0]
+        assert hs_norm(t.laplacian_apply(a)) > 1  # not a scalar
+        np.testing.assert_array_equal(t.laplacian_apply(a, hermitian=True), two_product_formula(t, a))
+
+    def test_a_stack_takes_two_products(self, rng):
+        t = FuzzyTorus(4, 1)
+        a = np.stack([random_hermitian(rng, 4) for _ in range(3)])
+        np.testing.assert_array_equal(t.laplacian_apply(a, hermitian=True), two_product_formula(t, a))
 
     @pytest.mark.parametrize("n,m", HERMITIAN_PATH_PAIRS)
     def test_agrees_with_the_general_path(self, n, m, rng):
         # Within 2 eps lambda_max(L) ||a||. Over 20 inputs per pair the
-        # largest difference was 0.48 of that unit (at n = 2); from n = 8 on
-        # the two paths were bit-equal.
+        # largest difference was 0.45 of that bound, on the dense branch at
+        # (3, 2); on the two-product branch it was 0.08 or less above n = 11.
         t = FuzzyTorus(n, m)
         lam_max = float(t.laplacian_split.eigenvalues[-1])
         for _ in range(5):
