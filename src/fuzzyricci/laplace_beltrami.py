@@ -56,10 +56,11 @@ COUNTEREXAMPLE_SEED = 3
 class WeightedSpace:
     """One metric state: ``c`` with its spectral decomposition.
 
-    ``from_metric`` validates ``c`` and decomposes it once; every function of
-    ``c`` the package needs (its powers and ``log c``) is built lazily from
-    that decomposition, so each consumer of a state (the flow field, the
-    sample, the spectrum, the variation law) reuses it. Also provides the
+    ``from_metric`` validates ``c`` and decomposes it once; every power of
+    ``c`` the package needs is built lazily from that decomposition, and the
+    flow field builds ``log c`` from its eigenpairs, so each consumer of a
+    state (the flow field, the sample, the spectrum, the variation law)
+    reuses it. Also provides the
     weighted inner product ``<a,b>_c = tr(c a* b)``, the state
     ``phi(a) = tr(c a)``, and the unitary ``to_flat`` from the weighted
     space onto the plain Hilbert-Schmidt space (its inverse is right
@@ -98,12 +99,6 @@ class WeightedSpace:
     @cached_property
     def c_inv(self) -> np.ndarray:
         return self._power(-1.0)
-
-    @cached_property
-    def log(self) -> np.ndarray:
-        """``log c``, Hermitian up to roundoff (not symmetrized)."""
-        v = self.eigenvectors
-        return (v * np.log(self.eigenvalues)) @ v.conj().T
 
     @cached_property
     def trace(self) -> float:
@@ -231,24 +226,49 @@ class SpectralData:
         return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
 
 
+@dataclass(frozen=True)
+class SpectralStack:
+    """The eigendecompositions of ``S`` metrics, each array with a leading sample axis.
+
+    Entry ``k`` of each array is the matching :class:`SpectralData` field of
+    sample ``k``: ``eigenvalues`` and ``min_gaps`` are ``(S, n^2)``,
+    ``vectors_flat`` and ``vectors_weighted`` are ``(S, n^2, n, n)``, and
+    ``gap_thresholds`` and ``kernel_indices`` are ``(S,)``.
+    """
+
+    eigenvalues: np.ndarray
+    vectors_flat: np.ndarray
+    vectors_weighted: np.ndarray
+    gap_thresholds: np.ndarray
+    kernel_indices: np.ndarray
+    min_gaps: np.ndarray
+
+
 def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
     """Eigenvalues and eigenvectors of the curved Laplacian for metric ``c``.
 
     Diagonalizes the conjugated (Hermitian) form, so the eigenvalues are real
     and returned ascending with Hilbert-Schmidt-orthonormal flat
     eigenvectors. Exactly one eigenvalue sits below the kernel threshold;
-    its weighted eigenvector is proportional to the identity.
+    its weighted eigenvector is proportional to the identity. The record is
+    entry 0 of :func:`lb_spectra` of the one state.
     """
-    return lb_spectra(torus, [c])[0]
+    space = metric_state(torus, c)
+    stack = lb_spectra(torus, [space])
+    return SpectralData(
+        space, stack.eigenvalues[0], stack.vectors_flat[0], stack.vectors_weighted[0],
+        float(stack.gap_thresholds[0]), int(stack.kernel_indices[0]), stack.min_gaps[0],
+    )
 
 
-def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
-    """:func:`lb_spectrum` of each metric or state in ``states``, bit for bit, computed as stacks.
+def lb_spectra(torus: FuzzyTorus, states, times=None) -> SpectralStack:
+    """The spectra of every metric or state in ``states``, as one :class:`SpectralStack`.
 
-    One stacked operator build (``len(states) * n^4`` entries) and one
-    ``eigh`` call. The zero modes are counted for the whole stack at once:
-    the first state without exactly one raises ``MetricDegenerate``, with its
-    ``times`` entry.
+    The one spectrum implementation: one stacked operator build
+    (``len(states) * n^4`` entries) and one ``eigh`` call, with no
+    per-sample object. The zero modes are counted for the whole stack at
+    once: the first state without exactly one raises ``MetricDegenerate``,
+    with its ``times`` entry.
     """
     spaces = [metric_state(torus, c) for c in states]
     s = stacked_power(spaces, -0.5)
@@ -275,12 +295,7 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> list[SpectralData]:
     gaps = np.abs(np.diff(w, axis=-1))
     inf = np.full((count, 1), np.inf)
     min_gaps = np.minimum(np.concatenate([gaps, inf], -1), np.concatenate([inf, gaps], -1))
-
-    return [
-        SpectralData(space, w[k], vectors_flat[k], vectors[k], float(thresholds[k]),
-                     int(kernels[k].argmax()), min_gaps[k])
-        for k, space in enumerate(spaces)
-    ]
+    return SpectralStack(w, vectors_flat, vectors, thresholds, kernels.argmax(-1), min_gaps)
 
 
 def spectrum_to_json(data: SpectralData, t: float) -> dict:

@@ -5,10 +5,11 @@ spectrum. Consecutive spectra are stitched into continuous curves by solving
 an assignment problem on squared eigenvector overlaps, which no global phase
 moves. The assignment is exact: Jonker-Volgenant shortest augmenting paths
 (Jonker & Volgenant, Computing 38, 1987; Crouse, IEEE TAES 52, 2016),
-warm-started by row reduction. A row whose largest overlap lies in a column
-no other row claims is assigned at once, and only the contested rows run an
-augmenting search; along a flow the row maxima are nearly always a
-permutation, so no search runs. Crossings are not resolved: samples where the
+warm-started by row reduction. The row reduction is one ``argmax`` over all
+of a chunk's consecutive pairs: a pair whose row maxima are distinct columns
+takes them, and only a contested pair runs the assignment, whose contested
+rows run an augmenting search. Along a flow the row maxima are nearly always
+a permutation, so no search runs. Crossings are not resolved: samples where the
 spectral gap collapses or the best overlap drops below ``OVERLAP_MIN`` are
 flagged and excluded from quantitative aggregates.
 
@@ -29,10 +30,11 @@ evaluated separately as a cross-check; both need ``L log c`` exactly Hermitian.
 The torus, each sample's metric state and ``L log c`` (its negated field) are
 read off the trajectory, so no function here takes a torus or applies ``L``.
 Tracking is one pass over chunks of samples (``CHUNK_ENTRIES``): each chunk's
-spectra are computed as one stack, with the same bits as one sample at a
-time, both forms of the law are evaluated on them in spectral order, the
-overlaps of all its consecutive samples are one stacked product, and matching
-then carries each sample's values and law values into curve order.
+spectra are one ``SpectralStack``, with the same bits as one sample at a
+time and no per-sample object, both forms of the law are evaluated on them in
+spectral order, the overlaps of all its consecutive samples are one stacked
+product, and after matching one gather per array carries the chunk's values,
+gaps, flags and law values into curve order.
 The law reads an eigenvector only through ``a* a``, so neither its phase nor
 its curve matters there. No eigenvector outlives its chunk: the curves keep
 per-sample scalars only, and memory beyond them is bounded per chunk.
@@ -152,14 +154,17 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     """Stitch per-sample spectra into n^2 continuous eigenvalue curves, with the law on them.
 
     Curve ``i`` starts at the i-th ascending eigenvalue of the first sample;
-    later samples follow by overlap assignment. Weak matches are recorded as
+    later samples follow by overlap assignment: one row reduction settles
+    each chunk's pairs whose row maxima are distinct, and only a contested
+    pair calls :func:`_max_weight_assignment`. Weak matches are recorded as
     per-sample degeneracy flags, never raised; a NaN or inf overlap raises
     ``InvalidInput`` before any assignment of its chunk. Each chunk's
-    spectra come first: an operator without a single zero mode raises
-    ``MetricDegenerate`` with its time. Both forms of the law follow, each
-    once per chunk, plain form first: a field that is not exactly Hermitian raises
-    ``NonRealVariation`` with its sample's time, the chunk's earliest such one. So
-    the earliest failing chunk raises, before any later chunk runs.
+    spectra come first, as one :func:`lb_spectra` stack: an operator without
+    a single zero mode raises ``MetricDegenerate`` with its time. Both forms
+    of the law follow, each once per chunk, plain form first: a field that is
+    not exactly Hermitian raises ``NonRealVariation`` with its sample's time,
+    the chunk's earliest such one. So the earliest failing chunk raises,
+    before any later chunk runs.
     """
     if not trajectory.samples:
         raise InsufficientData("trajectory has no samples")
@@ -172,11 +177,13 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     for start in range(0, samples, size):
         part = trajectory.samples[start:start + size]
         spectra = lb_spectra(torus, [s.space for s in part], times=[s.t for s in part])
-        lam = np.stack([sd.eigenvalues for sd in spectra])
-        a = np.stack([sd.vectors_weighted for sd in spectra])
+        lam, a = spectra.eigenvalues, spectra.vectors_weighted
         law = variation_rhs(part, lam, a), variation_rhs_state_form(part, lam, a)
-        flat = np.stack([sd.vectors_flat for sd in spectra]).reshape(len(part), n2, n2)
-        pairs = flat if start == 0 else np.concatenate([last, flat])
+        flat = spectra.vectors_flat.reshape(len(part), n2, n2)
+        if start == 0:
+            pairs, kernel, order = flat, int(spectra.kernel_indices[0]), np.arange(n2)
+        else:
+            pairs = np.concatenate([last, flat])
         # Every pair of consecutive samples in one product, in spectral order:
         # overlap[i, j] = <earlier vector i, later vector j>.
         with np.errstate(invalid="ignore", over="ignore"):
@@ -185,22 +192,35 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
         if np.count_nonzero(np.isfinite(weight)) != weight.size:
             raise InvalidInput("overlap matrix has a NaN or inf entry")
         last = flat[-1:]
-        for k, sd in enumerate(spectra, start):
-            if k == 0:
-                kernel, order, bad = sd.kernel_index, np.arange(n2), np.zeros(n2, dtype=bool)
+        # Row reduction of every pair at once. Permuting a pair's rows into
+        # curve order moves neither its row maxima nor their collisions, so
+        # a pair whose maxima are distinct takes them, as the assignment
+        # would; only a contested pair runs the search.
+        col4row = weight.argmax(-1)
+        distinct = (np.sort(col4row, axis=-1) == np.arange(n2)).all(-1)
+        # Row p holds each curve's spectral index at the earlier sample of pair p.
+        orders = np.empty((len(weight) + 1, n2), dtype=int)
+        orders[0] = order
+        for p, prev in enumerate(orders[:-1]):
+            if distinct[p]:
+                orders[p + 1] = col4row[p, prev]
             else:
-                # Pairs are counted from the chunk's end: the first chunk's first sample has none.
-                i = k - start - len(part)
-                # Rows in curve order: row r is the earlier sample's spectral index prev[r].
-                prev = order
-                order = _max_weight_assignment(weight[i, prev])
-                bad = magnitude[i, prev, order] < OVERLAP_MIN
-                # The kernel is exactly known; never let the assignment drift it.
-                bad[kernel] |= order[kernel] != sd.kernel_index
-            values[k] = sd.eigenvalues[order]
-            min_gap[k] = sd.min_gaps[order]
-            degenerate[k] = bad | (min_gap[k] < sd.gap_threshold)
-            rhs[k], rhs_alt[k] = law[0][k - start, order], law[1][k - start, order]
+                orders[p + 1] = _max_weight_assignment(weight[p, prev])
+        order = orders[-1]
+        bad = np.zeros((len(part), n2), dtype=bool)
+        # Pairs are counted from the chunk's end: the first chunk's first sample has none.
+        bad[len(part) - len(weight):] = (
+            magnitude[np.arange(len(weight))[:, None], orders[:-1], orders[1:]] < OVERLAP_MIN
+        )
+        orders = orders[-len(part):]
+        # The kernel is exactly known; never let the assignment drift it.
+        bad[:, kernel] |= orders[:, kernel] != spectra.kernel_indices
+        chunk = slice(start, start + len(part))
+        values[chunk] = np.take_along_axis(lam, orders, -1)
+        min_gap[chunk] = np.take_along_axis(spectra.min_gaps, orders, -1)
+        degenerate[chunk] = bad | (min_gap[chunk] < spectra.gap_thresholds[:, None])
+        rhs[chunk] = np.take_along_axis(law[0], orders, -1)
+        rhs_alt[chunk] = np.take_along_axis(law[1], orders, -1)
     return SpectralCurves(
         times=trajectory.times,
         values=values,

@@ -302,15 +302,14 @@ def tracking_checks() -> list[dict]:
     # The eigenvectors the law consumed: each sample's spectrum, in spectral order.
     spectra = lb_spectra(torus, [s.space for s in trajectory.samples])
     c = np.stack([s.c for s in trajectory.samples])[:, None]
-    vectors = np.stack([sd.vectors_weighted for sd in spectra])
-    kernels = np.array([sd.kernel_index for sd in spectra])
+    vectors, kernels = spectra.vectors_weighted, spectra.kernel_indices
     # The literal tr(c a* a), not the formula lb_spectra normalizes with.
     norms = np.trace(c @ vectors.conj().swapaxes(-1, -2) @ vectors, axis1=-2, axis2=-1)
     worst_norm = np.max(np.abs(np.sqrt(norms.real) - 1.0))
     off_kernel = np.arange(n * n) != kernels[:, None]
     worst_state = np.max(np.abs(np.trace(c @ vectors, axis1=-2, axis2=-1))[off_kernel])
     # A kernel vector is I / sqrt(tr c) times a free phase: make its trace real positive.
-    kernel = vectors[np.arange(len(spectra)), kernels]
+    kernel = vectors[np.arange(len(vectors)), kernels]
     trace = np.trace(kernel, axis1=-2, axis2=-1)
     aligned = kernel * (trace.conj() / np.abs(trace))[:, None, None]
     target = np.eye(n) / np.sqrt(np.trace(c[:, 0], axis1=-2, axis2=-1).real)[:, None, None]
@@ -323,7 +322,7 @@ def tracking_checks() -> list[dict]:
     vector = vectors[0, -1]
     phases = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, size=5))
     rotations = np.concatenate([vector[None], phases[:, None, None] * vector])
-    values = np.full((1, len(rotations)), spectra[0].eigenvalues[-1])
+    values = np.full((1, len(rotations)), spectra.eigenvalues[0, -1])
     rhs = variation_rhs(trajectory.samples[:1], values, rotations[None])[0]
     worst_phase = np.max(np.abs(rhs[1:] - rhs[0]))
     checks.append(_leq("variation_phase_invariance", params, worst_phase, 1e-10))

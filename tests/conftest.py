@@ -62,6 +62,12 @@ def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
+def log_metric(space) -> np.ndarray:
+    """``log c = V diag(log w) V*`` from a metric state's eigenpairs, Hermitian up to roundoff."""
+    v = space.eigenvectors
+    return (v * np.log(space.eigenvalues)) @ v.conj().T
+
+
 def dense_laplacian(torus: FuzzyTorus) -> np.ndarray:
     """The flat Laplacian's dense ``(n^2, n^2)`` matrix, probed from ``laplacian_apply``."""
     return superop_from_map(torus.n, torus.laplacian_apply)

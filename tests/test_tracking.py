@@ -20,7 +20,7 @@ from fuzzyricci import (
 )
 from fuzzyricci import tracking
 from fuzzyricci.flow import sample_times
-from fuzzyricci.laplace_beltrami import WeightedSpace, lb_spectra
+from fuzzyricci.laplace_beltrami import SpectralData, WeightedSpace, lb_spectra
 from fuzzyricci.linalg import hs_norm
 from fuzzyricci.tracking import (
     check_sample_times,
@@ -30,7 +30,7 @@ from fuzzyricci.tracking import (
     variation_rhs,
     variation_rhs_state_form,
 )
-from conftest import random_complex, recording_eigh
+from conftest import log_metric, random_complex, recording_eigh
 
 
 def sample_at(torus, c):
@@ -39,7 +39,7 @@ def sample_at(torus, c):
 
 
 def sample_spectra(torus, trajectory):
-    # The spectra the curves were tracked from, one stacked call as the tracker makes.
+    # The spectra the curves were tracked from, one SpectralStack, as the tracker makes them.
     return lb_spectra(torus, [s.space for s in trajectory.samples])
 
 
@@ -92,10 +92,9 @@ class TestMatching:
 
         def broken(torus, states, times=None):
             spectra = real(torus, states, times=times)
-            vectors = spectra[2].vectors_flat.copy()
-            vectors[2, 0, 1] = bad
-            spectra[2] = dataclasses.replace(spectra[2], vectors_flat=vectors)
-            return spectra
+            vectors = spectra.vectors_flat.copy()
+            vectors[2, 2, 0, 1] = bad
+            return dataclasses.replace(spectra, vectors_flat=vectors)
 
         monkeypatch.setattr(tracking, "lb_spectra", broken)
         with pytest.raises(InvalidInput, match="NaN or inf"):
@@ -161,37 +160,80 @@ class TestAssignment:
         assert tracking._max_weight_assignment(np.eye(16)[::-1]).tolist() == list(range(15, -1, -1))
         assert searches == [1]
 
-    @pytest.mark.parametrize("n, m, seed", [(5, 2, 3), (8, 1, 0)])
-    def test_curves_equal_scipy_matching(self, n, m, seed):
+    @pytest.mark.parametrize(
+        "n, m, seed, t1",
+        [pytest.param(*case, id="-".join(map(str, case[:3])))
+         for case in ((5, 2, 3, 0.05), (8, 1, 0, 0.05), (4, 1, 0, 0.2))],
+    )
+    def test_curves_equal_scipy_matching(self, n, m, seed, t1):
         # At (8, 1, 0) two samples have contested rows, so the search runs.
-        # The reference matches every consecutive pair on its own, rows in
-        # curve order, with scipy: no chunk, so a fault at a chunk's first
-        # pair or in the rows' order shows, which patching the solver would hide.
+        # (4, 1, 0) on [0, 0.2] is the benchmark's run: four chunks, the last
+        # one partial. The reference matches every consecutive pair on its
+        # own, rows in curve order, with scipy: no chunk, so a fault at a
+        # chunk's first pair or in the rows' order shows, which patching the
+        # solver would hide.
         trajectory = run_flow(
-            FuzzyTorus(n, m), random_metric(n, seed), FlowConfig(t1=0.05, sample_stride=1e-3)
+            FuzzyTorus(n, m), random_metric(n, seed), FlowConfig(t1=t1, sample_stride=1e-3)
         )
         ours = track_spectrum(trajectory)
         spectra = sample_spectra(trajectory.torus, trajectory)
-        lam = np.stack([sd.eigenvalues for sd in spectra])
-        a = np.stack([sd.vectors_weighted for sd in spectra])
+        lam = spectra.eigenvalues
+        flat = spectra.vectors_flat.reshape(len(lam), n * n, -1)
         forms = (variation_rhs, variation_rhs_state_form)
-        laws = [form(trajectory.samples, lam, a) for form in forms]
-        rows, order, kernel = np.arange(n * n), np.arange(n * n), spectra[0].kernel_index
-        for k, sd in enumerate(spectra):
+        laws = [form(trajectory.samples, lam, spectra.vectors_weighted) for form in forms]
+        rows, order, kernel = np.arange(n * n), np.arange(n * n), spectra.kernel_indices[0]
+        for k in range(len(lam)):
             bad = np.zeros(n * n, dtype=bool)
             if k:
-                prev, cur = spectra[k - 1].vectors_flat[order], sd.vectors_flat
-                overlap = np.abs(prev.reshape(n * n, -1).conj() @ cur.reshape(n * n, -1).T)
+                overlap = np.abs(flat[k - 1, order].conj() @ flat[k].T)
                 order = scipy_assignment(overlap**2)
                 bad = overlap[rows, order] < tracking.OVERLAP_MIN
-                bad[kernel] |= order[kernel] != sd.kernel_index
-            gaps = sd.min_gaps[order]
-            np.testing.assert_array_equal(ours.values[k], sd.eigenvalues[order])
+                bad[kernel] |= order[kernel] != spectra.kernel_indices[k]
+            gaps = spectra.min_gaps[k, order]
+            threshold = spectra.gap_thresholds[k]
+            np.testing.assert_array_equal(ours.values[k], lam[k, order])
             np.testing.assert_array_equal(ours.min_gap[k], gaps)
-            np.testing.assert_array_equal(ours.degenerate[k], bad | (gaps < sd.gap_threshold))
+            np.testing.assert_array_equal(ours.degenerate[k], bad | (gaps < threshold))
             np.testing.assert_array_equal(ours.rhs[k], laws[0][k, order])
             np.testing.assert_array_equal(ours.rhs_state_form[k], laws[1][k, order])
         assert ours.kernel == kernel
+
+    @pytest.mark.parametrize(
+        "n, m, seed, t1",
+        [pytest.param(*case, id="-".join(map(str, case[:3])))
+         for case in ((4, 1, 0, 0.2), (8, 1, 0, 0.05))],
+    )
+    def test_search_runs_on_contested_pairs_only(self, n, m, seed, t1, monkeypatch):
+        # One row reduction per chunk settles every pair whose row maxima are
+        # distinct; the assignment runs once per contested pair, and no
+        # per-sample spectral record is built.
+        trajectory = run_flow(
+            FuzzyTorus(n, m), random_metric(n, seed), FlowConfig(t1=t1, sample_stride=1e-3)
+        )
+        flat = sample_spectra(trajectory.torus, trajectory).vectors_flat
+        flat = flat.reshape(len(flat), n * n, -1)
+        maxima = (np.abs(flat[:-1].conj() @ flat[1:].swapaxes(-1, -2)) ** 2).argmax(-1)
+        contested = sum(len(set(row.tolist())) < n * n for row in maxima)
+        assert contested == (0 if n == 4 else 2)
+
+        searches, records = [], []
+        search = tracking._max_weight_assignment
+        monkeypatch.setattr(
+            tracking, "_max_weight_assignment", lambda w: (searches.append(1), search(w))[1]
+        )
+        init = SpectralData.__init__
+
+        def counting_init(*args, **kwargs):
+            records.append(1)
+            init(*args, **kwargs)
+
+        monkeypatch.setattr(SpectralData, "__init__", counting_init)
+        first_variation_report(trajectory)
+        assert len(trajectory.samples) == (201 if n == 4 else 51)
+        assert len(searches) == contested
+        assert records == []
+        lb_spectrum(trajectory.torus, trajectory.samples[0].space)  # the counter sees a record
+        assert records == [1]
 
 
 class TestFiniteDifferences:
@@ -337,10 +379,10 @@ class TestTrackSpectrum:
             assert getattr(curves, name).shape == (len(trajectory.samples), 4), name
         np.testing.assert_allclose(curves.values[:, curves.kernel], 0.0, atol=1e-12)
         spectra = sample_spectra(torus2, trajectory)
-        for k, (sd, flow_sample) in enumerate(zip(spectra, trajectory.samples)):
-            assert curves.values[k, curves.kernel] == sd.eigenvalues[sd.kernel_index]
+        for k, (kernel, flow_sample) in enumerate(zip(spectra.kernel_indices, trajectory.samples)):
+            assert curves.values[k, curves.kernel] == spectra.eigenvalues[k, kernel]
             # The zero mode is I / sqrt(tr c) up to a free phase: make its trace real positive.
-            vector = sd.vectors_weighted[sd.kernel_index]
+            vector = spectra.vectors_weighted[k, kernel]
             trace = np.trace(vector)
             target = np.eye(2) / np.sqrt(np.trace(flow_sample.c).real)
             assert hs_norm(vector * trace.conj() / abs(trace) - target) <= 1e-8
@@ -348,16 +390,17 @@ class TestTrackSpectrum:
     def test_normalization_along_curves(self, torus2, short_run):
         trajectory, _ = short_run
         spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
-        for k, sd in enumerate(sample_spectra(torus2, trajectory)):
-            for vector in sd.vectors_weighted:
+        for k, vectors in enumerate(sample_spectra(torus2, trajectory).vectors_weighted):
+            for vector in vectors:
                 assert abs(spaces[k].norm(vector) - 1.0) <= 1e-10
 
     def test_mean_zero_off_kernel(self, torus2, short_run):
         trajectory, _ = short_run
         spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
-        for k, sd in enumerate(sample_spectra(torus2, trajectory)):
-            for i, vector in enumerate(sd.vectors_weighted):
-                if i != sd.kernel_index:
+        spectra = sample_spectra(torus2, trajectory)
+        for k, (vectors, kernel) in enumerate(zip(spectra.vectors_weighted, spectra.kernel_indices)):
+            for i, vector in enumerate(vectors):
+                if i != kernel:
                     assert abs(spaces[k].state(vector)) <= 1e-9
 
     def test_dense_sampling_keeps_high_overlap(self, torus2):
@@ -447,14 +490,14 @@ class TestVariationReport:
         report = first_variation_report(trajectory)
         curves = report.curves
         spectra = sample_spectra(torus3, trajectory)
-        for k, (sample, sd) in enumerate(zip(trajectory.samples, spectra)):
+        for k, sample in enumerate(trajectory.samples):
             # From scratch: a fresh decomposition of the sample's metric, L
             # applied here as the flow applies it (its Hermitian path), and
             # both forms evaluated literally at each eigenpair, found on its
             # curve by its eigenvalue's bits.
             space = WeightedSpace.from_metric(sample.c)
-            lap_log = torus3.laplacian_apply(space.log, hermitian=True)
-            for value, a in zip(sd.eigenvalues, sd.vectors_weighted):
+            lap_log = torus3.laplacian_apply(log_metric(space), hermitian=True)
+            for value, a in zip(spectra.eigenvalues[k], spectra.vectors_weighted[k]):
                 (i,) = np.flatnonzero(curves.values[k] == value)
                 aa = a.conj().T @ a
                 direct = (value * np.trace(aa @ lap_log)).real
@@ -520,7 +563,7 @@ class TestVariationReport:
 
         def recording(torus, states, times=None):
             spectra = real(torus, states, times=times)
-            chunks.append(spectra)
+            chunks.append((states, spectra))
             return spectra
 
         monkeypatch.setattr(tracking, "lb_spectra", recording)
@@ -530,16 +573,16 @@ class TestVariationReport:
             trajectory = run_flow(torus, random_metric(n, seed), config)
             chunks.clear()
             track_spectrum(trajectory)
-            assert [len(c) for c in chunks] == sizes
-            stacked = [sd for chunk in chunks for sd in chunk]
-            for sample, sd in zip(trajectory.samples, stacked, strict=True):
+            assert [len(spectra.eigenvalues) for _, spectra in chunks] == sizes
+            stacked = [(state, spectra, k) for states, spectra in chunks
+                       for k, state in enumerate(states)]
+            for sample, (state, spectra, k) in zip(trajectory.samples, stacked, strict=True):
                 one = lb_spectrum(torus, sample.space)
-                assert sd.space is sample.space
+                assert state is sample.space
                 for name in ("eigenvalues", "vectors_flat", "vectors_weighted", "min_gaps"):
-                    assert np.array_equal(getattr(sd, name), getattr(one, name)), name
-                assert sd.gap_threshold == one.gap_threshold
-                assert sd.degeneracy_groups == one.degeneracy_groups
-                assert sd.kernel_index == one.kernel_index
+                    assert np.array_equal(getattr(spectra, name)[k], getattr(one, name)), name
+                assert spectra.gap_thresholds[k] == one.gap_threshold
+                assert spectra.kernel_indices[k] == one.kernel_index
 
     def test_memory_does_not_grow_with_eigenvectors(self):
         # The report keeps per-sample scalars only. From 51 to 201 samples at
@@ -589,7 +632,7 @@ class TestNonRealGuard:
         trajectory = broken_run
         with pytest.raises(NonRealVariation) as report_error:
             first_variation_report(trajectory)
-        (sd,) = lb_spectra(torus2, [trajectory.samples[2].space])
+        sd = lb_spectrum(torus2, trajectory.samples[2].space)
         with pytest.raises(NonRealVariation) as direct:
             variation_rhs(trajectory.samples[2:3], sd.eigenvalues[None], sd.vectors_weighted[None])
         assert report_error.value.time == trajectory.samples[2].t
