@@ -7,8 +7,9 @@ its eigenvalue curves along the flow, checking the first variation law
 d(lambda)/dt = lambda tr(a* a (L log c)) against finite-difference oracles.
 
 The top level exports the error types, the functions of the README's library
-example and the types they return; everything else is imported from its
-submodule.
+example and the types they return, among them ``SpectralData``, the one
+spectral record, whose arrays may carry a leading sample axis; everything
+else is imported from its submodule.
 """
 
 from .errors import (

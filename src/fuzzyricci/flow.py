@@ -389,7 +389,10 @@ def _etd_trial(
 def sample_times(config: FlowConfig) -> np.ndarray:
     """Uniform cadence t0, t0 + stride, ... with t1 always included."""
     k = int(np.floor((config.t1 - config.t0) / config.sample_stride + 1e-9))
-    ts = config.t0 + config.sample_stride * np.arange(k + 1)
+    try:
+        ts = config.t0 + config.sample_stride * np.arange(k + 1)
+    except MemoryError as exc:  # within FlowConfig's intp guard, but no process can hold it
+        raise InvalidParams(f"sample_stride {config.sample_stride:g} gives too many samples") from exc
     # A remainder up to 1e-6 strides moves the last sample onto t1: the finite-
     # difference oracle divides the curves' roundoff by the last spacing, and a
     # 2e-12 sliver after a 1e-3 stride lifts it past the variation budget.

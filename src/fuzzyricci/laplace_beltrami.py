@@ -31,7 +31,7 @@ sample (``right_product``), with the bits of one call per matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -192,7 +192,7 @@ def rejected_operator_superop(torus: FuzzyTorus, c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Full eigendecomposition of the curved Laplacian at one metric.
+    """Eigendecompositions of the curved Laplacian, at one metric or a stack of ``S``.
 
     ``vectors_flat`` and ``vectors_weighted`` are ``(n^2, n, n)`` stacks
     indexed like ``eigenvalues``. ``vectors_flat[i]`` are orthonormal in the
@@ -203,45 +203,20 @@ class SpectralData:
     ``gap_threshold`` is ``GAP_TOL_REL`` times the operator norm (at least
     1); ``kernel_index`` locates the single eigenvalue below it.
     ``min_gaps`` is each eigenvalue's distance to its nearest neighbor.
-    """
-
-    space: WeightedSpace
-    eigenvalues: np.ndarray
-    vectors_flat: np.ndarray
-    vectors_weighted: np.ndarray
-    gap_threshold: float
-    kernel_index: int
-    min_gaps: np.ndarray
-
-    @property
-    def operator_norm(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
-
-    @property
-    def degeneracy_groups(self) -> list[list[int]]:
-        """Index runs whose consecutive gaps fall below ``gap_threshold``, computed when read."""
-        # Index ranges between the gaps of at least threshold; np.split would cost ~4x more.
-        cuts = np.flatnonzero(np.diff(self.eigenvalues) >= self.gap_threshold) + 1
-        bounds = [0, *cuts.tolist(), len(self.eigenvalues)]
-        return [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-
-
-@dataclass(frozen=True)
-class SpectralStack:
-    """The eigendecompositions of ``S`` metrics, each array with a leading sample axis.
-
-    Entry ``k`` of each array is the matching :class:`SpectralData` field of
-    sample ``k``: ``eigenvalues`` and ``min_gaps`` are ``(S, n^2)``,
-    ``vectors_flat`` and ``vectors_weighted`` are ``(S, n^2, n, n)``, and
-    ``gap_thresholds`` and ``kernel_indices`` are ``(S,)``.
+    A stack (``lb_spectra``) puts a leading sample axis on every field, and
+    ``data[k]``, sample ``k``'s record, holds views of its arrays.
     """
 
     eigenvalues: np.ndarray
     vectors_flat: np.ndarray
     vectors_weighted: np.ndarray
-    gap_thresholds: np.ndarray
-    kernel_indices: np.ndarray
+    gap_threshold: np.ndarray
+    kernel_index: np.ndarray
     min_gaps: np.ndarray
+
+    def __getitem__(self, k) -> "SpectralData":
+        # Not dataclasses.astuple: it deep-copies every array.
+        return SpectralData(*(getattr(self, f.name)[k] for f in fields(self)))
 
 
 def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
@@ -251,18 +226,13 @@ def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
     and returned ascending with Hilbert-Schmidt-orthonormal flat
     eigenvectors. Exactly one eigenvalue sits below the kernel threshold;
     its weighted eigenvector is proportional to the identity. The record is
-    entry 0 of :func:`lb_spectra` of the one state.
+    ``lb_spectra(torus, [c])[0]``.
     """
-    space = metric_state(torus, c)
-    stack = lb_spectra(torus, [space])
-    return SpectralData(
-        space, stack.eigenvalues[0], stack.vectors_flat[0], stack.vectors_weighted[0],
-        float(stack.gap_thresholds[0]), int(stack.kernel_indices[0]), stack.min_gaps[0],
-    )
+    return lb_spectra(torus, [c])[0]
 
 
-def lb_spectra(torus: FuzzyTorus, states, times=None) -> SpectralStack:
-    """The spectra of every metric or state in ``states``, as one :class:`SpectralStack`.
+def lb_spectra(torus: FuzzyTorus, states, times=None) -> SpectralData:
+    """The spectra of every metric or state in ``states``, as one stacked :class:`SpectralData`.
 
     The one spectrum implementation: one stacked operator build
     (``len(states) * n^4`` entries) and one ``eigh`` call, with no
@@ -295,7 +265,7 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> SpectralStack:
     gaps = np.abs(np.diff(w, axis=-1))
     inf = np.full((count, 1), np.inf)
     min_gaps = np.minimum(np.concatenate([gaps, inf], -1), np.concatenate([inf, gaps], -1))
-    return SpectralStack(w, vectors_flat, vectors, thresholds, kernels.argmax(-1), min_gaps)
+    return SpectralData(w, vectors_flat, vectors, thresholds, kernels.argmax(-1), min_gaps)
 
 
 def spectrum_to_json(data: SpectralData, t: float) -> dict:
@@ -303,11 +273,15 @@ def spectrum_to_json(data: SpectralData, t: float) -> dict:
 
     The eigenvectors are a :class:`LazyDocs`, each matrix's document built when read.
     """
+    # Index runs whose consecutive gaps fall below the threshold, cut at the
+    # gaps of at least it; np.split would cost ~4x more.
+    cuts = np.flatnonzero(np.diff(data.eigenvalues) >= data.gap_threshold) + 1
+    bounds = [0, *cuts.tolist(), len(data.eigenvalues)]
     return {
         "eigenvalues": data.eigenvalues.tolist(),
         "eigenvectors_Hc": LazyDocs(matrix_to_json, data.vectors_weighted),
-        "kernel_index": data.kernel_index,
-        "degeneracy_groups": data.degeneracy_groups,
+        "kernel_index": int(data.kernel_index),
+        "degeneracy_groups": [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])],
         "t": float(t),
     }
 

@@ -30,11 +30,11 @@ evaluated separately as a cross-check; both need ``L log c`` exactly Hermitian.
 The torus, each sample's metric state and ``L log c`` (its negated field) are
 read off the trajectory, so no function here takes a torus or applies ``L``.
 Tracking is one pass over chunks of samples (``CHUNK_ENTRIES``): each chunk's
-spectra are one ``SpectralStack``, with the same bits as one sample at a
-time and no per-sample object, both forms of the law are evaluated on them in
-spectral order, the overlaps of all its consecutive samples are one stacked
-product, and after matching one gather per array carries the chunk's values,
-gaps, flags and law values into curve order.
+spectra are one stacked ``SpectralData``, with the same bits as one sample
+at a time and no per-sample record, both forms of the law are evaluated on
+them in spectral order, the overlaps of all its consecutive samples are one
+stacked product, and after matching one gather per array carries the chunk's
+values, gaps, flags and law values into curve order.
 The law reads an eigenvector only through ``a* a``, so neither its phase nor
 its curve matters there. No eigenvector outlives its chunk: the curves keep
 per-sample scalars only, and memory beyond them is bounded per chunk.
@@ -181,7 +181,7 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
         law = variation_rhs(part, lam, a), variation_rhs_state_form(part, lam, a)
         flat = spectra.vectors_flat.reshape(len(part), n2, n2)
         if start == 0:
-            pairs, kernel, order = flat, int(spectra.kernel_indices[0]), np.arange(n2)
+            pairs, kernel, order = flat, int(spectra.kernel_index[0]), np.arange(n2)
         else:
             pairs = np.concatenate([last, flat])
         # Every pair of consecutive samples in one product, in spectral order:
@@ -214,11 +214,11 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
         )
         orders = orders[-len(part):]
         # The kernel is exactly known; never let the assignment drift it.
-        bad[:, kernel] |= orders[:, kernel] != spectra.kernel_indices
+        bad[:, kernel] |= orders[:, kernel] != spectra.kernel_index
         chunk = slice(start, start + len(part))
         values[chunk] = np.take_along_axis(lam, orders, -1)
         min_gap[chunk] = np.take_along_axis(spectra.min_gaps, orders, -1)
-        degenerate[chunk] = bad | (min_gap[chunk] < spectra.gap_thresholds[:, None])
+        degenerate[chunk] = bad | (min_gap[chunk] < spectra.gap_threshold[:, None])
         rhs[chunk] = np.take_along_axis(law[0], orders, -1)
         rhs_alt[chunk] = np.take_along_axis(law[1], orders, -1)
     return SpectralCurves(

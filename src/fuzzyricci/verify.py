@@ -251,7 +251,7 @@ def lb_checks(torus: FuzzyTorus) -> list[dict]:
         checks.append(_leq("lb_hermitian", params, hermiticity_defect(op), TOL_LB_HERM))
 
         data = lb_spectrum(torus, space)
-        norm = max(data.operator_norm, 1.0)
+        norm = max(float(np.max(np.abs(data.eigenvalues))), 1.0)
         checks.append(_geq("lb_psd", params, float(data.eigenvalues[0]), -TOL_LB_PSD * norm))
 
         a, b = gaussian_matrices(rng, 2, torus.n)
@@ -302,7 +302,7 @@ def tracking_checks() -> list[dict]:
     # The eigenvectors the law consumed: each sample's spectrum, in spectral order.
     spectra = lb_spectra(torus, [s.space for s in trajectory.samples])
     c = np.stack([s.c for s in trajectory.samples])[:, None]
-    vectors, kernels = spectra.vectors_weighted, spectra.kernel_indices
+    vectors, kernels = spectra.vectors_weighted, spectra.kernel_index
     # The literal tr(c a* a), not the formula lb_spectra normalizes with.
     norms = np.trace(c @ vectors.conj().swapaxes(-1, -2) @ vectors, axis1=-2, axis2=-1)
     worst_norm = np.max(np.abs(np.sqrt(norms.real) - 1.0))

@@ -561,6 +561,18 @@ class TestSimulate:
         assert run_cli([*argv, "--out", out]) == 0
         assert json.loads((out / artifact).read_text())
 
+    @pytest.mark.parametrize("command", ["simulate", "track"])
+    def test_unallocatable_grid_exit_2(self, tmp_path, capsys, command):
+        # 1e15 samples pass FlowConfig's intp guard, but their 7.1 PiB of
+        # times fit no 64-bit address space: an invalid stride, before any file.
+        out = tmp_path / "x"
+        argv = [command, "--n", 2, "--t1", 1e12, "--stride", 1e-3, "--out", out]
+        assert run_cli(argv) == 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidParams"
+        assert err["message"].startswith("sample_stride 0.001 gives too many samples")
+
 
 class TestSpectrum:
     def test_flat_spectrum(self, tmp_path):

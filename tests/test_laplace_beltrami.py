@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fuzzyricci import (
 )
 from fuzzyricci.laplace_beltrami import (
     COUNTEREXAMPLE_SEED,
+    SpectralData,
     WeightedSpace,
     lb_conjugated_superop,
     lb_spectra,
@@ -262,7 +265,7 @@ class TestSpectrum:
         a0 = data.vectors_weighted[0]
         phase = a0[0, 0] / abs(a0[0, 0])
         np.testing.assert_allclose(a0 / phase, np.eye(2) / np.sqrt(2), atol=1e-12)
-        assert data.degeneracy_groups == [[0], [1, 2], [3]]
+        assert spectrum_to_json(data, t=0.0)["degeneracy_groups"] == [[0], [1, 2], [3]]
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 5), (3, 1), (3, 7)])
     def test_eigenpair_structure(self, n, seed):
@@ -271,8 +274,8 @@ class TestSpectrum:
         torus = FuzzyTorus(n, 1)
         c = random_metric(n, seed)
         data = lb_spectrum(torus, c)
-        space = data.space
-        norm = data.operator_norm
+        space = metric_state(torus, c)
+        norm = np.max(np.abs(data.eigenvalues))
 
         assert data.eigenvalues[0] >= -1e-10 * norm
         assert np.all(np.diff(data.eigenvalues) >= 0)
@@ -309,8 +312,9 @@ class TestSpectrum:
     @pytest.mark.parametrize("n,m,seed", [(2, 1, 0), (3, 1, 2), (4, 1, 1), (5, 2, 3)])
     def test_batched_vectors_match_per_vector_normalization(self, n, m, seed):
         torus = FuzzyTorus(n, m)
-        data = lb_spectrum(torus, random_metric(n, seed))
-        space = data.space
+        c = random_metric(n, seed)
+        data = lb_spectrum(torus, c)
+        space = metric_state(torus, c)
         assert data.vectors_flat.shape == data.vectors_weighted.shape == (n * n, n, n)
         for i, v in enumerate(data.vectors_flat):
             a = v @ space.c_invsqrt
@@ -325,10 +329,26 @@ class TestSpectrum:
         # operator's spectrum.
         c = random_metric(3, 9)
         data = lb_spectrum(torus3, c)
+        space = metric_state(torus3, c)
         for lam, a in zip(data.eigenvalues, data.vectors_weighted):
-            assert rayleigh_quotient(torus3, data.space, a) == pytest.approx(
-                float(lam), rel=1e-9, abs=1e-9 * data.operator_norm
+            assert rayleigh_quotient(torus3, space, a) == pytest.approx(
+                float(lam), rel=1e-9, abs=1e-9 * np.max(np.abs(data.eigenvalues))
             )
+
+    def test_stack_entry_is_the_single_spectrum(self, torus3):
+        # Entry k of a stacked record is sample k's lb_spectrum, bit for bit,
+        # and its arrays are views of the stack's, not copies.
+        metrics = [random_metric(3, seed) for seed in range(4)]
+        spectra = lb_spectra(torus3, metrics)
+        assert spectra.eigenvalues.shape == (4, 9) and spectra.kernel_index.shape == (4,)
+        for k, c in enumerate(metrics):
+            entry, one = spectra[k], lb_spectrum(torus3, c)
+            for f in dataclasses.fields(SpectralData):
+                assert np.array_equal(getattr(entry, f.name), getattr(one, f.name)), f.name
+            for name in ("eigenvalues", "vectors_flat", "vectors_weighted", "min_gaps"):
+                assert np.shares_memory(getattr(entry, name), getattr(spectra, name)), name
+        # json.dumps rejects numpy integers.
+        assert type(spectrum_to_json(spectra[1], t=0.0)["kernel_index"]) is int
 
     def test_json_shape(self, torus2):
         data = lb_spectrum(torus2, random_metric(2, 3))
