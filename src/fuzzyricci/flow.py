@@ -43,11 +43,10 @@ stage state is a sum of the integrator's own Hermitian matrices, so it is not
 checked for Hermiticity: one ``eigh`` call, which reads its lower triangle
 only, gives the eigenpairs from which the stage's field
 ``L(V diag(-log w) V*)`` comes directly (``_field``, which applies ``L`` to
-that Hermitian matrix by ``laplacian_apply(..., hermitian=True)``: one
-product with ``L``'s cached matrix at ``n <= torus.DENSE_MAX_N``, two
-products above it and at a scalar). Only an accepted state becomes a metric state
-(``WeightedSpace``): it is mirrored once from that triangle, with a real
-diagonal (``linalg.lower_mirrored``), as the initial state is. So every sample's
+that Hermitian matrix by ``laplacian_apply(..., hermitian=True)``). Only an
+accepted state becomes a metric state (``WeightedSpace``): it is mirrored
+once from that triangle, with a real diagonal (``linalg.lower_mirrored``),
+as the initial state is. So every sample's
 ``c`` is exactly Hermitian and exactly the matrix of its decomposition, and
 spectra and the variation law reuse that decomposition and the sample's
 field. Two domain guards stay per stage: a finite norm, and the smallest
@@ -274,13 +273,10 @@ def _field(torus: FuzzyTorus, eig) -> np.ndarray:
     ``WeightedSpace``, or a stage's ``np.linalg.eigh`` result. Traceless by
     construction (the Laplacian is a sum of commutators), which is what
     makes the flow conserve ``tr(c)`` to roundoff; zero at a scalar metric.
-    ``L`` is applied to the Hermitian ``V diag(-log w) V*`` by its Hermitian
-    path (``laplacian_apply(..., hermitian=True)``): one product with ``L``'s
-    cached matrix at ``n <= torus.DENSE_MAX_N``, where numpy's per-call
-    overhead makes it the cheaper branch; two above it, or if the first and
-    last diagonal entries are equal, so a scalar's field stays exactly zero.
-    Negating the ``n`` logs rather than the result is exact. Every field of
-    a run is computed here.
+    ``L`` is applied to the Hermitian ``V diag(-log w) V*`` by
+    ``laplacian_apply(..., hermitian=True)``, which keeps a scalar's field
+    exactly zero. Negating the ``n`` logs rather than the result is exact.
+    Every field of a run is computed here.
     """
     v = eig.eigenvectors
     return torus.laplacian_apply((v * -np.log(eig.eigenvalues)) @ v.conj().T, hermitian=True)

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, MetricDegenerate
+from .errors import InsufficientData, InvalidInput, MetricDegenerate
 from .linalg import LazyDocs, as_square_matrix, hermitian_eig, lower_mirrored, matrix_to_json
 from .torus import FuzzyTorus
 
@@ -238,9 +238,11 @@ def lb_spectra(torus: FuzzyTorus, states, times=None) -> SpectralData:
     (``len(states) * n^4`` entries) and one ``eigh`` call, with no
     per-sample object. The zero modes are counted for the whole stack at
     once: the first state without exactly one raises ``MetricDegenerate``,
-    with its ``times`` entry.
+    with its ``times`` entry. No states raise ``InsufficientData``.
     """
     spaces = [metric_state(torus, c) for c in states]
+    if not spaces:
+        raise InsufficientData("no metric states to decompose")
     s = stacked_power(spaces, -0.5)
     w, v = np.linalg.eigh(torus.conjugated_laplacians(s))
     n, count = torus.n, len(spaces)

@@ -18,14 +18,11 @@ and as its real split (``laplacian_split``). The commutators behind
 ``commutant_dimension`` are Kronecker products: under the row-major
 flattening ``a -> [p, a]`` has the matrix ``p (x) I - I (x) p^T``.
 
-``laplacian_apply`` computes ``[y, [y, a]]`` with four products. For a
-Hermitian ``a`` (``hermitian=True``) its image is exactly Hermitian and costs
-one product with ``M / 2``, cached per torus, at ``n <= DENSE_MAX_N``, where
-numpy's per-call overhead outweighs the n^4 multiply-adds (the measured
-crossover), or two products above it; a scalar, whose dense image would be
-~eps rather than 0, always takes the two. The flow applies ``L`` that way to
-every ``log c``; every other caller keeps the general path, the reference
-the Hermitian one is tested against.
+``laplacian_apply`` computes ``[y, [y, a]]`` with four products; its
+Hermitian path, ``laplacian_apply(..., hermitian=True)``, takes fewer, and
+its docstring states that path's branches and guarantees. The flow applies
+``L`` that way to every ``log c``; every other caller keeps the general
+path, the reference the Hermitian one is tested against.
 
 ``L`` maps Hermitian matrices to Hermitian matrices and is symmetric in the
 Hilbert-Schmidt inner product. So on the real coordinates ``Re a + Im a`` of
@@ -144,8 +141,9 @@ class FuzzyTorus:
           them, takes the two products instead;
         - otherwise two products instead of four: ``p = y a``,
           ``b = p - p*``, ``g = y b + (W/2) o a``.
-        The result differs from the general path's by roundoff, is exactly
-        Hermitian for any ``a``, and is exactly zero at a real scalar.
+        The result differs from the general path's by at most
+        ``2 eps lambda_max(L) ||a||``, is exactly Hermitian for any ``a``,
+        and is exactly zero at a real scalar.
         """
         a = np.asarray(a)
         if not hermitian:

@@ -5,11 +5,11 @@ spectrum. Consecutive spectra are stitched into continuous curves by solving
 an assignment problem on squared eigenvector overlaps, which no global phase
 moves. The assignment is exact: Jonker-Volgenant shortest augmenting paths
 (Jonker & Volgenant, Computing 38, 1987; Crouse, IEEE TAES 52, 2016),
-warm-started by row reduction. The row reduction is one ``argmax`` over all
-of a chunk's consecutive pairs: a pair whose row maxima are distinct columns
-takes them, and only a contested pair runs the assignment, whose contested
-rows run an augmenting search. Along a flow the row maxima are nearly always
-a permutation, so no search runs. Crossings are not resolved: samples where the
+warm-started by row reduction, in one call per chunk of samples: one
+``argmax`` over all of its consecutive pairs, and a pair whose row maxima are
+distinct columns takes them; only a contested pair's contested rows run an
+augmenting search. Along a flow the row maxima are nearly always a
+permutation, so no search runs. Crossings are not resolved: samples where the
 spectral gap collapses or the best overlap drops below ``OVERLAP_MIN`` are
 flagged and excluded from quantitative aggregates.
 
@@ -33,8 +33,9 @@ Tracking is one pass over chunks of samples (``CHUNK_ENTRIES``): each chunk's
 spectra are one stacked ``SpectralData``, with the same bits as one sample
 at a time and no per-sample record, both forms of the law are evaluated on
 them in spectral order, the overlaps of all its consecutive samples are one
-stacked product, and after matching one gather per array carries the chunk's
-values, gaps, flags and law values into curve order.
+stacked product (the first sample is its own predecessor, so every chunk has
+as many pairs as samples), and after matching one gather carries the chunk's
+values, gaps and law values into curve order.
 The law reads an eigenvector only through ``a* a``, so neither its phase nor
 its curve matters there. No eigenvector outlives its chunk: the curves keep
 per-sample scalars only, and memory beyond them is bounded per chunk.
@@ -60,21 +61,22 @@ CHUNK_ENTRIES = 2**14
 
 
 def _max_weight_assignment(weight: np.ndarray) -> np.ndarray:
-    """The permutation ``perm`` maximizing ``sum(weight[i, perm[i]])`` of a square matrix.
+    """Each pair's permutation ``perm[p]`` maximizing ``sum(weight[p, i, perm[p, i]])``.
 
-    Row reduction first: each row takes its largest entry's column (the
-    first, on a tie). If those columns are all distinct, they are optimal,
-    since the sum of row maxima bounds every assignment. Otherwise the
+    ``weight`` stacks ``P`` square matrices, one per pair. Row reduction of
+    every pair at once: each row takes its largest entry's column (the
+    first, on a tie). A pair whose columns are all distinct keeps them, since
+    the sum of row maxima bounds every assignment. In a contested pair the
     contested rows give up their columns and each runs a shortest augmenting
     path search (:func:`_augment_contested`). The entries must be finite:
     the search cannot terminate on a NaN or inf, and ``track_spectrum``
     checks each chunk's weights before any assignment.
     """
-    k = len(weight)
-    col4row = weight.argmax(axis=1)
-    claims = np.bincount(col4row, minlength=k)
-    if np.count_nonzero(claims) < k:
-        _augment_contested(weight, col4row, claims)
+    k = weight.shape[-1]
+    col4row = weight.argmax(-1)
+    contested = (np.sort(col4row, axis=-1) != np.arange(k)).any(-1)
+    for p in np.flatnonzero(contested):
+        _augment_contested(weight[p], col4row[p], np.bincount(col4row[p], minlength=k))
     return col4row
 
 
@@ -153,10 +155,10 @@ class SpectralCurves:
 def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     """Stitch per-sample spectra into n^2 continuous eigenvalue curves, with the law on them.
 
-    Curve ``i`` starts at the i-th ascending eigenvalue of the first sample;
-    later samples follow by overlap assignment: one row reduction settles
-    each chunk's pairs whose row maxima are distinct, and only a contested
-    pair calls :func:`_max_weight_assignment`. Weak matches are recorded as
+    Curve ``i`` starts at the i-th ascending eigenvalue of the first sample,
+    which is paired with itself; each later sample follows its predecessor by
+    overlap assignment, one :func:`_max_weight_assignment` call per chunk
+    for each pair's permutation in spectral order. Weak matches are recorded as
     per-sample degeneracy flags, never raised; a NaN or inf overlap raises
     ``InvalidInput`` before any assignment of its chunk. Each chunk's
     spectra come first, as one :func:`lb_spectra` stack: an operator without
@@ -170,7 +172,7 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
         raise InsufficientData("trajectory has no samples")
     torus = trajectory.torus
     n2, samples = torus.n * torus.n, len(trajectory.samples)
-    values, min_gap, rhs, rhs_alt = (np.empty((samples, n2)) for _ in range(4))
+    values, min_gap, rhs, rhs_alt = curves = np.empty((4, samples, n2))
     degenerate = np.empty((samples, n2), dtype=bool)
 
     size = max(1, CHUNK_ENTRIES // n2**2)
@@ -180,47 +182,32 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
         lam, a = spectra.eigenvalues, spectra.vectors_weighted
         law = variation_rhs(part, lam, a), variation_rhs_state_form(part, lam, a)
         flat = spectra.vectors_flat.reshape(len(part), n2, n2)
-        if start == 0:
-            pairs, kernel, order = flat, int(spectra.kernel_index[0]), np.arange(n2)
-        else:
-            pairs = np.concatenate([last, flat])
+        if start == 0:  # the first sample is its own predecessor
+            last, kernel, order = flat[:1], int(spectra.kernel_index[0]), np.arange(n2)
         # Every pair of consecutive samples in one product, in spectral order:
         # overlap[i, j] = <earlier vector i, later vector j>.
+        pairs = np.concatenate([last, flat])
         with np.errstate(invalid="ignore", over="ignore"):
             magnitude = np.abs(pairs[:-1].conj() @ pairs[1:].swapaxes(-1, -2))
         weight = magnitude**2
         if np.count_nonzero(np.isfinite(weight)) != weight.size:
             raise InvalidInput("overlap matrix has a NaN or inf entry")
         last = flat[-1:]
-        # Row reduction of every pair at once. Permuting a pair's rows into
-        # curve order moves neither its row maxima nor their collisions, so
-        # a pair whose maxima are distinct takes them, as the assignment
-        # would; only a contested pair runs the search.
-        col4row = weight.argmax(-1)
-        distinct = (np.sort(col4row, axis=-1) == np.arange(n2)).all(-1)
+        perms = _max_weight_assignment(weight)
         # Row p holds each curve's spectral index at the earlier sample of pair p.
-        orders = np.empty((len(weight) + 1, n2), dtype=int)
+        orders = np.empty((len(part) + 1, n2), dtype=int)
         orders[0] = order
-        for p, prev in enumerate(orders[:-1]):
-            if distinct[p]:
-                orders[p + 1] = col4row[p, prev]
-            else:
-                orders[p + 1] = _max_weight_assignment(weight[p, prev])
+        for p, perm in enumerate(perms):
+            orders[p + 1] = perm[orders[p]]
         order = orders[-1]
-        bad = np.zeros((len(part), n2), dtype=bool)
-        # Pairs are counted from the chunk's end: the first chunk's first sample has none.
-        bad[len(part) - len(weight):] = (
-            magnitude[np.arange(len(weight))[:, None], orders[:-1], orders[1:]] < OVERLAP_MIN
-        )
-        orders = orders[-len(part):]
+        bad = magnitude[np.arange(len(part))[:, None], orders[:-1], orders[1:]] < OVERLAP_MIN
         # The kernel is exactly known; never let the assignment drift it.
-        bad[:, kernel] |= orders[:, kernel] != spectra.kernel_index
+        bad[:, kernel] |= orders[1:, kernel] != spectra.kernel_index
         chunk = slice(start, start + len(part))
-        values[chunk] = np.take_along_axis(lam, orders, -1)
-        min_gap[chunk] = np.take_along_axis(spectra.min_gaps, orders, -1)
+        curves[:, chunk] = np.take_along_axis(
+            np.stack([lam, spectra.min_gaps, *law]), orders[None, 1:], -1
+        )
         degenerate[chunk] = bad | (min_gap[chunk] < spectra.gap_threshold[:, None])
-        rhs[chunk] = np.take_along_axis(law[0], orders, -1)
-        rhs_alt[chunk] = np.take_along_axis(law[1], orders, -1)
     return SpectralCurves(
         times=trajectory.times,
         values=values,

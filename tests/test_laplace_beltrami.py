@@ -6,6 +6,7 @@ import pytest
 from fuzzyricci import (
     FlowConfig,
     FuzzyTorus,
+    InsufficientData,
     InvalidInput,
     MetricDegenerate,
     lb_spectrum,
@@ -349,6 +350,10 @@ class TestSpectrum:
                 assert np.shares_memory(getattr(entry, name), getattr(spectra, name)), name
         # json.dumps rejects numpy integers.
         assert type(spectrum_to_json(spectra[1], t=0.0)["kernel_index"]) is int
+
+    def test_no_states_rejected(self, torus2):
+        with pytest.raises(InsufficientData, match="no metric states"):
+            lb_spectra(torus2, [])
 
     def test_json_shape(self, torus2):
         data = lb_spectrum(torus2, random_metric(2, 3))

@@ -55,7 +55,7 @@ def short_run(torus2):
 def matched_overlaps(prev, cur):
     """The tracker's assignment of ``cur`` to ``prev`` and each match's overlap magnitude."""
     magnitude = np.abs(prev.reshape(len(prev), -1).conj() @ cur.reshape(len(cur), -1).T)
-    perm = tracking._max_weight_assignment(magnitude**2)
+    perm = tracking._max_weight_assignment((magnitude**2)[None])[0]
     return perm, magnitude[np.arange(len(prev)), perm]
 
 
@@ -134,31 +134,42 @@ class TestAssignment:
         "kind", ["random", "unitary", "near_identity", "ties", "one_column", "collisions"]
     )
     def test_matches_scipy(self, k, kind):
+        # Each weight matrix alone, as a stack of one, then all of them as one stack.
         rng = np.random.default_rng(k)
         rows = np.arange(k)
-        for _ in range(3 if k == 256 else 10):
-            weight = assignment_weights(kind, k, rng)
-            perm = tracking._max_weight_assignment(weight.copy())
+        weights = [assignment_weights(kind, k, rng) for _ in range(3 if k == 256 else 10)]
+        stacked = tracking._max_weight_assignment(np.stack(weights))
+        for weight, in_stack in zip(weights, stacked):
+            perm = tracking._max_weight_assignment(weight[None])[0]
             reference = scipy_assignment(weight)
+            np.testing.assert_array_equal(in_stack, perm)
             np.testing.assert_array_equal(np.sort(perm), rows)
             assert abs(weight[rows, perm].sum() - weight[rows, reference].sum()) <= 1e-12
             if kind != "ties":
                 np.testing.assert_array_equal(perm, reference)
 
     def test_contested_rows_run_the_search(self, monkeypatch):
-        weight = assignment_weights("one_column", 16, np.random.default_rng(0))
-        searches = []
+        # Pair 1's row maxima are a permutation, the optimum, so only pairs 0 and 2 search.
+        rng = np.random.default_rng(0)
+        stack = np.stack([assignment_weights("one_column", 16, rng), np.eye(16)[::-1],
+                          assignment_weights("collisions", 16, rng)])
+        searched = []
         search = tracking._augment_contested
-        monkeypatch.setattr(
-            tracking, "_augment_contested", lambda *args: (searches.append(1), search(*args))
-        )
+
+        def counting_search(weight, *args):
+            searched.append(next(p for p in range(3) if np.array_equal(weight, stack[p])))
+            search(weight, *args)
+
+        monkeypatch.setattr(tracking, "_augment_contested", counting_search)
         np.testing.assert_array_equal(
-            tracking._max_weight_assignment(weight), scipy_assignment(weight)
+            tracking._max_weight_assignment(stack[0][None])[0], scipy_assignment(stack[0])
         )
-        assert searches == [1]
-        # A permutation of row maxima is the optimum, and no search runs.
-        assert tracking._max_weight_assignment(np.eye(16)[::-1]).tolist() == list(range(15, -1, -1))
-        assert searches == [1]
+        assert searched == [0]
+        perms = tracking._max_weight_assignment(stack)
+        assert searched == [0, 0, 2]
+        for weight, perm in zip(stack, perms):
+            np.testing.assert_array_equal(perm, scipy_assignment(weight))
+        assert perms[1].tolist() == list(range(15, -1, -1))
 
     @pytest.mark.parametrize(
         "n, m, seed, t1",
@@ -204,8 +215,8 @@ class TestAssignment:
          for case in ((4, 1, 0, 0.2), (8, 1, 0, 0.05))],
     )
     def test_search_runs_on_contested_pairs_only(self, n, m, seed, t1, monkeypatch):
-        # One row reduction per chunk settles every pair whose row maxima are
-        # distinct; the assignment runs once per contested pair, and one
+        # One assignment call per chunk settles every pair whose row maxima
+        # are distinct; the search runs once per contested pair, and one
         # spectral record is built per chunk, none per sample.
         trajectory = run_flow(
             FuzzyTorus(n, m), random_metric(n, seed), FlowConfig(t1=t1, sample_stride=1e-3)
@@ -216,10 +227,13 @@ class TestAssignment:
         contested = sum(len(set(row.tolist())) < n * n for row in maxima)
         assert contested == (0 if n == 4 else 2)
 
-        searches, records = [], []
-        search = tracking._max_weight_assignment
+        calls, searches, records = [], [], []
+        assignment, search = tracking._max_weight_assignment, tracking._augment_contested
         monkeypatch.setattr(
-            tracking, "_max_weight_assignment", lambda w: (searches.append(1), search(w))[1]
+            tracking, "_max_weight_assignment", lambda w: (calls.append(1), assignment(w))[1]
+        )
+        monkeypatch.setattr(
+            tracking, "_augment_contested", lambda *args: (searches.append(1), search(*args))
         )
         init = SpectralData.__init__
 
@@ -231,7 +245,7 @@ class TestAssignment:
         first_variation_report(trajectory)
         assert len(trajectory.samples) == (201 if n == 4 else 51)
         assert len(searches) == contested
-        assert len(records) == (4 if n == 4 else 13)  # 64 and 4 samples a chunk
+        assert len(calls) == len(records) == (4 if n == 4 else 13)  # 64 and 4 samples a chunk
 
 
 class TestFiniteDifferences:
@@ -424,6 +438,25 @@ class TestTrackSpectrum:
 
         with pytest.raises(InsufficientData):
             track_spectrum(FlowResult(torus=torus2, config=FlowConfig()))
+
+    @pytest.mark.parametrize(
+        "n, m, seed, t1",
+        [pytest.param(*case, id="-".join(map(str, case[:3])))
+         for case in ((8, 1, 0, 0.05), (4, 1, 0, 0.2), (2, 1, 7, 0.1))],
+    )
+    def test_curves_do_not_depend_on_the_chunk_size(self, n, m, seed, t1, monkeypatch):
+        # Chunks of 1, 2 and 3 samples put a chunk boundary between most
+        # pairs; the curves keep every bit of the default run.
+        trajectory = run_flow(
+            FuzzyTorus(n, m), random_metric(n, seed), FlowConfig(t1=t1, sample_stride=1e-3)
+        )
+        default = track_spectrum(trajectory)
+        for size in (1, 2, 3):
+            monkeypatch.setattr(tracking, "CHUNK_ENTRIES", size * n**4)
+            chunked = track_spectrum(trajectory)
+            for name in ("values", "min_gap", "degenerate", "rhs", "rhs_state_form"):
+                assert np.array_equal(getattr(chunked, name), getattr(default, name)), (size, name)
+            assert chunked.kernel == default.kernel
 
 
 class TestVariationReport:
