@@ -252,13 +252,15 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
 
     Draws a Hermitian ``h`` with independent seeded Gaussian entries scaled
     by ``scale``, exponentiates, and rescales so ``tr(c) = n``. The flat
-    metric corresponds to ``scale = 0``. A negative seed raises
-    ``InvalidParams``.
+    metric corresponds to ``scale = 0``. A negative seed or a scale that
+    is not finite raises ``InvalidParams``, before anything is drawn.
     """
     if n < 1:
         raise InvalidParams(f"matrix size must be positive, got n={n}")
     if seed < 0:
         raise InvalidParams(f"seed must be non-negative, got seed={seed}")
+    if not np.isfinite(scale):
+        raise InvalidParams(f"scale must be finite, got scale={scale}")
     rng = np.random.default_rng(seed)
     g = gaussian_matrices(rng, 1, n)[0]
     h = scale * (g + g.conj().T) / 2

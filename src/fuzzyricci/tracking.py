@@ -26,6 +26,10 @@ increasing grid). It needs only at least 3 samples at strictly increasing
 times, which ``check_sample_times`` checks before the flow is integrated.
 The law has an equivalent form through the state ``phi(b) = tr(c b)``,
 evaluated separately as a cross-check; both need ``L log c`` exactly Hermitian.
+Each form is an inner product over one right product per sample:
+``tr(a* a X) = sum conj(a) o (a X)`` with ``X = L log c``, and
+``phi(a* a X c^{-1}) = sum conj(a c) o (a X c^{-1})``, the weighted inner
+product ``<a, a X c^{-1}>_c``; no product is formed per eigenvector.
 
 The torus, each sample's metric state and ``L log c`` (its negated field) are
 read off the trajectory, so no function here takes a torus or applies ``L``.
@@ -36,9 +40,10 @@ them in spectral order, the overlaps of all its consecutive samples are one
 stacked product (the first sample is its own predecessor, so every chunk has
 as many pairs as samples), and after matching one gather carries the chunk's
 values, gaps and law values into curve order.
-The law reads an eigenvector only through ``a* a``, so neither its phase nor
-its curve matters there. No eigenvector outlives its chunk: the curves keep
-per-sample scalars only, and memory beyond them is bounded per chunk.
+The law reads an eigenvector only through ``conj(a)`` against a right
+product of ``a``, so neither its phase nor its curve matters there. No
+eigenvector outlives its chunk: the curves keep per-sample scalars only, and
+memory beyond them is bounded per chunk.
 """
 
 from __future__ import annotations
@@ -240,10 +245,11 @@ def variation_rhs(samples, values, a) -> np.ndarray:
     normalized in the weighted inner product of its sample's metric; the
     result is ``(S, K)``, the real part of a trace of two Hermitian factors:
     ``L log c``, each sample's negated field, is read through :func:`_lap_logs`.
+    The trace is the inner product ``sum conj(a) o (a L log c)``, with
+    ``a L log c`` one product per sample (:func:`right_product`).
     """
     a = np.asarray(a, dtype=complex)
-    lap_log = _lap_logs(samples)
-    trace = np.trace(right_product(a.conj().swapaxes(-1, -2) @ a, lap_log), axis1=-2, axis2=-1)
+    trace = np.sum(a.conj() * right_product(a, _lap_logs(samples)), axis=(-2, -1))
     return (trace * values).real
 
 
@@ -251,13 +257,18 @@ def variation_rhs_state_form(samples, values, a) -> np.ndarray:
     """Equivalent form lambda * phi(a* a (L log c) c^{-1}), phi(b) = tr(c b).
 
     Algebraically identical to :func:`variation_rhs` by trace cyclicity;
-    computed literally as written, from each sample's metric state, to serve
-    as an independent cross-check. Arguments are as in :func:`variation_rhs`.
+    computed from each sample's metric state and its ``c^{-1}``, to serve as
+    an independent cross-check. ``phi(a* Y) = tr(c a* Y)`` with
+    ``Y = a (L log c) c^{-1}`` is the weighted inner product ``<a, Y>_c``,
+    taken as :func:`weighted_inner`'s ``sum conj(a c) o Y``, with ``a c`` one
+    product per sample and ``Y`` two (:func:`right_product`).
+    Arguments are as in :func:`variation_rhs`.
     """
     a = np.asarray(a, dtype=complex)
     c_inv = stacked_power([s.space for s in samples], -1.0)
-    b = right_product(right_product(a.conj().swapaxes(-1, -2) @ a, _lap_logs(samples)), c_inv)
-    phi = np.trace(np.stack([s.c for s in samples])[:, None] @ b, axis1=-2, axis2=-1)
+    y = right_product(right_product(a, _lap_logs(samples)), c_inv)
+    ac = right_product(a, np.stack([s.c for s in samples]))
+    phi = np.sum(ac.conj() * y, axis=(-2, -1))
     return (phi * values).real
 
 

@@ -211,6 +211,17 @@ def test_negative_seed_exit_2_and_no_files(tmp_path, capsys, argv, doc):
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
 
 
+@pytest.mark.parametrize("scale", ["inf", "nan"])
+def test_non_finite_random_scale_exit_2_and_no_files(tmp_path, capsys, scale):
+    # stderr holds the error document only: no numpy warning precedes it.
+    out = tmp_path / "run"
+    argv = ["simulate", "--n", 2, "--initial", f"random:scale={scale}", "--out", out]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "InvalidParams", "message": f"scale must be finite, got scale={scale}"}
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [

@@ -78,6 +78,12 @@ class TestRandomMetric:
     def test_zero_scale_is_flat(self):
         np.testing.assert_allclose(random_metric(3, 0, scale=0.0), np.eye(3), atol=1e-14)
 
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scale_rejected(self, scale):
+        # Rejected before the draw, so numpy warns of no inf * 0 or inf / 2.
+        with pytest.raises(InvalidParams, match="scale must be finite"):
+            random_metric(2, 0, scale=scale)
+
 
 class TestMetricSpec:
     def test_flat(self):

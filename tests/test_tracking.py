@@ -20,9 +20,16 @@ from fuzzyricci import (
 )
 from fuzzyricci import tracking
 from fuzzyricci.flow import sample_times
-from fuzzyricci.laplace_beltrami import SpectralData, WeightedSpace, lb_spectra
+from fuzzyricci.laplace_beltrami import (
+    SpectralData,
+    WeightedSpace,
+    lb_spectra,
+    right_product,
+    stacked_power,
+)
 from fuzzyricci.linalg import hs_norm
 from fuzzyricci.tracking import (
+    FORMS_BUDGET,
     check_sample_times,
     curves_csv_rows,
     fd_derivative,
@@ -372,6 +379,49 @@ class TestVariationRhs:
         with pytest.raises(NonRealVariation):
             form([broken], values[None], data.vectors_weighted[None])
 
+    @pytest.mark.parametrize(
+        "n, m, seed, t1",
+        [pytest.param(*case, id="-".join(map(str, case[:3])))
+         for case in ((2, 1, 7, 0.01), (3, 1, 0, 0.01), (4, 1, 0, 0.01), (5, 2, 3, 0.01),
+                      (8, 1, 0, 0.005), (8, 3, 2, 0.005), (12, 5, 1, 0.002))],
+    )
+    def test_inner_products_agree_with_the_literal_traces(self, n, m, seed, t1):
+        # The literal association, a* a formed per eigenvector and traced,
+        # agrees with the inner products within 8 roundoff units
+        # eps |lambda| ||a||_F^2 ||L log c||_F, times cond(c) in the state form.
+        torus = FuzzyTorus(n, m)
+        samples = run_flow(
+            torus, random_metric(n, seed), FlowConfig(t1=t1, sample_stride=1e-3)
+        ).samples
+        spectra = lb_spectra(torus, [s.space for s in samples])
+        lam, a = spectra.eigenvalues, spectra.vectors_weighted
+        lap_log = -np.stack([s.field for s in samples])[:, None]
+        c = np.stack([s.c for s in samples])[:, None]
+        c_inv = np.stack([s.space.c_inv for s in samples])[:, None]
+        aa = a.conj().swapaxes(-1, -2) @ a
+        literal = (lam * np.trace(aa @ lap_log, axis1=-2, axis2=-1)).real
+        literal_state = (lam * np.trace(c @ aa @ lap_log @ c_inv, axis1=-2, axis2=-1)).real
+        w = np.stack([s.space.eigenvalues for s in samples])
+        unit = (np.finfo(float).eps * np.abs(lam) * np.sum(np.abs(a) ** 2, axis=(-2, -1))
+                * np.linalg.norm(lap_log, axis=(-2, -1)))
+        cond = (w[:, -1] / w[:, 0])[:, None]
+        plain = variation_rhs(samples, lam, a)
+        state = variation_rhs_state_form(samples, lam, a)
+        assert np.all(np.abs(plain - literal) <= 8 * unit)
+        assert np.all(np.abs(state - literal_state) <= 8 * unit * cond)
+
+
+def broken_state_form(c_inv_side):
+    # The state form with c^-1 left of a (L log c), or with no c^-1.
+    def form(samples, values, a):
+        y = right_product(a, -np.stack([s.field for s in samples]))
+        if c_inv_side == "left":
+            y = stacked_power([s.space for s in samples], -1.0)[:, None] @ y
+        ac = right_product(a, np.stack([s.c for s in samples]))
+        return (values * np.sum(ac.conj() * y, axis=(-2, -1))).real
+
+    return form
+
 
 class TestTrackSpectrum:
     def test_flat_trajectory_constant_curves(self, torus2):
@@ -482,6 +532,21 @@ class TestVariationReport:
         with pytest.raises(InsufficientData):
             first_variation_report(trajectory)
 
+    @pytest.mark.parametrize("c_inv_side", ["left", "none"])
+    @pytest.mark.parametrize("n, seed", [(2, 7), (3, 0)])
+    def test_forms_check_catches_a_broken_state_form(self, n, seed, c_inv_side, monkeypatch):
+        # The forms agree to roundoff; a state form that misplaces or drops
+        # c^-1 differs by order one and more (4.3 and 5.4 at n = 2, 816 and
+        # 915 at n = 3), and fails the verdict.
+        trajectory = run_flow(
+            FuzzyTorus(n, 1), random_metric(n, seed), FlowConfig(t1=0.01, sample_stride=1e-3)
+        )
+        assert first_variation_report(trajectory).max_form_discrepancy <= FORMS_BUDGET
+        monkeypatch.setattr(tracking, "variation_rhs_state_form", broken_state_form(c_inv_side))
+        report = first_variation_report(trajectory)
+        assert report.max_form_discrepancy > 1e9 * FORMS_BUDGET
+        assert not report.passed()
+
     def test_forms_disagreement_fails_the_verdict(self, torus2, short_run):
         trajectory, _ = short_run
         report = first_variation_report(trajectory)
@@ -524,16 +589,16 @@ class TestVariationReport:
         for k, sample in enumerate(trajectory.samples):
             # From scratch: a fresh decomposition of the sample's metric, L
             # applied here as the flow applies it (its Hermitian path), and
-            # both forms evaluated literally at each eigenpair, found on its
-            # curve by its eigenvalue's bits.
+            # both forms evaluated at each eigenpair as the inner products
+            # <a, a L log c> and <a, a L log c c^-1>_c, found on its curve by
+            # its eigenvalue's bits.
             space = WeightedSpace.from_metric(sample.c)
             lap_log = torus3.laplacian_apply(log_metric(space), hermitian=True)
             for value, a in zip(spectra.eigenvalues[k], spectra.vectors_weighted[k]):
                 (i,) = np.flatnonzero(curves.values[k] == value)
-                aa = a.conj().T @ a
-                direct = (value * np.trace(aa @ lap_log)).real
-                b = aa @ lap_log @ space.c_inv
-                state = (value * np.trace(space.c @ b)).real  # lambda phi(b)
+                direct = (value * np.sum(a.conj() * (a @ lap_log))).real
+                y = a @ lap_log @ space.c_inv
+                state = (value * np.sum((a @ space.c).conj() * y)).real  # lambda phi(a* y)
                 assert abs(report.rhs[k, i] - direct) <= 1e-13 * abs(direct)
                 assert abs(report.rhs_state_form[k, i] - state) <= 1e-13 * abs(state)
 
