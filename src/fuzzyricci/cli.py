@@ -355,12 +355,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     out = _out_dir(config["out"])
     _write_json(out / "config.json", config)
     _write_json(out / "spectrum.json", spectrum_to_json(data, t=t))
-    lo = float(data.eigenvalues[0])
-    hi = float(data.eigenvalues[-1])
-    print(
-        f"spectrum at t={t}: {len(data.eigenvalues)} eigenvalues in [{lo:.6g}, {hi:.6g}], "
-        f"kernel index {data.kernel_index}"
-    )
+    print(f"spectrum at t={t}: {len(data.eigenvalues)} eigenvalues in [0, {data.eigenvalues[-1]:.6g}]")
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ class SpectrumOutOfDomain(FuzzyRicciError):
 
 
 class MetricDegenerate(FuzzyRicciError):
-    """A metric is not above the positivity floor, or a curved Laplacian has no single zero mode."""
+    """A metric is not above the positivity floor."""
 
 
 class PositivityLost(FuzzyRicciError):

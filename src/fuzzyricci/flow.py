@@ -253,7 +253,9 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
     Draws a Hermitian ``h`` with independent seeded Gaussian entries scaled
     by ``scale``, exponentiates, and rescales so ``tr(c) = n``. The flat
     metric corresponds to ``scale = 0``. A negative seed or a scale that
-    is not finite raises ``InvalidParams``, before anything is drawn.
+    is not finite raises ``InvalidParams``, before anything is drawn, and
+    so does one whose metric's least eigenvalue, ``n min(e) / sum(e)`` with
+    ``e = exp(w)`` over ``h``'s eigenvalues ``w``, is not above ``POSITIVITY_FLOOR``.
     """
     if n < 1:
         raise InvalidParams(f"matrix size must be positive, got n={n}")
@@ -263,8 +265,14 @@ def random_metric(n: int, seed: int, scale: float = 1.0) -> np.ndarray:
         raise InvalidParams(f"scale must be finite, got scale={scale}")
     rng = np.random.default_rng(seed)
     g = gaussian_matrices(rng, 1, n)[0]
-    h = scale * (g + g.conj().T) / 2
-    c = matrix_exp(h)
+    h = (g + g.conj().T) / 2
+    with np.errstate(all="ignore"):  # an exp that overflows leaves least 0 or NaN
+        e = np.exp(scale * np.linalg.eigvalsh(h))
+        least = n * e.min() / e.sum()
+    if not least > POSITIVITY_FLOOR:
+        raise InvalidParams(f"scale is too large for a positive-definite metric, got "
+                            f"scale={scale}: least eigenvalue {least:.3e}")
+    c = matrix_exp(scale * h)
     return c * (n / np.trace(c).real)
 
 

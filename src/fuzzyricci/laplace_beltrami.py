@@ -12,7 +12,8 @@ computationally convenient form
 an ordinary Hermitian positive-semidefinite operator whose spectrum
 equals that of the weighted operator. All spectral computations happen on
 this conjugated form; eigenvectors are mapped back by right multiplication
-with ``c^{-1/2}`` and renormalized in the weighted inner product.
+with ``c^{-1/2}`` and renormalized in the weighted inner product. Its
+kernel is known exactly, ``c^{1/2}``, and is deflated before ``eigh``.
 
 The tempting alternative ``a -> c^{-1}(La)`` (left instead of right
 multiplication by the inverse metric) is *not* self-adjoint in the weighted
@@ -21,12 +22,9 @@ conjugated frame so the defect is measurable, and ``COUNTEREXAMPLE_SEED``
 records a random metric exhibiting it at n = 2.
 
 Every metric enters through the size-checked ``metric_state``. Both
-operators are plain ``(n^2, n^2)`` arrays built in closed form from n x n
-pieces, ``y``, the x-weights and ``c^{-1/2}``, by the torus
-(``FuzzyTorus.conjugated_laplacians``). Under the row-major flattening
-``a -> p a q`` has the matrix ``p (x) q^T``, so no map is probed column by
-column. A right product over a stack of matrices is one BLAS call per
-sample (``right_product``), with the bits of one call per matrix.
+operators are plain ``(n^2, n^2)`` arrays that the torus assembles from
+n x n pieces (``FuzzyTorus.conjugated_laplacians``). A right product over a
+stack of matrices is one BLAS call per sample (``right_product``).
 """
 
 from __future__ import annotations
@@ -40,8 +38,7 @@ from .errors import InsufficientData, InvalidInput, MetricDegenerate
 from .linalg import LazyDocs, as_square_matrix, hermitian_eig, lower_mirrored, matrix_to_json
 from .torus import FuzzyTorus
 
-# Relative spectral-gap threshold below which eigenvalues are grouped as
-# degenerate, and below which an eigenvalue counts as kernel.
+# Relative spectral-gap threshold below which eigenvalues are grouped as degenerate.
 GAP_TOL_REL = 1e-8
 
 # A metric is positive definite when its smallest eigenvalue exceeds this.
@@ -201,7 +198,7 @@ class SpectralData:
     by ``c^{-1/2}`` and normalized in the weighted inner product. Global
     phases are left free: matching and the variation law do not see them.
     ``gap_threshold`` is ``GAP_TOL_REL`` times the operator norm (at least
-    1); ``kernel_index`` locates the single eigenvalue below it.
+    1). Index 0 is the kernel by construction: ``0.0``, and ``I / sqrt(tr c)`` to roundoff.
     ``min_gaps`` is each eigenvalue's distance to its nearest neighbor.
     A stack (``lb_spectra``) puts a leading sample axis on every field, and
     ``data[k]``, sample ``k``'s record, holds views of its arrays.
@@ -211,7 +208,6 @@ class SpectralData:
     vectors_flat: np.ndarray
     vectors_weighted: np.ndarray
     gap_threshold: np.ndarray
-    kernel_index: np.ndarray
     min_gaps: np.ndarray
 
     def __getitem__(self, k) -> "SpectralData":
@@ -222,52 +218,62 @@ class SpectralData:
 def lb_spectrum(torus: FuzzyTorus, c) -> SpectralData:
     """Eigenvalues and eigenvectors of the curved Laplacian for metric ``c``.
 
-    Diagonalizes the conjugated (Hermitian) form, so the eigenvalues are real
-    and returned ascending with Hilbert-Schmidt-orthonormal flat
-    eigenvectors. Exactly one eigenvalue sits below the kernel threshold;
-    its weighted eigenvector is proportional to the identity. The record is
-    ``lb_spectra(torus, [c])[0]``.
+    Diagonalizes the conjugated (Hermitian) form: real eigenvalues, ascending
+    from the kernel's ``0.0``, with Hilbert-Schmidt-orthonormal flat
+    eigenvectors. The record is ``lb_spectra(torus, [c])[0]``.
     """
     return lb_spectra(torus, [c])[0]
 
 
-def lb_spectra(torus: FuzzyTorus, states, times=None) -> SpectralData:
+def lb_spectra(torus: FuzzyTorus, states) -> SpectralData:
     """The spectra of every metric or state in ``states``, as one stacked :class:`SpectralData`.
 
     The one spectrum implementation: one stacked operator build
     (``len(states) * n^4`` entries) and one ``eigh`` call, with no
-    per-sample object. The zero modes are counted for the whole stack at
-    once: the first state without exactly one raises ``MetricDegenerate``,
-    with its ``times`` entry. No states raise ``InsufficientData``.
+    per-sample object. ``M a = L(a S) S`` vanishes at ``a = c^{1/2}``, so the
+    kernel is deflated, not searched for: ``H = I - 2 v v*``,
+    ``v = (k + e_0) / ||k + e_0||``, maps ``k = vec(c^{1/2}) / ||c^{1/2}||`` to
+    ``-e_0`` (Golub & Van Loan, 5.1; ``k_0 > 0``, so nothing cancels), ``eigh``
+    decomposes the trailing ``(n^2 - 1)`` block of ``HMH = M - v w* - w v*``,
+    ``w = 2 (M v - (v* M v) v)``, and eigenpair 0 is ``(0, k)``. The other
+    flat vectors, ``H [0; u]``, are orthogonal to ``k``. No states raise ``InsufficientData``.
     """
     spaces = [metric_state(torus, c) for c in states]
     if not spaces:
         raise InsufficientData("no metric states to decompose")
     s = stacked_power(spaces, -0.5)
-    w, v = np.linalg.eigh(torus.conjugated_laplacians(s))
     n, count = torus.n, len(spaces)
-    thresholds = GAP_TOL_REL * np.maximum(np.max(np.abs(w), axis=-1, initial=0.0), 1.0)
-    kernels = np.abs(w) < thresholds[:, None]
-    zero_modes = np.count_nonzero(kernels, axis=-1)
-    if np.any(zero_modes != 1):
-        k = int(np.argmax(zero_modes != 1))
-        raise MetricDegenerate(
-            f"expected exactly one zero mode, found {zero_modes[k]} "
-            f"eigenvalues below {thresholds[k]:.3e}",
-            time=None if times is None else float(times[k]),
-        )
+    k = stacked_power(spaces, 0.5).reshape(count, n * n)
+    k /= np.linalg.norm(k, axis=-1, keepdims=True)
+    v = k + np.eye(1, n * n)
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    m = torus.conjugated_laplacians(s)
+    mv = (m @ v[..., None])[..., 0]
+    w = 2 * (mv - np.sum(v.conj() * mv, axis=-1).real[:, None] * v)
+    block = m[:, 1:, 1:]  # each update's outer product is the one n^4 temporary
+    block -= v[:, 1:, None] * w[:, None, 1:].conj()
+    block -= w[:, 1:, None] * v[:, None, 1:].conj()
+    values, u = np.linalg.eigh(block)
+    del m, block
+    lam = np.concatenate([np.zeros((count, 1)), values], axis=-1)
 
-    # Column i of each eigenvector matrix is the row-major flattening of vector i.
-    vectors_flat = v.swapaxes(-1, -2).reshape(count, n * n, n, n)
+    # Row i of each stack is the row-major flattening of vector i: k, then H [0; u_i].
+    flat = np.zeros((count, n * n, n * n), dtype=complex)
+    flat[:, 0] = k
+    flat[:, 1:, 1:] = u.swapaxes(-1, -2)
+    flat[:, 1:] -= 2 * (v[:, None, 1:].conj() @ u).swapaxes(-1, -2) * v[:, None, :]
+    del u  # so no more n^4 arrays are alive below than without the deflation
+    vectors_flat = flat.reshape(count, n * n, n, n)
     vectors = right_product(vectors_flat, s)
     # weighted_inner's sum, with its product a c taken once per sample.
     vc = right_product(vectors, np.stack([space.c for space in spaces]))
     vectors = vectors / np.sqrt(np.sum(vc.conj() * vectors, axis=(-2, -1)).real)[..., None, None]
+    thresholds = GAP_TOL_REL * np.maximum(np.max(np.abs(lam), axis=-1, initial=0.0), 1.0)
     # Ascending eigenvalues: abs leaves every gap's bits as np.diff gives them.
-    gaps = np.abs(np.diff(w, axis=-1))
+    gaps = np.abs(np.diff(lam, axis=-1))
     inf = np.full((count, 1), np.inf)
     min_gaps = np.minimum(np.concatenate([gaps, inf], -1), np.concatenate([inf, gaps], -1))
-    return SpectralData(w, vectors_flat, vectors, thresholds, kernels.argmax(-1), min_gaps)
+    return SpectralData(lam, vectors_flat, vectors, thresholds, min_gaps)
 
 
 def spectrum_to_json(data: SpectralData, t: float) -> dict:
@@ -282,7 +288,7 @@ def spectrum_to_json(data: SpectralData, t: float) -> dict:
     return {
         "eigenvalues": data.eigenvalues.tolist(),
         "eigenvectors_Hc": LazyDocs(matrix_to_json, data.vectors_weighted),
-        "kernel_index": int(data.kernel_index),
+        "kernel_index": 0,
         "degeneracy_groups": [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])],
         "t": float(t),
     }

@@ -26,10 +26,8 @@ increasing grid). It needs only at least 3 samples at strictly increasing
 times, which ``check_sample_times`` checks before the flow is integrated.
 The law has an equivalent form through the state ``phi(b) = tr(c b)``,
 evaluated separately as a cross-check; both need ``L log c`` exactly Hermitian.
-Each form is an inner product over one right product per sample:
-``tr(a* a X) = sum conj(a) o (a X)`` with ``X = L log c``, and
-``phi(a* a X c^{-1}) = sum conj(a c) o (a X c^{-1})``, the weighted inner
-product ``<a, a X c^{-1}>_c``; no product is formed per eigenvector.
+Each form is an inner product over one right product per sample, with no
+product per eigenvector (:func:`variation_rhs`, :func:`variation_rhs_state_form`).
 
 The torus, each sample's metric state and ``L log c`` (its negated field) are
 read off the trajectory, so no function here takes a torus or applies ``L``.
@@ -145,7 +143,7 @@ class SpectralCurves:
     ``rhs`` and ``rhs_state_form`` are the two forms of the variation law
     (:func:`variation_rhs`, :func:`variation_rhs_state_form`) at each curve's
     eigenpair. ``degenerate`` flags samples with a collapsed gap or a weak
-    overlap; ``kernel`` is the zero-mode curve. No eigenvector is kept.
+    overlap; curve 0 is the kernel's. No eigenvector is kept.
     """
 
     times: np.ndarray
@@ -154,7 +152,6 @@ class SpectralCurves:
     degenerate: np.ndarray
     rhs: np.ndarray
     rhs_state_form: np.ndarray
-    kernel: int
 
 
 def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
@@ -166,8 +163,7 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     for each pair's permutation in spectral order. Weak matches are recorded as
     per-sample degeneracy flags, never raised; a NaN or inf overlap raises
     ``InvalidInput`` before any assignment of its chunk. Each chunk's
-    spectra come first, as one :func:`lb_spectra` stack: an operator without
-    a single zero mode raises ``MetricDegenerate`` with its time. Both forms
+    spectra come first, as one :func:`lb_spectra` stack, kernel first. Both forms
     of the law follow, each once per chunk, plain form first: a field that is
     not exactly Hermitian raises ``NonRealVariation`` with its sample's time,
     the chunk's earliest such one. So the earliest failing chunk raises,
@@ -183,12 +179,12 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
     size = max(1, CHUNK_ENTRIES // n2**2)
     for start in range(0, samples, size):
         part = trajectory.samples[start:start + size]
-        spectra = lb_spectra(torus, [s.space for s in part], times=[s.t for s in part])
+        spectra = lb_spectra(torus, [s.space for s in part])
         lam, a = spectra.eigenvalues, spectra.vectors_weighted
         law = variation_rhs(part, lam, a), variation_rhs_state_form(part, lam, a)
         flat = spectra.vectors_flat.reshape(len(part), n2, n2)
         if start == 0:  # the first sample is its own predecessor
-            last, kernel, order = flat[:1], int(spectra.kernel_index[0]), np.arange(n2)
+            last, order = flat[:1], np.arange(n2)
         # Every pair of consecutive samples in one product, in spectral order:
         # overlap[i, j] = <earlier vector i, later vector j>.
         pairs = np.concatenate([last, flat])
@@ -206,8 +202,8 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
             orders[p + 1] = perm[orders[p]]
         order = orders[-1]
         bad = magnitude[np.arange(len(part))[:, None], orders[:-1], orders[1:]] < OVERLAP_MIN
-        # The kernel is exactly known; never let the assignment drift it.
-        bad[:, kernel] |= orders[1:, kernel] != spectra.kernel_index
+        # The kernel is index 0 by construction; never let the assignment drift it.
+        bad[:, 0] |= orders[1:, 0] != 0
         chunk = slice(start, start + len(part))
         curves[:, chunk] = np.take_along_axis(
             np.stack([lam, spectra.min_gaps, *law]), orders[None, 1:], -1
@@ -220,7 +216,6 @@ def track_spectrum(trajectory: FlowResult) -> SpectralCurves:
         degenerate=degenerate,
         rhs=rhs,
         rhs_state_form=rhs_alt,
-        kernel=kernel,
     )
 
 
@@ -417,7 +412,7 @@ def report_to_json(report: VariationReport) -> dict:
         ok = interior[:, i]
         return {
             "curve_id": i,
-            "is_kernel": i == curves.kernel,
+            "is_kernel": i == 0,
             "samples": len(curves.times),
             "flagged": int(curves.degenerate[:, i].sum()),
             "max_rel_residual": float(rel_residual[ok, i].max()) if ok.any() else None,

@@ -250,9 +250,9 @@ def lb_checks(torus: FuzzyTorus) -> list[dict]:
         op = lb_conjugated_superop(torus, space)
         checks.append(_leq("lb_hermitian", params, hermiticity_defect(op), TOL_LB_HERM))
 
-        data = lb_spectrum(torus, space)
+        data = lb_spectrum(torus, space)  # eigenvalue 0 is exactly 0.0, so lb_psd reads op
         norm = max(float(np.max(np.abs(data.eigenvalues))), 1.0)
-        checks.append(_geq("lb_psd", params, float(data.eigenvalues[0]), -TOL_LB_PSD * norm))
+        checks.append(_geq("lb_psd", params, np.linalg.eigvalsh(op)[0], -TOL_LB_PSD * norm))
 
         a, b = gaussian_matrices(rng, 2, torus.n)
         lhs = hs_inner(space.to_flat(a), space.to_flat(b))
@@ -263,7 +263,7 @@ def lb_checks(torus: FuzzyTorus) -> list[dict]:
         vectors, lam = data.vectors_weighted, data.eigenvalues
         ray = rayleigh_quotient(torus, space, vectors)
         worst_ray = np.max(np.abs(ray - lam) / np.maximum(np.abs(lam), 1.0))
-        others = vectors[np.arange(len(lam)) != data.kernel_index]
+        others = vectors[1:]
         worst_state = np.max(np.abs(space.state(others)) / (hs_norm(space.c) * space.norm(others)))
         checks.append(_leq("lb_rayleigh_identity", params, worst_ray, TOL_RAYLEIGH))
         checks.append(_leq("lb_state_vanishes", params, worst_state, TOL_STATE_ZERO))
@@ -302,18 +302,14 @@ def tracking_checks() -> list[dict]:
     # The eigenvectors the law consumed: each sample's spectrum, in spectral order.
     spectra = lb_spectra(torus, [s.space for s in trajectory.samples])
     c = np.stack([s.c for s in trajectory.samples])[:, None]
-    vectors, kernels = spectra.vectors_weighted, spectra.kernel_index
+    vectors = spectra.vectors_weighted
     # The literal tr(c a* a), not the formula lb_spectra normalizes with.
     norms = np.trace(c @ vectors.conj().swapaxes(-1, -2) @ vectors, axis1=-2, axis2=-1)
     worst_norm = np.max(np.abs(np.sqrt(norms.real) - 1.0))
-    off_kernel = np.arange(n * n) != kernels[:, None]
-    worst_state = np.max(np.abs(np.trace(c @ vectors, axis1=-2, axis2=-1))[off_kernel])
-    # A kernel vector is I / sqrt(tr c) times a free phase: make its trace real positive.
-    kernel = vectors[np.arange(len(vectors)), kernels]
-    trace = np.trace(kernel, axis1=-2, axis2=-1)
-    aligned = kernel * (trace.conj() / np.abs(trace))[:, None, None]
+    worst_state = np.max(np.abs(np.trace(c @ vectors[:, 1:], axis1=-2, axis2=-1)))
+    # The kernel vector is c^{1/2} c^{-1/2}, normalized: I / sqrt(tr c), with no free phase.
     target = np.eye(n) / np.sqrt(np.trace(c[:, 0], axis1=-2, axis2=-1).real)[:, None, None]
-    kernel_ok = bool(np.all(_hs_norms(aligned - target) <= 1e-8))
+    kernel_ok = bool(np.all(_hs_norms(vectors[:, 0] - target) <= 1e-8))
     checks.append(_leq("curve_normalization", params, worst_norm, 1e-10))
     checks.append(_leq("curve_state_vanishes", params, worst_state, 1e-9))
     checks.append(_check("kernel_curve_is_identity", params, None, None, kernel_ok))

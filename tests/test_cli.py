@@ -222,6 +222,19 @@ def test_non_finite_random_scale_exit_2_and_no_files(tmp_path, capsys, scale):
     assert err == {"error": "InvalidParams", "message": f"scale must be finite, got scale={scale}"}
 
 
+@pytest.mark.parametrize("scale", ["800", "1e10", "1e300"])
+def test_random_scale_too_large_exit_2_and_no_files(tmp_path, capsys, scale):
+    # The least eigenvalue rounds to zero, or exp overflows: one error
+    # document naming the scale, and no numpy warning before it.
+    out = tmp_path / "run"
+    argv = ["simulate", "--n", 2, "--t1", 0.01, "--initial", f"random:scale={scale}", "--out", out]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InvalidParams"
+    assert f"got scale={float(scale)}:" in err["message"]
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [
@@ -608,6 +621,21 @@ class TestSpectrum:
         # By t=50 the flow has reached the flat fixed point.
         np.testing.assert_allclose(doc["eigenvalues"], [0, 1, 1, 2], atol=1e-5)
 
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_large_n_kernel_by_construction(self, tmp_path, n):
+        # At n = 20, 1e-8 ||M|| = 1.3 exceeds the least physical eigenvalues,
+        # so a threshold search counted 4 zero modes and exited 2. The kernel
+        # is deflated instead: lambda_0 is 0.0 and its vector I / sqrt(tr c) = I / sqrt(n).
+        out = tmp_path / "run"
+        assert run_cli(["spectrum", "--n", n, "--seed", 0, "--t1", 0, "--out", out]) == 0
+        doc = json.loads((out / "spectrum.json").read_text())
+        assert doc["kernel_index"] == 0 and doc["eigenvalues"][0] == 0.0
+        assert min(doc["eigenvalues"][1:]) > 0.5
+        kernel = linalg.matrix_from_json(doc["eigenvectors_Hc"][0])
+        trace = np.trace(kernel)
+        aligned = kernel * trace.conj() / abs(trace)
+        assert linalg.hs_norm(aligned - np.eye(n) / np.sqrt(n)) <= 1e-8
+
     def test_bad_time_window_exit_2_and_no_files(self, tmp_path, capsys):
         # A window ending before it starts, or at NaN, is rejected exactly as
         # simulate rejects it, before the output directory is created.
@@ -688,14 +716,20 @@ class TestTrack:
         doc = json.loads((out / "variation.json").read_text())
         assert doc["passed"] is (code == 0)
 
-    def test_degenerate_spectrum_names_its_time(self, tmp_path, capsys):
-        # A metric near the positivity floor: the first sample's operator has two zero modes.
+    def test_near_floor_metric_keeps_its_kernel_at_curve_0(self, tmp_path):
+        # A metric near the positivity floor: its spectrum is ~0, 1.333, 5e10
+        # and 1.5e11, so 1e-8 ||M|| would take 1.333 for a second zero mode.
+        # The kernel is deflated, not searched for: the run reaches its verdict
+        # with curve 0 the only kernel curve, at 0.0 in every sample.
         out = tmp_path / "run"
         code = run_cli(["track", "--n", 2, "--initial", "diag:1,1e-11", "--t1", 0.01, "--out", out])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "MetricDegenerate"
-        assert err["time"] == 0.0
+        assert code == 4
+        doc = json.loads((out / "variation.json").read_text())
+        assert [curve["is_kernel"] for curve in doc["curves"]] == [True, False, False, False]
+        with open(out / "curves.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        kernel = [float(row[2]) for row in rows if row[1] == "0"]
+        assert len(kernel) == 11 and all(value == 0.0 for value in kernel)
 
     def test_non_hermitian_field_exit_3_and_no_files(self, tmp_path, monkeypatch, capsys):
         # A 1e-6 anti-Hermitian part in the third sample's field makes the law

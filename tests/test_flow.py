@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 from functools import partial
@@ -83,6 +84,21 @@ class TestRandomMetric:
         # Rejected before the draw, so numpy warns of no inf * 0 or inf / 2.
         with pytest.raises(InvalidParams, match="scale must be finite"):
             random_metric(2, 0, scale=scale)
+
+    @pytest.mark.parametrize("scale", [800.0, 1e10, 1e300])
+    def test_scale_too_large_for_positivity_rejected(self, scale):
+        # At 800 the least eigenvalue rounds to zero, at 1e10 exp overflows and
+        # at 1e300 so does h's norm: each error names the scale, with no warning.
+        with pytest.raises(InvalidParams, match=re.escape(f"got scale={scale}: least eigenvalue")):
+            random_metric(2, 0, scale=scale)
+
+    def test_accepted_scales_keep_their_metric(self):
+        # The check reads h's eigenvalues beside the exponential, which still
+        # decomposes scale * h itself: an accepted metric is matrix_exp's, bit for bit.
+        for n, seed, scale in ((2, 0, 20.0), (4, 3, 5.0), (8, 1, 1.0)):
+            g = linalg.gaussian_matrices(np.random.default_rng(seed), 1, n)[0]
+            c = linalg.matrix_exp(scale * (g + g.conj().T) / 2)
+            np.testing.assert_array_equal(random_metric(n, seed, scale), c * (n / np.trace(c).real))
 
 
 class TestMetricSpec:

@@ -42,6 +42,19 @@ def lb_apply(torus, space, a):
     return torus.laplacian_apply(a) @ space.c_inv
 
 
+def kernel_vector(space):
+    """k = vec(c^{1/2}) / ||c^{1/2}||, the conjugated operator's known kernel."""
+    return space.c_sqrt.reshape(-1) / hs_norm(space.c_sqrt)
+
+
+def deflator(space):
+    """The reflector H = I - 2 v v*, v = (k + e_0) / ||k + e_0||, that maps k to -e_0."""
+    v = kernel_vector(space)
+    v[0] += 1
+    v /= np.linalg.norm(v)
+    return np.eye(len(v)) - 2 * np.outer(v, v.conj())
+
+
 @pytest.fixture(scope="module")
 def space3():
     return WeightedSpace.from_metric(random_metric(3, 4))
@@ -224,29 +237,33 @@ class TestCurvedLaplacian:
 
     @pytest.mark.parametrize("n,m", ROUNDOFF_PAIRS)
     def test_operators_reach_eigh_hermitian_to_roundoff(self, n, m, monkeypatch):
-        # lb_spectra sends its stacked operators straight to eigh, which reads
-        # one triangle, unchecked: their Hermiticity defect must stay at
+        # lb_spectra sends its stacked deflated blocks straight to eigh, which
+        # reads one triangle, unchecked: their Hermiticity defect must stay at
         # roundoff, far below the HERM_TOL_SCALE that outside matrices meet.
         inputs = recording_eigh(monkeypatch)
         lb_spectra(FuzzyTorus(n, m), [random_metric(n, seed) for seed in range(6)])
         operators = inputs[-1]
-        assert operators.shape == (6, n * n, n * n)
+        assert operators.shape == (6, n * n - 1, n * n - 1)
         for op in operators:
             assert hs_norm(op - op.conj().T) <= 16 * np.finfo(float).eps * hs_norm(op)
 
     @pytest.mark.parametrize("n,m", [*coprime_pairs(8), (12, 5), (16, 1)])
     def test_closed_form_matches_probed_map(self, n, m, monkeypatch):
         # The single build and the stacked one lb_spectra decomposes, for
-        # several metrics at once, each against the literal map.
+        # several metrics at once, each against the literal map: eigh gets
+        # the trailing block B of H M H, so H [0 0; 0 B] H is M, up to the
+        # dropped kernel row and column.
         torus = FuzzyTorus(n, m)
         spaces = [WeightedSpace.from_metric(random_metric(n, seed)) for seed in range(3)]
         inputs = recording_eigh(monkeypatch)
         lb_spectra(torus, spaces)
         (stacked,) = inputs
-        for space, op in zip(spaces, stacked, strict=True):
+        for space, block in zip(spaces, stacked, strict=True):
             s = space.c_invsqrt
             probed = superop_from_map(n, lambda a: torus.laplacian_apply(a @ s) @ s)
-            for closed in (lb_conjugated_superop(torus, space), op):
+            h, padded = deflator(space), np.zeros_like(probed)
+            padded[1:, 1:] = block
+            for closed in (lb_conjugated_superop(torus, space), h @ padded @ h):
                 assert hs_norm(closed - probed) <= 1e-13 * hs_norm(closed)
 
     def test_spectrum_caches_no_dense_operator_on_the_torus(self):
@@ -262,11 +279,28 @@ class TestSpectrum:
     def test_flat_spectrum_and_kernel(self, torus2):
         data = lb_spectrum(torus2, np.eye(2))
         np.testing.assert_allclose(data.eigenvalues, [0.0, 1.0, 1.0, 2.0], atol=1e-12)
-        assert data.kernel_index == 0
+        assert data.eigenvalues[0] == 0.0
         a0 = data.vectors_weighted[0]
         phase = a0[0, 0] / abs(a0[0, 0])
         np.testing.assert_allclose(a0 / phase, np.eye(2) / np.sqrt(2), atol=1e-12)
         assert spectrum_to_json(data, t=0.0)["degeneracy_groups"] == [[0], [1, 2], [3]]
+
+    @pytest.mark.parametrize("n,m", ROUNDOFF_PAIRS)
+    def test_kernel_is_deflated_exactly(self, n, m):
+        # Eigenpair 0 is (0.0, k) by construction, and every other flat
+        # eigenvector is orthogonal to k within 4 eps (measured: at most 1.1
+        # eps). The other eigenvalues are plain eigh's of the whole operator,
+        # within 32 eps max|lambda| (measured: at most 8.7).
+        torus, eps = FuzzyTorus(n, m), np.finfo(float).eps
+        spaces = [WeightedSpace.from_metric(random_metric(n, seed)) for seed in range(3)]
+        spectra = lb_spectra(torus, spaces)
+        for space, lam, flat in zip(spaces, spectra.eigenvalues, spectra.vectors_flat, strict=True):
+            k, flat = kernel_vector(space), flat.reshape(n * n, n * n)
+            assert lam[0] == 0.0
+            assert np.linalg.norm(flat[0] - k) <= 4 * eps
+            assert np.max(np.abs(flat[1:].conj() @ k)) <= 4 * eps
+            plain = np.linalg.eigvalsh(lb_conjugated_superop(torus, space))
+            assert np.max(np.abs(lam[1:] - plain[1:])) <= 32 * eps * np.max(np.abs(plain))
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (2, 5), (3, 1), (3, 7)])
     def test_eigenpair_structure(self, n, seed):
@@ -301,11 +335,11 @@ class TestSpectrum:
                 lam, rel=1e-9, abs=1e-9 * norm
             )
             # Zero mean against the state for non-kernel vectors.
-            if i != data.kernel_index:
+            if i:
                 assert abs(space.state(a)) <= 1e-10 * c_norm * hs_norm(a)
 
         # The kernel is one-dimensional and proportional to the identity.
-        kernel = data.vectors_weighted[data.kernel_index]
+        kernel = data.vectors_weighted[0]
         target = np.eye(n) / np.sqrt(space.trace)
         overlap = abs(space.inner(target, kernel)) / space.norm(target)
         assert overlap == pytest.approx(1.0, abs=1e-10)
@@ -341,7 +375,7 @@ class TestSpectrum:
         # and its arrays are views of the stack's, not copies.
         metrics = [random_metric(3, seed) for seed in range(4)]
         spectra = lb_spectra(torus3, metrics)
-        assert spectra.eigenvalues.shape == (4, 9) and spectra.kernel_index.shape == (4,)
+        assert spectra.eigenvalues.shape == (4, 9) and spectra.gap_threshold.shape == (4,)
         for k, c in enumerate(metrics):
             entry, one = spectra[k], lb_spectrum(torus3, c)
             for f in dataclasses.fields(SpectralData):

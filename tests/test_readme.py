@@ -17,7 +17,7 @@ def _library_block() -> str:
 def test_library_example_runs_verbatim(capsys):
     exec(compile(_library_block(), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "(201, 9) 0"
+    assert lines[1] == "(201, 9) 0.0"
 
 
 def test_library_example_imports_only_exports():

@@ -97,8 +97,8 @@ class TestMatching:
         trajectory, _ = short_run
         real = tracking.lb_spectra
 
-        def broken(torus, states, times=None):
-            spectra = real(torus, states, times=times)
+        def broken(torus, states):
+            spectra = real(torus, states)
             vectors = spectra.vectors_flat.copy()
             vectors[2, 2, 0, 1] = bad
             return dataclasses.replace(spectra, vectors_flat=vectors)
@@ -199,14 +199,14 @@ class TestAssignment:
         flat = spectra.vectors_flat.reshape(len(lam), n * n, -1)
         forms = (variation_rhs, variation_rhs_state_form)
         laws = [form(trajectory.samples, lam, spectra.vectors_weighted) for form in forms]
-        rows, order, kernel = np.arange(n * n), np.arange(n * n), spectra.kernel_index[0]
+        rows, order = np.arange(n * n), np.arange(n * n)
         for k in range(len(lam)):
             bad = np.zeros(n * n, dtype=bool)
             if k:
                 overlap = np.abs(flat[k - 1, order].conj() @ flat[k].T)
                 order = scipy_assignment(overlap**2)
                 bad = overlap[rows, order] < tracking.OVERLAP_MIN
-                bad[kernel] |= order[kernel] != spectra.kernel_index[k]
+                bad[0] |= order[0] != 0
             gaps = spectra.min_gaps[k, order]
             threshold = spectra.gap_threshold[k]
             np.testing.assert_array_equal(ours.values[k], lam[k, order])
@@ -214,7 +214,6 @@ class TestAssignment:
             np.testing.assert_array_equal(ours.degenerate[k], bad | (gaps < threshold))
             np.testing.assert_array_equal(ours.rhs[k], laws[0][k, order])
             np.testing.assert_array_equal(ours.rhs_state_form[k], laws[1][k, order])
-        assert ours.kernel == kernel
 
     @pytest.mark.parametrize(
         "n, m, seed, t1",
@@ -439,12 +438,12 @@ class TestTrackSpectrum:
         trajectory, curves = short_run
         for name in ("values", "min_gap", "degenerate", "rhs", "rhs_state_form"):
             assert getattr(curves, name).shape == (len(trajectory.samples), 4), name
-        np.testing.assert_allclose(curves.values[:, curves.kernel], 0.0, atol=1e-12)
+        assert np.all(curves.values[:, 0] == 0.0)
         spectra = sample_spectra(torus2, trajectory)
-        for k, (kernel, flow_sample) in enumerate(zip(spectra.kernel_index, trajectory.samples)):
-            assert curves.values[k, curves.kernel] == spectra.eigenvalues[k, kernel]
+        for k, flow_sample in enumerate(trajectory.samples):
+            assert spectra.eigenvalues[k, 0] == 0.0
             # The zero mode is I / sqrt(tr c) up to a free phase: make its trace real positive.
-            vector = spectra.vectors_weighted[k, kernel]
+            vector = spectra.vectors_weighted[k, 0]
             trace = np.trace(vector)
             target = np.eye(2) / np.sqrt(np.trace(flow_sample.c).real)
             assert hs_norm(vector * trace.conj() / abs(trace) - target) <= 1e-8
@@ -460,10 +459,9 @@ class TestTrackSpectrum:
         trajectory, _ = short_run
         spaces = [WeightedSpace.from_metric(s.c) for s in trajectory.samples]
         spectra = sample_spectra(torus2, trajectory)
-        for k, (vectors, kernel) in enumerate(zip(spectra.vectors_weighted, spectra.kernel_index)):
-            for i, vector in enumerate(vectors):
-                if i != kernel:
-                    assert abs(spaces[k].state(vector)) <= 1e-9
+        for k, vectors in enumerate(spectra.vectors_weighted):
+            for vector in vectors[1:]:
+                assert abs(spaces[k].state(vector)) <= 1e-9
 
     def test_dense_sampling_keeps_high_overlap(self, torus2):
         c0 = random_metric(2, 7)
@@ -506,7 +504,6 @@ class TestTrackSpectrum:
             chunked = track_spectrum(trajectory)
             for name in ("values", "min_gap", "degenerate", "rhs", "rhs_state_form"):
                 assert np.array_equal(getattr(chunked, name), getattr(default, name)), (size, name)
-            assert chunked.kernel == default.kernel
 
 
 class TestVariationReport:
@@ -649,7 +646,7 @@ class TestVariationReport:
         inputs = recording_eigh(monkeypatch)
         first_variation_report(trajectory)
         assert len(trajectory.samples) == 201
-        assert [a.shape for a in inputs] == [(201, 9, 9)]
+        assert [a.shape for a in inputs] == [(201, 8, 8)]
 
     def test_chunked_spectra_equal_per_sample_spectra(self, monkeypatch):
         # A chunk holds 2**14 // n**4 samples: 64 at n = 4 and 26 at n = 5, so
@@ -657,8 +654,8 @@ class TestVariationReport:
         chunks = []
         real = tracking.lb_spectra
 
-        def recording(torus, states, times=None):
-            spectra = real(torus, states, times=times)
+        def recording(torus, states):
+            spectra = real(torus, states)
             chunks.append((states, spectra))
             return spectra
 
@@ -678,7 +675,6 @@ class TestVariationReport:
                 for name in ("eigenvalues", "vectors_flat", "vectors_weighted", "min_gaps"):
                     assert np.array_equal(getattr(spectra, name)[k], getattr(one, name)), name
                 assert spectra.gap_threshold[k] == one.gap_threshold
-                assert spectra.kernel_index[k] == one.kernel_index
 
     def test_memory_does_not_grow_with_eigenvectors(self):
         # The report keeps per-sample scalars only. From 51 to 201 samples at
@@ -710,7 +706,6 @@ class TestVariationReport:
         for name in ("times", "values", "min_gap", "degenerate", "rhs", "rhs_state_form"):
             assert np.array_equal(getattr(tracked, name), getattr(fresh, name)), name
             assert np.array_equal(getattr(tracked, name), getattr(curves, name)), name
-        assert tracked.kernel == fresh.kernel == curves.kernel
 
 
 class TestNonRealGuard:
