@@ -16,14 +16,20 @@ the error document on stderr included, is the stdlib encoder's text with
 ``sort_keys=True, indent=2`` plus a newline. ``json.dumps`` writes every
 scalar and every list of scalars; ``_json_pieces`` writes the brackets and
 keys around them, builds lazy lists as it goes, and writes a list of
-equal-length float rows (a matrix) as one ``str.join``.
+equal-length float rows (a matrix) as one ``str.join``. The matrices of
+``spectrum.json``'s eigenvectors and ``trajectory.json``'s samples are typed
+rows (``linalg.FloatRows``), written from one ``tolist`` of the array's flat
+float view with one ``repr`` per float and no ``[re, im]`` lists.
 
 Artifacts are streamed: the text comes in pieces (one per list item, key,
 scalar list or matrix) that go straight to a sibling file, renamed onto the
 artifact's name once complete, so a failed write leaves no partial file.
-``spectrum.json``'s eigenvectors and ``trajectory.json``'s samples become
-Python lists one matrix or sample at a time (``linalg.LazyDocs``), as they
-are written, so the document never exists whole in memory.
+``spectrum.json``'s eigenvectors and ``trajectory.json``'s samples are built
+one matrix or sample at a time (``linalg.LazyDocs``), as they are written, so
+the document never exists whole in memory. With both formats ``simulate``
+writes ``trajectory.csv`` and ``trajectory.json`` in one pass over the
+samples, both sibling files open: each sample's CSV row is rendered once, and
+its entries' reprs are also the JSON sample's matrix.
 
 Exit codes: 0 success; 2 invalid input or parameters, including an
 unreadable ``--config``, ``--initial`` or ``--geometry`` file, a stride or
@@ -43,6 +49,7 @@ import itertools
 import json
 import os
 import sys
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -59,7 +66,7 @@ from .flow import (
     trajectory_to_json,
 )
 from .laplace_beltrami import lb_spectrum, spectrum_to_json
-from .linalg import LazyDocs, as_int
+from .linalg import FloatRows, LazyDocs, as_int
 from .torus import FuzzyTorus
 from .tracking import (
     RESIDUAL_BUDGET,
@@ -134,17 +141,24 @@ _COMMANDS = {
 }
 
 
-def _json_document(doc):
+def _json_document(doc, reprs=None):
     """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, in pieces."""
-    yield from _json_pieces(doc, "\n")
+    yield from _json_pieces(doc, "\n", reprs)
     yield "\n"
 
 
-def _json_pieces(obj, ind: str):
+def _float_reprs(rows: FloatRows):
+    # tolist gives exact floats, so repr is float.__repr__, and its call costs less.
+    return map(repr, rows.floats.tolist())
+
+
+def _json_pieces(obj, ind: str, reprs=None):
     """The stdlib encoder's text of ``obj`` at line prefix ``ind``, in pieces: one per
     key, closing bracket, scalar, list of scalars and list of equal-length float rows.
 
-    A ``LazyDocs`` is a list whose items are built as they are encoded.
+    A ``LazyDocs`` is a list whose items are built as they are encoded. A
+    ``FloatRows`` is written from its floats' reprs, ``reprs(rows)`` in document
+    order if given, else ``_float_reprs``; with a non-finite one, as its lists.
     """
     inner = ind + "  "
     if isinstance(obj, dict):  # a key that is not a str fails to sort or encode: TypeError
@@ -154,16 +168,18 @@ def _json_pieces(obj, ind: str):
         prefix = "{" + inner
         for key, value in sorted(obj.items()):
             yield prefix + encode_basestring_ascii(key) + ": "
-            yield from _json_pieces(value, inner)
+            yield from _json_pieces(value, inner, reprs)
             prefix = "," + inner
         yield ind + "}"
-    elif isinstance(obj, (list, tuple, LazyDocs)):
+    elif isinstance(obj, (list, tuple, LazyDocs, FloatRows)):
         if not obj:
             yield "[]"
             return
         if isinstance(obj, LazyDocs):
             text = None
-        elif not any(isinstance(item, (dict, list, tuple, LazyDocs)) for item in obj):
+        elif isinstance(obj, FloatRows):
+            text = _rows_text((reprs or _float_reprs)(obj), len(obj), 2, inner)
+        elif not any(isinstance(item, (dict, list, tuple, LazyDocs, FloatRows)) for item in obj):
             text = json.dumps(obj, separators=("," + inner, ": "))[1:-1]  # a list of scalars
         else:
             text = _floats_text(obj, inner)
@@ -173,7 +189,7 @@ def _json_pieces(obj, ind: str):
         prefix = "[" + inner
         for item in obj:
             yield prefix
-            yield from _json_pieces(item, inner)
+            yield from _json_pieces(item, inner, reprs)
             prefix = "," + inner
         yield ind + "]"
     else:
@@ -182,51 +198,96 @@ def _json_pieces(obj, ind: str):
 
 def _floats_text(items, inner: str) -> str | None:
     """A non-empty list's items at line prefix ``inner`` when they are equal-length
-    rows of finite floats, by one ``str.join`` over ``float.__repr__``; else None.
+    rows of finite floats, by ``_rows_text`` over ``float.__repr__``; else None.
 
-    The join interleaves the items' reprs with the two separators: the one
-    between a row's items, and the one that closes a row and opens the next
-    (the last is the list's closing bracket instead). The stdlib's ``indent``
-    path takes about twice as long over the same rows.
+    The stdlib's ``indent`` path takes about twice as long over the same rows.
     """
     widths = set(map(len, items)) if set(map(type, items)) <= {list, tuple} else set()
     if len(widths) != 1 or 0 in widths:
         return None
-    width, deeper = widths.pop(), inner + "  "
-    parts = [("," + deeper)] * (2 * width * len(items))
     try:
-        parts[0::2] = map(float.__repr__, itertools.chain.from_iterable(items))
+        reprs = map(float.__repr__, itertools.chain.from_iterable(items))
+        return _rows_text(reprs, len(items), widths.pop(), inner)
     except TypeError:  # an item that is not a float
         return None
-    parts[2 * width - 1 :: 2 * width] = [inner + "]," + inner + "[" + deeper] * len(items)
+
+
+def _rows_text(reprs, count: int, width: int, inner: str) -> str | None:
+    """``count`` rows of ``width`` floats at line prefix ``inner``, by one ``str.join``
+    over their reprs in row-major order; None when one is not finite.
+
+    The join interleaves the reprs with the two separators: the one between a
+    row's items, and the one that closes a row and opens the next (the last
+    is the list's closing bracket instead).
+    """
+    deeper = inner + "  "
+    parts = [("," + deeper)] * (2 * width * count)
+    parts[0::2] = reprs
+    parts[2 * width - 1 :: 2 * width] = [inner + "]," + inner + "[" + deeper] * count
     parts[-1] = inner + "]"
     text = "[" + deeper + "".join(parts)
     return text if "n" not in text else None  # a finite float never prints an "n"; nan and inf do
 
 
-def _write_text(path: Path, pieces) -> None:
-    """Stream ``pieces`` into a sibling file, then rename it to ``path``.
+@contextmanager
+def _partial_file(path: Path):
+    """A text file open on a sibling of ``path``, renamed to ``path`` once the block ends.
 
-    A failure while writing leaves no file at ``path`` (or the earlier one
+    A failure in the block leaves no file at ``path`` (or the earlier one
     untouched) and removes the sibling.
     """
     partial = path.with_name(path.name + ".partial")
     try:
         with partial.open("w", newline="") as fh:
-            for piece in pieces:  # fh.writelines took 0.5-1 ms longer on a 3217-row CSV
-                fh.write(piece)
+            yield fh
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, pieces) -> None:
+    """Stream ``pieces`` into ``path`` through its ``_partial_file``."""
+    with _partial_file(path) as fh:
+        for piece in pieces:  # fh.writelines took 0.5-1 ms longer on a 3217-row CSV
+            fh.write(piece)
 
 
 def _write_json(path: Path, doc) -> None:
     _write_text(path, _json_document(doc))
 
 
-def _write_csv(path: Path, rows) -> None:
+def _csv_line(row) -> str:
     # Every field is a float repr, an int or a plain column name: nothing to quote.
-    _write_text(path, (",".join(row) + "\n" for row in rows))
+    return ",".join(row) + "\n"
+
+
+def _write_csv(path: Path, rows) -> None:
+    _write_text(path, map(_csv_line, rows))
+
+
+def _write_trajectory(out: Path, result, formats) -> None:
+    """Write ``trajectory.csv``, ``trajectory.json`` or both, the two in one pass:
+    each sample's CSV row goes out as the JSON reaches its matrix, written from
+    the row's reprs, so each float is rendered once.
+    """
+    if "json" not in formats:
+        _write_csv(out / "trajectory.csv", trajectory_csv_rows(result))
+        return
+    if "csv" not in formats:
+        _write_json(out / "trajectory.json", trajectory_to_json(result))
+        return
+    rows = trajectory_csv_rows(result)
+    with _partial_file(out / "trajectory.csv") as csv_fh, \
+            _partial_file(out / "trajectory.json") as json_fh:
+        csv_fh.write(_csv_line(next(rows)))  # the header
+
+        def row_reprs(_rows):  # the samples' matrices are the document's only FloatRows
+            row = next(rows)
+            csv_fh.write(_csv_line(row))
+            return row[1:-4]  # trajectory_csv_rows' columns: t, the entries, four scalars
+
+        for piece in _json_document(trajectory_to_json(result), row_reprs):
+            json_fh.write(piece)
 
 
 def _read_json(path, what: str):
@@ -316,10 +377,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(config["out"])
     _write_json(out / "config.json", config)
     _write_json(out / "geometry.json", torus.to_json())
-    if "csv" in formats:
-        _write_csv(out / "trajectory.csv", trajectory_csv_rows(result))
-    if "json" in formats:
-        _write_json(out / "trajectory.json", trajectory_to_json(result))
+    _write_trajectory(out, result, formats)
 
     drift, det_drop = flow_invariants(result)
     nondecreasing = det_drop <= DET_SLACK

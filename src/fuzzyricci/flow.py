@@ -536,7 +536,7 @@ def trajectory_csv_rows(result: FlowResult) -> Iterator[list[str]]:
 def _sample_to_json(s: FlowSample) -> dict:
     return {
         "t": s.t,
-        "c": matrix_to_json(s.c),
+        "c": matrix_to_json(s.c, typed=True),
         "trace": s.trace,
         "det": s.det,
         "min_eig": s.min_eig,
@@ -550,7 +550,8 @@ def trajectory_to_json(result: FlowResult) -> dict:
     ``config.max_step`` is the explicit phase's step cap; steps after the
     switch to the exponential tail are not capped. The samples are a
     ``LazyDocs``: each sample's document is built when it is read, so the
-    writer holds one sample's lists at a time.
+    writer holds one sample's lists at a time, and its matrix's entries are
+    a ``FloatRows``.
     """
     return {
         "n": result.torus.n,

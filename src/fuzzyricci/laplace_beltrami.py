@@ -30,7 +30,7 @@ stack of matrices is one BLAS call per sample (``right_product``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -279,7 +279,8 @@ def lb_spectra(torus: FuzzyTorus, states) -> SpectralData:
 def spectrum_to_json(data: SpectralData, t: float) -> dict:
     """Spectrum at time ``t`` as JSON: eigenvalues plus weighted-normalized eigenvectors.
 
-    The eigenvectors are a :class:`LazyDocs`, each matrix's document built when read.
+    The eigenvectors are a :class:`LazyDocs`, each matrix's document built when
+    read, with its entries a :class:`FloatRows`.
     """
     # Index runs whose consecutive gaps fall below the threshold, cut at the
     # gaps of at least it; np.split would cost ~4x more.
@@ -287,7 +288,7 @@ def spectrum_to_json(data: SpectralData, t: float) -> dict:
     bounds = [0, *cuts.tolist(), len(data.eigenvalues)]
     return {
         "eigenvalues": data.eigenvalues.tolist(),
-        "eigenvectors_Hc": LazyDocs(matrix_to_json, data.vectors_weighted),
+        "eigenvectors_Hc": LazyDocs(partial(matrix_to_json, typed=True), data.vectors_weighted),
         "kernel_index": 0,
         "degeneracy_groups": [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])],
         "t": float(t),

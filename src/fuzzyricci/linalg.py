@@ -7,9 +7,12 @@ Hermitian eigendecomposition of a matrix from outside the program, the
 matrix that ``eigh`` decomposes (``lower_mirrored``), functional calculus
 ``f(a) = V f(L) V*``, an operator's ``hermiticity_defect``, the vectorization
 of linear matrix maps by probing matrix units (``superop_from_map``), the
-reference that the closed-form operators are checked against, and
+reference that the closed-form operators are checked against,
 ``gaussian_matrices``, the one seeded draw of complex Gaussian matrices
-behind every random input.
+behind every random input, and the JSON form of a matrix: ``matrix_to_json``
+with plain ``[re, im]`` lists, or with its entries typed as ``FloatRows`` over
+the array, which the CLI's writer renders from the flat float view in one
+pass; ``LazyDocs`` builds a stack's documents as they are read.
 
 Flattening convention: an ``n x n`` matrix is flattened row-major (C order),
 so the matrix unit ``E[j,k]`` maps to basis index ``j*n + k``. Under this
@@ -187,11 +190,32 @@ def superop_from_map(n: int, map_fn: Callable[[np.ndarray], np.ndarray]) -> np.n
     return matrix
 
 
-def matrix_to_json(a) -> dict:
-    """Encode a square complex matrix as ``{"n": ..., "entries": [[re, im], ...]}``."""
+def matrix_to_json(a, typed: bool = False) -> dict:
+    """Encode a square complex matrix as ``{"n": ..., "entries": [[re, im], ...]}``.
+
+    With ``typed`` the entries are the matrix's :class:`FloatRows`, not lists.
+    """
     a = as_square_matrix(a)
-    entries = np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist()
-    return {"n": int(a.shape[0]), "entries": entries}
+    rows = FloatRows(a)
+    return {"n": int(a.shape[0]), "entries": rows if typed else rows[:]}
+
+
+class FloatRows(Sequence):
+    """Read-only sequence of the ``[re, im]`` pairs of a complex array's entries, row-major.
+
+    ``floats`` is the array's flat float view, ``re, im, re, im, ...``: the
+    JSON writer renders a matrix from it in one pass, without building the
+    pairs. Indexing (a slice too) or iterating builds them as lists.
+    """
+
+    def __init__(self, a):
+        self.floats = np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1)
+
+    def __len__(self) -> int:
+        return len(self.floats) // 2
+
+    def __getitem__(self, index):
+        return self.floats.reshape(-1, 2)[index].tolist()
 
 
 class LazyDocs(Sequence):

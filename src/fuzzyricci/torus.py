@@ -195,9 +195,14 @@ class FuzzyTorus:
         antisymmetric, so ``Re a - Im a = r^T``) ``L`` is ``Re M + (Im M) P``,
         ``M`` its complex matrix (``conjugated_laplacians`` at ``S = I``) and
         ``P`` the transpose of a flattened matrix; one ``eigh`` decomposes it.
+        At ``n <= DENSE_MAX_N`` ``M`` is the Hermitian path's cached ``M/2``
+        doubled, which is exact.
         """
         n = self.n
-        m = self.conjugated_laplacians(np.eye(n)[None])[0]
+        if n <= DENSE_MAX_N:
+            m = 2 * self._half_matrix
+        else:
+            m = self.conjugated_laplacians(np.eye(n)[None])[0]
         block = m.imag[:, np.arange(n * n).reshape(n, n).T.reshape(-1)]  # (Im M) P
         block += m.real
         del m

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import importlib
 import io
+import itertools
 import json
 import os
 import pkgutil
@@ -1032,6 +1033,101 @@ def test_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, earlier)
         assert names == ["config.json"]
 
 
+def test_trajectory_files_are_streamed_together(tmp_path):
+    # One pass writes both files, with at most one sample's strings alive:
+    # the same bound as one file's, against the two files' combined size.
+    result = flow.run_flow(
+        FuzzyTorus(8, 1), random_metric(8, 0), flow.FlowConfig(t1=1.0, sample_stride=1e-3)
+    )
+    assert len(result.samples) == 1001
+    tracemalloc.start()
+    try:
+        cli._write_trajectory(tmp_path, result, {"csv", "json"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum((tmp_path / name).stat().st_size for name in ("trajectory.csv", "trajectory.json"))
+    assert peak < size / 20
+
+
+@pytest.mark.parametrize("formats", [{"json"}, {"csv", "json"}], ids=["json", "csv_and_json"])
+def test_typed_artifacts_are_the_stdlib_text_of_plain_documents(tmp_path, formats):
+    # FloatRows are written as the lists matrix_to_json builds would be.
+    torus, c0 = FuzzyTorus(3, 1), random_metric(3, 0)
+    data = lb_spectrum(torus, c0)
+    doc = spectrum_to_json(data, t=0.0)
+    cli._write_json(tmp_path / "spectrum.json", doc)
+    plain = {**doc, "eigenvectors_Hc": [linalg.matrix_to_json(v) for v in data.vectors_weighted]}
+    assert (tmp_path / "spectrum.json").read_text() == _stdlib_text(plain)
+
+    result = flow.run_flow(torus, c0, flow.FlowConfig(t1=1.0, sample_stride=0.25))
+    cli._write_trajectory(tmp_path, result, formats)
+    doc = flow.trajectory_to_json(result)
+    samples = zip(doc["samples"], result.samples)
+    plain = {**doc, "samples": [{**d, "c": linalg.matrix_to_json(s.c)} for d, s in samples]}
+    assert (tmp_path / "trajectory.json").read_text() == _stdlib_text(plain)
+
+
+@pytest.mark.parametrize(
+    "fmt, csv_rows, rendered", [("csv,json", 7, 0), ("json", 0, 6), ("csv", 7, 0)]
+)
+def test_each_sample_is_rendered_once(tmp_path, monkeypatch, fmt, csv_rows, rendered):
+    # Each sample's floats are rendered once, as its CSV row or its matrix's
+    # reprs: with both formats the JSON matrices are written from the rows.
+    counts = Counter()
+    real_rows = cli.trajectory_csv_rows
+
+    def counting_rows(result):
+        for row in real_rows(result):
+            counts["csv_rows"] += 1
+            yield row
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "trajectory_csv_rows", counting_rows)
+    monkeypatch.setattr(cli, "_float_reprs", counting("rendered", cli._float_reprs))
+    monkeypatch.setattr(cli, "trajectory_to_json", counting("documents", cli.trajectory_to_json))
+    out = tmp_path / "run"
+    argv = ["simulate", "--n", 3, "--t1", 0.5, "--stride", 0.1, "--format", fmt, "--out", out]
+    assert run_cli(argv) == 0
+    assert json.loads((out / "summary.json").read_text())["samples"] == 6
+    assert counts["csv_rows"] == csv_rows and counts["rendered"] == rendered
+    assert counts["documents"] == ("json" in fmt)
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over_an_earlier_run"])
+def test_failed_trajectory_write_leaves_neither_file(tmp_path, monkeypatch, earlier):
+    # The CSV rows fail at the third sample, when both sibling files hold
+    # part of their text; both artifacts are absent or the earlier run's.
+    out = tmp_path / "run"
+    argv = ["simulate", "--n", 2, "--t1", 0.5, "--stride", 0.1, "--out", out]
+    names = ("trajectory.csv", "trajectory.json")
+    if earlier:
+        assert run_cli(argv) == 0
+        earlier_bytes = [(out / name).read_bytes() for name in names]
+    real_rows = cli.trajectory_csv_rows
+
+    def failing_rows(result):
+        rows = real_rows(result)
+        yield from itertools.islice(rows, 3)  # the header and two samples
+        assert all((out / (name + ".partial")).exists() for name in names)
+        raise RuntimeError("write failed")
+
+    monkeypatch.setattr(cli, "trajectory_csv_rows", failing_rows)
+    with pytest.raises(RuntimeError, match="write failed"):
+        run_cli(argv)
+    written = sorted(path.name for path in out.iterdir())
+    if earlier:
+        assert written == ["config.json", "geometry.json", "summary.json", *names]
+        assert [(out / name).read_bytes() for name in names] == earlier_bytes
+    else:
+        assert written == ["config.json", "geometry.json"]
+
+
 def test_error_document_is_in_the_stdlib_format(tmp_path, capsys):
     assert run_cli(["simulate", "--n", 4, "--m", 2, "--out", tmp_path / "run"]) == 2
     err = capsys.readouterr().err
@@ -1088,6 +1184,26 @@ _DOCS = st.recursive(
 @given(_DOCS)
 def test_encoder_equals_stdlib_indent_encoder(doc):
     assert "".join(cli._json_document(doc)) == _stdlib_text(doc)
+
+
+@st.composite
+def _complex_matrices(draw):
+    n = draw(st.integers(1, 4))
+    floats = draw(st.lists(_FLOATS, min_size=2 * n * n, max_size=2 * n * n))
+    return np.array(floats).view(complex).reshape(n, n)
+
+
+@settings(max_examples=150, deadline=None)  # ~0.5 s, nearly all of it drawing floats
+@given(_complex_matrices())
+def test_float_rows_text_equals_stdlib_text_of_lists(a):
+    typed, plain = linalg.matrix_to_json(a, typed=True), linalg.matrix_to_json(a)
+    rows = typed["entries"]
+    assert isinstance(rows, linalg.FloatRows) and len(rows) == a.size
+    np.testing.assert_array_equal(linalg.matrix_from_json(typed), a)
+    assert "".join(cli._json_document(typed)) == _stdlib_text(plain)
+    # A non-finite entry takes the list path, where json.dumps spells it.
+    fast = cli._rows_text(cli._float_reprs(rows), len(rows), 2, "\n    ")
+    assert (fast is None) == (not np.all(np.isfinite(a)))
 
 
 def test_a_list_of_scalars_is_one_piece():

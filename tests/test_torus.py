@@ -347,6 +347,23 @@ class TestReflectionSplit:
         lam_max = float(np.linalg.norm(d, 2))
         assert np.max(np.abs(block - (d.real + d.imag[:, transpose]))) <= 1e-15 * lam_max
 
+    @pytest.mark.parametrize("n,m", [(4, 1), (DENSE_MAX_N, 3)])
+    def test_split_reads_the_hermitian_paths_matrix(self, n, m, monkeypatch):
+        # Up to DENSE_MAX_N, L's complex matrix M is built once, as M/2, and
+        # the split doubles it, which is exact.
+        t, builds = FuzzyTorus(n, m), []
+        build = FuzzyTorus.conjugated_laplacians
+
+        def counting(self, s):
+            builds.append(len(s))
+            return build(self, s)
+
+        monkeypatch.setattr(FuzzyTorus, "conjugated_laplacians", counting)
+        half = t._half_matrix
+        t.laplacian_split
+        assert builds == [1]
+        np.testing.assert_array_equal(2 * half, build(t, np.eye(n)[None])[0])
+
     @pytest.mark.parametrize("n,m", SPLIT_PAIRS + [(32, 1)])
     def test_round_trip_through_eigen_coordinates(self, n, m, rng):
         split = FuzzyTorus(n, m).laplacian_split
